@@ -44,10 +44,14 @@ worst windowed ``A - C`` deficits aggregated per trial — typically
 >>> bool(batch.lemma1_fraction > 0.5)
 True
 
-:class:`~repro.simulation.ExperimentRunner` layers deterministic
-per-point seeding (:class:`numpy.random.SeedSequence` spawning), optional
-``multiprocessing`` sharding across parameter points, and an on-disk
-result cache keyed by parameters+seed on top of the batch engine; see
+:class:`~repro.simulation.ExperimentRunner` fronts every engine through
+one point-spec path.  Each ``run_*`` call describes its point (parameters,
+shape and any scenario, delay model, power profile, placement, rare-event
+or streaming spec); the point's version-free payload seeds its
+:class:`numpy.random.SeedSequence` and, with the package version, names
+one ``.npz`` cache entry (a damaged entry is recomputed and counted); and
+every grid, whatever its engine, can shard over a ``multiprocessing`` pool
+with results bit-identical to a serial run; see
 ``examples/batch_validation.py``.  The legacy single-trial simulator
 remains the reference implementation — the batch engine is tested to
 produce identical per-round counts and convergence tallies when both are

@@ -52,9 +52,10 @@ MANIFEST_SCHEMA_VERSION = 1
 #: Environment variable naming the run-log path when no explicit one is given.
 RUN_LOG_ENV_VAR = "REPRO_RUN_LOG"
 
-#: Where a result may come from: a warm cache entry, a fresh computation, or
-#: a computation on a runner with caching disabled.
-CACHE_STATES = ("hit", "miss", "disabled")
+#: Where a result may come from: a warm cache entry, a fresh computation, a
+#: computation on a runner with caching disabled, or a recomputation over an
+#: unreadable cache entry.
+CACHE_STATES = ("hit", "miss", "disabled", "corrupt")
 
 #: Fields every record must carry, with their permitted types.
 _REQUIRED_FIELDS = {

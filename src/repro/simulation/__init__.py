@@ -80,8 +80,9 @@ Components
 ``runner``
     :class:`ExperimentRunner`: seeded, cached, optionally multiprocess
     experiments over grids of parameter points, (point, scenario) pairs,
-    (point, delay model) topology runs, (point, schedule) dynamics runs
-    and estimator-aware rare-event points.
+    (point, delay model) topology runs, (point, schedule) dynamics runs,
+    estimator-aware rare-event points and streamed points, each grid
+    shardable.
 ``rng``
     The single-generator seeding discipline (:func:`resolve_rng`,
     :func:`spawn_rngs`) threaded through every stochastic component.

@@ -1,38 +1,34 @@
-"""Experiment orchestration on top of the batch Monte Carlo engines.
+"""Experiment orchestration on top of the Monte Carlo engines.
 
-:class:`ExperimentRunner` turns the raw :class:`~repro.simulation.batch.BatchSimulation`
-and the adversarial :class:`~repro.simulation.scenarios.ScenarioSimulation`
-into sweep-scale tools:
+:class:`ExperimentRunner` turns the batch, scenario, rare-event and
+streaming engines into sweep-scale tools.  Each public ``run_*`` method
+only builds a :class:`PointSpec` (one point's engine ingredients), and
+every spec takes the same path through :meth:`ExperimentRunner._cached_run`:
 
-* **deterministic seeding** — every parameter point (and every
-  (point, scenario) pair) gets its own :class:`numpy.random.SeedSequence`
-  derived from the runner's base seed and the point's cache key, so a
-  point's result is identical whether it is run alone, inside a grid,
-  serially or sharded across processes;
-* **multiprocessing sharding** — grids of parameter points can be fanned out
-  over a :mod:`multiprocessing` pool (one point per task; the batch engine
-  already vectorizes over trials within a point).  Every grid — serial or
-  sharded — runs through one :meth:`ExperimentRunner._run_grid` spine that
-  opens a grid-level tracer span, reports per-point progress to the
-  optional :class:`~repro.observability.GridProgress` sinks, and, on the
-  sharded path, ships each worker's spans / metrics / manifest records back
-  with its result and merges them into the parent's observability state
-  (see :mod:`repro.observability.distributed`), so a sharded grid reports
-  exactly like a sequential one;
-* **on-disk caching** — results are persisted as ``.npz`` files keyed by a
-  digest of ``(engine version, parameters, trials, rounds, draw mode, base
-  seed[, scenario])``, so repeated sweeps (e.g. re-running a benchmark or
-  extending a grid) only pay for the new points.  Scenario results cache
-  their per-trial aggregates; per-round record tensors are never persisted.
+* **seeding** — the spec's version-free ``payload()`` hashes to the point's
+  *identity*, which with the base seed makes its
+  :class:`numpy.random.SeedSequence`: a point's result is the same alone or
+  in a grid, serial or sharded;
+* **caching** — one ``.npz`` per point, addressed by the identity plus the
+  package version (and any non-default backend or dtype policy), so sweeps
+  pay only for new points and an upgrade never reads older files.  One
+  codec serves every result type (array fields as arrays, the rest as JSON
+  meta); an unreadable entry is logged, counted ``corrupt`` and recomputed;
+* **sharding** — with ``processes > 1``, :meth:`ExperimentRunner._run_grid`
+  ships each pickled spec as one pool task and merges the worker's result,
+  spans, metrics and manifests back (:mod:`repro.observability.distributed`),
+  so a sharded grid of any kind reports exactly like a sequential one.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import logging
 import os
 import time
+import zipfile
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Union
 
@@ -61,19 +57,19 @@ from ..observability import (
     resolve_run_log,
     sample_resource_gauges,
 )
-from ..params import ProtocolParameters
+from ..params import ProtocolParameters, coerce_positive_int
 from .batch import DRAW_MODES, BatchResult, BatchSimulation
-from .rare_events import (
-    RARE_EVENT_METHODS,
-    ExponentialTilt,
-    RareEventResult,
-    RareEventSimulation,
-)
 from .dynamics import (
     AdversaryPlacement,
     DynamicsSchedule,
     PartitionScenario,
     TimeVaryingDelayModel,
+)
+from .rare_events import (
+    RARE_EVENT_METHODS,
+    ExponentialTilt,
+    RareEventResult,
+    RareEventSimulation,
 )
 from .scenarios import Scenario, ScenarioResult, ScenarioSimulation, get_scenario
 from .streaming import (
@@ -100,114 +96,170 @@ _LOGGER = logging.getLogger(__name__)
 #: silently reuse a cache written by an older release.
 ENGINE_VERSION = 1
 
+#: Optional spec ingredients: objects with a ``payload()``, or flat dicts.
+_PARTS = ("scenario", "delay_model", "power", "placement", "rare_event", "streaming")
+
+#: What a damaged cache file raises: ``EOFError`` if empty, ``ValueError`` for
+#: garbage, ``BadZipFile`` if truncated, ``KeyError``/``TypeError`` for fields.
+_UNREADABLE = (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile)
+
+#: The cross-entropy pilot knobs of a tilted estimate, as the spec names them.
+_PILOT_KNOBS = ("pilot_trials", "elite_fraction", "max_iterations", "smoothing")
+
 
 def _params_payload(params: ProtocolParameters) -> dict:
     """The primary fields of ``params`` (enough to reconstruct it exactly)."""
-    return {
-        "p": params.p,
-        "n": params.n,
-        "delta": params.delta,
-        "nu": params.nu,
-        "strict_model": params.strict_model,
-    }
+    names = ("p", "n", "delta", "nu", "strict_model")
+    return {name: getattr(params, name) for name in names}
 
 
-def _params_from_payload(payload: dict) -> ProtocolParameters:
-    return ProtocolParameters(
-        p=float(payload["p"]),
-        n=int(payload["n"]),
-        delta=int(payload["delta"]),
-        nu=float(payload["nu"]),
-        strict_model=bool(payload.get("strict_model", True)),
-    )
+def _digest(payload: dict) -> str:
+    canonical = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _scenario_from_payload(payload: dict) -> Scenario:
-    common = dict(
-        name=str(payload["name"]),
-        kind=str(payload["kind"]),
-        honest_delay=(
-            None if payload["honest_delay"] is None else int(payload["honest_delay"])
-        ),
-        target_depth=int(payload["target_depth"]),
-        give_up_deficit=(
-            None
-            if payload["give_up_deficit"] is None
-            else int(payload["give_up_deficit"])
-        ),
-    )
-    if "partition_start" in payload:
-        cut_fraction = payload.get("cut_fraction")
-        return PartitionScenario(
-            partition_start=int(payload["partition_start"]),
-            partition_duration=int(payload["partition_duration"]),
-            cut_fraction=(
-                None if cut_fraction is None else float(cut_fraction)
-            ),
-            **common,
-        )
-    return Scenario(**common)
+@dataclass(frozen=True)
+class PointSpec:
+    """One experiment point: its engine ingredients and its cache slot.
 
-
-def _batch_result_digest(result: BatchResult) -> str:
-    """Manifest digest of a batch result's persisted arrays."""
-    return digest_arrays(
-        convergence_opportunities=result.convergence_opportunities,
-        honest_blocks=result.honest_blocks,
-        adversary_blocks=result.adversary_blocks,
-        worst_deficits=result.worst_deficits,
-    )
-
-
-def _scenario_result_digest(result: ScenarioResult) -> str:
-    """Manifest digest of a scenario result's persisted per-trial arrays."""
-    return digest_arrays(
-        **{
-            name: getattr(result, name)
-            for name in ExperimentRunner._SCENARIO_ARRAYS
-        }
-    )
-
-
-def _stream_result_digest(result) -> str:
-    """Manifest digest of a streamed result's full statistical state.
-
-    Streamed results are summary-only, so the digest covers the complete
-    accumulator payload rather than per-trial arrays — two runs digest
-    equal exactly when every tallied statistic is bit-identical.
+    Internal to the runner (not exported).  ``method`` names the public
+    ``run_*`` call (span, counters, manifest) and ``prefix`` the cache-file
+    family.  A spec pickles whole (every ingredient round-trips with an
+    equal ``payload()``), so every grid can shard.  ``chunk_cells`` is
+    execution policy and never keyed.
     """
-    blob = json.dumps(result.payload(), sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+    method: str
+    prefix: str
+    params: ProtocolParameters
+    trials: int
+    rounds: int
+    base_seed: int
+    draw_mode: str
+    scenario: Optional[Scenario] = None
+    delay_model: Optional[DelayModel] = None
+    power: Optional[MiningPowerProfile] = None
+    placement: Optional[AdversaryPlacement] = None
+    rare_event: Optional[dict] = None
+    streaming: Optional[dict] = None
+    chunk_cells: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        # The one shape check of every entry point: ``2.5`` must neither
+        # truncate into the 2-trial cache slot nor reach NumPy.
+        for name in ("trials", "rounds"):
+            value = coerce_positive_int(
+                getattr(self, name), name, error_type=SimulationError
+            )
+            object.__setattr__(self, name, value)
+
+    def payload(self) -> dict:
+        """The version-free description that keys and seeds the point."""
+        payload = {
+            "engine_version": ENGINE_VERSION,
+            "params": _params_payload(self.params),
+            "trials": self.trials,
+            "rounds": self.rounds,
+            "draw_mode": self.draw_mode,
+            "base_seed": self.base_seed,
+        }
+        for name in _PARTS:
+            value = getattr(self, name)
+            if value is not None:
+                payload[name] = value if isinstance(value, dict) else value.payload()
+        return payload
+
+    def compute(self, seed: np.random.SeedSequence, runner: "ExperimentRunner"):
+        """Run the point on the engine its ingredients select."""
+        shape = (self.trials, self.rounds)
+        engine = dict(draw_mode=self.draw_mode, workspace=runner.workspace)
+        if self.streaming is not None:
+            engine.update(seed=seed, chunk_cells=self.chunk_cells)
+            progress = runner.progress_sinks
+            if self.scenario is None:
+                return StreamingBatchSimulation(self.params, **engine).run(
+                    *shape, depths=self.streaming["depths"], progress=progress
+                )
+            return StreamingScenarioSimulation(
+                self.params, self.scenario, **engine
+            ).run(*shape, progress=progress)
+        rng = np.random.default_rng(seed)
+        if self.rare_event is not None:
+            rare = self.rare_event
+            estimator = RareEventSimulation(
+                self.params, rare["depth"], rng=rng, workspace=runner.workspace
+            )
+            if rare["method"] == "plain":
+                return estimator.run_plain(*shape)
+            if rare["method"] == "splitting":
+                return estimator.run_splitting(*shape)
+            tilt = None if rare["tilt"] is None else ExponentialTilt(**rare["tilt"])
+            knobs = {name: rare[name] for name in _PILOT_KNOBS}
+            return estimator.run_tilted(*shape, tilt=tilt, **knobs)
+        engine.update(rng=rng, power=self.power)
+        if self.scenario is None:
+            return BatchSimulation(
+                self.params, delay_model=self.delay_model, **engine
+            ).run(*shape)
+        # The two-component scan of a partial cut owns its delivery
+        # semantics; ScenarioSimulation rejects a delay model next to it.
+        partial = getattr(self.scenario, "cut_fraction", None) is not None
+        return ScenarioSimulation(
+            self.params,
+            self.scenario,
+            delay_model=None if partial else self.delay_model,
+            placement=self.placement,
+            **engine,
+        ).run(*shape)
 
 
-def _rare_result_digest(result: RareEventResult) -> str:
-    """Manifest digest of a rare-event estimate's headline numbers."""
-    blob = json.dumps(
-        {
-            "probability": result.probability,
-            "ci_low": result.ci_low,
-            "ci_high": result.ci_high,
-            "relative_error": result.relative_error,
-            "effective_sample_size": result.effective_sample_size,
-            "hits": result.hits,
-            "pilot_iterations": result.pilot_iterations,
-            "tilt": None if result.tilt is None else result.tilt.payload(),
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+def _encode(result) -> tuple:
+    """``(arrays, meta)`` of a result: its own ``payload()`` when streamed,
+    else ndarray fields as arrays and the rest as JSON meta, minus params and
+    scenario, which the requesting spec supplies on the way back."""
+    if isinstance(result, (StreamingBatchResult, StreamingScenarioResult)):
+        return {}, {"state": result.payload()}
+    arrays, meta = {}, {}
+    for field in dataclasses.fields(result):
+        if field.name in ("params", "scenario"):
+            continue
+        value = getattr(result, field.name)
+        if isinstance(value, np.ndarray):
+            arrays[field.name] = value
+        elif isinstance(value, ExponentialTilt):
+            meta[field.name] = value.payload()
+        else:
+            meta[field.name] = value
+    return arrays, meta
+
+
+def _decode(spec: PointSpec, arrays: dict, meta: dict):
+    """The inverse of :func:`_encode`, for the result type ``spec`` computes."""
+    if spec.streaming is not None:
+        if spec.scenario is None:
+            return StreamingBatchResult.from_payload(meta["state"], spec.params)
+        return StreamingScenarioResult.from_payload(
+            meta["state"], spec.params, spec.scenario
+        )
+    fields = dict(meta, **arrays, params=spec.params)
+    if spec.rare_event is not None:
+        tilt = fields["tilt"]
+        fields["tilt"] = None if tilt is None else ExponentialTilt(**tilt)
+        return RareEventResult(**fields)
+    if spec.scenario is None:
+        return BatchResult(**fields)
+    return ScenarioResult(scenario=spec.scenario, **fields)
+
+
+def _result_digest(result) -> str:
+    """Manifest digest of exactly what the cache persists of ``result``."""
+    arrays, meta = _encode(result)
+    return digest_arrays(meta=np.asarray(json.dumps(meta, sort_keys=True)), **arrays)
 
 
 @dataclass
 class _WorkerOutcome:
-    """One grid point's result plus worker-side accounting, pool-shipped.
-
-    ``telemetry`` carries the worker's captured spans / metrics snapshot /
-    buffered manifest records (``None`` when the parent requested no
-    capture); the scalar counters always travel so the parent's
-    ``cache_hits`` / ``cache_misses`` / ``version_skips`` attributes stay
-    correct even with observability off.
-    """
+    """One grid point's result, counters and (if requested) telemetry."""
 
     result: object
     cache_hits: int
@@ -217,20 +269,24 @@ class _WorkerOutcome:
     telemetry: Optional[WorkerTelemetry]
 
 
-def _worker_runner(capture, base_seed, draw_mode, cache_dir) -> "ExperimentRunner":
-    """A worker-process runner wired into the telemetry capture context."""
-    return ExperimentRunner(
-        base_seed=base_seed,
-        cache_dir=cache_dir,
-        processes=None,
-        draw_mode=draw_mode,
-        run_log=capture.run_log,
-        progress=(),
-    )
+def _run_spec_task(job: tuple) -> tuple:
+    """The pool task of every grid: ``(index, flags, spec, cache_dir)``.
 
-
-def _worker_outcome(runner, result, started, capture) -> _WorkerOutcome:
-    return _WorkerOutcome(
+    The parent's capture flags scope a tracer, metrics registry and buffering
+    run log around the point, so its telemetry crosses the pool boundary.
+    """
+    index, flags, spec, cache_dir = job
+    started = time.perf_counter()
+    with capture_worker_telemetry(**flags) as capture:
+        runner = ExperimentRunner(
+            base_seed=spec.base_seed,
+            cache_dir=cache_dir,
+            draw_mode=spec.draw_mode,
+            run_log=capture.run_log,
+            progress=(),
+        )
+        result = runner._cached_run(spec)
+    return index, _WorkerOutcome(
         result=result,
         cache_hits=runner.cache_hits,
         cache_misses=runner.cache_misses,
@@ -238,118 +294,6 @@ def _worker_outcome(runner, result, started, capture) -> _WorkerOutcome:
         duration_s=time.perf_counter() - started,
         telemetry=capture.telemetry(),
     )
-
-
-def _run_point_task(args: tuple) -> tuple:
-    """Top-level worker so grid points can be shipped to a process pool.
-
-    Every worker task has the shape ``(index, capture_flags, *payload)``
-    and returns ``(index, _WorkerOutcome)``: the index lets the parent
-    reorder ``imap_unordered`` completions deterministically, and the
-    capture flags (computed by the *parent* from its own observability
-    state) scope a tracer / metrics registry / buffering run log around the
-    point so spans, counters and manifest records survive the pool
-    boundary instead of dying with the worker.
-    """
-    index, flags, payload, trials, rounds, base_seed, draw_mode, cache_dir = args
-    started = time.perf_counter()
-    with capture_worker_telemetry(**flags) as capture:
-        runner = _worker_runner(capture, base_seed, draw_mode, cache_dir)
-        result = runner.run_point(_params_from_payload(payload), trials, rounds)
-    return index, _worker_outcome(runner, result, started, capture)
-
-
-def _run_scenario_point_task(args: tuple) -> tuple:
-    """Top-level worker for scenario grid points (process-pool friendly)."""
-    (
-        index,
-        flags,
-        payload,
-        scenario_payload,
-        trials,
-        rounds,
-        base_seed,
-        draw_mode,
-        cache_dir,
-    ) = args
-    started = time.perf_counter()
-    with capture_worker_telemetry(**flags) as capture:
-        runner = _worker_runner(capture, base_seed, draw_mode, cache_dir)
-        result = runner.run_scenario_point(
-            _params_from_payload(payload),
-            _scenario_from_payload(scenario_payload),
-            trials,
-            rounds,
-        )
-    return index, _worker_outcome(runner, result, started, capture)
-
-
-def _run_rare_event_point_task(args: tuple) -> tuple:
-    """Top-level worker for rare-event grid points.
-
-    The estimator spec travels as the flat payload dict
-    :meth:`ExperimentRunner._rare_event_spec` builds; an explicit tilt is
-    reconstructed from its payload, so the task tuple stays picklable.
-    """
-    index, flags, payload, spec, trials, rounds, base_seed, draw_mode, cache_dir = args
-    started = time.perf_counter()
-    with capture_worker_telemetry(**flags) as capture:
-        runner = _worker_runner(capture, base_seed, draw_mode, cache_dir)
-        tilt_payload = spec["tilt"]
-        result = runner.run_rare_event_point(
-            _params_from_payload(payload),
-            trials,
-            rounds,
-            spec["depth"],
-            method=spec["method"],
-            tilt=(
-                None if tilt_payload is None else ExponentialTilt(**tilt_payload)
-            ),
-            pilot_trials=spec["pilot_trials"],
-            elite_fraction=spec["elite_fraction"],
-            max_iterations=spec["max_iterations"],
-            smoothing=spec["smoothing"],
-        )
-    return index, _worker_outcome(runner, result, started, capture)
-
-
-def _run_streaming_point_task(args: tuple) -> tuple:
-    """Top-level worker for streamed grid points (process-pool friendly).
-
-    Chunk-invariant per-block seeding makes the shard's streamed summary
-    bit-identical to the serial path's, whatever ``chunk_cells`` either
-    side uses — the worker only needs the point payload, the optional
-    scenario payload and the depth list.
-    """
-    (
-        index,
-        flags,
-        payload,
-        scenario_payload,
-        depths,
-        chunk_cells,
-        trials,
-        rounds,
-        base_seed,
-        draw_mode,
-        cache_dir,
-    ) = args
-    started = time.perf_counter()
-    with capture_worker_telemetry(**flags) as capture:
-        runner = _worker_runner(capture, base_seed, draw_mode, cache_dir)
-        result = runner.run_streaming_point(
-            _params_from_payload(payload),
-            trials,
-            rounds,
-            depths=tuple(depths),
-            scenario=(
-                None
-                if scenario_payload is None
-                else _scenario_from_payload(scenario_payload)
-            ),
-            chunk_cells=chunk_cells,
-        )
-    return index, _worker_outcome(runner, result, started, capture)
 
 
 class ExperimentRunner:
@@ -405,112 +349,36 @@ class ExperimentRunner:
         self.progress_sinks = resolve_progress_sinks(progress)
         self.cache_hits = 0
         self.cache_misses = 0
-        # Warm cache entries skipped because they were written by a different
-        # package release (counted by _cached_run via the sidecar index).
+        # Warm entries skipped because another release wrote them.
         self.version_skips = 0
-        # One scratch workspace shared across every point this runner
-        # executes in-process: repeated (trials, rounds) grid points reuse
-        # the engines' hot-kernel buffers instead of re-allocating them.
-        # (Process-pool workers each build their own runner and workspace;
-        # results never alias workspace memory, so sharing is safe.)
+        # One scratch workspace for every point run in-process: repeated
+        # (trials, rounds) points reuse the hot-kernel buffers.  Results never
+        # alias workspace memory; pool workers build their own.
         self.workspace = Workspace()
 
     # ------------------------------------------------------------------
-    # Keys and seeds
+    # Keys, seeds and cache files
     # ------------------------------------------------------------------
-    def _point_payload(
-        self,
-        params: ProtocolParameters,
-        trials: int,
-        rounds: int,
-        scenario: Optional[Union[str, Scenario]] = None,
-        delay_model: Optional[DelayModel] = None,
-        power: Optional[MiningPowerProfile] = None,
-        placement: Optional[AdversaryPlacement] = None,
-        rare_event: Optional[dict] = None,
-        streaming: Optional[dict] = None,
-    ) -> dict:
-        """The version-free description of one experiment point.
+    def _spec(self, method, prefix, params, trials, rounds, **parts) -> PointSpec:
+        seeding = (self.base_seed, self.draw_mode)
+        return PointSpec(method, prefix, params, trials, rounds, *seeding, **parts)
 
-        ``streaming`` marks the point as a streamed run (its own draw
-        protocol, hence its own cache slot and seed stream) and carries
-        only statistics-affecting knobs — ``chunk_cells`` is deliberately
-        excluded because results are bit-identical across chunk sizes.
-        """
-        payload = {
-            "engine_version": ENGINE_VERSION,
-            "params": _params_payload(params),
-            "trials": int(trials),
-            "rounds": int(rounds),
-            "draw_mode": self.draw_mode,
-            "base_seed": self.base_seed,
-        }
-        if scenario is not None:
-            payload["scenario"] = get_scenario(scenario).payload()
-        if delay_model is not None:
-            payload["delay_model"] = delay_model.payload()
-        if power is not None:
-            payload["power"] = power.payload()
-        if placement is not None:
-            payload["placement"] = placement.payload()
-        if rare_event is not None:
-            payload["rare_event"] = rare_event
-        if streaming is not None:
-            payload["streaming"] = streaming
-        return payload
-
-    @staticmethod
-    def _digest(payload: dict) -> str:
-        canonical = json.dumps(payload, sort_keys=True)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    def _point_identity_key(
-        self,
-        params: ProtocolParameters,
-        trials: int,
-        rounds: int,
-        scenario: Optional[Union[str, Scenario]] = None,
-        delay_model: Optional[DelayModel] = None,
-        power: Optional[MiningPowerProfile] = None,
-        placement: Optional[AdversaryPlacement] = None,
-        rare_event: Optional[dict] = None,
-        streaming: Optional[dict] = None,
-    ) -> tuple:
-        """``(identity, key)`` digests for one point.
-
-        The *identity* hashes the version-free point payload — the digest
-        that seeds the point and names its sidecar index file — while the
-        *key* additionally folds in the package version and any non-default
-        backend / dtype-policy, exactly as :meth:`cache_key` documents.
-        """
-        payload = self._point_payload(
-            params,
-            trials,
-            rounds,
-            scenario,
-            delay_model,
-            power,
-            placement,
-            rare_event,
-            streaming,
-        )
-        identity = self._digest(payload)
-        versioned = dict(payload)
-        versioned["package_version"] = _version.__version__
+    def _point_identity_key(self, spec: PointSpec) -> tuple:
+        """``(identity, key)``: the version-free digest that seeds the point and
+        names its sidecar, and the versioned one that addresses its npz."""
+        payload = spec.payload()
+        identity = _digest(payload)
+        payload["package_version"] = _version.__version__
         # Non-default backends and dtype policies get their own cache slots
-        # (compact float statistics differ within a documented tolerance;
-        # accelerator kernels need not be bit-reproducible across devices).
-        # Default-configuration keys are unchanged, so warm caches and the
-        # base_seed=2026 goldens survive this layer.  Seeds deliberately
-        # ignore both: the host-seeded RNG bridge makes one seed produce one
-        # bit stream on every backend (see seed_sequence_for).
+        # (their float statistics may differ); seeds ignore both, since the
+        # host-seeded RNG bridge gives one bit stream on every backend.
         backend = get_backend()
         if backend.name != DEFAULT_BACKEND:
-            versioned["backend"] = backend.payload()
+            payload["backend"] = backend.payload()
         policy = get_dtype_policy()
         if policy.name != WIDE_POLICY.name:
-            versioned["dtype_policy"] = policy.payload()
-        return identity, self._digest(versioned)
+            payload["dtype_policy"] = policy.payload()
+        return identity, _digest(payload)
 
     def _seed_from_identity(self, identity: str) -> np.random.SeedSequence:
         """Base seed plus entropy words sliced from the identity digest."""
@@ -518,6 +386,14 @@ class ExperimentRunner:
             int(identity[index : index + 8], 16) for index in range(0, 32, 8)
         ]
         return np.random.SeedSequence([self.base_seed, *words])
+
+    def _ingredient_keys(self, params, trials, rounds, *parts) -> tuple:
+        """``(identity, key)`` of the point the ``_PARTS`` ingredients describe."""
+        scenario, delay_model, *rest = parts
+        scenario = None if scenario is None else get_scenario(scenario)
+        named = dict(zip(_PARTS, (scenario, resolve_delay_model(delay_model), *rest)))
+        spec = self._spec("cache_key", "", params, trials, rounds, **named)
+        return self._point_identity_key(spec)
 
     def cache_key(
         self,
@@ -529,32 +405,26 @@ class ExperimentRunner:
         power: Optional[MiningPowerProfile] = None,
         placement: Optional[AdversaryPlacement] = None,
         rare_event: Optional[dict] = None,
+        streaming: Optional[dict] = None,
     ) -> str:
         """Hex digest identifying one (version, engine, params, shape, seed, …) result.
 
         Passive fixed-delta batch runs omit the scenario / delay-model /
-        power / placement / rare-event fields entirely.  Dynamics runs fold
-        the whole schedule payload (event list, and the topology digest when
-        one is wired) into the key, so two runs differing only in when a
-        partition heals never collide; rare-event runs fold the full
-        estimator spec (depth, method, explicit tilt, pilot knobs), so two
-        estimates differing only in pilot configuration never collide.  The
-        package version is always included, so a cache written by an older
-        release (whose engine semantics may have since changed) is never
-        silently reused — an upgrade simply recomputes and re-stores under
-        the new key.
+        power / placement / rare-event / streaming fields entirely.
+        Dynamics runs fold the whole schedule payload (event list, and the
+        topology digest when one is wired) into the key, so two runs
+        differing only in when a partition heals never collide; rare-event
+        runs fold the full estimator spec (depth, method, explicit tilt,
+        pilot knobs), so two estimates differing only in pilot configuration
+        never collide; streamed runs fold ``{"depths": [...]}`` (sorted and
+        unique, as :meth:`run_streaming_point` keys them).  The package
+        version is always included, so a cache written by an older release
+        (whose engine semantics may have since changed) is never silently
+        reused — an upgrade simply recomputes and re-stores under the new
+        key.
         """
-        _, key = self._point_identity_key(
-            params,
-            trials,
-            rounds,
-            scenario=scenario,
-            delay_model=resolve_delay_model(delay_model),
-            power=power,
-            placement=placement,
-            rare_event=rare_event,
-        )
-        return key
+        parts = (scenario, delay_model, power, placement, rare_event, streaming)
+        return self._ingredient_keys(params, trials, rounds, *parts)[1]
 
     def seed_sequence_for(
         self,
@@ -566,58 +436,35 @@ class ExperimentRunner:
         power: Optional[MiningPowerProfile] = None,
         placement: Optional[AdversaryPlacement] = None,
         rare_event: Optional[dict] = None,
+        streaming: Optional[dict] = None,
     ) -> np.random.SeedSequence:
         """The point's seed sequence: base seed plus point-digest entropy words.
 
         Deriving the entropy from the point description makes the stream a
         pure function of (engine version, parameters, shape, draw mode,
-        base seed, scenario, delay model, power, placement, rare-event
-        spec) — independent of grid composition and execution order.  The
-        *package* version is deliberately excluded: upgrading the library
-        invalidates caches but must not silently reroll every seeded
-        experiment.
+        base seed, scenario, delay model, power, placement, rare-event and
+        streaming specs) — independent of grid composition and execution
+        order.  The *package* version is deliberately excluded: upgrading
+        the library invalidates caches but must not silently reroll every
+        seeded experiment.
         """
-        identity, _ = self._point_identity_key(
-            params,
-            trials,
-            rounds,
-            scenario=scenario,
-            delay_model=resolve_delay_model(delay_model),
-            power=power,
-            placement=placement,
-            rare_event=rare_event,
-        )
+        parts = (scenario, delay_model, power, placement, rare_event, streaming)
+        identity, _ = self._ingredient_keys(params, trials, rounds, *parts)
         return self._seed_from_identity(identity)
 
-    # ------------------------------------------------------------------
-    # Cache persistence
-    # ------------------------------------------------------------------
     def _cache_path(self, key: str, prefix: str = "batch") -> Optional[str]:
         if self.cache_dir is None:
             return None
         return os.path.join(self.cache_dir, f"{prefix}_{key}.npz")
 
     def _cache_index_path(self, prefix: str, identity: str) -> Optional[str]:
-        """The sidecar file recording the last key written for one identity.
-
-        The identity digest is version-free (the same digest that seeds the
-        point), so the sidecar survives package upgrades — which is exactly
-        what lets a miss be classified as *stale by version* rather than
-        merely cold.
-        """
+        """The sidecar naming the last key written for a (version-free) identity."""
         if self.cache_dir is None:
             return None
         return os.path.join(self.cache_dir, f"{prefix}_{identity}.latest.json")
 
     def _stale_cache_version(self, prefix: str, identity: str) -> Optional[str]:
-        """The writer version of a warm-but-unusable cache slot, if any.
-
-        Returns the package version recorded by the last writer of this
-        point's sidecar index when it differs from the running version —
-        i.e. the miss about to be recomputed had a warm entry that a release
-        bump invalidated.  Missing or unreadable sidecars mean a plain cold
-        miss (``None``).
-        """
+        """The sidecar's writer version if not the running one, else ``None``."""
         path = self._cache_index_path(prefix, identity)
         if path is None or not os.path.exists(path):
             return None
@@ -638,53 +485,62 @@ class ExperimentRunner:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         temporary = f"{path}.tmp.{os.getpid()}"
         with open(temporary, "w", encoding="utf-8") as sink:
-            json.dump(
-                {"key": key, "package_version": _version.__version__},
-                sink,
-                sort_keys=True,
-            )
+            record = {"key": key, "package_version": _version.__version__}
+            json.dump(record, sink, sort_keys=True)
         os.replace(temporary, path)
 
-    def _cached_run(
-        self,
-        method: str,
-        prefix: str,
-        identity: str,
-        key: str,
-        load,
-        store,
-        compute,
-        result_digest,
-        params: ProtocolParameters,
-        trials: int,
-        rounds: int,
-        extra: Optional[dict] = None,
-    ):
-        """The shared load-or-compute-and-store path of every ``run_*`` point.
+    def _load_cached(self, path: str, spec: PointSpec) -> tuple:
+        """``(cache state, result)``: ``"hit"``, ``"miss"`` or ``"corrupt"``.
 
-        One place owns the cache consultation, the hit/miss/version-skip
-        accounting (instance counters *and* ``runner.<method>.*`` metrics),
-        the ``runner.<method>`` tracer span, the sidecar index update and
-        the optional run-manifest append — so every engine the runner fronts
-        reports identically.
+        A damaged entry is logged and counted, never raised, so it costs
+        one recomputation instead of the grid.
+        """
+        if not os.path.exists(path):
+            return "miss", None
+        try:
+            with np.load(path, allow_pickle=False) as archive:
+                arrays = {name: archive[name] for name in archive.files}
+            meta = json.loads(str(arrays.pop("meta")))
+            return "hit", _decode(spec, arrays, meta)
+        except _UNREADABLE as error:
+            _LOGGER.warning("unreadable cache entry %s (%r); recomputing", path, error)
+            _METRICS.increment(f"runner.{spec.method}.cache_corrupt")
+            return "corrupt", None
+
+    def _store_cached(self, path: str, result) -> None:
+        """Atomically write ``result``: array fields as arrays, the rest as meta."""
+        arrays, meta = _encode(result)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        temporary = f"{path}.tmp.{os.getpid()}"
+        meta = np.asarray(json.dumps(meta, sort_keys=True))
+        np.savez(temporary, meta=meta, **arrays)
+        os.replace(f"{temporary}.npz", path)
+
+    # ------------------------------------------------------------------
+    # The point and grid spine
+    # ------------------------------------------------------------------
+    def _cached_run(self, spec: PointSpec):
+        """The load-or-compute-and-store path of every ``run_*`` point.
+
+        It owns the cache consultation, the hit / miss / version-skip /
+        corrupt accounting (instance counters and ``runner.<method>.*``
+        metrics), the ``runner.<method>`` span, the sidecar and the manifest.
         """
         start = time.perf_counter()
+        method, prefix = spec.method, spec.prefix
+        identity, key = self._point_identity_key(spec)
         path = self._cache_path(key, prefix)
         stale_version = None
         with _TRACE.span(
-            f"runner.{method}",
-            prefix=prefix,
-            trials=int(trials),
-            rounds=int(rounds),
+            f"runner.{method}", prefix=prefix, trials=spec.trials, rounds=spec.rounds
         ) as span:
-            cached = load(path) if path is not None else None
-            if cached is not None:
-                cache_state = "hit"
+            cache_state, result = (
+                ("disabled", None) if path is None else self._load_cached(path, spec)
+            )
+            if result is not None:
                 self.cache_hits += 1
                 _METRICS.increment(f"runner.{method}.cache_hits")
-                result = cached
             else:
-                cache_state = "disabled" if path is None else "miss"
                 self.cache_misses += 1
                 _METRICS.increment(f"runner.{method}.cache_misses")
                 if path is not None:
@@ -700,21 +556,20 @@ class ExperimentRunner:
                             stale_version,
                             _version.__version__,
                         )
-                result = compute()
+                result = spec.compute(self._seed_from_identity(identity), self)
                 if path is not None:
-                    store(path, result)
+                    self._store_cached(path, result)
                     self._write_cache_index(prefix, identity, key)
             span.set(cache=cache_state)
             # The manifest write happens inside the span so the span tree
             # accounts for the full runner call, provenance trail included.
             if self.run_log is not None:
-                # Resource accounting rides the run boundary: peak RSS and
-                # the workspace high-water mark, sampled once per point and
-                # stamped into the manifest's free-form extra payload.
-                stamped_extra = dict(extra or {})
-                stamped_extra["resources"] = sample_resource_gauges(
-                    self.workspace
-                )
+                # The point's ingredients, plus resource accounting sampled
+                # once per point: peak RSS and the workspace high-water mark.
+                payload = spec.payload()
+                names = ("draw_mode", *_PARTS)
+                extra = {name: payload[name] for name in names if name in payload}
+                extra["resources"] = sample_resource_gauges(self.workspace)
                 self.run_log.append(
                     manifest_record(
                         method=method,
@@ -722,67 +577,45 @@ class ExperimentRunner:
                         cache_key=key,
                         cache=cache_state,
                         duration_s=time.perf_counter() - start,
-                        params=_params_payload(params),
-                        trials=int(trials),
-                        rounds=int(rounds),
+                        params=payload["params"],
+                        trials=spec.trials,
+                        rounds=spec.rounds,
                         base_seed=self.base_seed,
-                        result_digest=result_digest(result),
+                        result_digest=_result_digest(result),
                         stale_version=stale_version,
-                        extra=stamped_extra,
+                        extra=extra,
                     )
                 )
             elif _METRICS.enabled:
                 sample_resource_gauges(self.workspace)
         return result
 
-    def _run_grid(
-        self,
-        method: str,
-        points: Sequence[ProtocolParameters],
-        run_one,
-        tasks: Optional[list] = None,
-        worker=None,
-    ) -> list:
-        """The shared spine of every ``run_*_grid`` method.
+    def _run_grid(self, method: str, specs: Sequence[PointSpec]) -> list:
+        """The spine of every ``run_*_grid``: serial, or one pool task a spec.
 
-        ``run_one(point)`` is the serial path; ``tasks`` (one picklable
-        tuple per point) and ``worker`` (a top-level ``(index, flags,
-        *task) -> (index, _WorkerOutcome)`` function) enable the
-        process-pool path — grids whose inputs cannot be rebuilt from a
-        flat payload (topology, dynamics) simply omit them and always run
-        serially.  Both paths run under one ``runner.<method>`` span and
-        feed the configured progress sinks; the sharded path additionally
-        ships each worker's telemetry back and merges it (spans grafted
-        under the grid span shard-stamped, counters folded into the
-        ambient registry, manifests appended to the parent run log), so a
-        sharded grid reports like a sequential one.
+        Both paths run under one ``runner.<method>`` span and feed the
+        progress sinks; sharded, each worker's spans, counters and manifests
+        are merged in shard order, so the grid reports like a serial one.
         """
-        points = list(points)
-        if not points:
+        specs = list(specs)
+        if not specs:
             return []
-        sharded = (
-            worker is not None
-            and self.processes is not None
-            and self.processes > 1
-            and len(points) > 1
-        )
+        sharded = bool(self.processes and self.processes > 1 and len(specs) > 1)
         sinks = self.progress_sinks
         progress = (
-            GridProgress(f"runner.{method}", len(points), sinks)
-            if sinks
-            else None
+            GridProgress(f"runner.{method}", len(specs), sinks) if sinks else None
         )
         with _TRACE.span(
-            f"runner.{method}", points=len(points), sharded=sharded
+            f"runner.{method}", points=len(specs), sharded=sharded
         ) as span:
             if not sharded:
                 if progress is None:
-                    return [run_one(point) for point in points]
+                    return [self._cached_run(spec) for spec in specs]
                 results = []
-                for point in points:
+                for spec in specs:
                     hits, misses = self.cache_hits, self.cache_misses
                     started = time.perf_counter()
-                    results.append(run_one(point))
+                    results.append(self._cached_run(spec))
                     progress.point_done(
                         time.perf_counter() - started,
                         cache_hits=self.cache_hits - hits,
@@ -796,12 +629,12 @@ class ExperimentRunner:
                 "metrics": _METRICS.enabled,
                 "manifests": self.run_log is not None,
             }
-            jobs = [(index, flags, *task) for index, task in enumerate(tasks)]
+            jobs = [(i, flags, spec, self.cache_dir) for i, spec in enumerate(specs)]
             outcomes: List[Optional[_WorkerOutcome]] = [None] * len(jobs)
             import multiprocessing
 
             with multiprocessing.Pool(min(self.processes, len(jobs))) as pool:
-                for index, outcome in pool.imap_unordered(worker, jobs):
+                for index, outcome in pool.imap_unordered(_run_spec_task, jobs):
                     outcomes[index] = outcome
                     if progress is not None:
                         progress.point_done(
@@ -827,139 +660,15 @@ class ExperimentRunner:
                 results.append(outcome.result)
             return results
 
-    def _load_cached(self, path: str) -> Optional[BatchResult]:
-        if not os.path.exists(path):
-            return None
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta"]))
-            return BatchResult(
-                params=_params_from_payload(meta["params"]),
-                trials=int(meta["trials"]),
-                rounds=int(meta["rounds"]),
-                draw_mode=str(meta["draw_mode"]),
-                convergence_opportunities=archive["convergence_opportunities"],
-                honest_blocks=archive["honest_blocks"],
-                adversary_blocks=archive["adversary_blocks"],
-                worst_deficits=archive["worst_deficits"],
-                delay_model=str(meta.get("delay_model", "fixed_delta")),
-            )
-
-    def _store_cached(self, path: str, result: BatchResult) -> None:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        meta = json.dumps(
-            {
-                "engine_version": ENGINE_VERSION,
-                "package_version": _version.__version__,
-                "params": _params_payload(result.params),
-                "trials": result.trials,
-                "rounds": result.rounds,
-                "draw_mode": result.draw_mode,
-                "base_seed": self.base_seed,
-                "delay_model": result.delay_model,
-            },
-            sort_keys=True,
-        )
-        temporary = f"{path}.tmp.{os.getpid()}"
-        np.savez(
-            temporary,
-            meta=np.asarray(meta),
-            convergence_opportunities=result.convergence_opportunities,
-            honest_blocks=result.honest_blocks,
-            adversary_blocks=result.adversary_blocks,
-            worst_deficits=result.worst_deficits,
-        )
-        os.replace(f"{temporary}.npz", path)
-
-    #: Per-trial aggregate arrays persisted for a scenario result.
-    _SCENARIO_ARRAYS = (
-        "releases",
-        "abandons",
-        "deepest_forks",
-        "orphaned_honest",
-        "withheld_final",
-        "final_public_heights",
-        "honest_blocks",
-        "adversary_blocks",
-        "convergence_opportunities",
-        "worst_deficits",
-        "merge_depths",
-    )
-
-    def _load_cached_scenario(self, path: str) -> Optional[ScenarioResult]:
-        if not os.path.exists(path):
-            return None
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta"]))
-            scenario = _scenario_from_payload(meta["scenario"])
-            delay_model = meta.get("delay_model")
-            return ScenarioResult(
-                params=_params_from_payload(meta["params"]),
-                scenario=scenario,
-                trials=int(meta["trials"]),
-                rounds=int(meta["rounds"]),
-                draw_mode=str(meta["draw_mode"]),
-                honest_delay=int(meta["honest_delay"]),
-                delay_model=None if delay_model is None else str(delay_model),
-                release_delay=int(meta.get("release_delay", 0)),
-                **{name: archive[name] for name in self._SCENARIO_ARRAYS},
-            )
-
-    def _store_cached_scenario(self, path: str, result: ScenarioResult) -> None:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        meta = json.dumps(
-            {
-                "engine_version": ENGINE_VERSION,
-                "package_version": _version.__version__,
-                "params": _params_payload(result.params),
-                "scenario": result.scenario.payload(),
-                "trials": result.trials,
-                "rounds": result.rounds,
-                "draw_mode": result.draw_mode,
-                "honest_delay": result.honest_delay,
-                "base_seed": self.base_seed,
-                "delay_model": result.delay_model,
-                "release_delay": result.release_delay,
-            },
-            sort_keys=True,
-        )
-        temporary = f"{path}.tmp.{os.getpid()}"
-        np.savez(
-            temporary,
-            meta=np.asarray(meta),
-            **{name: getattr(result, name) for name in self._SCENARIO_ARRAYS},
-        )
-        os.replace(f"{temporary}.npz", path)
-
     # ------------------------------------------------------------------
-    # Execution
+    # Public points and grids: each builds specs, nothing more
     # ------------------------------------------------------------------
     def run_point(
         self, params: ProtocolParameters, trials: int, rounds: int
     ) -> BatchResult:
         """Run (or fetch from cache) one parameter point."""
-        identity, key = self._point_identity_key(params, trials, rounds)
-
-        def compute() -> BatchResult:
-            rng = np.random.default_rng(self._seed_from_identity(identity))
-            simulation = BatchSimulation(
-                params, rng=rng, draw_mode=self.draw_mode, workspace=self.workspace
-            )
-            return simulation.run(trials, rounds)
-
-        return self._cached_run(
-            "run_point",
-            "batch",
-            identity,
-            key,
-            self._load_cached,
-            self._store_cached,
-            compute,
-            _batch_result_digest,
-            params,
-            trials,
-            rounds,
-            extra={"draw_mode": self.draw_mode},
-        )
+        spec = self._spec("run_point", "batch", params, trials, rounds)
+        return self._cached_run(spec)
 
     def run_grid(
         self,
@@ -968,28 +677,14 @@ class ExperimentRunner:
         rounds: int,
     ) -> List[BatchResult]:
         """Run every parameter point, sharded across processes when configured."""
-        points = list(points)
-        return self._run_grid(
-            "run_grid",
-            points,
-            lambda point: self.run_point(point, trials, rounds),
-            tasks=[
-                (
-                    _params_payload(point),
-                    trials,
-                    rounds,
-                    self.base_seed,
-                    self.draw_mode,
-                    self.cache_dir,
-                )
-                for point in points
-            ],
-            worker=_run_point_task,
-        )
+        specs = [self._spec("run_point", "batch", p, trials, rounds) for p in points]
+        return self._run_grid("run_grid", specs)
 
-    # ------------------------------------------------------------------
-    # Adversarial scenario execution
-    # ------------------------------------------------------------------
+    def _scenario_spec(self, params, scenario, trials, rounds) -> PointSpec:
+        scenario = get_scenario(scenario)
+        method = "run_scenario_point"
+        return self._spec(method, "scenario", params, trials, rounds, scenario=scenario)
+
     def run_scenario_point(
         self,
         params: ProtocolParameters,
@@ -998,39 +693,7 @@ class ExperimentRunner:
         rounds: int,
     ) -> ScenarioResult:
         """Run (or fetch from cache) one (parameter point, scenario) pair."""
-        scenario = get_scenario(scenario)
-        identity, key = self._point_identity_key(
-            params, trials, rounds, scenario=scenario
-        )
-
-        def compute() -> ScenarioResult:
-            rng = np.random.default_rng(self._seed_from_identity(identity))
-            simulation = ScenarioSimulation(
-                params,
-                scenario,
-                rng=rng,
-                draw_mode=self.draw_mode,
-                workspace=self.workspace,
-            )
-            return simulation.run(trials, rounds)
-
-        return self._cached_run(
-            "run_scenario_point",
-            "scenario",
-            identity,
-            key,
-            self._load_cached_scenario,
-            self._store_cached_scenario,
-            compute,
-            _scenario_result_digest,
-            params,
-            trials,
-            rounds,
-            extra={
-                "draw_mode": self.draw_mode,
-                "scenario": scenario.payload(),
-            },
-        )
+        return self._cached_run(self._scenario_spec(params, scenario, trials, rounds))
 
     def run_scenario_grid(
         self,
@@ -1040,30 +703,20 @@ class ExperimentRunner:
         rounds: int,
     ) -> List[ScenarioResult]:
         """Run one scenario at every parameter point, sharded when configured."""
-        scenario = get_scenario(scenario)
-        points = list(points)
-        return self._run_grid(
-            "run_scenario_grid",
-            points,
-            lambda point: self.run_scenario_point(point, scenario, trials, rounds),
-            tasks=[
-                (
-                    _params_payload(point),
-                    scenario.payload(),
-                    trials,
-                    rounds,
-                    self.base_seed,
-                    self.draw_mode,
-                    self.cache_dir,
-                )
-                for point in points
-            ],
-            worker=_run_scenario_point_task,
-        )
+        specs = [self._scenario_spec(p, scenario, trials, rounds) for p in points]
+        return self._run_grid("run_scenario_grid", specs)
 
-    # ------------------------------------------------------------------
-    # Topology-aware execution
-    # ------------------------------------------------------------------
+    def _topology_spec(self, params, trials, rounds, delay_model, power) -> PointSpec:
+        model = resolve_delay_model(delay_model)
+        if model is None:
+            raise SimulationError(
+                "run_topology_point requires a delay model; use run_point for "
+                "the fixed-delta default"
+            )
+        parts = dict(delay_model=model, power=power)
+        method = "run_topology_point"
+        return self._spec(method, "topology", params, trials, rounds, **parts)
+
     def run_topology_point(
         self,
         params: ProtocolParameters,
@@ -1079,46 +732,8 @@ class ExperimentRunner:
         when given, the mining-power profile digest — so two runs differing
         only in graph wiring or power skew never collide.
         """
-        model = resolve_delay_model(delay_model)
-        if model is None:
-            raise SimulationError(
-                "run_topology_point requires a delay model; use run_point for "
-                "the fixed-delta default"
-            )
-        identity, key = self._point_identity_key(
-            params, trials, rounds, delay_model=model, power=power
-        )
-
-        def compute() -> BatchResult:
-            rng = np.random.default_rng(self._seed_from_identity(identity))
-            simulation = BatchSimulation(
-                params,
-                rng=rng,
-                draw_mode=self.draw_mode,
-                delay_model=model,
-                power=power,
-                workspace=self.workspace,
-            )
-            return simulation.run(trials, rounds)
-
-        return self._cached_run(
-            "run_topology_point",
-            "topology",
-            identity,
-            key,
-            self._load_cached,
-            self._store_cached,
-            compute,
-            _batch_result_digest,
-            params,
-            trials,
-            rounds,
-            extra={
-                "draw_mode": self.draw_mode,
-                "delay_model": model.payload(),
-                "power": None if power is None else power.payload(),
-            },
-        )
+        spec = self._topology_spec(params, trials, rounds, delay_model, power)
+        return self._cached_run(spec)
 
     def run_topology_grid(
         self,
@@ -1128,24 +743,54 @@ class ExperimentRunner:
         delay_model: Union[str, DelayModel],
         power: Optional[MiningPowerProfile] = None,
     ) -> List[BatchResult]:
-        """Run every parameter point under one delay model.
+        """Run every point under one delay model, sharded when configured.
 
-        Topology grids run serially in-process: delay models (in particular
-        peer graphs with cached distance matrices) are not
-        pickle-reconstructible from a flat payload, and the batch engine
-        already vectorizes all trials within a point.
+        Each point's spec carries the delay model (a peer graph included)
+        and the power profile to its pool worker by pickling.
         """
-        return self._run_grid(
-            "run_topology_grid",
-            points,
-            lambda point: self.run_topology_point(
-                point, trials, rounds, delay_model, power=power
-            ),
-        )
+        parts = (delay_model, power)
+        specs = [self._topology_spec(p, trials, rounds, *parts) for p in points]
+        return self._run_grid("run_topology_grid", specs)
 
-    # ------------------------------------------------------------------
-    # Network-dynamics execution
-    # ------------------------------------------------------------------
+    def _dynamics_spec(
+        self, params, trials, rounds, schedule, topology, scenario, power, placement
+    ) -> PointSpec:
+        if scenario is not None:
+            scenario = get_scenario(scenario)
+        if schedule is None:
+            if isinstance(scenario, PartitionScenario):
+                schedule = scenario.dynamics_schedule()
+            else:
+                schedule = DynamicsSchedule()
+        model = TimeVaryingDelayModel(schedule, topology=topology)
+        point = (params, trials, rounds)
+        if scenario is None:
+            if placement is not None:
+                raise SimulationError(
+                    "adversary placement needs an adversarial scenario; the "
+                    "passive batch engine has no releases to delay"
+                )
+            parts = dict(delay_model=model, power=power)
+            return self._spec("run_dynamics_point", "dynamics", *point, **parts)
+        if getattr(scenario, "cut_fraction", None) is not None:
+            # The two-component scan of a partial cut owns its delivery
+            # semantics: no topology, no schedule beyond the scenario's cut.
+            # Its cut_fraction keeps it apart from the full-eclipse variant.
+            if topology is not None:
+                raise SimulationError(
+                    "partial-cut scenarios (cut_fraction set) split honest "
+                    "power probabilistically, not by graph position; "
+                    "topology must be None"
+                )
+            if schedule.payload() != scenario.dynamics_schedule().payload():
+                raise SimulationError(
+                    "a partial-cut scenario runs its own cut schedule; pass "
+                    "schedule=None or the scenario's dynamics_schedule()"
+                )
+        parts = dict(scenario=scenario, delay_model=model, power=power)
+        parts["placement"] = placement
+        return self._spec("run_dynamics_point", "dynamics_scenario", *point, **parts)
+
     def run_dynamics_point(
         self,
         params: ProtocolParameters,
@@ -1170,119 +815,8 @@ class ExperimentRunner:
         topology digest and the placement, so every distinct dynamics
         experiment gets its own seed stream and cache slot.
         """
-        if schedule is None:
-            if isinstance(scenario, str):
-                scenario = get_scenario(scenario)
-            if isinstance(scenario, PartitionScenario):
-                schedule = scenario.dynamics_schedule()
-            else:
-                schedule = DynamicsSchedule()
-        model = TimeVaryingDelayModel(schedule, topology=topology)
-        if scenario is None:
-            if placement is not None:
-                raise SimulationError(
-                    "adversary placement needs an adversarial scenario; the "
-                    "passive batch engine has no releases to delay"
-                )
-            identity, key = self._point_identity_key(
-                params, trials, rounds, delay_model=model, power=power
-            )
-
-            def compute_passive() -> BatchResult:
-                rng = np.random.default_rng(self._seed_from_identity(identity))
-                simulation = BatchSimulation(
-                    params,
-                    rng=rng,
-                    draw_mode=self.draw_mode,
-                    delay_model=model,
-                    power=power,
-                    workspace=self.workspace,
-                )
-                return simulation.run(trials, rounds)
-
-            return self._cached_run(
-                "run_dynamics_point",
-                "dynamics",
-                identity,
-                key,
-                self._load_cached,
-                self._store_cached,
-                compute_passive,
-                _batch_result_digest,
-                params,
-                trials,
-                rounds,
-                extra={
-                    "draw_mode": self.draw_mode,
-                    "delay_model": model.payload(),
-                    "power": None if power is None else power.payload(),
-                },
-            )
-        scenario = get_scenario(scenario)
-        cut_fraction = getattr(scenario, "cut_fraction", None)
-        if cut_fraction is not None:
-            # A partial cut is priced by the two-component scan, which owns
-            # its delivery semantics: no topology, and no schedule beyond
-            # the scenario's own cut.  The cache key still folds in the
-            # schedule (via the model) plus the scenario payload, whose
-            # cut_fraction separates it from the full-eclipse variant.
-            if topology is not None:
-                raise SimulationError(
-                    "partial-cut scenarios (cut_fraction set) split honest "
-                    "power probabilistically, not by graph position; "
-                    "topology must be None"
-                )
-            if schedule.payload() != scenario.dynamics_schedule().payload():
-                raise SimulationError(
-                    "a partial-cut scenario runs its own cut schedule; pass "
-                    "schedule=None or the scenario's dynamics_schedule()"
-                )
-        identity, key = self._point_identity_key(
-            params,
-            trials,
-            rounds,
-            scenario=scenario,
-            delay_model=model,
-            power=power,
-            placement=placement,
-        )
-
-        def compute_scenario() -> ScenarioResult:
-            rng = np.random.default_rng(self._seed_from_identity(identity))
-            simulation = ScenarioSimulation(
-                params,
-                scenario,
-                rng=rng,
-                draw_mode=self.draw_mode,
-                # The two-component scan replaces the delay model for partial
-                # cuts; ScenarioSimulation rejects the combination explicitly.
-                delay_model=None if cut_fraction is not None else model,
-                power=power,
-                placement=placement,
-                workspace=self.workspace,
-            )
-            return simulation.run(trials, rounds)
-
-        return self._cached_run(
-            "run_dynamics_point",
-            "dynamics_scenario",
-            identity,
-            key,
-            self._load_cached_scenario,
-            self._store_cached_scenario,
-            compute_scenario,
-            _scenario_result_digest,
-            params,
-            trials,
-            rounds,
-            extra={
-                "draw_mode": self.draw_mode,
-                "delay_model": model.payload(),
-                "scenario": scenario.payload(),
-                "power": None if power is None else power.payload(),
-                "placement": None if placement is None else placement.payload(),
-            },
-        )
+        parts = (schedule, topology, scenario, power, placement)
+        return self._cached_run(self._dynamics_spec(params, trials, rounds, *parts))
 
     def run_dynamics_grid(
         self,
@@ -1295,54 +829,32 @@ class ExperimentRunner:
         power: Optional[MiningPowerProfile] = None,
         placement: Optional[AdversaryPlacement] = None,
     ) -> List[Union[BatchResult, ScenarioResult]]:
-        """Run every parameter point under one dynamics schedule.
+        """Run every point under one dynamics schedule, sharded when configured.
 
-        Serial in-process, like the topology grids: compiled schedules and
-        peer graphs are not pickle-reconstructible from a flat payload, and
-        both engines already vectorize all trials within a point.
+        Each point's spec carries the schedule, topology, scenario and
+        placement to its pool worker by pickling.
         """
-        return self._run_grid(
-            "run_dynamics_grid",
-            points,
-            lambda point: self.run_dynamics_point(
-                point,
-                trials,
-                rounds,
-                schedule,
-                topology=topology,
-                scenario=scenario,
-                power=power,
-                placement=placement,
-            ),
-        )
+        parts = (schedule, topology, scenario, power, placement)
+        specs = [self._dynamics_spec(p, trials, rounds, *parts) for p in points]
+        return self._run_grid("run_dynamics_grid", specs)
 
-    # ------------------------------------------------------------------
-    # Rare-event execution
-    # ------------------------------------------------------------------
-    @staticmethod
     def _rare_event_spec(
-        depth: int,
-        method: str,
-        tilt: Optional[ExponentialTilt],
-        pilot_trials: int,
-        elite_fraction: float,
-        max_iterations: int,
-        smoothing: float,
-    ) -> dict:
-        """The estimator-aware half of a rare-event cache key / seed payload.
-
-        Every knob that changes either the sampling measure or the amount of
-        entropy the estimator consumes is part of the spec, so two estimates
-        that could differ numerically can never share a cache slot or a
-        seed stream.  The pilot knobs are folded in even with an explicit
-        tilt (when they are inert) — a constant key for a given call
-        signature is worth more than a marginally smaller payload.
-        """
+        self, params, trials, rounds, depth, method, tilt, *pilot_knobs
+    ) -> PointSpec:
+        """A rare-event point; its ``rare_event`` dict holds every knob that
+        changes the sampling measure or the entropy used, pilot knobs
+        included even when an explicit tilt makes them inert."""
+        if self.draw_mode != "binomial":
+            raise SimulationError(
+                "rare-event estimation supports only the binomial draw mode; "
+                f"this runner uses {self.draw_mode!r}"
+            )
         if method not in RARE_EVENT_METHODS:
             raise SimulationError(
                 f"method must be one of {RARE_EVENT_METHODS}, got {method!r}"
             )
-        return {
+        pilot_trials, elite_fraction, max_iterations, smoothing = pilot_knobs
+        estimator = {
             "depth": int(depth),
             "method": method,
             "tilt": None if tilt is None else tilt.payload(),
@@ -1351,66 +863,8 @@ class ExperimentRunner:
             "max_iterations": int(max_iterations),
             "smoothing": float(smoothing),
         }
-
-    def _load_cached_rare(self, path: str) -> Optional[RareEventResult]:
-        if not os.path.exists(path):
-            return None
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta"]))
-            tilt_payload = meta.get("tilt")
-            levels = archive["level_probabilities"]
-            return RareEventResult(
-                params=_params_from_payload(meta["params"]),
-                depth=int(meta["depth"]),
-                method=str(meta["method"]),
-                trials=int(meta["trials"]),
-                rounds=int(meta["rounds"]),
-                probability=float(meta["probability"]),
-                ci_low=float(meta["ci_low"]),
-                ci_high=float(meta["ci_high"]),
-                relative_error=float(meta["relative_error"]),
-                effective_sample_size=float(meta["effective_sample_size"]),
-                hits=int(meta["hits"]),
-                tilt=(
-                    None
-                    if tilt_payload is None
-                    else ExponentialTilt(**tilt_payload)
-                ),
-                pilot_iterations=int(meta["pilot_iterations"]),
-                level_probabilities=None if levels.size == 0 else levels,
-            )
-
-    def _store_cached_rare(self, path: str, result: RareEventResult) -> None:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        meta = json.dumps(
-            {
-                "engine_version": ENGINE_VERSION,
-                "package_version": _version.__version__,
-                "params": _params_payload(result.params),
-                "depth": result.depth,
-                "method": result.method,
-                "trials": result.trials,
-                "rounds": result.rounds,
-                "probability": result.probability,
-                "ci_low": result.ci_low,
-                "ci_high": result.ci_high,
-                "relative_error": result.relative_error,
-                "effective_sample_size": result.effective_sample_size,
-                "hits": result.hits,
-                "tilt": None if result.tilt is None else result.tilt.payload(),
-                "pilot_iterations": result.pilot_iterations,
-                "base_seed": self.base_seed,
-            },
-            sort_keys=True,
-        )
-        levels = (
-            np.zeros(0)
-            if result.level_probabilities is None
-            else np.asarray(result.level_probabilities)
-        )
-        temporary = f"{path}.tmp.{os.getpid()}"
-        np.savez(temporary, meta=np.asarray(meta), level_probabilities=levels)
-        os.replace(f"{temporary}.npz", path)
+        method = "run_rare_event_point"
+        return self._spec(method, "rare", params, trials, rounds, rare_event=estimator)
 
     def run_rare_event_point(
         self,
@@ -1436,57 +890,11 @@ class ExperimentRunner:
         ratios are exact for the Binomial per-round law, not for the
         auditing Bernoulli path or heterogeneous power profiles.
         """
-        if self.draw_mode != "binomial":
-            raise SimulationError(
-                "rare-event estimation supports only the binomial draw mode; "
-                f"this runner uses {self.draw_mode!r}"
-            )
+        knobs = (depth, method, tilt, pilot_trials, elite_fraction)
         spec = self._rare_event_spec(
-            depth,
-            method,
-            tilt,
-            pilot_trials,
-            elite_fraction,
-            max_iterations,
-            smoothing,
+            params, trials, rounds, *knobs, max_iterations, smoothing
         )
-        identity, key = self._point_identity_key(
-            params, trials, rounds, rare_event=spec
-        )
-
-        def compute() -> RareEventResult:
-            rng = np.random.default_rng(self._seed_from_identity(identity))
-            estimator = RareEventSimulation(
-                params, depth, rng=rng, workspace=self.workspace
-            )
-            if method == "plain":
-                return estimator.run_plain(trials, rounds)
-            if method == "splitting":
-                return estimator.run_splitting(trials, rounds)
-            return estimator.run_tilted(
-                trials,
-                rounds,
-                tilt=tilt,
-                pilot_trials=pilot_trials,
-                elite_fraction=elite_fraction,
-                max_iterations=max_iterations,
-                smoothing=smoothing,
-            )
-
-        return self._cached_run(
-            "run_rare_event_point",
-            "rare",
-            identity,
-            key,
-            self._load_cached_rare,
-            self._store_cached_rare,
-            compute,
-            _rare_result_digest,
-            params,
-            trials,
-            rounds,
-            extra={"draw_mode": self.draw_mode, "rare_event": spec},
-        )
+        return self._cached_run(spec)
 
     def run_rare_event_grid(
         self,
@@ -1503,106 +911,34 @@ class ExperimentRunner:
     ) -> List[RareEventResult]:
         """Run one rare-event estimate at every parameter point.
 
-        Sharded across processes when the runner is configured for it — the
-        full estimator spec is a flat picklable payload (an explicit tilt
-        travels as ``tilt.payload()``), so rare-event grids fan out exactly
-        like batch grids.  Per-point seeds make every estimate independent
-        of grid composition either way.
+        Sharded across processes when the runner is configured for it, like
+        every grid.  Per-point seeds make every estimate independent of grid
+        composition either way.
         """
-        spec = self._rare_event_spec(
-            depth,
-            method,
-            tilt,
-            pilot_trials,
-            elite_fraction,
-            max_iterations,
-            smoothing,
-        )
-        points = list(points)
-        return self._run_grid(
-            "run_rare_event_grid",
-            points,
-            lambda point: self.run_rare_event_point(
-                point,
-                trials,
-                rounds,
-                depth,
-                method=method,
-                tilt=tilt,
-                pilot_trials=pilot_trials,
-                elite_fraction=elite_fraction,
-                max_iterations=max_iterations,
-                smoothing=smoothing,
-            ),
-            tasks=[
-                (
-                    _params_payload(point),
-                    spec,
-                    trials,
-                    rounds,
-                    self.base_seed,
-                    self.draw_mode,
-                    self.cache_dir,
-                )
-                for point in points
-            ],
-            worker=_run_rare_event_point_task,
-        )
+        knobs = (depth, method, tilt, pilot_trials, elite_fraction)
+        specs = [
+            self._rare_event_spec(p, trials, rounds, *knobs, max_iterations, smoothing)
+            for p in points
+        ]
+        return self._run_grid("run_rare_event_grid", specs)
 
-    # ------------------------------------------------------------------
-    # Streaming execution
-    # ------------------------------------------------------------------
-    @staticmethod
     def _streaming_spec(
-        depths: Iterable[int], scenario: Optional[Scenario]
-    ) -> dict:
-        """The statistics-affecting half of a streamed cache key / seed payload.
-
-        Only knobs that change the *result* belong here: the tracked
-        violation depths (each depth adds an exact hit tally).
-        ``chunk_cells`` is execution policy — streamed summaries are
-        bit-identical across chunk sizes — so it never enters the key, and
-        a sweep can retune its memory budget without invalidating caches.
-        """
-        depths = tuple(sorted({int(depth) for depth in depths}))
+        self, params, trials, rounds, depths, scenario, chunk_cells
+    ) -> PointSpec:
+        """A streamed point; its ``streaming`` dict holds the tracked depths,
+        the only knob that changes the result (``chunk_cells`` does not)."""
+        scenario = None if scenario is None else get_scenario(scenario)
+        depths = sorted({int(depth) for depth in depths})
         if scenario is not None and depths:
             raise SimulationError(
                 "violation depths are a batch statistic; scenario streaming "
-                f"does not track them (got depths={depths!r})"
+                f"does not track them (got depths={tuple(depths)!r})"
             )
-        return {"depths": list(depths)}
-
-    def _load_cached_stream(self, path: str):
-        if not os.path.exists(path):
-            return None
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta"]))
-            params = _params_from_payload(meta["params"])
-            scenario_payload = meta.get("scenario")
-            if scenario_payload is not None:
-                return StreamingScenarioResult.from_payload(
-                    meta["state"],
-                    params,
-                    _scenario_from_payload(scenario_payload),
-                )
-            return StreamingBatchResult.from_payload(meta["state"], params)
-
-    def _store_cached_stream(self, path: str, result) -> None:
-        """Persist a streamed result: pure JSON state, no per-trial arrays."""
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        meta_payload = {
-            "engine_version": ENGINE_VERSION,
-            "package_version": _version.__version__,
-            "params": _params_payload(result.params),
-            "base_seed": self.base_seed,
-            "state": result.payload(),
-        }
-        if isinstance(result, StreamingScenarioResult):
-            meta_payload["scenario"] = result.scenario.payload()
-        meta = json.dumps(meta_payload, sort_keys=True)
-        temporary = f"{path}.tmp.{os.getpid()}"
-        np.savez(temporary, meta=np.asarray(meta))
-        os.replace(f"{temporary}.npz", path)
+        prefix = "stream" if scenario is None else "stream_scenario"
+        parts = dict(scenario=scenario, streaming={"depths": depths})
+        parts["chunk_cells"] = chunk_cells
+        method = "run_streaming_point"
+        return self._spec(method, prefix, params, trials, rounds, **parts)
 
     def run_streaming_point(
         self,
@@ -1627,56 +963,8 @@ class ExperimentRunner:
         absent from the cache key — summaries are bit-identical across
         chunk sizes.
         """
-        scenario = None if scenario is None else get_scenario(scenario)
-        spec = self._streaming_spec(depths, scenario)
-        identity, key = self._point_identity_key(
-            params, trials, rounds, scenario=scenario, streaming=spec
-        )
-        prefix = "stream" if scenario is None else "stream_scenario"
-
-        def compute():
-            seed = self._seed_from_identity(identity)
-            if scenario is None:
-                simulation = StreamingBatchSimulation(
-                    params,
-                    seed=seed,
-                    draw_mode=self.draw_mode,
-                    workspace=self.workspace,
-                    chunk_cells=chunk_cells,
-                )
-                return simulation.run(
-                    trials,
-                    rounds,
-                    depths=spec["depths"],
-                    progress=self.progress_sinks,
-                )
-            simulation = StreamingScenarioSimulation(
-                params,
-                scenario,
-                seed=seed,
-                draw_mode=self.draw_mode,
-                workspace=self.workspace,
-                chunk_cells=chunk_cells,
-            )
-            return simulation.run(trials, rounds, progress=self.progress_sinks)
-
-        extra = {"draw_mode": self.draw_mode, "streaming": spec}
-        if scenario is not None:
-            extra["scenario"] = scenario.payload()
-        return self._cached_run(
-            "run_streaming_point",
-            prefix,
-            identity,
-            key,
-            self._load_cached_stream,
-            self._store_cached_stream,
-            compute,
-            _stream_result_digest,
-            params,
-            trials,
-            rounds,
-            extra=extra,
-        )
+        parts = (depths, scenario, chunk_cells)
+        return self._cached_run(self._streaming_spec(params, trials, rounds, *parts))
 
     def run_streaming_grid(
         self,
@@ -1693,33 +981,6 @@ class ExperimentRunner:
         streamed summary bit-identical whether the grid runs serially or
         across a process pool, and whatever chunk size each side uses.
         """
-        scenario = None if scenario is None else get_scenario(scenario)
-        spec = self._streaming_spec(depths, scenario)
-        points = list(points)
-        return self._run_grid(
-            "run_streaming_grid",
-            points,
-            lambda point: self.run_streaming_point(
-                point,
-                trials,
-                rounds,
-                depths=spec["depths"],
-                scenario=scenario,
-                chunk_cells=chunk_cells,
-            ),
-            tasks=[
-                (
-                    _params_payload(point),
-                    None if scenario is None else scenario.payload(),
-                    spec["depths"],
-                    chunk_cells,
-                    trials,
-                    rounds,
-                    self.base_seed,
-                    self.draw_mode,
-                    self.cache_dir,
-                )
-                for point in points
-            ],
-            worker=_run_streaming_point_task,
-        )
+        parts = (tuple(depths), scenario, chunk_cells)
+        specs = [self._streaming_spec(p, trials, rounds, *parts) for p in points]
+        return self._run_grid("run_streaming_grid", specs)

@@ -29,11 +29,21 @@ from repro.observability import (
     use_tracer,
 )
 from repro.observability.tracer import SpanRecord
-from repro.params import parameters_from_c
-from repro.simulation import ExperimentRunner
+from repro.params import ProtocolParameters, parameters_from_c
+from repro.simulation import (
+    AdversaryPlacement,
+    ExperimentRunner,
+    MiningPowerProfile,
+    PeerGraphDelayModel,
+    PeerGraphTopology,
+)
 
 POINTS = [
     parameters_from_c(c=2.0, n=300, delta=delta, nu=0.25) for delta in (3, 4, 5)
+]
+#: Points sharing p, n and nu, so one power profile fits all of them.
+SAME_POWER_POINTS = [
+    ProtocolParameters(p=2e-3, n=300, delta=delta, nu=0.25) for delta in (3, 4, 5)
 ]
 
 
@@ -275,6 +285,68 @@ class TestShardedGridParity:
         )
         assert (sharded.cache_hits, sharded.cache_misses) == (0, 3)
 
+    def _assert_grid_parity(self, tmp_path, run_grid, arrays):
+        """Serial and ``processes=2`` runs of one grid report identically."""
+        layouts = {}
+        for name, processes in (("serial", None), ("sharded", 2)):
+            log = tmp_path / f"{name}.jsonl"
+            runner = ExperimentRunner(
+                base_seed=7,
+                cache_dir=str(tmp_path / name),
+                processes=processes,
+                run_log=log,
+            )
+            with use_metrics() as metrics:
+                results = run_grid(runner)
+            layouts[name] = (results, _observable_counters(metrics), read_run_log(log))
+        serial, sharded = layouts["serial"], layouts["sharded"]
+        assert len(serial[0]) == len(sharded[0]) == 3
+        for a, b in zip(serial[0], sharded[0]):
+            for name in arrays:
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert sharded[1] == serial[1]
+        assert _manifest_multiset(sharded[2]) == _manifest_multiset(serial[2])
+        assert sorted(r["extra"]["shard"] for r in sharded[2]) == [0, 1, 2]
+
+    @staticmethod
+    def _warm_ring():
+        """A ring whose memoised distance matrix is already filled.
+
+        Serially every point shares the one memo, while each pool task gets
+        its own pickled copy, so a cold memo would be filled a different
+        number of times in each layout.
+        """
+        ring = PeerGraphTopology.ring(8)
+        ring.distances()
+        return ring
+
+    def test_sharded_topology_grid_matches_serial(self, tmp_path):
+        ring = PeerGraphDelayModel(self._warm_ring())
+        power = MiningPowerProfile.from_weights(
+            SAME_POWER_POINTS[0], np.linspace(1.0, 2.0, 225)
+        )
+        self._assert_grid_parity(
+            tmp_path,
+            lambda runner: runner.run_topology_grid(
+                SAME_POWER_POINTS, 4, 300, ring, power=power
+            ),
+            ("convergence_opportunities", "honest_blocks", "worst_deficits"),
+        )
+
+    def test_sharded_dynamics_grid_matches_serial(self, tmp_path):
+        self._assert_grid_parity(
+            tmp_path,
+            lambda runner: runner.run_dynamics_grid(
+                POINTS,
+                4,
+                1_300,
+                topology=self._warm_ring(),
+                scenario="eclipse",
+                placement=AdversaryPlacement("hub"),
+            ),
+            ("deepest_forks", "releases", "worst_deficits", "merge_depths"),
+        )
+
     def test_sharded_rare_event_grid_matches_serial(self):
         serial = ExperimentRunner(base_seed=3).run_rare_event_grid(
             POINTS[:2], 64, 150, depth=4, method="plain"
@@ -301,7 +373,8 @@ class TestShardedGridParity:
         import os
 
         for point in POINTS:
-            identity, _ = runner._point_identity_key(point, 5, 120)
+            spec = runner._spec("run_point", "batch", point, 5, 120)
+            identity, _ = runner._point_identity_key(spec)
             sidecar = runner._cache_index_path("batch", identity)
             os.makedirs(os.path.dirname(sidecar), exist_ok=True)
             with open(sidecar, "w", encoding="utf-8") as sink:

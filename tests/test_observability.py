@@ -442,7 +442,8 @@ class TestRunnerObservability:
         runner = ExperimentRunner(
             base_seed=11, cache_dir=str(tmp_path / "cache"), run_log=log_path
         )
-        identity, _ = runner._point_identity_key(PARAMS, 6, 300)
+        spec = runner._spec("run_point", "batch", PARAMS, 6, 300)
+        identity, _ = runner._point_identity_key(spec)
         sidecar = runner._cache_index_path("batch", identity)
         # Fake an earlier release's sidecar: same identity, obsolete version.
         import os

@@ -7,9 +7,23 @@ import os
 import numpy as np
 import pytest
 
+import repro._version as version_module
 from repro.errors import SimulationError
+from repro.observability import read_run_log, use_metrics
 from repro.params import parameters_from_c
-from repro.simulation import ExperimentRunner
+from repro.simulation import (
+    AdversaryPlacement,
+    DynamicsSchedule,
+    ExperimentRunner,
+    MiningPowerProfile,
+    PartitionEvent,
+    PartitionScenario,
+    PeerGraphDelayModel,
+    PeerGraphTopology,
+    TimeVaryingDelayModel,
+    get_scenario,
+)
+from repro.simulation.rare_events import ExponentialTilt
 
 PARAMS = parameters_from_c(c=4.0, n=1_000, delta=3, nu=0.2)
 OTHER = parameters_from_c(c=2.0, n=1_000, delta=3, nu=0.3)
@@ -118,3 +132,330 @@ class TestValidation:
             ExperimentRunner(draw_mode="quantum")
         with pytest.raises(SimulationError):
             ExperimentRunner(processes=0)
+
+
+# ----------------------------------------------------------------------
+# Key and seed stability across every kind of point
+# ----------------------------------------------------------------------
+PIN_SEED = 5
+#: The package version the pinned keys were computed under.
+PIN_VERSION = "0.0.0+pin"
+SHAPE = (4, 200)
+RARE_SHAPE = (64, 150)
+CUT = PartitionScenario(
+    name="pin_cut",
+    kind="private_chain",
+    target_depth=4,
+    give_up_deficit=8,
+    partition_start=60,
+    partition_duration=40,
+    cut_fraction=0.3,
+)
+RING = PeerGraphDelayModel(PeerGraphTopology.ring(8))
+POWER = MiningPowerProfile.from_weights(PARAMS, np.linspace(1.0, 2.0, 800))
+SCHEDULE = DynamicsSchedule([PartitionEvent(60, 40)])
+ECLIPSE_MODEL = TimeVaryingDelayModel(get_scenario("eclipse").dynamics_schedule())
+TILT = ExponentialTilt(honest_p=0.8 * PARAMS.p, adversary_p=1.5 * PARAMS.p)
+
+
+def _rare(depth, method, tilt=None, pilot_trials=512, max_iterations=10):
+    """The estimator spec ``run_rare_event_point`` keys a point by."""
+    return {
+        "depth": depth,
+        "method": method,
+        "tilt": None if tilt is None else tilt.payload(),
+        "pilot_trials": pilot_trials,
+        "elite_fraction": 0.1,
+        "max_iterations": max_iterations,
+        "smoothing": 0.7,
+    }
+
+
+#: kind -> (shape, the run_* call, the same point as cache_key ingredients).
+KINDS = {
+    "batch": (SHAPE, lambda r, t, n: r.run_point(PARAMS, t, n), {}),
+    "scenario_name": (
+        SHAPE,
+        lambda r, t, n: r.run_scenario_point(PARAMS, "private_chain", t, n),
+        {"scenario": "private_chain"},
+    ),
+    "scenario_cut": (
+        SHAPE,
+        lambda r, t, n: r.run_scenario_point(PARAMS, CUT, t, n),
+        {"scenario": CUT},
+    ),
+    "topology_uniform": (
+        SHAPE,
+        lambda r, t, n: r.run_topology_point(PARAMS, t, n, "uniform"),
+        {"delay_model": "uniform"},
+    ),
+    "topology_ring_power": (
+        SHAPE,
+        lambda r, t, n: r.run_topology_point(PARAMS, t, n, RING, power=POWER),
+        {"delay_model": RING, "power": POWER},
+    ),
+    "dynamics_passive": (
+        SHAPE,
+        lambda r, t, n: r.run_dynamics_point(PARAMS, t, n, SCHEDULE),
+        {"delay_model": TimeVaryingDelayModel(SCHEDULE)},
+    ),
+    "dynamics_hub": (
+        SHAPE,
+        lambda r, t, n: r.run_dynamics_point(
+            PARAMS, t, n, scenario="eclipse", placement=AdversaryPlacement("hub")
+        ),
+        {
+            "scenario": "eclipse",
+            "delay_model": ECLIPSE_MODEL,
+            "placement": AdversaryPlacement("hub"),
+        },
+    ),
+    "rare_plain": (
+        RARE_SHAPE,
+        lambda r, t, n: r.run_rare_event_point(PARAMS, t, n, 4, method="plain"),
+        {"rare_event": _rare(4, "plain")},
+    ),
+    "rare_tilted_pilot": (
+        RARE_SHAPE,
+        lambda r, t, n: r.run_rare_event_point(
+            PARAMS, t, n, 6, pilot_trials=32, max_iterations=2
+        ),
+        {"rare_event": _rare(6, "tilted", pilot_trials=32, max_iterations=2)},
+    ),
+    "rare_tilted_explicit": (
+        RARE_SHAPE,
+        lambda r, t, n: r.run_rare_event_point(PARAMS, t, n, 6, tilt=TILT),
+        {"rare_event": _rare(6, "tilted", tilt=TILT)},
+    ),
+    "rare_splitting": (
+        RARE_SHAPE,
+        lambda r, t, n: r.run_rare_event_point(PARAMS, t, n, 4, method="splitting"),
+        {"rare_event": _rare(4, "splitting")},
+    ),
+    "stream_batch": (
+        SHAPE,
+        lambda r, t, n: r.run_streaming_point(PARAMS, t, n, depths=(4, 2)),
+        {"streaming": {"depths": [2, 4]}},
+    ),
+    "stream_scenario": (
+        SHAPE,
+        lambda r, t, n: r.run_streaming_point(PARAMS, t, n, scenario="selfish_mining"),
+        {"scenario": "selfish_mining", "streaming": {"depths": []}},
+    ),
+}
+
+#: kind -> (version-free identity, seed entropy, key under PIN_VERSION),
+#: computed by the runner of release 1.10.0.  Any change here rerolls seeded
+#: experiments or strands warm caches, so these literals must never drift.
+PINS = {
+    "batch": (
+        "4dde442fe04db54d8cab454f3dd9f5487924470eebd903022268b0a1e50dd603",
+        [5, 1306412079, 3763189069, 2360034639, 1037694280],
+        "5947e2809405fd2933d57b8f7b465269bbc874ce7dbcdae8d82369786122d43a",
+    ),
+    "scenario_name": (
+        "2834480e7c4505b6c23dcb20d1c13e607402b79bd8c61b8cd8782d8ac3bb2abb",
+        [5, 674514958, 2084898230, 3258829600, 3519102560],
+        "b16a776befdd77025a657addb5fdc23048be76fec4812d08050f67498b83f3c8",
+    ),
+    "scenario_cut": (
+        "0f7988dd574ccc6db8005ce040e38dc5a05aeb5e434b72a13fb1d03704a2bc92",
+        [5, 259623133, 1464650861, 3087031520, 1088654789],
+        "7cd85e5985155f8ccf9a196499dbaab55b4fbeee22bc3ed792f9a69a1f616f3b",
+    ),
+    "topology_uniform": (
+        "0a7084653be39e013090ec2aa77f8b9f6cc35ff52b52af16f779e6399cf13680",
+        [5, 175146085, 1004772865, 814804010, 2810153887],
+        "871b4c2adb993cd8f2f0c2fa603a2e94f8115487636be1c63a4dd97c6525181f",
+    ),
+    "topology_ring_power": (
+        "d21afd03699260f28cb7fb2f1ce91360e8525a20c8493f7a2c58e1eff9ca9809",
+        [5, 3524984067, 1771200754, 2360867631, 485036896],
+        "8e1ef641c685e0fd82d36482bd9ac652e3964b6f7281219bca6b8dc5cf5eb1a8",
+    ),
+    "dynamics_passive": (
+        "2c153b5fd33ad689675cf8d545178d06c02a1c849614592c198440ac8594c11a",
+        [5, 739588959, 3543848585, 1734146261, 1159171334],
+        "1e131186c96bf11c225f5586f89329c6f784e8b9a9f7cafe6c434b0ceef3ef46",
+    ),
+    "dynamics_hub": (
+        "d457cafa3b32995c58d63a1e27d4515bd9032ab951f615858b3e30dbe644eb17",
+        [5, 3562523386, 993171804, 1490434590, 668225883],
+        "e868fcf9e116d7cc23730459f0440a5966e044eff8684970d23e5371777d228a",
+    ),
+    "rare_plain": (
+        "bf9e129fae05da2d20f070f607d9be5461b9b778cf443d895f23d6b2f9d22fb2",
+        [5, 3214807711, 2919619117, 552628470, 131710548],
+        "69ac6eea7062b8ecdc53e7d0d4a093829b71055a8184ba620ddd80628cb3b5ca",
+    ),
+    "rare_tilted_pilot": (
+        "0502a59df9cea5f3f2dbd6832491e4beef58bb6d7dd23a21aa501d57e2f0854a",
+        [5, 84059549, 4191069683, 4074493571, 613541054],
+        "c4c63f195fa2d0706b32997b41beb68bd6a0d3a248275828b184dd248ff2abb8",
+    ),
+    "rare_tilted_explicit": (
+        "a182456ab2e8550e73a52a9748865ce2a5b03790edf5eebc1b5989bfaaab7412",
+        [5, 2709669226, 3001570574, 1940204183, 1216765154],
+        "0bb62696c677f29e1570f669b2b58a61ea278d4d5534fd4cc1beb66e2e96b277",
+    ),
+    "rare_splitting": (
+        "70bbf48fba75ca53d4e12e604f8b808c9450403f299cf0484f303ca53ed5abd7",
+        [5, 1891366031, 3128281683, 3571527264, 1334542476],
+        "28369d38e7fa6d838b4b07b8017613607c053d072d245423dc87c9c394ba5812",
+    ),
+    "stream_batch": (
+        "45f698909d25550d5c9ecfb62ebc00d0de68d296902400c0944f3d5ccaf52aa2",
+        [5, 1173788816, 2636469517, 1553911734, 784072912],
+        "5c192d13b15eb18a05c460c1f869b0ddf37cc30249c779110a309348964f9d4a",
+    ),
+    "stream_scenario": (
+        "dfa03952ae0c76d083e75b048f2238a0f255f2d1d6d17ad413f1b1c46a8da815",
+        [5, 3751819602, 2920052432, 2212977412, 2401384608],
+        "f6c732e21c43a633e7d2f1f2800e31e361391146a1fbd010d05699c7ef91b4c1",
+    ),
+}
+
+
+class TestKeyStability:
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_identity_seed_and_key_are_pinned(self, kind, tmp_path, monkeypatch):
+        identity, entropy, key = PINS[kind]
+        shape, run, ingredients = KINDS[kind]
+        monkeypatch.setattr(version_module, "__version__", PIN_VERSION)
+        log = tmp_path / "log.jsonl"
+        runner = ExperimentRunner(
+            base_seed=PIN_SEED, cache_dir=str(tmp_path / "cache"), run_log=log
+        )
+        seed = runner.seed_sequence_for(PARAMS, *shape, **ingredients)
+        assert list(seed.entropy) == entropy
+        assert runner.cache_key(PARAMS, *shape, **ingredients) == key
+        run(runner, *shape)
+        (record,) = read_run_log(log)
+        assert record["cache_key"] == key
+        sidecars = [
+            name
+            for name in os.listdir(tmp_path / "cache")
+            if name.endswith(".latest.json")
+        ]
+        assert sidecars == [f"{record['cache_prefix']}_{identity}.latest.json"]
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_cache_round_trip_is_exact(self, kind, tmp_path):
+        shape, run, _ = KINDS[kind]
+        log = tmp_path / "log.jsonl"
+        runner = ExperimentRunner(
+            base_seed=PIN_SEED, cache_dir=str(tmp_path / "cache"), run_log=log
+        )
+        cold = run(runner, *shape)
+        warm = run(runner, *shape)
+        miss, hit = read_run_log(log)
+        assert (miss["cache"], hit["cache"]) == ("miss", "hit")
+        assert hit["result_digest"] == miss["result_digest"]
+        assert type(warm) is type(cold)
+        assert warm.params == cold.params
+        assert getattr(warm, "scenario", None) == getattr(cold, "scenario", None)
+
+    def test_cache_key_covers_streamed_points(self, tmp_path):
+        log = tmp_path / "log.jsonl"
+        runner = ExperimentRunner(base_seed=PIN_SEED, run_log=log)
+        runner.run_streaming_point(PARAMS, *SHAPE, depths=(4, 2))
+        (record,) = read_run_log(log)
+        streamed = {"depths": [2, 4]}
+        key = runner.cache_key(PARAMS, *SHAPE, streaming=streamed)
+        assert key == record["cache_key"]
+        assert runner.cache_key(PARAMS, *SHAPE) != record["cache_key"]
+        assert (
+            runner.seed_sequence_for(PARAMS, *SHAPE, streaming=streamed).entropy
+            != runner.seed_sequence_for(PARAMS, *SHAPE).entropy
+        )
+
+
+# ----------------------------------------------------------------------
+# Shape validation and cache hardening
+# ----------------------------------------------------------------------
+#: Every run_*_point, called with the (trials, rounds) under test.
+POINT_CALLS = {
+    "run_point": lambda r, t, n: r.run_point(PARAMS, t, n),
+    "run_scenario_point": lambda r, t, n: r.run_scenario_point(
+        PARAMS, "private_chain", t, n
+    ),
+    "run_topology_point": lambda r, t, n: r.run_topology_point(
+        PARAMS, t, n, "uniform"
+    ),
+    "run_dynamics_point": lambda r, t, n: r.run_dynamics_point(PARAMS, t, n, SCHEDULE),
+    "run_rare_event_point": lambda r, t, n: r.run_rare_event_point(
+        PARAMS, t, n, 4, method="plain"
+    ),
+    "run_streaming_point": lambda r, t, n: r.run_streaming_point(PARAMS, t, n),
+}
+
+
+class TestShapeValidation:
+    @pytest.mark.parametrize("bad", [2.5, True, "3", 0])
+    @pytest.mark.parametrize("method", sorted(POINT_CALLS))
+    def test_bad_trials_or_rounds_raise_simulation_error(self, method, bad):
+        runner = ExperimentRunner(base_seed=1)
+        with pytest.raises(SimulationError, match="trials"):
+            POINT_CALLS[method](runner, bad, 200)
+        with pytest.raises(SimulationError, match="rounds"):
+            POINT_CALLS[method](runner, 4, bad)
+        assert runner.cache_misses == 0
+
+    @pytest.mark.parametrize("method", sorted(POINT_CALLS))
+    def test_fractional_trials_never_hit_the_integer_entry(self, method, tmp_path):
+        runner = ExperimentRunner(base_seed=1, cache_dir=str(tmp_path))
+        POINT_CALLS[method](runner, 2, 200)
+        with pytest.raises(SimulationError):
+            POINT_CALLS[method](runner, 2.5, 200)
+        assert (runner.cache_hits, runner.cache_misses) == (0, 1)
+        # An integral float is the same point, so it is a hit.
+        POINT_CALLS[method](runner, 2.0, 200)
+        assert (runner.cache_hits, runner.cache_misses) == (1, 1)
+
+    def test_cache_key_rejects_bad_shapes(self):
+        with pytest.raises(SimulationError, match="trials"):
+            ExperimentRunner().cache_key(PARAMS, 2.5, 200)
+
+
+def _damage(path, how):
+    if how == "empty":
+        data = b""
+    elif how == "garbage":
+        data = b"this is not an npz archive\n" * 8
+    else:
+        with open(path, "rb") as source:
+            data = source.read()
+        data = data[: len(data) // 2]
+    with open(path, "wb") as sink:
+        sink.write(data)
+
+
+class TestCorruptCache:
+    @pytest.mark.parametrize("how", ["empty", "garbage", "truncated"])
+    @pytest.mark.parametrize("method", ["run_point", "run_streaming_point"])
+    def test_unreadable_entry_is_recomputed_and_counted(
+        self, method, how, tmp_path, caplog
+    ):
+        log = tmp_path / "log.jsonl"
+        cache = tmp_path / "cache"
+        runner = ExperimentRunner(base_seed=3, cache_dir=str(cache), run_log=log)
+        call = POINT_CALLS[method]
+        call(runner, 5, 300)
+        (name,) = [name for name in os.listdir(cache) if name.endswith(".npz")]
+        _damage(cache / name, how)
+
+        with use_metrics() as metrics, caplog.at_level(
+            "WARNING", logger="repro.simulation.runner"
+        ):
+            call(runner, 5, 300)
+        assert metrics.counter(f"runner.{method}.cache_corrupt") == 1
+        assert metrics.counter(f"runner.{method}.cache_misses") == 1
+        assert any(name in message for message in caplog.messages)
+        cold, recomputed = read_run_log(log)
+        assert (cold["cache"], recomputed["cache"]) == ("miss", "corrupt")
+        assert recomputed["result_digest"] == cold["result_digest"]
+
+        # The recomputation overwrote the damaged file.
+        call(runner, 5, 300)
+        assert read_run_log(log)[-1]["cache"] == "hit"
+        assert (runner.cache_hits, runner.cache_misses) == (1, 2)
