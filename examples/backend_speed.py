@@ -23,10 +23,12 @@ user-facing knobs:
    default) versus ``compact`` (int32/uint8/float32): integer outputs stay
    exact, float statistics agree within the documented tolerance, memory
    traffic halves.
-3. **workspaces** — a :class:`repro.backend.Workspace` pools the hot
-   kernels' scratch buffers across repeated runs; the script times the
-   per-call-allocation path against the pooled path on the same pre-drawn
-   tensors (the ``bench_backend.py`` gate holds this at >= 1.5x).
+3. **workspaces** — a :class:`repro.backend.Workspace` pools the mask and
+   drawdown kernels' scratch buffers across repeated runs; without one the
+   same kernels allocate per call and return the same numbers.  The script
+   checks that, then times the pooled kernels against an allocating
+   reference pipeline (core's window-sum mask plus a cumsum drawdown) on
+   the same pre-drawn tensors (``bench_backend.py`` gates this at >= 3x).
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from repro.backend import (
     use_backend,
     use_dtype_policy,
 )
+from repro.core.concat_chain import convergence_opportunity_mask
 from repro.params import parameters_from_c
 from repro.simulation import BatchSimulation, draw_mining_traces
 
@@ -55,6 +58,14 @@ def best_of(repeats, callable_):
         callable_()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def reference_deficits(honest, adversary, delta):
+    """Worst windowed deficits from core's mask, allocating every step."""
+    mask = convergence_opportunity_mask(honest, delta)
+    difference = np.cumsum(mask.astype(np.int64) - adversary, axis=1)
+    padded = np.pad(difference, ((0, 0), (1, 0)))
+    return (np.maximum.accumulate(padded, axis=1) - padded).max(axis=1)
 
 
 def main(argv=None) -> int:
@@ -98,18 +109,31 @@ def main(argv=None) -> int:
         f"{drift:.2e} (documented tolerance {COMPACT_STAT_RTOL:.0e} relative)"
     )
 
-    # 3. Workspace reuse on the deterministic analysis half.
+    # 3. One kernel path with or without a workspace, against the
+    #    allocating reference on the deterministic analysis half.
     with use_backend(args.backend):
         honest, adversary = draw_mining_traces(
             params, args.trials, args.rounds, rng=0
         )
-        per_call = BatchSimulation(params, rng=0)
-        pooled = BatchSimulation(params, rng=0, workspace=Workspace())
-        cold = best_of(args.repeats, lambda: per_call.run_traces(honest, adversary))
-        warm = best_of(args.repeats, lambda: pooled.run_traces(honest, adversary))
+        workspace = Workspace()
+        pooled = BatchSimulation(params, rng=0, workspace=workspace)
+        result = pooled.run_traces(honest, adversary)
+        unpooled = BatchSimulation(params, rng=0).run_traces(honest, adversary)
+        host_honest = pooled.backend.to_host(honest)
+        host_adversary = pooled.backend.to_host(adversary)
+        reference = reference_deficits(host_honest, host_adversary, params.delta)
+        assert np.array_equal(result.worst_deficits, unpooled.worst_deficits)
+        assert np.array_equal(result.worst_deficits, reference)
+        kernels = best_of(args.repeats, lambda: pooled.run_traces(honest, adversary))
+        allocating = best_of(
+            args.repeats,
+            lambda: reference_deficits(host_honest, host_adversary, params.delta),
+        )
     print(
-        f"workspace reuse at {args.trials}x{args.rounds}: per-call "
-        f"{cold * 1e3:.2f}ms, pooled {warm * 1e3:.2f}ms, {cold / warm:.2f}x"
+        f"kernels at {args.trials}x{args.rounds}: allocating reference "
+        f"{allocating * 1e3:.2f}ms, pooled kernels {kernels * 1e3:.2f}ms, "
+        f"{allocating / kernels:.2f}x; workspace holds "
+        f"{workspace.nbytes / 1e6:.1f} MB in {len(workspace.tags)} buffers"
     )
     return 0
 

@@ -257,10 +257,11 @@ bit-exact default — or ``compact`` — int32/uint8/float32 with exact
 integers and float statistics inside a documented tolerance, selected via
 ``use_dtype_policy`` / ``REPRO_DTYPE_POLICY``), and a
 :class:`~repro.backend.Workspace` of preallocated scratch buffers that the
-hot kernels reuse across repeated (trials, rounds) runs —
-``ExperimentRunner`` threads one workspace through every grid point, and
-``benchmarks/bench_backend.py`` gates the pooled path at >= 1.5x over
-per-call allocation.  See ``examples/backend_speed.py``.
+mask and drawdown kernels reuse across repeated (trials, rounds) runs —
+``ExperimentRunner`` threads one workspace through every grid point; without
+one the same kernels allocate per call.  ``benchmarks/bench_backend.py``
+gates them at >= 3x over the allocating reference pipeline.  See
+``examples/backend_speed.py``.
 
 >>> from repro import Workspace, use_backend
 >>> with use_backend("numpy"):

@@ -21,10 +21,13 @@ unifies them behind one validated configuration point:
 * :func:`chunk_sizes` — the greedy per-chunk trial counts covering a
   total trial count (sums exactly to ``trials``).
 
-The budget is an *execution* knob, never a draw-protocol knob: callers
-whose results must be chunk-invariant (the streaming engine) layer their
-own fixed seed-block protocol on top and only group whole blocks per
-chunk.
+Whether the budget changes results depends on the caller.  The streaming
+engine layers a fixed seed-block protocol on top and only groups whole
+blocks per chunk, so its results are identical at every budget; so are the
+Bernoulli sums, which consume one contiguous uniform stream.  The
+rare-event estimators draw each chunk in one vectorized call, so there the
+budget is part of the draw protocol: estimates at two budgets agree
+statistically, not bit for bit.
 """
 
 from __future__ import annotations

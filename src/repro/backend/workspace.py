@@ -1,18 +1,18 @@
 """Preallocated scratch buffers for the engines' per-(trials, rounds) loops.
 
 A sweep revisits the same tensor shapes thousands of times: every grid point
-runs the same (trials, rounds) batch, and every ``run_traces`` call used to
-re-allocate the same dozen scratch tensors — cumulative-sum panels, window
-buffers, scan state vectors, delivery rings.  A :class:`Workspace` keeps one
-buffer per *tag* and hands it back on every request with a matching shape
-and dtype, so the steady state of a sweep performs no allocation at all in
-the hot kernels (the ``bench_backend.py`` gate holds the workspace path to
-≥ 1.5x over the per-call-allocation path).
+runs the same (trials, rounds) batch, and every ``run_traces`` call needs the
+same scratch tensors — the mask kernel's boolean panels, the drawdown
+kernel's running sums, scan state vectors, delivery rings.  A
+:class:`Workspace` keeps one buffer per *tag* and hands it back on every
+request with a matching shape and dtype, so the steady state of a sweep
+performs no allocation at all in the hot kernels.  Without one the kernels
+run the same arithmetic and allocate their scratch per call.
 
 Contracts:
 
 * a tag is used by at most one logical buffer per engine invocation —
-  engines namespace their tags (``"deficit.cumulative"``, ``"scan.public"``)
+  engines namespace their tags (``"deficit.running"``, ``"scan.public"``)
   so kernels never collide;
 * workspace buffers are **scratch**: nothing reachable from a result object
   may alias one.  Engines copy any escaping array out of the workspace

@@ -14,30 +14,29 @@ array operations:
   miner axis (identical in distribution, useful for auditing the binomial
   shortcut);
 * **convergence-opportunity detection** — the pattern ``N^Δ H_1 N^Δ`` of
-  Eq. (42) is located for every trial at once with cumulative-sum window
-  tests, matching the streaming
+  Eq. (42) is located for every trial at once by the mask kernel, boolean
+  ops only, matching the streaming
   :class:`~repro.simulation.events.ConvergenceOpportunityDetector` and the
   offline :func:`~repro.core.concat_chain.count_convergence_opportunities`
   exactly;
 * **adversarial accounting** — per-trial adversarial block totals, Lemma 1
   margins ``C - A``, and the worst *windowed* deficit
   ``max_{s<=t} (A(s,t) - C(s,t))`` (the quantity whose positivity over every
-  window is what Lemma 1 rules out, computed as a running-maximum drawdown).
+  window is what Lemma 1 rules out), computed by the drawdown kernel as a
+  running-maximum drawdown.
 
-Every tensor operation dispatches through the active
+The batch, scenario, streaming and rare-event engines all run these two
+kernels.  Every tensor operation dispatches through the active
 :class:`~repro.backend.ArrayBackend` (see :mod:`repro.backend`): the NumPy
 reference backend reproduces the historical engine bit for bit, and
 ``use_backend`` / ``REPRO_BACKEND`` swap in an accelerator without touching
 this module.  Randomness is always drawn host-side through the caller's
-:class:`numpy.random.Generator` and bridged to the device, dtypes follow the
-active :class:`~repro.backend.DtypePolicy`, and a
-:class:`~repro.backend.Workspace` (optional, threaded in by
-:class:`~repro.simulation.runner.ExperimentRunner`) reuses the hot kernels'
-scratch tensors across repeated (trials, rounds) runs.  The workspace path
-runs an out-of-place-free variant of the window kernels — slice views plus
-``out=`` stores into preallocated buffers — that is value-identical to the
-reference expressions (pinned by the equivalence tests) and benchmarked at
-≥ 1.5x in ``benchmarks/bench_backend.py``.
+:class:`numpy.random.Generator` and bridged to the device, and dtypes follow
+the active :class:`~repro.backend.DtypePolicy`.  A kernel takes its scratch
+tensors from a :class:`~repro.backend.Workspace` when given one (as
+:class:`~repro.simulation.runner.ExperimentRunner` does, so repeated
+(trials, rounds) runs stop allocating) and allocates them otherwise; the
+arithmetic is the same either way.
 
 The engine deliberately works at the level of per-round aggregate counts —
 the same abstraction the paper's analysis lives at.  Full block-tree dynamics
@@ -64,7 +63,7 @@ from ..backend import (
     resolve_chunk_cells,
 )
 from ..core.concat_chain import convergence_opportunity_mask
-from ..errors import SimulationError
+from ..errors import ParameterError, SimulationError
 from ..observability import METRICS as _METRICS, TRACE as _TRACE
 from ..params import ProtocolParameters
 from .rng import SeedLike, resolve_rng
@@ -202,51 +201,86 @@ def _bernoulli_counts(
 def count_convergence_opportunities_batch(honest_counts, delta: int):
     """Per-trial convergence-opportunity counts for a ``(trials, rounds)`` tensor."""
     xp = get_backend()
-    index_dtype = get_dtype_policy().index_dtype(xp)
-    mask = convergence_opportunity_mask(xp.to_host(honest_counts), delta)
-    return xp.from_host(mask).sum(axis=1, dtype=index_dtype)
+    policy = get_dtype_policy()
+    index_dtype = policy.index_dtype(xp)
+    counts = xp.asarray(honest_counts, dtype=index_dtype)
+    if delta < 1 or counts.ndim != 2:
+        raise ParameterError(
+            f"need delta >= 1 and 2-D counts, got {delta!r}, {counts.shape}"
+        )
+    return _opportunity_mask(xp, policy, counts, delta).sum(axis=1, dtype=index_dtype)
 
 
-def _opportunity_mask_ws(
-    workspace: Workspace, xp: ArrayBackend, counts, delta: int, mask_dtype, index_dtype
+def _scratch(workspace: Optional[Workspace], xp: ArrayBackend, tag: str, shape, dtype):
+    """The workspace's ``tag`` buffer, or a fresh one without a workspace."""
+    if workspace is None:
+        return xp.empty(shape, dtype=dtype)
+    return workspace.empty(tag, shape, dtype)
+
+
+def _opportunity_mask(
+    xp: ArrayBackend, policy, counts, delta: int, workspace: Optional[Workspace] = None
 ):
-    """Workspace variant of :func:`convergence_opportunity_mask`.
+    """The mask kernel: where the ``N^Δ H_1 N^Δ`` pattern of Eq. (42) completes.
 
-    Value-identical to the reference (the window centres ``delta ..
-    rounds-delta-1`` are contiguous, so the reference's fancy-indexed
-    gathers become slice views), with every intermediate stored into a
-    preallocated buffer.  The returned mask lives in the workspace — callers
-    reduce or copy it before the next kernel invocation reuses the tag.
+    Equal to :func:`~repro.core.concat_chain.convergence_opportunity_mask`,
+    with boolean ops only.  ``run[i]`` marks rounds ``i .. i+span-1`` all
+    empty; shifted in-place ``logical_and`` passes over the flattened buffer
+    double ``span`` up to Δ (⌈log₂Δ⌉ passes; windows straddling two trials
+    are never read).  Round ``r`` completes an opportunity when ``run[r-2Δ]``
+    and ``run[r-Δ+1]`` hold and the centre ``r-Δ`` has one honest block.
+    With a ``workspace`` the mask lives there until the next call.
     """
     trials, rounds = counts.shape
-    mask = workspace.zeros("mask.out", (trials, rounds), mask_dtype)
-    if rounds < 2 * delta + 1:
-        return mask
+    mask_dtype = policy.mask_dtype(xp)
+    mask = _scratch(workspace, xp, "mask.out", (trials, rounds), mask_dtype)
     width = rounds - 2 * delta
-    flags = workspace.empty("mask.flags", (trials, rounds), mask_dtype)
-    xp.equal(counts, 0, out=flags)
-    cumulative = workspace.empty("mask.cumulative", (trials, rounds + 1), index_dtype)
-    cumulative[:, 0] = 0
-    xp.cumsum(flags, axis=1, dtype=index_dtype, out=cumulative[:, 1:])
+    if width < 1:
+        mask[...] = 0
+        return mask
+    mask[:, : 2 * delta] = 0
+    run = _scratch(workspace, xp, "mask.run", (trials, rounds), mask_dtype)
+    xp.equal(counts, 0, out=run)
+    flat = run.reshape(-1)
+    span = 1
+    while span < delta:
+        step = min(span, delta - span)
+        xp.logical_and(flat[:-step], flat[step:], out=flat[:-step])
+        span += step
     hits = mask[:, 2 * delta :]
-    window = workspace.empty("mask.window", (trials, width), index_dtype)
-    # Empty-window sum over the delta rounds before each centre ...
-    xp.subtract(
-        cumulative[:, delta : rounds - delta], cumulative[:, :width], out=window
-    )
-    xp.equal(window, delta, out=hits)
-    # ... and over the delta rounds after it.
-    xp.subtract(
-        cumulative[:, 2 * delta + 1 :],
-        cumulative[:, delta + 1 : rounds - delta + 1],
-        out=window,
-    )
-    side = flags[:, :width]
-    xp.equal(window, delta, out=side)
-    xp.logical_and(hits, side, out=hits)
-    xp.equal(counts[:, delta : rounds - delta], 1, out=side)
-    xp.logical_and(hits, side, out=hits)
+    xp.logical_and(run[:, :width], run[:, delta + 1 : rounds - delta + 1], out=hits)
+    single = run[:, :width]
+    xp.equal(counts[:, delta : rounds - delta], 1, out=single)
+    xp.logical_and(hits, single, out=hits)
     return mask
+
+
+def _window_drawdown(
+    xp: ArrayBackend, policy, mask, adversary, workspace=None, level=None
+):
+    """The drawdown kernel: ``(worst windowed deficits, first crossings)``.
+
+    The drawdown of ``D_r = C(1,r) - A(1,r)`` from the baseline ``D_0 = 0``
+    is the worst deficit over windows ending by round ``r``: a subtraction,
+    an in-place ``cumsum``, a ``maximum_accumulate`` and a subtraction.
+    Given a ``level``, the second entry is each trial's first column where
+    the drawdown reaches it (the rounds that prefix spans; 0 if never),
+    else ``None``.
+    """
+    index_dtype = policy.index_dtype(xp)
+    trials, rounds = mask.shape
+    shape = (trials, rounds + 1)
+    running = _scratch(workspace, xp, "deficit.running", shape, index_dtype)
+    running[:, 0] = 0
+    xp.subtract(mask, adversary, out=running[:, 1:])
+    xp.cumsum(running[:, 1:], axis=1, dtype=index_dtype, out=running[:, 1:])
+    drawdown = _scratch(workspace, xp, "deficit.drawdown", shape, index_dtype)
+    xp.maximum_accumulate(running, axis=1, out=drawdown)
+    xp.subtract(drawdown, running, out=drawdown)
+    deficits = drawdown.max(axis=1)
+    if level is None:
+        return deficits, None
+    return deficits, (drawdown >= level).argmax(axis=1)
 
 
 def worst_window_deficits(
@@ -265,43 +299,18 @@ def worst_window_deficits(
     which adversarial blocks outnumbered convergence opportunities by ``d`` —
     the analytical analogue of a depth-``d`` consistency threat.
 
-    With a ``workspace`` the drawdown scan writes into preallocated buffers
-    (same values, no per-call allocation); without one it takes the
-    reference per-call-allocation path.
+    A validating front end to the engines' drawdown kernel.
     """
     xp = get_backend(backend)
-    index_dtype = get_dtype_policy(policy).index_dtype(xp)
-    mask = xp.asarray(opportunity_mask)
+    policy = get_dtype_policy(policy)
+    index_dtype = policy.index_dtype(xp)
+    mask = xp.asarray(opportunity_mask, dtype=index_dtype)
     adversary = xp.asarray(adversary_counts, dtype=index_dtype)
     if mask.shape != adversary.shape:
         raise SimulationError(
             f"mask shape {mask.shape} does not match adversary shape {adversary.shape}"
         )
-    if workspace is not None:
-        return _worst_window_deficits_ws(workspace, xp, mask, adversary, index_dtype)
-    difference = xp.cumsum(xp.asarray(mask, dtype=index_dtype) - adversary, axis=1)
-    # Prepend the empty-window baseline 0 so windows starting at round 1 count.
-    baseline = xp.zeros((difference.shape[0], 1), dtype=index_dtype)
-    padded = xp.concatenate([baseline, difference], axis=1)
-    running_max = xp.maximum_accumulate(padded, axis=1)
-    return (running_max - padded).max(axis=1)
-
-
-def _worst_window_deficits_ws(
-    workspace: Workspace, xp: ArrayBackend, mask, adversary, index_dtype
-):
-    """Workspace variant of the drawdown scan (value-identical, no allocation
-    beyond the returned per-trial reduction)."""
-    trials, rounds = mask.shape
-    padded = workspace.empty("deficit.padded", (trials, rounds + 1), index_dtype)
-    padded[:, 0] = 0
-    difference = workspace.empty("deficit.difference", (trials, rounds), index_dtype)
-    xp.subtract(mask, adversary, out=difference)
-    xp.cumsum(difference, axis=1, dtype=index_dtype, out=padded[:, 1:])
-    running = workspace.empty("deficit.running", (trials, rounds + 1), index_dtype)
-    xp.maximum_accumulate(padded, axis=1, out=running)
-    xp.subtract(running, padded, out=running)
-    return running.max(axis=1)
+    return _window_drawdown(xp, policy, mask, adversary, workspace)[0]
 
 
 def _confidence_interval(values: np.ndarray) -> Tuple[float, float]:
@@ -512,10 +521,11 @@ class BatchSimulation:
         :class:`~repro.simulation.topology.MiningPowerProfile`; validated
         against ``params`` before any draw.
     workspace:
-        Optional :class:`~repro.backend.Workspace` of preallocated scratch
-        buffers; pass one workspace across repeated runs (as
-        :class:`~repro.simulation.runner.ExperimentRunner` does) and the
-        window kernels stop allocating.  Results never alias the workspace.
+        Optional :class:`~repro.backend.Workspace` the mask and drawdown
+        kernels take their scratch buffers from; pass one workspace across
+        repeated runs (as :class:`~repro.simulation.runner.ExperimentRunner`
+        does) and they stop allocating.  Without one they allocate per call
+        and run the same arithmetic.  Results never alias the workspace.
 
     The engine binds the ambient backend and dtype policy at construction
     (``use_backend`` / ``use_dtype_policy`` contexts, or the
@@ -646,21 +656,9 @@ class BatchSimulation:
         _METRICS.increment("engine.batch.rounds", trials * rounds)
         with _TRACE.span("batch.mask", trials=trials, rounds=rounds):
             if delays is None:
-                if self.workspace is not None:
-                    mask = _opportunity_mask_ws(
-                        self.workspace,
-                        xp,
-                        honest,
-                        self.params.delta,
-                        self.policy.mask_dtype(xp),
-                        index_dtype,
-                    )
-                else:
-                    mask = xp.from_host(
-                        convergence_opportunity_mask(
-                            xp.to_host(honest), self.params.delta
-                        )
-                    )
+                mask = _opportunity_mask(
+                    xp, self.policy, honest, self.params.delta, self.workspace
+                )
             else:
                 mask = convergence_opportunity_mask_with_delays(
                     honest,
@@ -671,12 +669,8 @@ class BatchSimulation:
                     policy=self.policy,
                 )
         with _TRACE.span("batch.deficits", trials=trials, rounds=rounds):
-            deficits = worst_window_deficits(
-                mask,
-                adversary,
-                workspace=self.workspace,
-                backend=xp,
-                policy=self.policy,
+            deficits, _ = _window_drawdown(
+                xp, self.policy, mask, adversary, self.workspace
             )
         return BatchResult(
             params=self.params,

@@ -72,12 +72,13 @@ from ..backend import (
     get_dtype_policy,
     resolve_chunk_cells,
 )
-from ..core.concat_chain import convergence_opportunity_mask
 from ..errors import SimulationError
 from ..observability import METRICS as _METRICS, TRACE as _TRACE
 from ..params import ProtocolParameters
 from .batch import (
     BatchSimulation,
+    _opportunity_mask,
+    _window_drawdown,
     draw_mining_traces,
     proportion_confidence_interval,
 )
@@ -487,8 +488,9 @@ class RareEventSimulation:
         Source of randomness; one generator drives the pilot stages and the
         main run in order, so a seed fully determines the estimate.
     workspace:
-        Optional :class:`~repro.backend.Workspace` shared with the batch
-        engine's window kernels.
+        Optional :class:`~repro.backend.Workspace` for the batch engine's
+        kernels in the pilot and plain runs; the first-crossing scan of
+        tilted and splitting runs allocates its own scratch.
     chunk_cells:
         Optional per-chunk cell budget override; ``None`` defers to the
         module-level ``_RARE_CHUNK_CELLS`` hook and then to the shared
@@ -697,13 +699,11 @@ class RareEventSimulation:
                 # trial's first crossing (honest side `delta` rounds further).
                 adversary_cut = first_crossing[reached]
                 honest_cut = np.minimum(adversary_cut + delta, rounds)
-                rows = np.arange(adversary_cut.size)
-                honest_blocks = np.cumsum(
-                    honest_host[reached], axis=1, dtype=np.int64
-                )[rows, honest_cut - 1]
-                adversary_blocks = np.cumsum(
-                    adversary_host[reached], axis=1, dtype=np.int64
-                )[rows, adversary_cut - 1]
+                starts = np.nonzero(reached)[0] * rounds
+                honest_blocks = _prefix_totals(honest_host, starts, honest_cut)
+                adversary_blocks = _prefix_totals(
+                    adversary_host, starts, adversary_cut
+                )
                 log_ratio = log_likelihood_ratios(
                     self.params,
                     tilt,
@@ -856,20 +856,31 @@ class RareEventSimulation:
 
         The drawdown of the running difference ``D_r = C(1,r) - A(1,r)``
         after round ``r`` equals the worst deficit over windows ending at or
-        before ``r``; its first crossing of ``level`` is the cloning point
-        for the splitting stages.  Host-side analysis (the crossing scan is
-        a control-flow step, not a hot kernel).
+        before ``r``; its first crossing of ``level`` stops the tilted
+        likelihood ratio and is the splitting stages' cloning point.  The
+        batch kernels' scan of the whole chunk is the largest cost of a
+        tilted run after the draws; it takes no workspace, so chunk-sized
+        scratch never stays pinned in the runner's pool.
         """
-        mask = convergence_opportunity_mask(honest, self.params.delta)
-        difference = np.cumsum(mask.astype(np.int64) - adversary, axis=1)
-        padded = np.concatenate(
-            [np.zeros((difference.shape[0], 1), dtype=np.int64), difference],
-            axis=1,
+        xp = self.engine.backend
+        policy = self.engine.policy
+        mask = _opportunity_mask(xp, policy, xp.from_host(honest), self.params.delta)
+        deficits, first = _window_drawdown(
+            xp, policy, mask, xp.from_host(adversary), level=level
         )
-        drawdown = np.maximum.accumulate(padded, axis=1) - padded
-        crossed = drawdown >= level
-        reached = crossed.any(axis=1)
-        # argmax yields the first True column; the padded index is exactly
-        # the number of rounds the prefix spans.
-        first_crossing = np.argmax(crossed, axis=1)
-        return reached, first_crossing
+        return xp.to_host(deficits >= level), xp.to_host(first)
+
+
+def _prefix_totals(counts: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """Sums of ``counts.flat[start : start + length]`` from one ``reduceat``.
+
+    ``starts`` are increasing row offsets and lengths are positive; the sums
+    between one prefix's end and the next start are dropped.  An end equal
+    to the array length is left off: ``reduceat`` indices must be valid, and
+    its last segment runs to the end anyway.
+    """
+    flat = counts.reshape(-1)
+    bounds = np.stack([starts, starts + lengths], axis=1).reshape(-1)
+    if bounds[-1] == flat.size:
+        bounds = bounds[:-1]
+    return np.add.reduceat(flat, bounds, dtype=np.int64)[::2]

@@ -83,7 +83,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..backend import Workspace, get_backend, get_dtype_policy
-from ..core.concat_chain import convergence_opportunity_mask
 from ..errors import SimulationError
 from ..observability import METRICS as _METRICS, TRACE as _TRACE
 from ..params import ProtocolParameters
@@ -98,10 +97,10 @@ from .adversary import (
 from .batch import (
     DRAW_MODES,
     _confidence_interval,
-    _opportunity_mask_ws,
+    _opportunity_mask,
+    _window_drawdown,
     draw_mining_traces,
     proportion_confidence_interval,
-    worst_window_deficits,
 )
 from .rng import SeedLike, resolve_rng
 from .topology import (
@@ -1208,21 +1207,9 @@ class ScenarioSimulation:
                 )
         with _TRACE.span("scenario.mask", trials=trials, rounds=rounds):
             if delays is None:
-                if self.workspace is not None:
-                    mask = _opportunity_mask_ws(
-                        self.workspace,
-                        xp,
-                        honest,
-                        self.params.delta,
-                        self.policy.mask_dtype(xp),
-                        index_dtype,
-                    )
-                else:
-                    mask = xp.from_host(
-                        convergence_opportunity_mask(
-                            xp.to_host(honest), self.params.delta
-                        )
-                    )
+                mask = _opportunity_mask(
+                    xp, self.policy, honest, self.params.delta, self.workspace
+                )
             else:
                 mask = convergence_opportunity_mask_with_delays(
                     honest,
@@ -1238,12 +1225,8 @@ class ScenarioSimulation:
             for start, end in cut_windows:
                 mask[:, start:end] = 0
         with _TRACE.span("scenario.deficits", trials=trials, rounds=rounds):
-            deficits = worst_window_deficits(
-                mask,
-                adversary,
-                workspace=self.workspace,
-                backend=xp,
-                policy=self.policy,
+            deficits, _ = _window_drawdown(
+                xp, self.policy, mask, adversary, self.workspace
             )
         return ScenarioResult(
             params=self.params,

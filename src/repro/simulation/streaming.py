@@ -69,6 +69,7 @@ from ..params import ProtocolParameters
 from .batch import (
     BatchResult,
     BatchSimulation,
+    _scratch,
     draw_mining_traces,
     proportion_confidence_interval,
 )
@@ -759,9 +760,7 @@ class StreamingBatchSimulation:
         return self.engine.draw_mode
 
     def _buffer(self, tag: str, shape, dtype):
-        if self.workspace is not None:
-            return self.workspace.empty(tag, shape, dtype)
-        return self.engine.backend.empty(shape, dtype=dtype)
+        return _scratch(self.workspace, self.engine.backend, tag, shape, dtype)
 
     def _block_sizes(self, trials: int, block: int, first: int, last: int):
         """Trial counts of seed blocks ``first .. last-1`` (last may be short)."""

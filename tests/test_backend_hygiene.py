@@ -49,9 +49,9 @@ HOT_PATHS = [
     (batch, "draw_mining_traces"),
     (batch, "_bernoulli_counts"),
     (batch, "count_convergence_opportunities_batch"),
-    (batch, "_opportunity_mask_ws"),
+    (batch, "_opportunity_mask"),
     (batch, "worst_window_deficits"),
-    (batch, "_worst_window_deficits_ws"),
+    (batch, "_window_drawdown"),
     (batch, "BatchSimulation.run_traces"),
     (scenarios, "_max_window_successes"),
     (scenarios, "ScenarioSimulation.run_traces"),
@@ -68,6 +68,7 @@ HOT_PATHS = [
     (dynamics, "compile_schedule"),
     (dynamics, "TimeVaryingDelayModel.draw_delays"),
     (rare_events, "draw_tilted_traces"),
+    (rare_events, "RareEventSimulation._first_crossings"),
     (streaming, "StreamingBatchSimulation._stream"),
     (streaming, "StreamingScenarioSimulation._stream"),
     (streaming, "StreamingAccumulator.update"),

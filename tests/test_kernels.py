@@ -1,0 +1,248 @@
+"""Oracle tests for the batch engine's mask and drawdown kernels.
+
+Every engine checks Lemma 1 through two kernels in
+:mod:`repro.simulation.batch`: the opportunity mask of Eq. (42) and the
+windowed A - C drawdown, which can also report each trial's first crossing
+of a level.  The oracles are the allocating implementations the kernels
+replaced: core's
+:func:`~repro.core.concat_chain.convergence_opportunity_mask` for the mask,
+a ``cumsum`` / ``maximum.accumulate`` drawdown, and the first-crossing scan
+the rare-event estimator used to run on its own.  The kernels must match
+them bit for bit, with and without a workspace, under both dtype policies.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import repro.simulation.rare_events as rare_events
+from repro.backend import Workspace, get_backend, get_dtype_policy, use_dtype_policy
+from repro.core.concat_chain import convergence_opportunity_mask
+from repro.params import parameters_from_c
+from repro.simulation.batch import (
+    _opportunity_mask,
+    _window_drawdown,
+    count_convergence_opportunities_batch,
+    worst_window_deficits,
+)
+from repro.simulation.rare_events import (
+    ExponentialTilt,
+    RareEventSimulation,
+    _prefix_totals,
+    log_likelihood_ratios,
+)
+
+POLICIES = ("wide", "compact")
+DELTAS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 16)
+
+
+def reference_drawdown(mask, adversary) -> np.ndarray:
+    """The allocating drawdown: ``(trials, rounds + 1)`` worst deficits so far."""
+    difference = np.cumsum(
+        np.asarray(mask, dtype=np.int64) - np.asarray(adversary, dtype=np.int64),
+        axis=1,
+    )
+    # Prepend the empty-window baseline 0 so windows starting at round 1 count.
+    baseline = np.zeros((difference.shape[0], 1), dtype=np.int64)
+    padded = np.concatenate([baseline, difference], axis=1)
+    return np.maximum.accumulate(padded, axis=1) - padded
+
+
+def reference_first_crossings(honest, adversary, delta: int, level: int):
+    """The first-crossing scan on core's mask: ``(reached, first_crossing)``."""
+    mask = convergence_opportunity_mask(honest, delta)
+    crossed = reference_drawdown(mask, adversary) >= level
+    # argmax yields the first True column; the padded index is exactly the
+    # number of rounds the prefix spans.
+    return crossed.any(axis=1), np.argmax(crossed, axis=1)
+
+
+def _traces(rounds: int, trials: int = 24, seed: int = 0, dtype=np.int64):
+    """Sparse honest counts (long empty runs, some singles) and adversary counts."""
+    rng = np.random.default_rng(seed)
+    honest = rng.poisson(rng.uniform(0.05, 0.8, size=(trials, 1)), (trials, rounds))
+    adversary = rng.poisson(0.2, size=(trials, rounds))
+    return honest.astype(dtype), adversary.astype(dtype)
+
+
+class TestKernels:
+    @pytest.mark.parametrize("policy_name", POLICIES)
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_kernels_match_oracles_around_the_shortest_traces(self, policy_name, delta):
+        """Both kernels, on and off a workspace, from ``2Δ`` rounds up.
+
+        Δ runs past 4, the first doubling step that is not a power of two.
+        """
+        policy = get_dtype_policy(policy_name)
+        xp = get_backend()
+        index_dtype = policy.index_dtype(xp)
+        workspace = Workspace()
+        for rounds in (2 * delta, 2 * delta + 1, 2 * delta + 2, 400):
+            honest, adversary = _traces(rounds, seed=delta * 1_000 + rounds)
+            expected_mask = convergence_opportunity_mask(honest, delta)
+            expected = reference_drawdown(expected_mask, adversary).max(axis=1)
+            adversary = adversary.astype(index_dtype)
+            for pool in (None, workspace):
+                mask = _opportunity_mask(
+                    xp, policy, honest.astype(index_dtype), delta, pool
+                )
+                assert mask.dtype == policy.mask_dtype(xp)
+                assert np.array_equal(mask.astype(bool), expected_mask), rounds
+                deficits, crossings = _window_drawdown(
+                    xp, policy, mask, adversary, pool
+                )
+                assert crossings is None
+                assert np.array_equal(deficits, expected)
+                assert np.array_equal(
+                    worst_window_deficits(
+                        mask, adversary, workspace=pool, policy=policy
+                    ),
+                    expected,
+                )
+        # The sparse traces do exercise the pattern (no vacuous pass).
+        assert expected_mask.any()
+
+    @pytest.mark.parametrize("policy_name", POLICIES)
+    def test_batch_counts_match_core_mask(self, policy_name):
+        honest, _ = _traces(300)
+        with use_dtype_policy(policy_name):
+            counts = count_convergence_opportunities_batch(honest, 5)
+        expected = convergence_opportunity_mask(honest, 5).sum(axis=1)
+        assert np.array_equal(counts, expected)
+
+    def test_stale_workspace_buffers_do_not_leak(self):
+        """A reused buffer holding a previous run's values gives fresh results."""
+        policy = get_dtype_policy("wide")
+        xp = get_backend()
+        workspace = Workspace()
+        for seed in (3, 4, 5):
+            honest, _ = _traces(50, trials=8, seed=seed)
+            got = _opportunity_mask(xp, policy, honest, 3, workspace)
+            assert np.array_equal(got, convergence_opportunity_mask(honest, 3))
+
+
+class TestDrawdownKernel:
+    @pytest.mark.parametrize("policy_name", POLICIES)
+    def test_first_crossing_at_every_level(self, policy_name):
+        policy = get_dtype_policy(policy_name)
+        xp = get_backend()
+        honest, adversary = _traces(120, trials=64, seed=7)
+        mask = convergence_opportunity_mask(honest, 2)
+        drawdown = reference_drawdown(mask, adversary)
+        for level in range(1, int(drawdown.max()) + 2):
+            crossed = drawdown >= level
+            deficits, first = _window_drawdown(
+                xp,
+                policy,
+                mask,
+                adversary.astype(policy.index_dtype(xp)),
+                level=level,
+            )
+            assert np.array_equal(deficits >= level, crossed.any(axis=1))
+            assert np.array_equal(first, np.argmax(crossed, axis=1))
+
+
+class TestFirstCrossings:
+    """``RareEventSimulation._first_crossings`` against the old private scan."""
+
+    @pytest.mark.parametrize("policy_name", POLICIES)
+    @pytest.mark.parametrize("delta", (1, 2, 5))
+    def test_matches_oracle_at_every_level(self, policy_name, delta):
+        params = parameters_from_c(c=4.0, n=1_000, delta=delta, nu=0.2)
+        depth = 6
+        rounds = 60
+        with use_dtype_policy(policy_name) as policy:
+            estimator = RareEventSimulation(params, depth=depth, rng=0)
+            index_dtype = policy.index_dtype(estimator.engine.backend)
+        honest, adversary = _traces(rounds, trials=200, seed=delta, dtype=index_dtype)
+        # Rows with no adversarial block never cross any level.
+        adversary[:20] = 0
+        late = never = 0
+        for level in range(1, depth + 1):
+            reached, first = estimator._first_crossings(honest, adversary, level)
+            expected_reached, expected_first = reference_first_crossings(
+                honest, adversary, delta, level
+            )
+            assert reached.dtype == bool
+            assert np.array_equal(reached, expected_reached)
+            assert np.array_equal(first, expected_first)
+            late += int((first[reached] > rounds - delta).sum())
+            never += int((~reached).sum())
+        # The data covers crossings inside the last delta rounds and rows
+        # that never cross.
+        assert late > 0 and never > 0
+
+
+class TestStoppedTotals:
+    def test_prefix_totals_match_row_cumsums(self):
+        rng = np.random.default_rng(5)
+        counts = rng.integers(0, 4, size=(9, 30))
+        rows = np.array([0, 2, 3, 8])
+        for lengths in (
+            np.array([1, 30, 17, 30]),  # the last prefix ends at the array end
+            np.array([30, 30, 30, 5]),  # prefixes ending where the next row starts
+            np.array([2, 7, 1, 1]),
+        ):
+            prefix_sums = np.cumsum(counts[rows], axis=1)
+            expected = prefix_sums[np.arange(rows.size), lengths - 1]
+            got = _prefix_totals(counts, rows * counts.shape[1], lengths)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expected)
+
+    def test_single_row_spanning_the_whole_array(self):
+        counts = np.arange(12).reshape(1, 12)
+        assert _prefix_totals(counts, np.array([0]), np.array([12])).tolist() == [66]
+
+    @pytest.mark.parametrize("policy_name", POLICIES)
+    def test_last_reached_row_crossing_in_the_final_round(
+        self, policy_name, monkeypatch
+    ):
+        """``run_tilted`` on crafted traces matches the old cumsum totals.
+
+        The last trial of the chunk crosses the depth in the final round, so
+        both its honest and adversarial prefix ends equal the flat array
+        length; the middle trial never crosses.
+        """
+        params = parameters_from_c(c=4.0, n=1_000, delta=2, nu=0.2)
+        tilt = ExponentialTilt.from_theta(params, 0.5)
+        depth, rounds = 3, 12
+        honest = np.full((3, rounds), 2)
+        honest[0, :6] = [0, 0, 1, 0, 0, 0]
+        adversary = np.zeros((3, rounds), dtype=np.int64)
+        adversary[0, 3:7] = 1
+        adversary[2, -3:] = 1
+
+        def crafted(params_, tilt_, trials, rounds_, rng, backend=None, policy=None):
+            dtype = policy.index_dtype(backend)
+            return (
+                backend.asarray(honest[:trials], dtype=dtype),
+                backend.asarray(adversary[:trials], dtype=dtype),
+            )
+
+        monkeypatch.setattr(rare_events, "draw_tilted_traces", crafted)
+        with use_dtype_policy(policy_name):
+            result = RareEventSimulation(params, depth=depth, rng=0).run_tilted(
+                trials=3, rounds=rounds, tilt=tilt
+            )
+
+        reached, first = reference_first_crossings(
+            honest, adversary, params.delta, depth
+        )
+        assert reached.tolist() == [True, False, True]
+        assert first[2] == rounds
+        cut = first[reached]
+        honest_cut = np.minimum(cut + params.delta, rounds)
+        rows = np.arange(cut.size)
+        honest_blocks = np.cumsum(honest[reached], axis=1)[rows, honest_cut - 1]
+        adversary_blocks = np.cumsum(adversary[reached], axis=1)[rows, cut - 1]
+        weights = np.exp(
+            np.minimum(
+                log_likelihood_ratios(
+                    params, tilt, honest_blocks, adversary_blocks, honest_cut, cut
+                ),
+                700.0,
+            )
+        )
+        assert result.hits == 2
+        assert result.probability == float(weights.sum()) / 3
