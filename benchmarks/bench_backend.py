@@ -1,6 +1,6 @@
-"""Benchmark: the batch engine's kernels against the allocating reference, and dispatch.
+"""Benchmark: the batch engine's kernels and binomial draws, and dispatch.
 
-Two claims are measured:
+Three claims are measured:
 
 * **kernel speed** — the batch engine's deterministic analysis half
   (`run_traces`: the opportunity-mask kernel plus the drawdown kernel, with
@@ -10,6 +10,12 @@ Two claims are measured:
   ``maximum.accumulate`` drawdown, allocating every intermediate on each
   call.  Both produce bit-identical results (asserted here and pinned by
   ``tests/test_kernels.py``).
+* **sampler speed** — the active backend's ``binomial`` must draw one
+  streamed seed block (``seed_block_trials(1000)`` trials x 1,000 rounds,
+  ``n`` = 700 honest and 300 adversarial miners at the near-bound
+  ``nu = 0.3`` point) >= 1.5x faster than ``Generator.binomial``, and return
+  the same array from the same seed (pinned over NumPy's whole inversion
+  regime by ``tests/test_binomial_sampler.py``).
 * **accelerator availability** — every registered backend is probed; when
   an accelerator (CuPy / torch via ``array_api_compat``) is installed its
   engine throughput is recorded as an extra datapoint, and when it is not
@@ -31,9 +37,15 @@ from repro.backend import (
     get_backend,
     use_backend,
 )
+from repro.core.bounds import neat_bound
 from repro.core.concat_chain import convergence_opportunity_mask
 from repro.params import parameters_from_c
-from repro.simulation import BatchSimulation, ScenarioSimulation, draw_mining_traces
+from repro.simulation import (
+    BatchSimulation,
+    ScenarioSimulation,
+    draw_mining_traces,
+    seed_block_trials,
+)
 
 TRIALS = bench_scale(128, 256)
 ROUNDS = bench_scale(4_000, 8_000)
@@ -42,6 +54,10 @@ PARAMS = parameters_from_c(c=4.0, n=1_000, delta=3, nu=0.2)
 
 #: Required speedup of the engine's kernels over the allocating reference.
 KERNEL_SPEEDUP_GATE = 3.0
+#: Required speedup of the backend's binomial draws over ``Generator.binomial``.
+SAMPLER_SPEEDUP_GATE = 1.5
+SAMPLER_REPEATS = bench_scale(7, 20)
+NEAR_BOUND = parameters_from_c(c=1.1 * neat_bound(0.3), n=1_000, delta=4, nu=0.3)
 
 
 def _best_of(repeats, callable_):
@@ -104,6 +120,67 @@ def test_kernels_beat_the_allocating_reference():
             "speedup": speedup,
             "workspace_nbytes": workspace.nbytes,
             "gate": KERNEL_SPEEDUP_GATE,
+        },
+    )
+
+
+def test_sampler_beats_generator_binomial():
+    """``get_backend().binomial`` must be >= 1.5x faster than NumPy's.
+
+    Both sides draw the per-round block counts of one streamed seed block
+    from generators seeded alike, and must return the same array.
+    """
+    xp = get_backend()
+    shape = (seed_block_trials(1_000), 1_000)
+    miners = (
+        round(NEAR_BOUND.honest_count),
+        round(NEAR_BOUND.adversary_count),
+    )
+    for count in miners:
+        drawn = xp.binomial(np.random.default_rng(5), count, NEAR_BOUND.p, shape)
+        expected = np.random.default_rng(5).binomial(count, NEAR_BOUND.p, size=shape)
+        assert np.array_equal(xp.to_host(drawn), expected)
+
+    # The two sides alternate on every repeat, so noise hits both alike.
+    rng = np.random.default_rng(0)
+    numpy_seconds = sampler_seconds = 0.0
+    for count in miners:
+        numpy_best = sampler_best = float("inf")
+        for _ in range(SAMPLER_REPEATS):
+            numpy_best = min(
+                numpy_best,
+                _best_of(1, lambda: rng.binomial(count, NEAR_BOUND.p, size=shape)),
+            )
+            sampler_best = min(
+                sampler_best,
+                _best_of(1, lambda: xp.binomial(rng, count, NEAR_BOUND.p, shape)),
+            )
+        numpy_seconds += numpy_best
+        sampler_seconds += sampler_best
+    speedup = numpy_seconds / sampler_seconds
+    print(
+        f"\nBinomial draws of a {shape[0]} x {shape[1]} seed block at n = "
+        f"{miners}, p = {NEAR_BOUND.p:.4g}: Generator.binomial "
+        f"{numpy_seconds * 1e3:.2f}ms, {xp.name} backend "
+        f"{sampler_seconds * 1e3:.2f}ms, {speedup:.2f}x"
+    )
+    assert speedup >= SAMPLER_SPEEDUP_GATE, (
+        f"{xp.name} binomial only {speedup:.2f}x faster than Generator.binomial"
+    )
+
+    record_trajectory(
+        "backend_binomial",
+        {
+            "trials": shape[0],
+            "rounds": shape[1],
+            "honest_miners": miners[0],
+            "adversary_miners": miners[1],
+            "p": NEAR_BOUND.p,
+            "repeats": SAMPLER_REPEATS,
+            "numpy_seconds": numpy_seconds,
+            "sampler_seconds": sampler_seconds,
+            "speedup": speedup,
+            "gate": SAMPLER_SPEEDUP_GATE,
         },
     )
 

@@ -240,12 +240,16 @@ engines dispatches through :mod:`repro.backend` — a registry of
 :class:`~repro.backend.ArrayBackend` dispatch tables selected ambiently by
 :func:`~repro.backend.use_backend` contexts or the ``REPRO_BACKEND``
 environment variable, with no engine-code changes.  The NumPy reference
-backend *is* NumPy (every op is the library function itself), so the
-default configuration is bit-identical to the pre-backend engines — pinned
-by pre-refactor golden digests; the optional ``array_api`` backend
-activates CuPy or torch through ``array_api_compat`` when installed and
-degrades to a clear :class:`~repro.errors.BackendUnavailableError`
-otherwise.  Randomness is always drawn host-side through the caller's
+backend's array ops are the library functions themselves, and its
+``binomial`` draws the per-round block counts with a vectorized copy of
+NumPy's inversion sampler: the same array as ``Generator.binomial``, the
+generator left in the same state, about twice as fast at the paper's
+points.  So the default configuration is bit-identical to the pre-backend
+engines — pinned by pre-refactor golden digests; the optional
+``array_api`` backend activates CuPy or torch through ``array_api_compat``
+when installed and degrades to a clear
+:class:`~repro.errors.BackendUnavailableError` otherwise.  Randomness is
+always drawn host-side through the caller's
 :class:`numpy.random.Generator` and bridged to the device, so one seed
 produces one bit stream on every backend, and results return to host NumPy
 at the engine boundary (the analysis layer and the runner's caches stay

@@ -28,7 +28,9 @@
   (``BENCH_trajectory.json``) rendered as diffable plain-text tables, plus
   :func:`~repro.analysis.perf_report.detect_regressions`, the CI perf
   sentinel that compares each benchmark's newest record to the median of
-  its prior same-mode history.
+  its prior same-mode history.  Its names load on first use, so
+  ``python -m repro.analysis.perf_report`` runs a module the package has
+  not imported yet.
 """
 
 from .attack_sweeps import ATTACK_SCENARIOS, attack_success_grid, attack_surface_sweep
@@ -58,14 +60,6 @@ from .sweeps import (
     implication_chain_ablation,
     security_margin_sweep,
     simulation_sweep,
-)
-from .perf_report import (
-    DEFAULT_MIN_HISTORY,
-    DEFAULT_TOLERANCE,
-    detect_regressions,
-    latest_by_benchmark,
-    perf_trajectory_rows,
-    perf_trajectory_table,
 )
 from .tables import format_value, render_mapping, render_table, table_i
 from .tail_sweeps import (
@@ -140,3 +134,12 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "DEFAULT_MIN_HISTORY",
 ]
+
+
+def __getattr__(name: str):
+    # The only public names not imported above are perf_report's.
+    if name in __all__:
+        from . import perf_report
+
+        return getattr(perf_report, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

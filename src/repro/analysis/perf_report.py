@@ -51,6 +51,7 @@ HEADLINE_METRICS = {
     "topology": "speedup",
     "dynamics": "speedup",
     "backend": "speedup",
+    "backend_binomial": "speedup",
     "equivocation": "speedup",
     "rare_events": "variance_reduction",
     "observability": "overhead_fraction",

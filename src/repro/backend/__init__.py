@@ -9,8 +9,10 @@ calls.  The layer has four pieces:
   ambient selection: ``use_backend("...")`` contexts (nesting, innermost
   wins), the ``REPRO_BACKEND`` environment variable, and the NumPy default.
 * **backends** — :class:`~repro.backend.numpy_backend.NumpyBackend` (the
-  reference: every op *is* the NumPy function, so results are bit-identical
-  to the pre-backend engines) and
+  reference: every array op *is* the NumPy function, and ``binomial`` is a
+  vectorized copy of NumPy's inversion sampler that returns
+  ``Generator.binomial``'s bits, about twice as fast at ``n * p <= 1``, so
+  results are bit-identical to the pre-backend engines) and
   :class:`~repro.backend.array_api.ArrayApiBackend` (CuPy / torch through
   ``array_api_compat`` when installed; a clean
   :class:`~repro.errors.BackendUnavailableError` otherwise).  Randomness is

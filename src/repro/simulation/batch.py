@@ -65,7 +65,7 @@ from ..backend import (
 from ..core.concat_chain import convergence_opportunity_mask
 from ..errors import ParameterError, SimulationError
 from ..observability import METRICS as _METRICS, TRACE as _TRACE
-from ..params import ProtocolParameters
+from ..params import ProtocolParameters, coerce_positive_int
 from .rng import SeedLike, resolve_rng
 from .topology import (
     DelayModel,
@@ -88,6 +88,17 @@ __all__ = [
 #: Supported ways of drawing the per-round success counts.
 DRAW_MODES = ("binomial", "bernoulli")
 
+
+def _validate_shape(trials, rounds) -> Tuple[int, int]:
+    """``(trials, rounds)`` as ints >= 1, by the runner's ``PointSpec`` rule.
+
+    ``2.5``, ``True``, ``"3"`` and ``100.5`` raise :class:`SimulationError`
+    instead of truncating or reaching NumPy; ``2.0`` is ``2``.
+    """
+    return (
+        coerce_positive_int(trials, "trials", error_type=SimulationError),
+        coerce_positive_int(rounds, "rounds", error_type=SimulationError),
+    )
 
 
 def draw_mining_traces(
@@ -119,10 +130,7 @@ def draw_mining_traces(
     Bernoulli draws at each miner's own ``p_i`` — the Poisson-binomial
     per-round law — honest side first, same chunking.
     """
-    if trials < 1:
-        raise SimulationError(f"trials must be positive, got {trials!r}")
-    if rounds < 1:
-        raise SimulationError(f"rounds must be positive, got {rounds!r}")
+    trials, rounds = _validate_shape(trials, rounds)
     if draw_mode not in DRAW_MODES:
         raise SimulationError(
             f"draw_mode must be one of {DRAW_MODES}, got {draw_mode!r}"
@@ -583,6 +591,7 @@ class BatchSimulation:
         ``delay_model=None`` or ``"fixed_delta"`` a seed produces exactly
         the pre-topology stream.
         """
+        trials, rounds = _validate_shape(trials, rounds)
         with _TRACE.span(
             "batch.run",
             trials=int(trials),

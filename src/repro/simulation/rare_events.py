@@ -78,6 +78,7 @@ from ..params import ProtocolParameters
 from .batch import (
     BatchSimulation,
     _opportunity_mask,
+    _validate_shape,
     _window_drawdown,
     draw_mining_traces,
     proportion_confidence_interval,
@@ -243,10 +244,7 @@ def draw_tilted_traces(
     tilt the draws are bit-identical to the plain engine's at the same seed,
     which is the estimator's ``tilt=0`` equivalence anchor.
     """
-    if trials < 1:
-        raise SimulationError(f"trials must be positive, got {trials!r}")
-    if rounds < 1:
-        raise SimulationError(f"rounds must be positive, got {rounds!r}")
+    trials, rounds = _validate_shape(trials, rounds)
     xp = get_backend(backend)
     policy = get_dtype_policy(policy)
     policy.check_rounds(rounds)
@@ -574,9 +572,8 @@ class RareEventSimulation:
         is strictly positive (``~3.84 / trials``), never the false
         certainty of a zero-width normal interval.
         """
-        if trials < 1:
-            raise SimulationError(f"trials must be positive, got {trials!r}")
-        _METRICS.increment("engine.rare_events.trials", int(trials))
+        trials, rounds = _validate_shape(trials, rounds)
+        _METRICS.increment("engine.rare_events.trials", trials)
         hits = 0
         with _TRACE.span(
             "rare.plain", trials=int(trials), rounds=int(rounds), depth=self.depth
@@ -644,9 +641,10 @@ class RareEventSimulation:
         :meth:`run_plain` at the same seed (same draws, every weight
         exactly 1).
         """
+        trials, rounds = _validate_shape(trials, rounds)
         if trials < 2:
             raise SimulationError(f"trials must be >= 2, got {trials!r}")
-        _METRICS.increment("engine.rare_events.trials", int(trials))
+        _METRICS.increment("engine.rare_events.trials", trials)
         pilot_iterations = 0
         if tilt is None:
             with _TRACE.span(
@@ -764,9 +762,10 @@ class RareEventSimulation:
         standard fixed-effort one — consistent, with O(1/trials) bias,
         which the tilting path avoids when it applies.
         """
+        trials, rounds = _validate_shape(trials, rounds)
         if trials < 2:
             raise SimulationError(f"trials must be >= 2, got {trials!r}")
-        _METRICS.increment("engine.rare_events.trials", int(trials))
+        _METRICS.increment("engine.rare_events.trials", trials)
         xp = self.engine.backend
         delta = self.params.delta
         with _TRACE.span(

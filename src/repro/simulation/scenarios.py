@@ -98,6 +98,7 @@ from .batch import (
     DRAW_MODES,
     _confidence_interval,
     _opportunity_mask,
+    _validate_shape,
     _window_drawdown,
     draw_mining_traces,
     proportion_confidence_interval,
@@ -1053,6 +1054,7 @@ class ScenarioSimulation:
         minority-split tensor: per round, ``Binomial(honest, cut_fraction)``
         of the honest successes land in the minority component.
         """
+        trials, rounds = _validate_shape(trials, rounds)
         with _TRACE.span(
             "scenario.run",
             scenario=self.scenario.name,

@@ -70,6 +70,7 @@ from .batch import (
     BatchResult,
     BatchSimulation,
     _scratch,
+    _validate_shape,
     draw_mining_traces,
     proportion_confidence_interval,
 )
@@ -682,16 +683,6 @@ def _plan_blocks(
     n_blocks = -(-trials // block)
     per_chunk = max(chunk_trials(rounds, resolve_chunk_cells(chunk_cells)) // block, 1)
     return block, n_blocks, per_chunk
-
-
-def _validate_shape(trials: int, rounds: int) -> Tuple[int, int]:
-    trials = int(trials)
-    rounds = int(rounds)
-    if trials < 1:
-        raise SimulationError(f"trials must be positive, got {trials!r}")
-    if rounds < 1:
-        raise SimulationError(f"rounds must be positive, got {rounds!r}")
-    return trials, rounds
 
 
 class StreamingBatchSimulation:

@@ -1,0 +1,228 @@
+"""``NumpyBackend.binomial`` is pinned to ``Generator.binomial`` bit for bit.
+
+The backend samples NumPy's inversion regime itself (see
+:mod:`repro.backend.numpy_backend`).  Every test here draws from two
+generators built from the same seed, one through the backend and one
+through NumPy, and requires the same int64 array *and* the same next
+uniforms, so the generators were left in the same state.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from repro.backend import NumpyBackend
+from repro.backend import numpy_backend
+
+BIT_GENERATORS = (
+    np.random.PCG64,
+    np.random.MT19937,
+    np.random.SFC64,
+    np.random.Philox,
+)
+MINERS = (1, 2, 7, 300, 700, 1000, 2000)
+HARDNESS = (1e-9, 1e-4, 1.375e-4, 1e-3, 0.02, 0.3, 0.5)
+#: NumPy inverts for ``p * n <= 30``; the last two pairs sit on that edge.
+INVERSION_PAIRS = [(n, p) for n in MINERS for p in HARDNESS if p * n <= 30.0] + [
+    (60, 0.5),
+    (1920, 0.015625),
+]
+#: Per-round block counts at the near-bound nu = 0.3 point (n = 1000).
+ENGINE_PAIRS = [(700, 1.3754835395896165e-4), (300, 1.3754835395896165e-4)]
+SIZES = (5, (1,), (3, 7), (0,), (2, 65537))
+
+
+def _generators(bit_generator, seed):
+    return (
+        np.random.Generator(bit_generator(seed)),
+        np.random.Generator(bit_generator(seed)),
+    )
+
+
+def assert_same_draws(bit_generator, seed, n, p, size):
+    ours, theirs = _generators(bit_generator, seed)
+    drawn = NumpyBackend.binomial(ours, n, p, size)
+    expected = theirs.binomial(n, p, size=size)
+    assert drawn.dtype == expected.dtype == np.int64
+    assert drawn.shape == expected.shape
+    assert np.array_equal(drawn, expected)
+    assert np.array_equal(ours.random(3), theirs.random(3))
+
+
+def numpy_inversion(u, n, p):
+    """NumPy's ``random_binomial_inversion`` loop for the one uniform ``u``.
+
+    Transcribed from NumPy's C source.  Past ``bound`` NumPy would reject
+    ``u`` and draw again; the transcription returns ``bound + 1`` there.
+    """
+    q = 1.0 - p
+    qn = math.exp(n * math.log(q))
+    np_ = n * p
+    bound = int(min(n, np_ + 10.0 * math.sqrt(np_ * q + 1)))
+    x, px = 0, qn
+    while u > px:
+        x += 1
+        if x > bound:
+            return x
+        u -= px
+        px = ((n - x + 1) * p * px) / (x * q)
+    return x
+
+
+def threshold(n, p, k):
+    """The least double at which :func:`numpy_inversion` reaches ``k``.
+
+    ``1.0`` if no uniform does.  The loop's running value is a chain of
+    monotone roundings of ``u``, so bisecting the bit patterns finds it.
+    """
+    low, high = 0, int(np.float64(1.0).view(np.int64))
+    while high - low > 1:
+        middle = (low + high) // 2
+        if numpy_inversion(float(np.int64(middle).view(np.float64)), n, p) >= k:
+            high = middle
+        else:
+            low = middle
+    return float(np.int64(high).view(np.float64))
+
+
+class ChosenUniforms(np.random.Generator):
+    """A generator whose ``random(out=...)`` returns the given uniforms."""
+
+    def __init__(self, uniforms):
+        super().__init__(np.random.PCG64(0))
+        self.uniforms = list(uniforms)
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        out[:] = self.uniforms[: out.size]
+        del self.uniforms[: out.size]
+        return out
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("n,p", INVERSION_PAIRS)
+def test_same_draws_and_state_across_the_inversion_regime(bit_generator, n, p):
+    for size in SIZES:
+        assert_same_draws(bit_generator, 2026, n, p, size)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("n,p", ENGINE_PAIRS)
+def test_same_draws_and_state_for_a_streamed_seed_block(
+    monkeypatch, bit_generator, n, p
+):
+    loop = numpy_backend._inversion_loop
+    tails = []
+
+    def recorded_loop(u, *args):
+        tails.append(u.size)
+        return loop(u, *args)
+
+    monkeypatch.setattr(numpy_backend, "_inversion_loop", recorded_loop)
+    for seed in (0, 7):
+        assert_same_draws(bit_generator, seed, n, p, (1048, 1000))
+    # The op's own sampler drew both seed blocks, 64K uniforms at a time,
+    # and ran NumPy's loop on < 1% of them.
+    blocks = -(-1048 * 1000 // numpy_backend._BLOCK_CELLS)
+    assert len(tails) == 2 * blocks and 0 < sum(tails) < 0.01 * 2 * 1048 * 1000
+
+
+@pytest.mark.parametrize("n,p", INVERSION_PAIRS)
+def test_t1_is_the_least_double_that_reaches_two(n, p):
+    t1 = numpy_backend._inversion_constants(n, p)[3]
+    if t1 < 1.0:
+        assert numpy_inversion(t1, n, p) >= 2
+    assert numpy_inversion(float(np.nextafter(t1, 0.0)), n, p) <= 1
+
+
+@pytest.mark.parametrize("n,p", INVERSION_PAIRS)
+def test_uniforms_on_either_side_of_each_step_land_where_numpy_puts_them(n, p):
+    bound = numpy_backend._inversion_constants(n, p)[2]
+    uniforms = [0.0]
+    for k in range(1, min(bound, 5) + 1):
+        step = threshold(n, p, k)
+        if step < 1.0:
+            uniforms += [float(np.nextafter(step, 0.0)), step]
+    drawn = NumpyBackend.binomial(ChosenUniforms(uniforms), n, p, len(uniforms))
+    assert drawn.tolist() == [numpy_inversion(u, n, p) for u in uniforms]
+
+
+def test_the_loop_rejects_exactly_past_bound():
+    n, p = 7, 0.3
+    q, qn, _, _ = numpy_backend._inversion_constants(n, p)
+    for k in (1, 2, 3, 4):
+        u = np.array([threshold(n, p, k)])
+        assert numpy_backend._inversion_loop(u, n, p, q, qn, k).tolist() == [k]
+        assert numpy_backend._inversion_loop(u, n, p, q, qn, k - 1) is None
+
+
+def test_a_rejection_rewinds_and_lets_numpy_draw(monkeypatch):
+    """Past ``bound`` NumPy takes a fresh uniform; the op must follow it."""
+    constants = numpy_backend._inversion_constants
+    loop = numpy_backend._inversion_loop
+    outcomes = []
+
+    def tight_bound(n, p):
+        q, qn, _, t1 = constants(n, p)
+        return q, qn, 1, t1
+
+    def recorded_loop(*args):
+        outcomes.append(loop(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(numpy_backend, "_inversion_constants", tight_bound)
+    monkeypatch.setattr(numpy_backend, "_inversion_loop", recorded_loop)
+    n, p = ENGINE_PAIRS[0]
+    for bit_generator in BIT_GENERATORS:
+        assert_same_draws(bit_generator, 3, n, p, (3, 65537))
+    assert outcomes == [None] * len(BIT_GENERATORS)
+
+
+@pytest.mark.parametrize(
+    "n,p",
+    [
+        (np.array([[700, 300], [5, 0]]), 1e-3),  # the partial-cut split
+        (700, 0.6),
+        (7, float(np.nextafter(0.5, 1.0))),
+        (2000, 0.02),  # n * p = 40: NumPy's BTPE
+        (3001, 0.01),  # n * p = 30.01
+        (300, np.float32(0.1)),  # n * p = 30.0000004 in double, 30 in float32
+        (700, 0.0),
+        (0, 0.3),
+    ],
+    ids=[
+        "array_n",
+        "p_above_half",
+        "p_past_half",
+        "btpe",
+        "n_p_past_30",
+        "float32_p_past_30",
+        "p_zero",
+        "n_zero",
+    ],
+)
+def test_outside_the_regime_numpy_draws(monkeypatch, n, p):
+    def unreachable(*args):
+        raise AssertionError("the sampler ran outside NumPy's inversion regime")
+
+    monkeypatch.setattr(numpy_backend, "_inversion_constants", unreachable)
+    size = np.shape(n) or (4, 9)
+    assert_same_draws(np.random.PCG64, 5, n, p, size)
+
+
+def test_legacy_generators_and_scalar_draws_go_to_numpy():
+    legacy = NumpyBackend.binomial(np.random.RandomState(4), 700, 1e-3, 50)
+    assert np.array_equal(legacy, np.random.RandomState(4).binomial(700, 1e-3, 50))
+    ours, theirs = _generators(np.random.PCG64, 4)
+    assert NumpyBackend.binomial(ours, 700, 0.2, None) == theirs.binomial(700, 0.2)
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
+def test_an_invalid_p_raises_numpys_error(p):
+    with pytest.raises(ValueError) as theirs:
+        np.random.default_rng(0).binomial(700, p, size=10)
+    with pytest.raises(ValueError) as ours:
+        NumpyBackend.binomial(np.random.default_rng(0), 700, p, 10)
+    assert str(ours.value) == str(theirs.value)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.analysis import DEFAULT_TOLERANCE, detect_regressions
@@ -114,8 +118,6 @@ class TestDetectRegressions:
         assert [verdict["benchmark"] for verdict in verdicts] == ["topology"]
 
     def test_committed_trajectory_passes(self):
-        import os
-
         path = os.path.join(os.path.dirname(__file__), "..", "BENCH_trajectory.json")
         verdicts = detect_regressions(path)
         assert verdicts, "committed trajectory should produce verdicts"
@@ -143,6 +145,29 @@ class TestSentinelCli:
         assert main([str(path)]) == 0
         assert main([str(path), "--tolerance", "0.1"]) == 1
         assert main([str(path), "--tolerance", "0.1", "--min-history", "5"]) == 0
+
+    def test_runs_as_a_module_without_a_runpy_warning(self):
+        """The CI step ``python -m repro.analysis.perf_report`` must not find
+        the module already imported by its package."""
+        root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+        path = os.pathsep.join(
+            filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")])
+        )
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-W",
+                "error::RuntimeWarning",
+                "-m",
+                "repro.analysis.perf_report",
+            ],
+            cwd=root,
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
 
     def test_default_tolerance_catches_exact_2x(self):
         # The advertised contract: a clean 2x slowdown (ratio 0.5) must sit
