@@ -1,4 +1,4 @@
-"""Benchmark: the batch engine's kernels and binomial draws, and dispatch.
+"""Benchmark: the batch engine's kernels and binomial draws, and the scan.
 
 Three claims are measured:
 
@@ -10,17 +10,15 @@ Three claims are measured:
   ``maximum.accumulate`` drawdown, allocating every intermediate on each
   call.  Both produce bit-identical results (asserted here and pinned by
   ``tests/test_kernels.py``).
-* **sampler speed** — the active backend's ``binomial`` must draw one
+* **sampler speed** — the backend's ``binomial`` must draw one
   streamed seed block (``seed_block_trials(1000)`` trials x 1,000 rounds,
   ``n`` = 700 honest and 300 adversarial miners at the near-bound
   ``nu = 0.3`` point) >= 1.5x faster than ``Generator.binomial``, and return
   the same array from the same seed (pinned over NumPy's whole inversion
   regime by ``tests/test_binomial_sampler.py``).
-* **accelerator availability** — every registered backend is probed; when
-  an accelerator (CuPy / torch via ``array_api_compat``) is installed its
-  engine throughput is recorded as an extra datapoint, and when it is not
-  the probe prints the skip reason instead of failing — the layer must
-  degrade gracefully on CPU-only machines like the CI runners.
+* **scan throughput** — the scenario engine's round scan, run through one
+  persistent :class:`repro.backend.Workspace`, is timed by pytest-benchmark
+  as a regression guard for the scan-state pooling (no speedup gate).
 """
 
 from __future__ import annotations
@@ -31,12 +29,7 @@ import numpy as np
 import pytest
 
 from conftest import bench_scale, record_trajectory
-from repro.backend import (
-    Workspace,
-    backend_specs,
-    get_backend,
-    use_backend,
-)
+from repro.backend import Workspace, get_backend
 from repro.core.bounds import neat_bound
 from repro.core.concat_chain import convergence_opportunity_mask
 from repro.params import parameters_from_c
@@ -183,36 +176,6 @@ def test_sampler_beats_generator_binomial():
             "gate": SAMPLER_SPEEDUP_GATE,
         },
     )
-
-
-def test_backend_datapoints_with_graceful_skips():
-    """Record an engine throughput datapoint per *available* backend.
-
-    On a machine with CuPy or torch installed this prints the accelerator
-    datapoint (the GPU number the issue asks to record when hardware is
-    present); everywhere else the probe reports the documented skip reason.
-    """
-    trials = bench_scale(32, 64)
-    rounds = bench_scale(1_000, 4_000)
-    recorded = {}
-    for name, spec in sorted(backend_specs().items()):
-        if not spec["available"]:
-            print(f"\nbackend {name}: skipped ({spec['error']})")
-            continue
-        with use_backend(name):
-            engine = BatchSimulation(PARAMS, rng=0, workspace=Workspace())
-            seconds = _best_of(3, lambda: engine.run(trials, rounds))
-        cells = trials * rounds / seconds
-        recorded[name] = cells
-        device = spec.get("device") or spec.get("module") or "host"
-        print(
-            f"\nbackend {name} [{device}]: {seconds * 1e3:.2f}ms for "
-            f"{trials}x{rounds} ({cells / 1e6:.1f}M cells/s)"
-        )
-    # The NumPy reference backend is unconditionally available; accelerator
-    # rows appear exactly when their optional dependency is installed.
-    assert "numpy" in recorded
-    assert get_backend("numpy").name == "numpy"
 
 
 @pytest.mark.benchmark(group="backend")

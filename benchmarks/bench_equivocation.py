@@ -8,32 +8,19 @@ adversary and minority-split tensors across a mid-run partial cut, and the
 vectorized scan must be **>= 5x** faster than looping the reference over the
 trial axis.
 
-Run directly (``python -m pytest benchmarks/bench_equivocation.py``) the
-module also refreshes ``BENCH_equivocation.json`` at the repo root when
-``REPRO_BENCH_RECORD=1`` — the persisted perf-trajectory entry the roadmap
-asks for.
-
-Migration note: ``BENCH_equivocation.json`` predates the unified
-``repro.bench_trajectory`` schema.  Its historical entries were lifted into
-the committed ``BENCH_trajectory.json`` via
-:func:`repro.observability.migrate_legacy_entries` (``timestamp`` and
-``machine`` are ``None`` there — the legacy file never recorded them), and
-new measurements are appended to *both* files: the legacy file keeps its
-original flat shape for existing consumers, the trajectory gets the
-schema-versioned record via :func:`conftest.record_trajectory`.
+Run directly (``python -m pytest benchmarks/bench_equivocation.py``) with
+``REPRO_BENCH_RECORD=1``, the module appends its measurement to
+``BENCH_trajectory.json`` at the repo root via
+:func:`conftest.record_trajectory`.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
 import time
 
 import numpy as np
 
 from conftest import bench_scale, record_trajectory
-from repro._version import __version__
 from repro.params import parameters_from_c
 from repro.simulation import (
     PartitionScenario,
@@ -63,30 +50,11 @@ SCENARIO = PartitionScenario(
 #: per-trial pure-Python reference by at least this factor.
 SPEEDUP_GATE = 5.0
 
-RECORD_ENV_VAR = "REPRO_BENCH_RECORD"
-RECORD_PATH = (
-    pathlib.Path(__file__).resolve().parent.parent / "BENCH_equivocation.json"
-)
-
 
 def _timed(callable_):
     start = time.perf_counter()
     result = callable_()
     return result, time.perf_counter() - start
-
-
-def _record(payload):
-    """Append the measured datapoint to the committed perf trajectory."""
-    if os.environ.get(RECORD_ENV_VAR, "") != "1":
-        return
-    history = []
-    if RECORD_PATH.exists():
-        history = json.loads(RECORD_PATH.read_text())["entries"]
-    history.append(payload)
-    RECORD_PATH.write_text(
-        json.dumps({"benchmark": "equivocation", "entries": history}, indent=2)
-        + "\n"
-    )
 
 
 def test_partition_scan_beats_per_trial_reference():
@@ -145,19 +113,6 @@ def test_partition_scan_beats_per_trial_reference():
         f"per-trial reference (gate {SPEEDUP_GATE}x)"
     )
 
-    _record(
-        {
-            "version": __version__,
-            "trials": TRIALS,
-            "rounds": ROUNDS,
-            "seed": SEED,
-            "cut_fraction": SCENARIO.cut_fraction,
-            "vectorized_seconds": vectorized_seconds,
-            "reference_seconds": reference_seconds,
-            "speedup": speedup,
-            "gate": SPEEDUP_GATE,
-        }
-    )
     record_trajectory(
         "equivocation",
         {

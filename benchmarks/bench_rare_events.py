@@ -16,31 +16,18 @@ Two claims are measured, both on the overlap-region anchor point
   plain MC cannot touch at any feasible budget (``depth=18``, probability
   around 1e-8) with a bounded relative error.
 
-Run directly (``python -m pytest benchmarks/bench_rare_events.py``) the
-module also refreshes ``BENCH_rare_events.json`` at the repo root when
-``REPRO_BENCH_RECORD=1`` — the persisted perf-trajectory entry the
-roadmap asks for.
-
-Migration note: ``BENCH_rare_events.json`` predates the unified
-``repro.bench_trajectory`` schema.  Its historical entries were lifted into
-the committed ``BENCH_trajectory.json`` via
-:func:`repro.observability.migrate_legacy_entries` (``timestamp`` and
-``machine`` are ``None`` there — the legacy file never recorded them), and
-new measurements are appended to *both* files: the legacy file keeps its
-original flat shape for existing consumers, the trajectory gets the
-schema-versioned record via :func:`conftest.record_trajectory`.
+Run directly (``python -m pytest benchmarks/bench_rare_events.py``) with
+``REPRO_BENCH_RECORD=1``, the module appends its measurement to
+``BENCH_trajectory.json`` at the repo root via
+:func:`conftest.record_trajectory`.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import pathlib
 import time
 
 from conftest import bench_scale, record_trajectory
-from repro._version import __version__
 from repro.params import parameters_from_c
 from repro.simulation import RareEventSimulation
 
@@ -60,9 +47,6 @@ SEED = 2026
 #: plain-MC trial budget at an equal number of trials.
 VARIANCE_REDUCTION_GATE = 10.0
 
-RECORD_ENV_VAR = "REPRO_BENCH_RECORD"
-RECORD_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_rare_events.json"
-
 
 def _timed(callable_):
     start = time.perf_counter()
@@ -73,20 +57,6 @@ def _timed(callable_):
 def _tilted_variance_per_trial(result):
     """Per-trial variance of the importance-sampling estimator."""
     return (result.relative_error * result.probability) ** 2 * result.trials
-
-
-def _record(payload):
-    """Append the measured datapoint to the committed perf trajectory."""
-    if os.environ.get(RECORD_ENV_VAR, "") != "1":
-        return
-    history = []
-    if RECORD_PATH.exists():
-        history = json.loads(RECORD_PATH.read_text())["entries"]
-    history.append(payload)
-    RECORD_PATH.write_text(
-        json.dumps({"benchmark": "rare_events", "entries": history}, indent=2)
-        + "\n"
-    )
 
 
 def test_tilted_variance_reduction_beats_plain_mc():
@@ -141,7 +111,6 @@ def test_tilted_variance_reduction_beats_plain_mc():
         "variance_reduction": reduction,
         "gate": VARIANCE_REDUCTION_GATE,
     }
-    _record({"version": __version__, **payload})
     record_trajectory("rare_events", payload)
 
 

@@ -1,29 +1,20 @@
 #!/usr/bin/env python3
-"""Walk the array-backend layer: dispatch, dtype policies, workspaces.
+"""Walk the array layer: dtype policies and workspaces.
 
 Run with::
 
     python examples/backend_speed.py [--trials T] [--rounds R] [--repeats K]
-                                     [--backend NAME]
 
 Every tensor operation in the batch, scenario, topology and dynamics
-engines dispatches through ``repro.backend``.  This script shows the three
-user-facing knobs:
+engines is a call on the NumPy ``xp`` handle of ``repro.backend``, so the
+engines stay bit-identical to the pre-backend ones.  This script shows the
+two user-facing knobs:
 
-1. **backend selection** — enumerate the registry with
-   :func:`repro.backend.backend_specs` (unavailable accelerators report a
-   skip reason, never crash) and pin one with
-   :func:`repro.backend.use_backend`; the ``REPRO_BACKEND`` environment
-   variable does the same without code changes.  The NumPy reference
-   backend is bit-identical to the pre-backend engines; an installed
-   CuPy/torch stack activates the ``array_api`` backend and its results
-   still share the seed streams (randomness is drawn host-side and
-   bridged).
-2. **dtype policies** — ``wide`` (int64/bool/float64, the bit-exact
+1. **dtype policies** — ``wide`` (int64/bool/float64, the bit-exact
    default) versus ``compact`` (int32/uint8/float32): integer outputs stay
    exact, float statistics agree within the documented tolerance, memory
    traffic halves.
-3. **workspaces** — a :class:`repro.backend.Workspace` pools the mask and
+2. **workspaces** — a :class:`repro.backend.Workspace` pools the mask and
    drawdown kernels' scratch buffers across repeated runs; without one the
    same kernels allocate per call and return the same numbers.  The script
    checks that, then times the pooled kernels against an allocating
@@ -39,13 +30,7 @@ import time
 
 import numpy as np
 
-from repro.backend import (
-    COMPACT_STAT_RTOL,
-    Workspace,
-    backend_specs,
-    use_backend,
-    use_dtype_policy,
-)
+from repro.backend import COMPACT_STAT_RTOL, Workspace, use_dtype_policy
 from repro.core.concat_chain import convergence_opportunity_mask
 from repro.params import parameters_from_c
 from repro.simulation import BatchSimulation, draw_mining_traces
@@ -73,62 +58,36 @@ def main(argv=None) -> int:
     parser.add_argument("--trials", type=int, default=256)
     parser.add_argument("--rounds", type=int, default=8_000)
     parser.add_argument("--repeats", type=int, default=10)
-    parser.add_argument(
-        "--backend",
-        default="numpy",
-        help="registry name to run the engine demo under (default: numpy)",
-    )
     args = parser.parse_args(argv)
     params = parameters_from_c(c=4.0, n=1_000, delta=3, nu=0.2)
 
-    # 1. The registry, with availability probed per backend.
-    print("registered backends:")
-    for name, spec in sorted(backend_specs().items()):
-        if spec["available"]:
-            detail = ", ".join(
-                f"{key}={value}"
-                for key, value in spec.items()
-                if key not in ("name", "available")
-            )
-            print(f"  {name:10s} available" + (f" ({detail})" if detail else ""))
-        else:
-            print(f"  {name:10s} skipped: {spec['error']}")
-
-    # 2. Bit-identical results under explicit selection, then the compact
-    #    dtype policy's exact-integer / tolerant-float contract.
-    with use_backend(args.backend):
-        reference = BatchSimulation(params, rng=0).run(64, 2_000)
-        with use_dtype_policy("compact"):
-            compact = BatchSimulation(params, rng=0).run(64, 2_000)
+    # 1. The compact dtype policy's exact-integer / tolerant-float contract.
+    reference = BatchSimulation(params, rng=0).run(64, 2_000)
+    with use_dtype_policy("compact"):
+        compact = BatchSimulation(params, rng=0).run(64, 2_000)
     assert np.array_equal(
         reference.convergence_opportunities, compact.convergence_opportunities
     ), "compact integers must be exact"
     drift = abs(compact.mean_convergence_rate - reference.mean_convergence_rate)
     print(
-        f"\ncompact dtype policy: integer outputs exact, mean-rate drift "
+        f"compact dtype policy: integer outputs exact, mean-rate drift "
         f"{drift:.2e} (documented tolerance {COMPACT_STAT_RTOL:.0e} relative)"
     )
 
-    # 3. One kernel path with or without a workspace, against the
+    # 2. One kernel path with or without a workspace, against the
     #    allocating reference on the deterministic analysis half.
-    with use_backend(args.backend):
-        honest, adversary = draw_mining_traces(
-            params, args.trials, args.rounds, rng=0
-        )
-        workspace = Workspace()
-        pooled = BatchSimulation(params, rng=0, workspace=workspace)
-        result = pooled.run_traces(honest, adversary)
-        unpooled = BatchSimulation(params, rng=0).run_traces(honest, adversary)
-        host_honest = pooled.backend.to_host(honest)
-        host_adversary = pooled.backend.to_host(adversary)
-        reference = reference_deficits(host_honest, host_adversary, params.delta)
-        assert np.array_equal(result.worst_deficits, unpooled.worst_deficits)
-        assert np.array_equal(result.worst_deficits, reference)
-        kernels = best_of(args.repeats, lambda: pooled.run_traces(honest, adversary))
-        allocating = best_of(
-            args.repeats,
-            lambda: reference_deficits(host_honest, host_adversary, params.delta),
-        )
+    honest, adversary = draw_mining_traces(params, args.trials, args.rounds, rng=0)
+    workspace = Workspace()
+    pooled = BatchSimulation(params, rng=0, workspace=workspace)
+    result = pooled.run_traces(honest, adversary)
+    unpooled = BatchSimulation(params, rng=0).run_traces(honest, adversary)
+    reference = reference_deficits(honest, adversary, params.delta)
+    assert np.array_equal(result.worst_deficits, unpooled.worst_deficits)
+    assert np.array_equal(result.worst_deficits, reference)
+    kernels = best_of(args.repeats, lambda: pooled.run_traces(honest, adversary))
+    allocating = best_of(
+        args.repeats, lambda: reference_deficits(honest, adversary, params.delta)
+    )
     print(
         f"kernels at {args.trials}x{args.rounds}: allocating reference "
         f"{allocating * 1e3:.2f}ms, pooled kernels {kernels * 1e3:.2f}ms, "

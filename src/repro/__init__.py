@@ -4,9 +4,9 @@ Asynchronous Networks: Deriving a Neat Bound" (Jun Zhao, ICDCS 2020).
 The library has five layers:
 
 * :mod:`repro.params` — the protocol parameterisation of Table I;
-* :mod:`repro.backend` — the array-API backend layer every engine's tensor
-  math dispatches through (NumPy reference backend, optional accelerator
-  backend, dtype policies, preallocated workspaces);
+* :mod:`repro.backend` — the array layer under every engine's tensor math
+  (the NumPy ``xp`` handle, dtype policies, preallocated workspaces, chunk
+  budgets);
 * :mod:`repro.core` — the paper's contribution: the neat bound
   ``2 mu / ln(mu/nu)``, Theorems 1-3, the two Markov chains C_F and C_F||P,
   the concentration bounds, and the PSS/Kiffer baselines;
@@ -236,24 +236,16 @@ True
 Array backends
 --------------
 Every tensor operation in the batch, scenario, topology and dynamics
-engines dispatches through :mod:`repro.backend` — a registry of
-:class:`~repro.backend.ArrayBackend` dispatch tables selected ambiently by
-:func:`~repro.backend.use_backend` contexts or the ``REPRO_BACKEND``
-environment variable, with no engine-code changes.  The NumPy reference
-backend's array ops are the library functions themselves, and its
+engines is a call on an ``xp`` handle, the one
+:class:`~repro.backend.NumpyBackend` that :func:`~repro.backend.get_backend`
+returns.  Its array ops are the NumPy functions themselves, and its
 ``binomial`` draws the per-round block counts with a vectorized copy of
 NumPy's inversion sampler: the same array as ``Generator.binomial``, the
 generator left in the same state, about twice as fast at the paper's
-points.  So the default configuration is bit-identical to the pre-backend
-engines — pinned by pre-refactor golden digests; the optional
-``array_api`` backend activates CuPy or torch through ``array_api_compat``
-when installed and degrades to a clear
-:class:`~repro.errors.BackendUnavailableError` otherwise.  Randomness is
-always drawn host-side through the caller's
-:class:`numpy.random.Generator` and bridged to the device, so one seed
-produces one bit stream on every backend, and results return to host NumPy
-at the engine boundary (the analysis layer and the runner's caches stay
-backend-agnostic; default cache keys are unchanged).
+points.  So the engines are bit-identical to the pre-backend engines —
+pinned by pre-refactor golden digests.  Every draw comes from the caller's
+:class:`numpy.random.Generator`, and results leave each engine as host
+NumPy arrays.
 
 Two companion knobs tune the engines' memory behaviour: a
 :class:`~repro.backend.DtypePolicy` (``wide`` — int64/bool/float64, the
@@ -267,9 +259,8 @@ one the same kernels allocate per call.  ``benchmarks/bench_backend.py``
 gates them at >= 3x over the allocating reference pipeline.  See
 ``examples/backend_speed.py``.
 
->>> from repro import Workspace, use_backend
->>> with use_backend("numpy"):
-...     pooled = BatchSimulation(small, rng=0, workspace=Workspace()).run(32, 2_000)
+>>> from repro import Workspace
+>>> pooled = BatchSimulation(small, rng=0, workspace=Workspace()).run(32, 2_000)
 >>> bool((pooled.convergence_opportunities == batch.convergence_opportunities).all())
 True
 
@@ -285,12 +276,11 @@ pieces:
 * **tracing** — ``REPRO_TRACE=1`` (process-wide) or a
   :func:`~repro.observability.use_tracer` context records nestable wall-
   time spans (runner call → engine stage → kernel), each stamped with the
-  ambient backend and dtype policy;
+  backend and the ambient dtype policy;
 * **metrics** — counters and gauges (trials/rounds simulated, cache
   hits/misses and version skips per runner method, workspace reuse versus
-  fresh allocation, host↔device transfers, rare-event pilot iterations and
-  ESS) behind :func:`~repro.observability.use_metrics`, exported as one
-  JSON snapshot;
+  fresh allocation, rare-event pilot iterations and ESS) behind
+  :func:`~repro.observability.use_metrics`, exported as one JSON snapshot;
 * **run manifests** — ``ExperimentRunner(run_log=...)`` or
   ``REPRO_RUN_LOG=path`` appends one validated JSON line per ``run_*``
   call (schema ``repro.run_manifest``: params, seed, cache slot and
@@ -348,17 +338,13 @@ from .core import (
 from .backend import (
     DtypePolicy,
     Workspace,
-    backend_specs,
     get_backend,
     get_dtype_policy,
-    list_backends,
-    use_backend,
     use_dtype_policy,
 )
 from .errors import (
     AnalysisError,
     BackendError,
-    BackendUnavailableError,
     MarkovChainError,
     ParameterError,
     ReproError,
@@ -427,9 +413,6 @@ __all__ = [
     "StreamingScenarioSimulation",
     "StreamingScenarioResult",
     "get_backend",
-    "use_backend",
-    "list_backends",
-    "backend_specs",
     "DtypePolicy",
     "get_dtype_policy",
     "use_dtype_policy",
@@ -440,5 +423,4 @@ __all__ = [
     "SimulationError",
     "AnalysisError",
     "BackendError",
-    "BackendUnavailableError",
 ]

@@ -1,24 +1,17 @@
-"""Array-API backend layer: pluggable tensor math for the engines.
+"""The array layer under the engines: one ``xp`` handle, dtypes, scratch, chunks.
 
-Every tensor operation in the batch, scenario, topology and dynamics engines
-dispatches through an :class:`ArrayBackend` — a named dispatch table of the
-~30 array ops the engines actually use — instead of module-level ``numpy``
-calls.  The layer has four pieces:
+Every tensor operation in the batch, scenario, topology, dynamics, streaming
+and rare-event engines is a call on an ``xp`` handle rather than a
+module-level ``numpy`` call.  The layer has four pieces:
 
-* **dispatch** (:mod:`repro.backend.dispatch`) — the backend registry plus
-  ambient selection: ``use_backend("...")`` contexts (nesting, innermost
-  wins), the ``REPRO_BACKEND`` environment variable, and the NumPy default.
-* **backends** — :class:`~repro.backend.numpy_backend.NumpyBackend` (the
-  reference: every array op *is* the NumPy function, and ``binomial`` is a
-  vectorized copy of NumPy's inversion sampler that returns
-  ``Generator.binomial``'s bits, about twice as fast at ``n * p <= 1``, so
-  results are bit-identical to the pre-backend engines) and
-  :class:`~repro.backend.array_api.ArrayApiBackend` (CuPy / torch through
-  ``array_api_compat`` when installed; a clean
-  :class:`~repro.errors.BackendUnavailableError` otherwise).  Randomness is
-  always drawn host-side through the caller's
-  :class:`numpy.random.Generator` and bridged to the device, so one seed
-  produces one bit stream on every backend.
+* **the backend** (:mod:`repro.backend.numpy_backend`) —
+  :func:`get_backend` returns the one shared
+  :class:`~repro.backend.numpy_backend.NumpyBackend`, whose class body lists
+  every op the engines use.  Each array op is the NumPy function itself, and
+  ``binomial`` is a vectorized copy of NumPy's inversion sampler that
+  returns ``Generator.binomial``'s bits, about twice as fast at
+  ``n * p <= 1``, so results are bit-identical to the pre-backend engines.
+  Every draw comes from the caller's :class:`numpy.random.Generator`.
 * **dtype policy** (:mod:`repro.backend.dtypes`) — a named dtype per tensor
   family: ``wide`` (int64 / bool / float64, the bit-exact default) and
   ``compact`` (int32 / uint8 / float32 — exact integers, float statistics
@@ -31,22 +24,8 @@ calls.  The layer has four pieces:
   (``REPRO_CHUNK_CELLS``, validated) shared by every bounded-memory
   execution path: the Bernoulli summation fallback, the rare-event
   estimators and the streaming trial engine.
-
-The engine boundary is host NumPy: results, caches and the analysis layer
-never see device arrays.
 """
 
-from .dispatch import (
-    ARRAY_OPS,
-    BACKEND_ENV_VAR,
-    DEFAULT_BACKEND,
-    ArrayBackend,
-    backend_specs,
-    get_backend,
-    list_backends,
-    register_backend,
-    use_backend,
-)
 from .dtypes import (
     COMPACT_POLICY,
     COMPACT_STAT_RTOL,
@@ -54,8 +33,6 @@ from .dtypes import (
     WIDE_POLICY,
     DtypePolicy,
     get_dtype_policy,
-    list_dtype_policies,
-    register_dtype_policy,
     use_dtype_policy,
 )
 from .chunking import (
@@ -65,32 +42,19 @@ from .chunking import (
     chunk_trials,
     resolve_chunk_cells,
 )
-from .numpy_backend import NumpyBackend
-from .array_api import ArrayApiBackend, PREFERRED_ACCELERATORS
+from .numpy_backend import NumpyBackend, get_backend
 from .workspace import Workspace
 
 __all__ = [
-    "ArrayBackend",
     "NumpyBackend",
-    "ArrayApiBackend",
-    "PREFERRED_ACCELERATORS",
-    "ARRAY_OPS",
-    "BACKEND_ENV_VAR",
-    "DEFAULT_BACKEND",
-    "register_backend",
     "get_backend",
-    "use_backend",
-    "list_backends",
-    "backend_specs",
     "DtypePolicy",
     "WIDE_POLICY",
     "COMPACT_POLICY",
     "COMPACT_STAT_RTOL",
     "DTYPE_POLICY_ENV_VAR",
-    "register_dtype_policy",
     "get_dtype_policy",
     "use_dtype_policy",
-    "list_dtype_policies",
     "Workspace",
     "CHUNK_ENV_VAR",
     "DEFAULT_CHUNK_CELLS",
@@ -98,6 +62,3 @@ __all__ = [
     "chunk_trials",
     "chunk_sizes",
 ]
-
-register_backend("numpy", NumpyBackend)
-register_backend("array_api", ArrayApiBackend)

@@ -4,9 +4,8 @@ Three engines chunk their work so peak memory stays bounded regardless of
 trial count: the Bernoulli summation fallback in
 :mod:`repro.simulation.batch`, the rare-event estimators in
 :mod:`repro.simulation.rare_events`, and the streaming spine in
-:mod:`repro.simulation.streaming`.  They used to carry private module
-constants (``_BERNOULLI_CHUNK_CELLS``, ``_RARE_CHUNK_CELLS``); this module
-unifies them behind one validated configuration point:
+:mod:`repro.simulation.streaming`.  All three read one validated
+configuration point:
 
 * :func:`resolve_chunk_cells` — the active chunk budget in *cells*
   (trials x rounds elements): an explicit override if given, else the

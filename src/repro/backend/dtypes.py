@@ -16,16 +16,17 @@ Two presets ship:
   dtypes the pre-backend engines hard-coded, so every golden and every
   equivalence grid is bit-identical under it.
 * ``compact`` — ``int32`` / ``uint8`` / ``float32``: half the memory
-  traffic per tensor, for accelerator backends and RAM-bound sweeps.
-  Integer results are still *exact* (heights and counts are bounded by the
-  round count, far below ``2**31``; the engines reject runs where that
-  could fail), while float statistics agree with ``wide`` only to
-  :data:`COMPACT_STAT_RTOL` — ``float32`` keeps ~7 significant digits and
-  the mean/CI reductions accumulate over trials.
+  traffic per tensor, for RAM-bound sweeps.  Integer results are still
+  *exact* (heights and counts are bounded by the round count, far below
+  ``2**31``; the engines reject runs where that could fail), while float
+  statistics agree with ``wide`` only to :data:`COMPACT_STAT_RTOL` —
+  ``float32`` keeps ~7 significant digits and the mean/CI reductions
+  accumulate over trials.
 
-Selection mirrors the backend dispatch: ``use_dtype_policy`` contexts nest,
+Selection is ambient: ``use_dtype_policy`` contexts nest (innermost wins),
 the ``REPRO_DTYPE_POLICY`` environment variable applies when no context is
-active, and ``wide`` is the fallback.
+active, and ``wide`` is the fallback.  Engines read the policy once, when
+they are built.
 """
 
 from __future__ import annotations
@@ -36,17 +37,15 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Union
 
 from ..errors import BackendError
-from .dispatch import ArrayBackend
+from .numpy_backend import NumpyBackend
 
 __all__ = [
     "DtypePolicy",
     "WIDE_POLICY",
     "COMPACT_POLICY",
     "COMPACT_STAT_RTOL",
-    "register_dtype_policy",
     "get_dtype_policy",
     "use_dtype_policy",
-    "list_dtype_policies",
     "DTYPE_POLICY_ENV_VAR",
 ]
 
@@ -60,8 +59,8 @@ DTYPE_POLICY_ENV_VAR = "REPRO_DTYPE_POLICY"
 #: error stays well inside 1e-4 relative.
 COMPACT_STAT_RTOL = 1e-4
 
-#: Mask-dtype string accepted in policies (NumPy spells ``bool`` as
-#: ``bool_`` on the backend attribute).
+#: Dtype strings accepted in policies, mapped to the backend attribute
+#: (NumPy spells ``bool`` as ``bool_``).
 _DTYPE_ATTR = {
     "int64": "int64",
     "int32": "int32",
@@ -94,16 +93,16 @@ class DtypePolicy:
                     f"{known}; got {value!r}"
                 )
 
-    def index_dtype(self, backend: ArrayBackend):
-        """The backend-native dtype for heights/offsets/counts."""
+    def index_dtype(self, backend: NumpyBackend):
+        """The dtype for heights/offsets/counts."""
         return getattr(backend, _DTYPE_ATTR[self.index])
 
-    def mask_dtype(self, backend: ArrayBackend):
-        """The backend-native dtype for indicator masks."""
+    def mask_dtype(self, backend: NumpyBackend):
+        """The dtype for indicator masks."""
         return getattr(backend, _DTYPE_ATTR[self.mask])
 
-    def stat_dtype(self, backend: ArrayBackend):
-        """The backend-native dtype for statistics accumulation."""
+    def stat_dtype(self, backend: NumpyBackend):
+        """The dtype for statistics accumulation."""
         return getattr(backend, _DTYPE_ATTR[self.stat])
 
     def check_rounds(self, rounds: int) -> None:
@@ -135,28 +134,8 @@ COMPACT_POLICY = DtypePolicy(
     name="compact", index="int32", mask="uint8", stat="float32"
 )
 
-_POLICIES: Dict[str, DtypePolicy] = {}
+_POLICIES = {policy.name: policy for policy in (WIDE_POLICY, COMPACT_POLICY)}
 _ACTIVE: List[DtypePolicy] = []
-
-
-def register_dtype_policy(policy: DtypePolicy, overwrite: bool = False) -> DtypePolicy:
-    """Add a policy to the registry (refusing silent redefinition)."""
-    if policy.name in _POLICIES and not overwrite:
-        raise BackendError(
-            f"dtype policy {policy.name!r} is already registered; "
-            "pass overwrite=True to replace it"
-        )
-    _POLICIES[policy.name] = policy
-    return policy
-
-
-register_dtype_policy(WIDE_POLICY)
-register_dtype_policy(COMPACT_POLICY)
-
-
-def list_dtype_policies() -> List[str]:
-    """Names of all registered dtype policies, sorted."""
-    return sorted(_POLICIES)
 
 
 def get_dtype_policy(
@@ -168,7 +147,7 @@ def get_dtype_policy(
     if policy is None:
         if _ACTIVE:
             return _ACTIVE[-1]
-        # Unset or empty both mean the default (matching get_backend).
+        # Unset or empty both mean the default.
         policy = os.environ.get(DTYPE_POLICY_ENV_VAR) or WIDE_POLICY.name
     try:
         return _POLICIES[policy]

@@ -1,16 +1,21 @@
-"""The NumPy reference backend — bit-identical to the pre-backend engines.
+"""The array backend: the ``xp`` handle every engine's tensor math goes through.
 
-Every array op is the corresponding :mod:`numpy` function itself (no
-wrappers on the hot path), so routing the engines through this backend
-changes *nothing* about their arithmetic: same ufunc loops, same dtypes,
-same results down to the last bit.  The equivalence suites pin that property
-against pre-refactor golden digests (``tests/test_backend_equivalence.py``).
+:class:`NumpyBackend`'s class body is the complete op surface of the engine
+modules.  Every array op is the corresponding :mod:`numpy` function itself
+(no wrappers on the hot path), so routing the engines through the handle
+changes nothing about their arithmetic: same ufunc loops, same dtypes, same
+results down to the last bit (pinned against pre-refactor golden digests in
+``tests/test_backend_equivalence.py``).  An engine hot path that needs an op
+not listed here adds it to the class body; the AST hygiene guard
+(``tests/test_backend_hygiene.py``) rejects direct ``np.<op>`` calls.
 
-The host boundary is the identity here — ``from_host`` / ``to_host`` are
-:func:`numpy.asarray`.  The RNG bridge draws on the caller's
-:class:`numpy.random.Generator` and returns its historical bit streams:
-``binomial`` runs a vectorized copy of NumPy's inversion sampler
-(``tests/test_binomial_sampler.py``), the other random ops call it directly.
+``from_host`` / ``to_host`` are :func:`numpy.asarray`, called where arrays
+enter and leave an engine, so results and caches only ever hold host
+arrays.  The random ops draw on the caller's :class:`numpy.random.Generator`
+and return its historical bit streams: ``binomial`` runs a vectorized copy of
+NumPy's inversion sampler (``tests/test_binomial_sampler.py``), the other
+random ops call it directly.  :func:`get_backend` returns the one shared
+instance.
 """
 
 from __future__ import annotations
@@ -21,9 +26,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .dispatch import ArrayBackend
-
-__all__ = ["NumpyBackend"]
+__all__ = ["NumpyBackend", "get_backend"]
 
 #: Uniforms per ``Generator.random`` call of the binomial sampler.
 _BLOCK_CELLS = 1 << 16
@@ -72,8 +75,8 @@ def _inversion_loop(u, n: int, p: float, q: float, qn: float, bound: int):
     return x
 
 
-class NumpyBackend(ArrayBackend):
-    """Dispatch table mapping every engine op to NumPy."""
+class NumpyBackend:
+    """Every array op and dtype the engines use, each the NumPy one."""
 
     name = "numpy"
 
@@ -131,8 +134,8 @@ class NumpyBackend(ArrayBackend):
         return np.array(array, copy=True)
 
     # ------------------------------------------------------------------
-    # Host-seeded RNG bridge: every draw comes from the caller's Generator
-    # and matches what its own method returns, bit for bit.
+    # Random ops: every draw comes from the caller's Generator and matches
+    # what its own method returns, bit for bit.
     # ------------------------------------------------------------------
     @staticmethod
     def binomial(rng: np.random.Generator, n, p, size) -> np.ndarray:
@@ -199,3 +202,11 @@ class NumpyBackend(ArrayBackend):
         rng: np.random.Generator, p: float, size: Union[int, Tuple[int, ...]]
     ) -> np.ndarray:
         return rng.geometric(p, size=size)
+
+
+_NUMPY = NumpyBackend()
+
+
+def get_backend() -> NumpyBackend:
+    """The shared :class:`NumpyBackend` every engine binds as its ``xp``."""
+    return _NUMPY

@@ -16,74 +16,27 @@ Contracts:
   so kernels never collide;
 * workspace buffers are **scratch**: nothing reachable from a result object
   may alias one.  Engines copy any escaping array out of the workspace
-  (``backend.copy``) before returning;
-* a workspace binds lazily to the first backend that allocates through it
-  and refuses, with :class:`~repro.errors.BackendError`, to serve a
-  different backend afterwards (device buffers are not interchangeable);
+  (``xp.copy``) before returning;
 * not thread-safe — share workspaces across sequential runs, not across
   threads.  (Process pools are fine: each worker builds its own.)
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from ..errors import BackendError
 from ..observability import METRICS as _METRICS
-from .dispatch import ArrayBackend, get_backend
+from .numpy_backend import get_backend
 
 __all__ = ["Workspace"]
 
 
 class Workspace:
-    """A keyed pool of reusable scratch tensors for one backend.
+    """A keyed pool of reusable scratch tensors."""
 
-    Parameters
-    ----------
-    backend:
-        The owning :class:`~repro.backend.dispatch.ArrayBackend`, or
-        ``None`` to bind lazily to the ambient backend on first use.
-    """
-
-    def __init__(self, backend: Optional[ArrayBackend] = None):
-        self._backend = backend
+    def __init__(self):
         self._buffers: Dict[str, object] = {}
         self._high_water_bytes = 0
-
-    @property
-    def backend(self) -> Optional[ArrayBackend]:
-        """The backend this workspace allocates on (``None`` until first use)."""
-        return self._backend
-
-    def bind(self, backend: Optional[ArrayBackend] = None) -> ArrayBackend:
-        """Bind (or verify) the owning backend and return it.
-
-        With no argument an already-bound workspace returns its own backend
-        — it never re-consults the ambient selection, so buffers allocated
-        by an engine keep working when later calls happen outside the
-        ``use_backend`` context the engine was built under.
-        """
-        if backend is None:
-            if self._backend is not None:
-                return self._backend
-            backend = get_backend()
-        else:
-            backend = get_backend(backend)
-        if self._backend is None:
-            self._backend = backend
-        elif self._backend is not backend:
-            detail = (
-                " (two distinct instances of the same backend — bind engines "
-                "and workspaces to one shared instance)"
-                if self._backend.name == backend.name
-                else ""
-            )
-            raise BackendError(
-                f"workspace is bound to backend {self._backend.name!r} but "
-                f"was asked to allocate on {backend.name!r}{detail}; use one "
-                "workspace per backend"
-            )
-        return backend
 
     # ------------------------------------------------------------------
     # Buffer acquisition
@@ -92,10 +45,9 @@ class Workspace:
         """The reusable buffer for ``tag`` (contents unspecified).
 
         Reuses the existing buffer when shape and dtype match; otherwise
-        allocates a replacement through the bound backend (a sweep that
-        changes shape simply re-warms once).
+        allocates a replacement (a sweep that changes shape simply re-warms
+        once).
         """
-        backend = self.bind()
         shape = tuple(int(size) for size in shape)
         buffer = self._buffers.get(tag)
         if (
@@ -106,7 +58,7 @@ class Workspace:
             _METRICS.increment("workspace.reused")
             return buffer
         _METRICS.increment("workspace.allocated")
-        buffer = backend.empty(shape, dtype=dtype)
+        buffer = get_backend().empty(shape, dtype=dtype)
         self._buffers[tag] = buffer
         # High-water bookkeeping only runs on the (rare) allocation path, so
         # the steady-state reuse hit stays a dict lookup plus one increment.
@@ -130,13 +82,7 @@ class Workspace:
     @property
     def nbytes(self) -> int:
         """Total bytes held across all buffers."""
-        total = 0
-        for buffer in self._buffers.values():
-            nbytes = getattr(buffer, "nbytes", None)
-            if nbytes is None:  # torch spells it element_size() * numel()
-                nbytes = buffer.element_size() * buffer.numel()
-            total += int(nbytes)
-        return total
+        return sum(buffer.nbytes for buffer in self._buffers.values())
 
     @property
     def high_water_bytes(self) -> int:
@@ -149,12 +95,8 @@ class Workspace:
         return max(self._high_water_bytes, self.nbytes)
 
     def clear(self) -> None:
-        """Drop every buffer (the backend binding is kept)."""
+        """Drop every buffer (the high-water mark is kept)."""
         self._buffers.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        backend = "unbound" if self._backend is None else self._backend.name
-        return (
-            f"Workspace(backend={backend}, buffers={len(self._buffers)}, "
-            f"nbytes={self.nbytes})"
-        )
+        return f"Workspace(buffers={len(self._buffers)}, nbytes={self.nbytes})"

@@ -63,7 +63,7 @@ def neat_bound(nu: float, mu: Optional[float] = None) -> float:
     (Theorem 2 / Remark 1).  ``mu`` defaults to ``1 - nu``.
 
     >>> round(neat_bound(0.25), 6)
-    1.365337
+    1.365359
     """
     if mu is None:
         mu = 1.0 - nu

@@ -163,7 +163,7 @@ def poisson_binomial_distribution(probabilities: Sequence[float]) -> np.ndarray:
     the paper's extreme regimes).
 
     >>> pmf = poisson_binomial_distribution([0.5, 0.5])
-    >>> [round(v, 6) for v in pmf]
+    >>> [round(float(v), 6) for v in pmf]
     [0.25, 0.5, 0.25]
     """
     values = np.asarray(probabilities, dtype=np.float64)

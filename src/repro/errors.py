@@ -15,7 +15,6 @@ __all__ = [
     "SimulationError",
     "AnalysisError",
     "BackendError",
-    "BackendUnavailableError",
     "ObservabilityError",
 ]
 
@@ -46,8 +45,10 @@ class AnalysisError(ReproError, RuntimeError):
 
 
 class BackendError(ReproError, RuntimeError):
-    """Raised when the array-backend layer is misconfigured (unknown backend
-    name, dtype-policy mismatch, workspace bound to a different backend)."""
+    """Raised when the array layer is misconfigured: an unknown dtype-policy
+    name, a policy field that is not a known dtype, a run too long for the
+    ``compact`` policy's int32 heights, or a chunk-cell budget that is not a
+    positive integer."""
 
 
 class ObservabilityError(ReproError, RuntimeError):
@@ -55,12 +56,3 @@ class ObservabilityError(ReproError, RuntimeError):
     artefacts — a run-manifest or perf-trajectory record that fails schema
     validation, or a run log that cannot be written where asked."""
 
-
-class BackendUnavailableError(BackendError):
-    """Raised when a registered backend cannot run on this machine — its
-    optional dependency (``array_api_compat``, CuPy, torch) is not installed.
-
-    Kept distinct from :class:`BackendError` so tests and sweep scripts can
-    *skip* gracefully instead of failing: unavailable hardware is an expected
-    condition, a misconfigured registry is a bug.
-    """

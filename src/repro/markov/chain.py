@@ -39,7 +39,7 @@ class FiniteMarkovChain:
     --------
     >>> chain = FiniteMarkovChain([[0.5, 0.5], [0.2, 0.8]], labels=["A", "B"])
     >>> pi = chain.stationary_distribution()
-    >>> round(pi[0], 6), round(pi[1], 6)
+    >>> round(float(pi[0]), 6), round(float(pi[1]), 6)
     (0.285714, 0.714286)
     """
 

@@ -9,16 +9,15 @@ Four pieces, all off by default and all bit-neutral when off:
   read), so the default path is bit-identical to uninstrumented code —
   pinned by golden-digest tests and a <2% overhead gate in
   ``benchmarks/bench_observability.py``.  Enable with ``REPRO_TRACE=1`` or
-  a :func:`use_tracer` context; spans record wall time, the ambient backend
-  and dtype policy, and whatever attributes the call site attaches
+  a :func:`use_tracer` context; spans record wall time, the backend and the
+  ambient dtype policy, and whatever attributes the call site attaches
   (trials, rounds, cache state, workspace bytes).
 * **metrics** (:mod:`repro.observability.metrics`) — counters and gauges
   behind the same handle pattern (:data:`METRICS`): trials simulated,
   rounds scanned, cache hits/misses per runner method, stale-by-version
-  cache skips, host<->device transfers in the accelerator backend,
-  workspace buffer reuse versus fresh allocation, rare-event pilot
-  iterations and ESS.  :meth:`Metrics.snapshot` exports everything as one
-  JSON-serializable dict.
+  cache skips, workspace buffer reuse versus fresh allocation, rare-event
+  pilot iterations and ESS.  :meth:`Metrics.snapshot` exports everything
+  as one JSON-serializable dict.
 * **run manifests** (:mod:`repro.observability.manifest`) — every
   ``ExperimentRunner.run_*`` call can append a validated JSONL record
   (params, seed, version, backend, cache key, hit/miss, duration, result
@@ -85,7 +84,6 @@ from .trajectory import (
     append_trajectory,
     load_trajectory,
     machine_info,
-    migrate_legacy_entries,
     resolve_trajectory_path,
     trajectory_record,
     validate_trajectory_record,
@@ -147,7 +145,6 @@ __all__ = [
     "resolve_trajectory_path",
     "append_trajectory",
     "load_trajectory",
-    "migrate_legacy_entries",
     # distributed
     "WorkerTelemetry",
     "BufferedRunLog",

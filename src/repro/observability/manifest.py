@@ -5,10 +5,10 @@ log* describing exactly what was executed and where the result came from:
 the parameter payload, shape, base seed, cache key and prefix, whether the
 call was a cache hit / miss / uncached, whether a warm entry was skipped
 because it was written by an older package version, the wall-clock
-duration, the ambient backend and dtype policy, and a digest of the result
-arrays.  Cached ``.npz`` artefacts thereby gain a provenance trail: given a
-cache file name, the run log says which call produced it, when, how long it
-took, and what the bytes hashed to.
+duration, the backend and the ambient dtype policy, and a digest of the
+result arrays.  Cached ``.npz`` artefacts thereby gain a provenance trail:
+given a cache file name, the run log says which call produced it, when,
+how long it took, and what the bytes hashed to.
 
 Activation is by construction argument (``ExperimentRunner(run_log=...)``)
 or the ``REPRO_RUN_LOG`` environment variable naming the target path — the
@@ -114,7 +114,7 @@ def manifest_record(
 ) -> dict:
     """Build (and validate) one schema-conformant run-manifest record.
 
-    The ambient backend and dtype-policy names are stamped automatically;
+    The backend and the ambient dtype-policy names are stamped automatically;
     ``extra`` carries method-specific context (scenario name, rare-event
     spec, delay-model name, ...).
     """

@@ -1,8 +1,8 @@
 """Counters and gauges behind the same handle pattern as the tracer.
 
 A :class:`Metrics` registry accumulates *counters* (monotone totals: trials
-simulated, cache hits per runner method, workspace buffer reuses,
-host<->device transfers) and *gauges* (last-observed values: rare-event
+simulated, cache hits per runner method, workspace buffer reuses) and
+*gauges* (last-observed values: rare-event
 pilot ESS, splitting level fractions), and exports both as one
 JSON-serializable snapshot.
 

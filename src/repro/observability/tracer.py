@@ -16,9 +16,9 @@ tracer at all.
 With a tracer installed (``REPRO_TRACE=1`` at import, or a
 :func:`use_tracer` context), ``span(name, **attributes)`` opens a
 :class:`SpanRecord` that nests under the innermost open span, measures wall
-time with :func:`time.perf_counter`, and stamps the ambient backend and
+time with :func:`time.perf_counter`, and stamps the backend and the ambient
 dtype-policy names — so a trace tree answers "where did this run spend its
-time, on which backend, under which policy" without any engine changes.
+time, under which policy" without any engine changes.
 """
 
 from __future__ import annotations

@@ -25,11 +25,9 @@ Record shape (``schema_version`` 1)::
                                          #   speedups, throughputs, gates
     }
 
-The two pre-schema files (``BENCH_rare_events.json``,
-``BENCH_equivocation.json``) remain in place for their original consumers;
-:func:`migrate_legacy_entries` lifts their entries into this schema (with
-``timestamp``/``machine`` of ``None``), which is how the committed
-``BENCH_trajectory.json`` was seeded.
+The records with ``timestamp``/``machine`` of ``None`` were lifted from the
+two benches' pre-schema record files, which seeded the committed
+``BENCH_trajectory.json``; every bench appends full records here now.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ __all__ = [
     "resolve_trajectory_path",
     "append_trajectory",
     "load_trajectory",
-    "migrate_legacy_entries",
 ]
 
 #: Schema identifier stamped into every record.
@@ -256,27 +253,3 @@ def _load_document(path: str) -> List[dict]:
         )
     return entries
 
-
-def migrate_legacy_entries(benchmark: str, entries: List[dict]) -> List[dict]:
-    """Lift pre-schema ``BENCH_*.json`` entries into trajectory records.
-
-    The legacy files carried flat metric dicts with a ``version`` key and no
-    machine/timestamp provenance; everything except ``version`` becomes the
-    record's ``metrics``, and the unknown provenance fields are ``None``.
-    Legacy benches always recorded full-size workloads, so ``mode`` is
-    ``"full"``.
-    """
-    records = []
-    for entry in entries:
-        metrics = {key: value for key, value in entry.items() if key != "version"}
-        records.append(
-            trajectory_record(
-                benchmark,
-                "full",
-                metrics,
-                version=str(entry.get("version", "unknown")),
-                timestamp=entry.get("timestamp", None),
-                machine=None,
-            )
-        )
-    return records

@@ -26,13 +26,12 @@ array operations:
   running-maximum drawdown.
 
 The batch, scenario, streaming and rare-event engines all run these two
-kernels.  Every tensor operation dispatches through the active
-:class:`~repro.backend.ArrayBackend` (see :mod:`repro.backend`): the NumPy
-reference backend reproduces the historical engine bit for bit, and
-``use_backend`` / ``REPRO_BACKEND`` swap in an accelerator without touching
-this module.  Randomness is always drawn host-side through the caller's
-:class:`numpy.random.Generator` and bridged to the device, and dtypes follow
-the active :class:`~repro.backend.DtypePolicy`.  A kernel takes its scratch
+kernels.  Every tensor operation is a call on the ``xp`` handle
+(:func:`repro.backend.get_backend`), whose ops are the NumPy functions and
+whose ``binomial`` returns ``Generator.binomial``'s bits, so the engine
+reproduces the historical one bit for bit.  Every draw comes from the
+caller's :class:`numpy.random.Generator`, and dtypes follow the active
+:class:`~repro.backend.DtypePolicy`.  A kernel takes its scratch
 tensors from a :class:`~repro.backend.Workspace` when given one (as
 :class:`~repro.simulation.runner.ExperimentRunner` does, so repeated
 (trials, rounds) runs stop allocating) and allocates them otherwise; the
@@ -56,7 +55,7 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from ..backend import (
-    ArrayBackend,
+    NumpyBackend,
     Workspace,
     get_backend,
     get_dtype_policy,
@@ -108,16 +107,13 @@ def draw_mining_traces(
     rng: SeedLike = None,
     draw_mode: str = "binomial",
     power: Optional[MiningPowerProfile] = None,
-    backend: Optional[ArrayBackend] = None,
     policy=None,
 ):
     """Draw ``(trials, rounds)`` honest and adversarial success-count tensors.
 
     The honest tensor is drawn first, then the adversarial tensor, each in a
     single vectorized call — this fixed order is the batch engine's draw
-    protocol, so a seed fully determines both tensors.  Draws happen on the
-    host generator and are bridged to the active backend, so the bit stream
-    is backend-independent.
+    protocol, so a seed fully determines both tensors.
 
     ``draw_mode="binomial"`` samples the per-round counts directly as
     ``Binomial(miners, p)`` (Eq. 41).  ``draw_mode="bernoulli"`` materialises
@@ -135,7 +131,7 @@ def draw_mining_traces(
         raise SimulationError(
             f"draw_mode must be one of {DRAW_MODES}, got {draw_mode!r}"
         )
-    xp = get_backend(backend)
+    xp = get_backend()
     policy = get_dtype_policy(policy)
     policy.check_rounds(rounds)
     index_dtype = policy.index_dtype(xp)
@@ -178,7 +174,7 @@ def draw_mining_traces(
 
 
 def _bernoulli_counts(
-    xp: ArrayBackend,
+    xp: NumpyBackend,
     index_dtype,
     generator: np.random.Generator,
     trials: int,
@@ -219,7 +215,7 @@ def count_convergence_opportunities_batch(honest_counts, delta: int):
     return _opportunity_mask(xp, policy, counts, delta).sum(axis=1, dtype=index_dtype)
 
 
-def _scratch(workspace: Optional[Workspace], xp: ArrayBackend, tag: str, shape, dtype):
+def _scratch(workspace: Optional[Workspace], xp: NumpyBackend, tag: str, shape, dtype):
     """The workspace's ``tag`` buffer, or a fresh one without a workspace."""
     if workspace is None:
         return xp.empty(shape, dtype=dtype)
@@ -227,7 +223,7 @@ def _scratch(workspace: Optional[Workspace], xp: ArrayBackend, tag: str, shape, 
 
 
 def _opportunity_mask(
-    xp: ArrayBackend, policy, counts, delta: int, workspace: Optional[Workspace] = None
+    xp: NumpyBackend, policy, counts, delta: int, workspace: Optional[Workspace] = None
 ):
     """The mask kernel: where the ``N^Δ H_1 N^Δ`` pattern of Eq. (42) completes.
 
@@ -264,7 +260,7 @@ def _opportunity_mask(
 
 
 def _window_drawdown(
-    xp: ArrayBackend, policy, mask, adversary, workspace=None, level=None
+    xp: NumpyBackend, policy, mask, adversary, workspace=None, level=None
 ):
     """The drawdown kernel: ``(worst windowed deficits, first crossings)``.
 
@@ -295,7 +291,6 @@ def worst_window_deficits(
     opportunity_mask,
     adversary_counts,
     workspace: Optional[Workspace] = None,
-    backend: Optional[ArrayBackend] = None,
     policy=None,
 ):
     """Per-trial worst windowed deficit ``max_{s<=t} (A(s,t) - C(s,t))``.
@@ -309,7 +304,7 @@ def worst_window_deficits(
 
     A validating front end to the engines' drawdown kernel.
     """
-    xp = get_backend(backend)
+    xp = get_backend()
     policy = get_dtype_policy(policy)
     index_dtype = policy.index_dtype(xp)
     mask = xp.asarray(opportunity_mask, dtype=index_dtype)
@@ -503,7 +498,7 @@ class BatchResult:
 
 
 class BatchSimulation:
-    """Backend-vectorized batch Monte Carlo execution of the mining model.
+    """Vectorized batch Monte Carlo execution of the mining model.
 
     Parameters
     ----------
@@ -535,9 +530,9 @@ class BatchSimulation:
         does) and they stop allocating.  Without one they allocate per call
         and run the same arithmetic.  Results never alias the workspace.
 
-    The engine binds the ambient backend and dtype policy at construction
-    (``use_backend`` / ``use_dtype_policy`` contexts, or the
-    ``REPRO_BACKEND`` / ``REPRO_DTYPE_POLICY`` environment variables); all
+    The engine binds the ambient dtype policy at construction (a
+    ``use_dtype_policy`` context, or the ``REPRO_DTYPE_POLICY`` environment
+    variable), so a run issued after that context closed still uses it; all
     results are converted back to host NumPy at the engine boundary.
 
     Examples
@@ -574,8 +569,6 @@ class BatchSimulation:
         self.backend = get_backend()
         self.policy = get_dtype_policy()
         self.workspace = workspace
-        if workspace is not None:
-            workspace.bind(self.backend)
 
     @property
     def _delay_model_name(self) -> str:
@@ -607,7 +600,6 @@ class BatchSimulation:
                     self.rng,
                     self.draw_mode,
                     power=self.power,
-                    backend=self.backend,
                     policy=self.policy,
                 )
                 delays = None
@@ -674,7 +666,6 @@ class BatchSimulation:
                     delays,
                     self.params.delta,
                     max_delay=max_delay,
-                    backend=xp,
                     policy=self.policy,
                 )
         with _TRACE.span("batch.deficits", trials=trials, rounds=rounds):

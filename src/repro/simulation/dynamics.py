@@ -474,8 +474,8 @@ def _epoch_distances(latencies, active):
 
     Inactive peers neither relay nor receive: their rows and columns
     (including the diagonal) are pinned at the unreached sentinel.  Inputs
-    and output are backend arrays — this is the inner kernel of the
-    schedule compiler.
+    and output are ``xp`` arrays — this is the inner kernel of the schedule
+    compiler.
     """
     xp = get_backend()
     n = latencies.shape[0]

@@ -55,7 +55,7 @@ class ConvergenceOpportunityDetector:
     --------
     >>> detector = ConvergenceOpportunityDetector(delta=2)
     >>> for count in [0, 0, 1, 0, 0]:
-    ...     detector.observe(count)
+    ...     completed = detector.observe(count)
     >>> detector.count
     1
     """

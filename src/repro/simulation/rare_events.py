@@ -45,13 +45,13 @@ variance-reduction techniques layered on the batch engine:
   suffixes redrawn, so the product of per-level conditional hit fractions
   estimates the tail.
 
-All tensor math goes through the active :class:`~repro.backend.ArrayBackend`
-(host-seeded RNG, dtype-policy aware, optional workspace), so estimates are
-backend-independent; trials are processed in bounded-memory chunks, so deep
-tails can be hunted with large budgets without materialising a huge
-``(trials, rounds)`` tensor.  A zero tilt is *bit-identical* to plain MC at
-the same seed (the draw protocol is unchanged and every likelihood ratio is
-exactly 1), which is how the equivalence tests pin the estimator.  Plain-MC
+All tensor math goes through the ``xp`` handle of :mod:`repro.backend`
+(draws on the caller's generator, dtype-policy aware, optional workspace);
+trials are processed in bounded-memory chunks, so deep tails can be hunted
+with large budgets without materialising a huge ``(trials, rounds)``
+tensor.  A zero tilt is *bit-identical* to plain MC at the same seed (the
+draw protocol is unchanged and every likelihood ratio is exactly 1), which
+is how the equivalence tests pin the estimator.  Plain-MC
 probability estimates carry Wilson score intervals
 (:func:`~repro.simulation.batch.proportion_confidence_interval`), so a
 zero-violation run reports an honest strictly positive upper bound.
@@ -65,13 +65,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..backend import (
-    ArrayBackend,
-    Workspace,
-    get_backend,
-    get_dtype_policy,
-    resolve_chunk_cells,
-)
+from ..backend import Workspace, get_backend, get_dtype_policy, resolve_chunk_cells
 from ..errors import SimulationError
 from ..observability import METRICS as _METRICS, TRACE as _TRACE
 from ..params import ProtocolParameters
@@ -97,13 +91,6 @@ __all__ = [
 
 #: The estimation methods a :class:`RareEventResult` can carry.
 RARE_EVENT_METHODS = ("plain", "tilted", "splitting")
-
-#: Legacy override hook for the per-chunk cell budget.  ``None`` (the
-#: default) defers to :func:`repro.backend.resolve_chunk_cells` — the one
-#: knob the runner and the estimator both read, so a monkeypatched override
-#: here (or ``REPRO_CHUNK_CELLS`` in the environment) reaches every path.
-#: Read at call time, never cached.
-_RARE_CHUNK_CELLS: Optional[int] = None
 
 #: Tilted probabilities are kept strictly inside (0, 1).
 _PROBABILITY_FLOOR = 1e-12
@@ -232,20 +219,19 @@ def draw_tilted_traces(
     trials: int,
     rounds: int,
     rng: SeedLike = None,
-    backend: Optional[ArrayBackend] = None,
     policy=None,
 ):
     """Draw ``(trials, rounds)`` success-count tensors under a tilted measure.
 
     Mirrors the binomial path of
     :func:`~repro.simulation.batch.draw_mining_traces` — honest tensor first,
-    then adversarial, both on the host generator and bridged to the active
-    backend — but at the tilt's per-query probabilities.  With the identity
-    tilt the draws are bit-identical to the plain engine's at the same seed,
-    which is the estimator's ``tilt=0`` equivalence anchor.
+    then adversarial, both on the caller's generator — but at the tilt's
+    per-query probabilities.  With the identity tilt the draws are
+    bit-identical to the plain engine's at the same seed, which is the
+    estimator's ``tilt=0`` equivalence anchor.
     """
     trials, rounds = _validate_shape(trials, rounds)
-    xp = get_backend(backend)
+    xp = get_backend()
     policy = get_dtype_policy(policy)
     policy.check_rounds(rounds)
     index_dtype = policy.index_dtype(xp)
@@ -327,7 +313,6 @@ def cross_entropy_tilt(
             pilot_trials,
             rounds,
             generator,
-            backend=engine.backend,
             policy=engine.policy,
         )
         result = engine.run_traces(honest, adversary)
@@ -491,8 +476,7 @@ class RareEventSimulation:
         tilted and splitting runs allocates its own scratch.
     chunk_cells:
         Optional per-chunk cell budget override; ``None`` defers to the
-        module-level ``_RARE_CHUNK_CELLS`` hook and then to the shared
-        :func:`repro.backend.resolve_chunk_cells` configuration
+        shared :func:`repro.backend.resolve_chunk_cells` configuration
         (``REPRO_CHUNK_CELLS``).  An execution knob only for the windowed
         deficit statistics; for the Binomial draw protocol chunk
         boundaries are part of the protocol (each chunk is one vectorized
@@ -536,15 +520,8 @@ class RareEventSimulation:
     # Shared plumbing
     # ------------------------------------------------------------------
     def _chunk_cells(self) -> int:
-        """The active per-chunk cell budget, resolved at call time.
-
-        Precedence: the instance override > the legacy module hook
-        (``_RARE_CHUNK_CELLS``, kept so existing monkeypatches keep
-        working) > the shared chunking config.
-        """
-        if self.chunk_cells is not None:
-            return self.chunk_cells
-        return resolve_chunk_cells(_RARE_CHUNK_CELLS)
+        """The active per-chunk cell budget, resolved at call time."""
+        return resolve_chunk_cells(self.chunk_cells)
 
     def _chunk_sizes(self, trials: int, rounds: int) -> list:
         chunk = max(int(self._chunk_cells() // max(rounds, 1)), 1)
@@ -584,7 +561,6 @@ class RareEventSimulation:
                     chunk,
                     rounds,
                     self.rng,
-                    backend=self.engine.backend,
                     policy=self.engine.policy,
                 )
                 deficits, _, _ = self._deficits(honest, adversary)
@@ -682,7 +658,6 @@ class RareEventSimulation:
                     chunk,
                     rounds,
                     self.rng,
-                    backend=xp,
                     policy=self.engine.policy,
                 )
                 honest_host = xp.to_host(honest)
@@ -779,7 +754,6 @@ class RareEventSimulation:
                 trials,
                 rounds,
                 self.rng,
-                backend=xp,
                 policy=self.engine.policy,
             )
             honest = xp.to_host(honest)
@@ -812,7 +786,6 @@ class RareEventSimulation:
                     trials,
                     rounds,
                     self.rng,
-                    backend=xp,
                     policy=self.engine.policy,
                 )
                 columns = np.arange(rounds)[None, :]

@@ -297,11 +297,9 @@ register_scenario(Scenario(name="selfish_mining", kind="selfish_mining"))
 # ----------------------------------------------------------------------
 # Scripted honest attribution
 # ----------------------------------------------------------------------
-def _max_window_successes(
-    honest_counts, window: int, backend=None, policy=None
-) -> int:
+def _max_window_successes(honest_counts, window: int, policy=None) -> int:
     """Largest number of honest successes in any ``window`` consecutive rounds."""
-    xp = get_backend(backend)
+    xp = get_backend()
     index_dtype = get_dtype_policy(policy).index_dtype(xp)
     counts = xp.asarray(honest_counts, dtype=index_dtype)
     if counts.ndim == 1:
@@ -323,7 +321,7 @@ def _max_window_successes(
 
 
 def _require_attribution_feasible(
-    honest_counts, honest_miners: int, honest_delay: int, backend=None, policy=None
+    honest_counts, honest_miners: int, honest_delay: int, policy=None
 ) -> None:
     """Raise unless rotating attribution avoids in-flight re-selection.
 
@@ -333,7 +331,7 @@ def _require_attribution_feasible(
     ``honest_miners`` successes.
     """
     window = max(honest_delay, 1)
-    worst = _max_window_successes(honest_counts, window, backend, policy)
+    worst = _max_window_successes(honest_counts, window, policy)
     if worst > honest_miners:
         raise SimulationError(
             f"cannot attribute {worst} honest successes within a "
@@ -879,9 +877,8 @@ class ScenarioSimulation:
         buffers for the scan state and window kernels; pass one workspace
         across repeated runs (as the runner does) and the hot loops stop
         allocating.  Results never alias the workspace.  Like the batch
-        engine, the ambient backend and dtype policy are bound at
-        construction and results are converted to host NumPy at the
-        boundary.
+        engine, the ambient dtype policy is bound at construction and
+        results are converted to host NumPy at the boundary.
     placement:
         Optional :class:`~repro.simulation.dynamics.AdversaryPlacement`
         (any object with a ``release_delay(topology, delta)`` method and a
@@ -924,8 +921,6 @@ class ScenarioSimulation:
         self.backend = get_backend()
         self.policy = get_dtype_policy()
         self.workspace = workspace
-        if workspace is not None:
-            workspace.bind(self.backend)
         self.params = params
         self.scenario = get_scenario(scenario)
         # A PartitionScenario with a cut_fraction prices the cut as a real
@@ -1070,7 +1065,6 @@ class ScenarioSimulation:
                     self.rng,
                     self.draw_mode,
                     power=self.power,
-                    backend=self.backend,
                     policy=self.policy,
                 )
                 if self._cut_fraction is not None:
@@ -1167,7 +1161,7 @@ class ScenarioSimulation:
                 raise SimulationError(f"delays must lie in [0, {cap}]")
         window = cap if delays is not None else self.honest_delay
         _require_attribution_feasible(
-            honest, self.honest_miners, window, backend=xp, policy=self.policy
+            honest, self.honest_miners, window, policy=self.policy
         )
 
         cut_windows: List[Tuple[int, int]] = []
@@ -1218,7 +1212,6 @@ class ScenarioSimulation:
                     delays,
                     self.params.delta,
                     max_delay=cap,
-                    backend=xp,
                     policy=self.policy,
                 )
             # During a cut no round is a convergence opportunity — the honest
@@ -1287,7 +1280,7 @@ class ScenarioSimulation:
         scan's ``~`` / ``&`` logic needs logical, not bitwise, semantics.
         """
         xp = self.backend
-        workspace = self.workspace if self.workspace is not None else Workspace(xp)
+        workspace = self.workspace if self.workspace is not None else Workspace()
         index_dtype = self.policy.index_dtype(xp)
         mask_dtype = self.policy.mask_dtype(xp)
         trials, rounds = honest.shape
@@ -1565,7 +1558,7 @@ class ScenarioSimulation:
         static branches over vector state.
         """
         xp = self.backend
-        workspace = self.workspace if self.workspace is not None else Workspace(xp)
+        workspace = self.workspace if self.workspace is not None else Workspace()
         index_dtype = self.policy.index_dtype(xp)
         mask_dtype = self.policy.mask_dtype(xp)
         trials, rounds = honest.shape

@@ -867,7 +867,6 @@ class StreamingBatchSimulation:
         params = self.params
         draw_mode = self.draw_mode
         power = engine.power
-        xp = engine.backend
         policy = engine.policy
         delay_model = engine.delay_model
         n_blocks = len(children)
@@ -886,7 +885,6 @@ class StreamingBatchSimulation:
                     rng,
                     draw_mode,
                     power=power,
-                    backend=xp,
                     policy=policy,
                 )
                 honest_buffer[offset : offset + size] = honest
@@ -939,7 +937,6 @@ class StreamingBatchSimulation:
                 rng,
                 self.draw_mode,
                 power=self.engine.power,
-                backend=xp,
                 policy=self.engine.policy,
             )
             honest_parts.append(xp.to_host(honest))
@@ -1132,7 +1129,6 @@ class StreamingScenarioSimulation:
                     rng,
                     draw_mode,
                     power=power,
-                    backend=xp,
                     policy=policy,
                 )
                 honest_buffer[offset : offset + size] = honest
@@ -1200,7 +1196,6 @@ class StreamingScenarioSimulation:
                 rng,
                 self.draw_mode,
                 power=engine.power,
-                backend=xp,
                 policy=engine.policy,
             )
             honest_parts.append(xp.to_host(honest))

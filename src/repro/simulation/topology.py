@@ -88,7 +88,6 @@ def convergence_opportunity_mask_with_delays(
     delays,
     delta: int,
     max_delay: Optional[int] = None,
-    backend=None,
     policy=None,
 ):
     """Convergence opportunities under per-block realized delivery delays.
@@ -119,7 +118,7 @@ def convergence_opportunity_mask_with_delays(
     the obstructed span, which is exactly the consistency threat being
     measured.
     """
-    xp = get_backend(backend)
+    xp = get_backend()
     policy = get_dtype_policy(policy)
     index_dtype = policy.index_dtype(xp)
     counts = xp.asarray(honest_counts, dtype=index_dtype)
@@ -435,8 +434,8 @@ class PeerGraphTopology:
         One min-plus relaxation per pivot node: ``D <- min(D, D[:,k] + D[k,:])``
         — Floyd–Warshall with the inner two loops as one array broadcast,
         which is what the ≥5x benchmark gate measures against the per-source
-        Python reference.  The kernel runs on the active backend; the cached
-        matrix lives on the host (the graph-analysis helpers built on it —
+        Python reference.  The kernel runs on the ``xp`` handle; the cached
+        matrix is a host array (the graph-analysis helpers built on it —
         radii, diameters, quantiles — are host consumers).
         """
         if self._distances is None:

@@ -1,117 +1,110 @@
-"""Unit tests for the array-backend layer: dispatch, dtypes, workspaces."""
+"""Unit tests for the array layer: the backend handle, dtypes, workspaces."""
 
 from __future__ import annotations
+
+import ast
+import inspect
 
 import numpy as np
 import pytest
 
+import repro.simulation.batch as batch
+import repro.simulation.dynamics as dynamics
+import repro.simulation.rare_events as rare_events
+import repro.simulation.scenarios as scenarios
+import repro.simulation.streaming as streaming
+import repro.simulation.topology as topology
 from repro.backend import (
-    ARRAY_OPS,
-    BACKEND_ENV_VAR,
     COMPACT_POLICY,
     COMPACT_STAT_RTOL,
     DTYPE_POLICY_ENV_VAR,
-    ArrayBackend,
+    WIDE_POLICY,
     NumpyBackend,
     Workspace,
-    backend_specs,
     get_backend,
     get_dtype_policy,
-    list_backends,
-    list_dtype_policies,
-    register_backend,
-    use_backend,
     use_dtype_policy,
 )
-from repro.backend.dispatch import DEFAULT_BACKEND
 from repro.backend.dtypes import DtypePolicy
-from repro.errors import BackendError, BackendUnavailableError
+from repro.errors import BackendError
 from repro.params import parameters_from_c
-from repro.simulation import BatchSimulation, ScenarioSimulation
+from repro.simulation import (
+    BatchSimulation,
+    ScenarioSimulation,
+    draw_mining_traces,
+    worst_window_deficits,
+)
+from repro.simulation.rare_events import ExponentialTilt, draw_tilted_traces
+from repro.simulation.topology import convergence_opportunity_mask_with_delays
 
 
 # ----------------------------------------------------------------------
-# Dispatch
+# The backend handle
 # ----------------------------------------------------------------------
+#: Every engine module that calls ops on the ``xp`` handle.
+ENGINE_MODULES = [batch, scenarios, topology, dynamics, rare_events, streaming]
+
+
+def _handle_ops(source: str) -> list:
+    """``(op, line)`` for every ``xp.<op>`` / ``self.backend.<op>`` access."""
+    ops = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Attribute):
+            continue
+        handle = node.value
+        if (isinstance(handle, ast.Name) and handle.id == "xp") or (
+            isinstance(handle, ast.Attribute)
+            and handle.attr == "backend"
+            and isinstance(handle.value, ast.Name)
+            and handle.value.id == "self"
+        ):
+            ops.append((node.attr, node.lineno))
+    return ops
+
+
 class TestDispatch:
     def test_default_backend_is_numpy(self):
         backend = get_backend()
         assert isinstance(backend, NumpyBackend)
-        assert backend.name == DEFAULT_BACKEND == "numpy"
+        assert backend.name == "numpy"
 
     def test_instances_are_cached(self):
-        assert get_backend("numpy") is get_backend("numpy")
+        backend = get_backend()
+        assert get_backend() is backend
+        params = parameters_from_c(c=1.0, n=400, delta=3, nu=0.4)
+        assert BatchSimulation(params, rng=0).backend is backend
+        with use_dtype_policy("compact"):
+            engine = ScenarioSimulation(params, "private_chain", rng=0)
+        assert engine.backend is backend
 
     def test_every_declared_op_exists_on_numpy_backend(self):
-        backend = get_backend("numpy")
-        missing = [op for op in ARRAY_OPS if not callable(getattr(backend, op, None))]
+        """The class body is the op list: every op an engine calls on its
+        handle must be declared there, or the path fails only when run."""
+        missing = []
+        used = set()
+        for module in ENGINE_MODULES:
+            for op, line in _handle_ops(inspect.getsource(module)):
+                used.add(op)
+                if not hasattr(NumpyBackend, op):
+                    missing.append(f"{module.__name__}:{line} xp.{op}")
         assert not missing
+        assert {"binomial", "to_host", "maximum_accumulate"} <= used
+        # The scan sees both handle spellings and flags an undeclared op.
+        smuggled = "def f(self, xp):\n    xp.fft(self.backend.binomial)\n"
+        assert _handle_ops(smuggled) == [("fft", 2), ("binomial", 2)]
+        assert not hasattr(NumpyBackend, "fft")
 
-    def test_env_var_selection(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        assert get_backend().name == "numpy"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "no_such_backend")
-        with pytest.raises(BackendError, match="unknown backend"):
-            get_backend()
-
-    def test_empty_env_var_means_default(self, monkeypatch):
-        """CI matrices export REPRO_BACKEND=\"\" on baseline legs; empty must
-        behave exactly like unset (same for the dtype-policy variable)."""
-        monkeypatch.setenv(BACKEND_ENV_VAR, "")
-        assert get_backend().name == DEFAULT_BACKEND
-        monkeypatch.setenv(DTYPE_POLICY_ENV_VAR, "")
-        assert get_dtype_policy().name == "wide"
-
-    def test_unknown_backend_error_lists_registry(self):
-        with pytest.raises(BackendError, match="registered backends"):
-            get_backend("definitely_not_registered")
-
-    def test_context_manager_nesting(self):
-        outer = get_backend("numpy")
-
-        class Marker(NumpyBackend):
-            name = "marker"
-
-        marker = Marker()
-        with use_backend(outer):
-            assert get_backend() is outer
-            with use_backend(marker):
-                assert get_backend() is marker
-            assert get_backend() is outer
-        # The stack fully unwinds: ambient selection is back in charge.
-        assert get_backend().name == "numpy"
-
-    def test_context_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "no_such_backend")
-        with use_backend("numpy"):
-            assert get_backend().name == "numpy"
-
-    def test_register_refuses_silent_redefinition(self):
-        with pytest.raises(BackendError, match="already registered"):
-            register_backend("numpy", NumpyBackend)
-
-    def test_instance_passthrough(self):
-        backend = NumpyBackend()
-        assert get_backend(backend) is backend
-
-    def test_list_and_specs(self):
-        names = list_backends()
-        assert "numpy" in names and "array_api" in names
-        specs = backend_specs()
-        assert specs["numpy"]["available"] is True
-        assert "available" in specs["array_api"]
-
-    def test_array_api_backend_degrades_to_clear_error(self):
-        """Without the optional accelerator deps the backend must raise the
-        skippable BackendUnavailableError, never crash; with them it must
-        construct."""
-        specs = backend_specs()["array_api"]
-        if specs["available"]:
-            backend = get_backend("array_api")
-            assert isinstance(backend, ArrayBackend)
-        else:
-            with pytest.raises(BackendUnavailableError):
-                get_backend("array_api")
+    def test_host_boundary_and_copy(self):
+        backend = get_backend()
+        array = np.arange(6).reshape(2, 3)
+        assert backend.to_host(array) is array
+        assert backend.from_host(array) is array
+        assert isinstance(backend.from_host([1, 2]), np.ndarray)
+        copied = backend.copy(array[:, 1:])
+        assert np.array_equal(copied, array[:, 1:])
+        assert copied.flags.owndata and copied.flags.c_contiguous
+        copied[...] = -1
+        assert array.min() == 0
 
 
 # ----------------------------------------------------------------------
@@ -120,14 +113,14 @@ class TestDispatch:
 class TestDtypePolicy:
     def test_wide_is_default_and_matches_history(self):
         policy = get_dtype_policy()
-        backend = get_backend("numpy")
+        backend = get_backend()
         assert policy.name == "wide"
         assert policy.index_dtype(backend) is np.int64
         assert policy.mask_dtype(backend) is np.bool_
         assert policy.stat_dtype(backend) is np.float64
 
     def test_compact_mapping(self):
-        backend = get_backend("numpy")
+        backend = get_backend()
         assert COMPACT_POLICY.index_dtype(backend) is np.int32
         assert COMPACT_POLICY.mask_dtype(backend) is np.uint8
         assert COMPACT_POLICY.stat_dtype(backend) is np.float32
@@ -139,16 +132,64 @@ class TestDtypePolicy:
             assert get_dtype_policy().name == "wide"
         assert get_dtype_policy().name == "compact"
 
+    def test_empty_env_var_means_default(self, monkeypatch):
+        """Shell scripts export FOO="" for the baseline; empty means unset."""
+        monkeypatch.setenv(DTYPE_POLICY_ENV_VAR, "")
+        assert get_dtype_policy() is WIDE_POLICY
+
+    def test_lookup_by_name(self):
+        assert get_dtype_policy("wide") is WIDE_POLICY
+        assert get_dtype_policy("compact") is COMPACT_POLICY
+        with pytest.raises(
+            BackendError, match="'narrow'; registered policies: compact, wide$"
+        ):
+            get_dtype_policy("narrow")
+
     def test_unknown_policy_errors(self):
         with pytest.raises(BackendError, match="registered policies"):
             get_dtype_policy("nope")
 
+    def test_context_manager_nesting(self, monkeypatch):
+        monkeypatch.delenv(DTYPE_POLICY_ENV_VAR, raising=False)
+        with use_dtype_policy("compact") as outer:
+            assert outer is COMPACT_POLICY
+            with use_dtype_policy("wide") as inner:
+                assert inner is WIDE_POLICY
+                assert get_dtype_policy() is WIDE_POLICY
+            assert get_dtype_policy() is COMPACT_POLICY
+        # The stack fully unwinds, also past an error inside the context.
+        with pytest.raises(RuntimeError):
+            with use_dtype_policy("compact"):
+                raise RuntimeError
+        assert get_dtype_policy() is WIDE_POLICY
+
+    def test_context_overrides_env(self, monkeypatch):
+        monkeypatch.setenv(DTYPE_POLICY_ENV_VAR, "no_such_policy")
+        with pytest.raises(BackendError, match="'no_such_policy'"):
+            get_dtype_policy()
+        params = parameters_from_c(c=4.0, n=400, delta=3, nu=0.2)
+        with use_dtype_policy("compact"):
+            assert get_dtype_policy() is COMPACT_POLICY
+            engine = BatchSimulation(params, rng=5)  # never reads the env
+        assert engine.policy is COMPACT_POLICY
+
+    def test_instance_passthrough(self):
+        """A policy object is used as given, by the lookup and by engines."""
+        narrow = DtypePolicy(name="narrow", index="int32")
+        assert get_dtype_policy(narrow) is narrow
+        params = parameters_from_c(c=4.0, n=400, delta=3, nu=0.2)
+        wide = BatchSimulation(params, rng=5).run(6, 500)
+        with use_dtype_policy(narrow):
+            assert get_dtype_policy() is narrow
+            result = BatchSimulation(params, rng=5).run(6, 500)
+        assert result.convergence_opportunities.dtype == np.int32
+        assert np.array_equal(
+            wide.convergence_opportunities, result.convergence_opportunities
+        )
+
     def test_invalid_field_rejected(self):
         with pytest.raises(BackendError, match="must be one of"):
             DtypePolicy(name="bad", index="complex128")
-
-    def test_listing(self):
-        assert {"wide", "compact"} <= set(list_dtype_policies())
 
     def test_compact_rejects_overflowable_round_counts(self):
         with pytest.raises(BackendError, match="int32"):
@@ -190,6 +231,55 @@ class TestDtypePolicy:
 
 
 # ----------------------------------------------------------------------
+# Public kernels: the policy is their one array knob
+# ----------------------------------------------------------------------
+KERNEL_PARAMS = parameters_from_c(c=1.0, n=400, delta=3, nu=0.4)
+_HONEST, _ADVERSARY = draw_mining_traces(KERNEL_PARAMS, 6, 400, rng=3)
+_MASK = convergence_opportunity_mask_with_delays(
+    _HONEST, np.full(_HONEST.shape, 3), 3
+)
+
+#: Each public kernel as ``policy -> output tensors``.
+KERNELS = {
+    "draw_mining_traces": lambda policy: draw_mining_traces(
+        KERNEL_PARAMS, 6, 400, rng=3, policy=policy
+    ),
+    "draw_tilted_traces": lambda policy: draw_tilted_traces(
+        KERNEL_PARAMS, ExponentialTilt.identity(KERNEL_PARAMS), 6, 400,
+        rng=3, policy=policy,
+    ),
+    "worst_window_deficits": lambda policy: (
+        worst_window_deficits(_MASK, _ADVERSARY, policy=policy),
+    ),
+    "convergence_opportunity_mask_with_delays": lambda policy: (
+        convergence_opportunity_mask_with_delays(
+            _HONEST, np.full(_HONEST.shape, 3), 3, policy=policy
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_public_kernel_follows_ambient_and_explicit_policy(kernel):
+    """Same values under both policies, each in its own dtypes, whether the
+    policy comes from the context or the ``policy=`` keyword."""
+    call = KERNELS[kernel]
+    wide = call(None)
+    with use_dtype_policy("compact"):
+        ambient = call(None)
+        overridden = call("wide")
+    explicit = call(COMPACT_POLICY)
+    for reference, tensors in ((wide, ambient), (wide, explicit)):
+        for expected, actual in zip(reference, tensors):
+            assert np.array_equal(expected, actual)
+            assert actual.dtype != expected.dtype
+            assert actual.dtype in (np.int32, np.uint8)
+    for expected, actual in zip(wide, overridden):
+        assert actual.dtype == expected.dtype
+        assert np.array_equal(expected, actual)
+
+
+# ----------------------------------------------------------------------
 # Workspace
 # ----------------------------------------------------------------------
 class TestWorkspace:
@@ -213,18 +303,6 @@ class TestWorkspace:
         assert again is buffer
         assert (again == 0).all()
 
-    def test_binding_is_lazy_and_exclusive(self):
-        workspace = Workspace()
-        assert workspace.backend is None
-        workspace.zeros("tag", (2,), np.int64)
-        assert workspace.backend is get_backend("numpy")
-
-        class Other(NumpyBackend):
-            name = "other"
-
-        with pytest.raises(BackendError, match="bound to backend"):
-            workspace.bind(Other())
-
     def test_tags_nbytes_clear(self):
         workspace = Workspace()
         workspace.zeros("a", (4,), np.int64)
@@ -233,7 +311,7 @@ class TestWorkspace:
         assert workspace.nbytes == 4 * 8 + 4 * 8
         workspace.clear()
         assert workspace.tags == ()
-        assert workspace.backend is not None  # binding survives clear()
+        assert workspace.high_water_bytes == 4 * 8 + 4 * 8  # the mark stays
 
     def test_engine_results_do_not_alias_workspace(self):
         """Back-to-back runs through one workspace must not corrupt earlier
@@ -249,19 +327,57 @@ class TestWorkspace:
         assert np.array_equal(first.deepest_forks, snapshot)
 
     def test_engine_built_in_context_runs_outside_it(self):
-        """Engines bind backend, policy and workspace at construction; a run
-        issued after the `use_backend` context closed must use that binding
+        """Engines bind the dtype policy at construction; a run issued after
+        the `use_dtype_policy` context closed must use that binding
         throughout (helpers and workspace must not re-consult the ambient
         selection mid-run)."""
         params = parameters_from_c(c=4.0, n=400, delta=3, nu=0.2)
         baseline = BatchSimulation(params, rng=5).run(8, 700)
-        with use_backend(NumpyBackend()):  # fresh instance, not the singleton
+        with use_dtype_policy("compact"):
             engine = BatchSimulation(params, rng=5, workspace=Workspace())
         result = engine.run(8, 700)  # outside the context
+        assert result.convergence_opportunities.dtype == np.int32
+        assert result.worst_deficits.dtype == np.int32
         assert np.array_equal(
             baseline.convergence_opportunities, result.convergence_opportunities
         )
         assert np.array_equal(baseline.worst_deficits, result.worst_deficits)
+
+    def test_scenario_engine_built_in_context_runs_outside_it(self):
+        params = parameters_from_c(c=1.0, n=400, delta=3, nu=0.4)
+        baseline = ScenarioSimulation(params, "private_chain", rng=5).run(
+            8, 700, record_rounds=True
+        )
+        with use_dtype_policy("compact"):
+            engine = ScenarioSimulation(
+                params, "private_chain", rng=5, workspace=Workspace()
+            )
+        result = engine.run(8, 700, record_rounds=True)  # outside the context
+        assert result.public_heights.dtype == np.int32
+        assert result.release_mask.dtype == np.uint8
+        assert np.array_equal(baseline.public_heights, result.public_heights)
+        assert np.array_equal(baseline.release_mask, result.release_mask)
+        assert np.array_equal(baseline.deepest_forks, result.deepest_forks)
+
+    def test_one_workspace_serves_both_dtype_policies(self):
+        """A workspace is plain scratch: engines of either policy can share
+        it, each getting buffers of its own dtypes."""
+        params = parameters_from_c(c=4.0, n=400, delta=3, nu=0.2)
+        reference = BatchSimulation(params, rng=9).run(10, 800)
+        workspace = Workspace()
+        wide = BatchSimulation(params, rng=9, workspace=workspace)
+        with use_dtype_policy("compact"):
+            compact = BatchSimulation(params, rng=9, workspace=workspace)
+        for engine, dtype in ((wide, np.int64), (compact, np.int32), (wide, np.int64)):
+            engine.rng = np.random.default_rng(9)
+            result = engine.run(10, 800)
+            assert result.convergence_opportunities.dtype == dtype
+            assert np.array_equal(
+                reference.convergence_opportunities,
+                result.convergence_opportunities,
+            )
+            assert np.array_equal(reference.worst_deficits, result.worst_deficits)
+        assert workspace.tags
 
     def test_batch_workspace_path_matches_reference(self):
         params = parameters_from_c(c=4.0, n=400, delta=3, nu=0.2)

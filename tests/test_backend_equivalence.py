@@ -3,10 +3,10 @@
 The digests below were produced by the engines *before* the backend-layer
 refactor (PR 4 state, ``rng=2026``, 12 trials x 600 rounds) by hashing the
 dtype, shape and raw bytes of every headline result tensor.  The refactored
-engines must reproduce them exactly on the default NumPy backend — under
-ambient selection, under an explicit ``use_backend("numpy")`` context, and
-through a shared :class:`~repro.backend.Workspace` — which pins the claim
-that routing the tensor math through ``repro.backend`` changed nothing
+engines must reproduce them exactly — with and without a shared
+:class:`~repro.backend.Workspace`, and under an explicit
+``use_dtype_policy("wide")`` that overrides the environment — which pins the
+claim that routing the tensor math through ``repro.backend`` changed nothing
 about the arithmetic.
 """
 
@@ -17,7 +17,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.backend import Workspace, use_backend
+from repro.backend import DTYPE_POLICY_ENV_VAR, Workspace, use_dtype_policy
 from repro.params import parameters_from_c
 from repro.simulation import BatchSimulation, ScenarioSimulation
 from repro.simulation.dynamics import (
@@ -123,8 +123,11 @@ def test_batch_engine_bit_identical_to_pre_refactor(nu, delta):
 
 
 @pytest.mark.parametrize("nu,delta", GRID)
-def test_batch_engine_bit_identical_under_explicit_numpy_backend(nu, delta):
-    with use_backend("numpy"):
+def test_batch_engine_bit_identical_under_explicit_wide_policy(
+    nu, delta, monkeypatch
+):
+    monkeypatch.setenv(DTYPE_POLICY_ENV_VAR, "compact")
+    with use_dtype_policy("wide"):
         assert _batch_digest(nu, delta) == BATCH_GOLDENS[(nu, delta)]
 
 

@@ -1,17 +1,17 @@
 """Lint-style guard: no direct NumPy tensor-op call sites in engine hot paths.
 
-The backend abstraction only holds if nobody quietly reintroduces a
-module-level ``np.`` call into a refactored kernel.  This test parses the
-four engine modules and asserts that every designated hot-path function
-touches ``np``/``numpy`` only through the allowlisted host-boundary names
-(type annotations and the :class:`numpy.random.Generator` seeding surface).
-Everything tensor-shaped must go through the dispatched backend handle or
-Python operators, which dispatch through the array type itself.
+The ``xp`` handle only holds if nobody quietly reintroduces a module-level
+``np.`` call into a refactored kernel.  This test parses the engine modules
+and asserts that every designated hot-path function touches ``np``/``numpy``
+only through the allowlisted host-boundary names (type annotations and the
+:class:`numpy.random.Generator` seeding surface).  Everything tensor-shaped
+must go through the backend handle or Python operators, which dispatch
+through the array type itself.
 
 Failing this test means a new ``np.<op>`` crept into a hot path — route it
 through :func:`repro.backend.get_backend` (adding the op to
-:data:`repro.backend.ARRAY_OPS` if it is genuinely new) instead of widening
-the allowlist.
+:class:`repro.backend.NumpyBackend` if it is genuinely new) instead of
+widening the allowlist.
 
 The guard also pins the observability layer's cost model: hot paths may
 touch instrumentation only through the module-level no-op handles
@@ -41,7 +41,7 @@ NUMPY_ALIASES = {"np", "numpy"}
 #: ``np.<attr>`` accesses that remain legitimate inside hot paths: type
 #: annotations (``np.ndarray``) and the host RNG surface
 #: (``np.random.Generator`` annotations — all *draws* go through the
-#: backend's host-seeded bridge).
+#: backend's random ops).
 ALLOWED_ATTRS = {"ndarray", "random"}
 
 #: The hot-path functions the guard covers, as (module, qualname) pairs.

@@ -21,7 +21,6 @@ from repro.backend import (
 )
 from repro.errors import BackendError
 from repro.params import parameters_from_c
-from repro.simulation import rare_events
 from repro.simulation.rare_events import RareEventSimulation
 
 
@@ -89,10 +88,10 @@ class TestRareEventRouting:
         estimator = RareEventSimulation(params, 4, rng=0, chunk_cells=900)
         assert estimator._chunk_cells() == 900
 
-    def test_legacy_module_hook_still_honored(self, params, monkeypatch):
-        monkeypatch.setattr(rare_events, "_RARE_CHUNK_CELLS", 1234)
-        estimator = RareEventSimulation(params, 4, rng=0)
-        assert estimator._chunk_cells() == 1234
+    def test_explicit_ctor_override_beats_env(self, params, monkeypatch):
+        monkeypatch.setenv(CHUNK_ENV_VAR, "2048")
+        estimator = RareEventSimulation(params, 4, rng=0, chunk_cells=900)
+        assert estimator._chunk_cells() == 900
 
     def test_env_reaches_estimator(self, params, monkeypatch):
         monkeypatch.setenv(CHUNK_ENV_VAR, "2048")

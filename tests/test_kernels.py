@@ -213,11 +213,12 @@ class TestStoppedTotals:
         adversary[0, 3:7] = 1
         adversary[2, -3:] = 1
 
-        def crafted(params_, tilt_, trials, rounds_, rng, backend=None, policy=None):
-            dtype = policy.index_dtype(backend)
+        def crafted(params_, tilt_, trials, rounds_, rng, policy=None):
+            xp = get_backend()
+            dtype = policy.index_dtype(xp)
             return (
-                backend.asarray(honest[:trials], dtype=dtype),
-                backend.asarray(adversary[:trials], dtype=dtype),
+                xp.asarray(honest[:trials], dtype=dtype),
+                xp.asarray(adversary[:trials], dtype=dtype),
             )
 
         monkeypatch.setattr(rare_events, "draw_tilted_traces", crafted)

@@ -32,7 +32,6 @@ from repro.observability import (
     install_from_env,
     load_trajectory,
     manifest_record,
-    migrate_legacy_entries,
     read_run_log,
     resolve_run_log,
     resolve_trajectory_path,
@@ -299,16 +298,6 @@ class TestTrajectory:
         env = {"REPRO_BENCH_TRAJECTORY": "/somewhere/else.json"}
         assert resolve_trajectory_path(None, environ=env) == "/somewhere/else.json"
         assert resolve_trajectory_path(None, environ={}) == "BENCH_trajectory.json"
-
-    def test_migrate_legacy_entries_preserves_metrics_without_provenance(self):
-        legacy = [{"version": "1.6.0", "speedup": 9.6, "trials": 256}]
-        (record,) = migrate_legacy_entries("equivocation", legacy)
-        assert record["benchmark"] == "equivocation"
-        assert record["version"] == "1.6.0"
-        assert record["mode"] == "full"
-        assert record["timestamp"] is None
-        assert record["machine"] is None
-        assert record["metrics"] == {"speedup": 9.6, "trials": 256}
 
     def test_perf_report_renders_trajectory(self, tmp_path):
         path = tmp_path / "trajectory.json"

@@ -252,16 +252,9 @@ class TestIdentityTiltEquivalence:
 
     def test_chunked_accumulation_is_part_of_the_draw_protocol(self, params):
         """Chunk boundaries are seed-stable: two budgets share a prefix."""
-        import repro.simulation.rare_events as rare_events
-
-        original = rare_events._RARE_CHUNK_CELLS
-        try:
-            rare_events._RARE_CHUNK_CELLS = 300 * 100  # 100-trial chunks
-            chunked = RareEventSimulation(params, depth=2, rng=11).run_plain(
-                trials=1_000, rounds=300
-            )
-        finally:
-            rare_events._RARE_CHUNK_CELLS = original
+        chunked = RareEventSimulation(
+            params, depth=2, rng=11, chunk_cells=300 * 100  # 100-trial chunks
+        ).run_plain(trials=1_000, rounds=300)
         whole = RareEventSimulation(params, depth=2, rng=11).run_plain(
             trials=1_000, rounds=300
         )

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
 import repro._version as version_module
+from repro.backend import use_dtype_policy
 from repro.errors import SimulationError
 from repro.observability import read_run_log, use_metrics
 from repro.params import parameters_from_c
@@ -124,6 +126,52 @@ class TestGrid:
         assert sharded_runner.cache_misses == 2 and sharded_runner.cache_hits == 0
         sharded_runner.run_grid([PARAMS, OTHER], trials=3, rounds=400)
         assert sharded_runner.cache_hits == 2
+
+    @pytest.mark.parametrize(
+        "start_method", multiprocessing.get_all_start_methods()
+    )
+    def test_sharded_grid_keeps_the_callers_dtype_policy(
+        self, tmp_path, monkeypatch, start_method
+    ):
+        """A worker started by spawn (the macOS and Windows default) or
+        forkserver does not inherit the parent's ``use_dtype_policy`` stack,
+        so each job carries the caller's policy."""
+        monkeypatch.setattr(
+            multiprocessing, "Pool", multiprocessing.get_context(start_method).Pool
+        )
+        cache, log = str(tmp_path / "cache"), str(tmp_path / "runs.jsonl")
+        with use_dtype_policy("compact"):
+            ExperimentRunner(
+                base_seed=4, processes=2, cache_dir=cache, run_log=log
+            ).run_grid([PARAMS, OTHER], trials=3, rounds=400)
+            serial = ExperimentRunner(base_seed=4, cache_dir=cache)
+            serial.run_point(PARAMS, trials=3, rounds=400)
+        policies = [record["dtype_policy"] for record in read_run_log(log)]
+        assert policies == ["compact", "compact"]
+        assert serial.cache_hits == 1
+
+    def test_worker_task_runs_under_the_jobs_policy(self):
+        """The pool task applies the policy its job carries, whatever the
+        worker's own ambient selection, and leaves that selection as found."""
+        from repro.backend import COMPACT_POLICY, get_dtype_policy
+        from repro.simulation.runner import _run_spec_task
+
+        runner = ExperimentRunner(base_seed=4)
+        spec = runner._spec("run_point", "batch", PARAMS, 3, 400)
+        flags = {"spans": False, "metrics": False, "manifests": False}
+        index, outcome = _run_spec_task((7, flags, spec, None, COMPACT_POLICY))
+        assert index == 7
+        assert get_dtype_policy().name == "wide"
+        assert outcome.result.convergence_opportunities.dtype == np.int32
+        with use_dtype_policy("compact"):
+            expected = ExperimentRunner(base_seed=4).run_point(
+                PARAMS, trials=3, rounds=400
+            )
+        assert np.array_equal(
+            expected.convergence_opportunities,
+            outcome.result.convergence_opportunities,
+        )
+        assert outcome.cache_misses == 1
 
 
 class TestValidation:
