@@ -31,8 +31,7 @@ import pytest
 #: harness can toggle it per-invocation.
 QUICK_ENV_VAR = "REPRO_BENCH_QUICK"
 
-#: Opt-in flag for persisting measured datapoints (legacy ``BENCH_*.json``
-#: refreshes and unified trajectory appends alike).
+#: Opt-in flag for appending measured datapoints to ``BENCH_trajectory.json``.
 RECORD_ENV_VAR = "REPRO_BENCH_RECORD"
 
 

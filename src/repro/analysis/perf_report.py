@@ -14,10 +14,11 @@ the human-facing artefacts:
   one-glance "where is perf today" summary;
 * :func:`detect_regressions` — the **perf-regression sentinel**: each
   benchmark's newest record is compared against the median of its prior
-  same-mode history, and a recorded slowdown beyond the tolerance comes
-  back as a ``regressed`` verdict.  ``python -m repro.analysis.perf_report``
-  runs the sentinel from the command line (exit code 1 on any regression),
-  which is how CI turns an unwatched perf history into a failing check.
+  history in the same mode on the same machine fingerprint, and a recorded
+  slowdown beyond the tolerance comes back as a ``regressed`` verdict.
+  ``python -m repro.analysis.perf_report`` runs the sentinel from the
+  command line (exit code 1 on any regression), which is how CI turns an
+  unwatched perf history into a failing check.
 
 Rendering and checking are read-only: this module never writes the
 trajectory file.
@@ -144,6 +145,17 @@ def _lower_is_better(name: str) -> bool:
     )
 
 
+def _fingerprint(record: dict) -> Optional[str]:
+    """The record's :func:`~repro.observability.machine_info` as one string.
+
+    ``None`` for records without provenance (the migrated legacy entries).
+    """
+    machine = record["machine"]
+    if machine is None:
+        return None
+    return ", ".join(f"{key}={machine[key]}" for key in sorted(machine))
+
+
 def detect_regressions(
     path: Union[None, str, os.PathLike] = None,
     tolerance: float = DEFAULT_TOLERANCE,
@@ -152,38 +164,41 @@ def detect_regressions(
 ) -> List[dict]:
     """Judge each benchmark's newest record against its own history.
 
-    For every ``(benchmark, mode)`` group in the trajectory the newest
-    record's headline metric is compared to the **median of the prior
-    records'** values of the same metric — quick and full workloads never
-    share a baseline, and the median keeps one historical outlier from
-    poisoning the comparison.  A higher-is-better metric regresses when it
-    falls below ``baseline * (1 - tolerance)``; a lower-is-better one (see
-    :data:`LOWER_IS_BETTER_METRICS`) when it rises above
-    ``baseline * (1 + tolerance)``.
+    For every ``(benchmark, mode, machine fingerprint)`` group in the
+    trajectory the newest record's headline metric is compared to the
+    **median of the prior records'** values of the same metric — quick and
+    full workloads never share a baseline, neither do two machines (a
+    faster box's record never judges a CI runner's), records without
+    provenance form their own group, and the median keeps one historical
+    outlier from poisoning the comparison.  A higher-is-better metric
+    regresses when it falls below ``baseline * (1 - tolerance)``; a
+    lower-is-better one (see :data:`LOWER_IS_BETTER_METRICS`) when it rises
+    above ``baseline * (1 + tolerance)``.
 
     Groups with fewer than ``min_history`` prior records, a non-numeric
     headline value, or a zero/negative baseline are reported but never
     flagged — the sentinel must pass on a freshly seeded trajectory.
 
     Returns one verdict dict per group, in first-seen order, each carrying
-    ``benchmark``/``mode``/``metric``/``latest``/``baseline``/``history``/
-    ``ratio``/``lower_is_better``/``tolerance``/``regressed``/``detail``.
+    ``benchmark``/``mode``/``fingerprint``/``metric``/``latest``/
+    ``baseline``/``history``/``ratio``/``lower_is_better``/``tolerance``/
+    ``regressed``/``detail`` (``fingerprint`` is ``None`` without provenance).
     """
-    groups: Dict[Tuple[str, str], List[dict]] = {}
+    groups: Dict[Tuple[str, str, Optional[str]], List[dict]] = {}
     for record in load_trajectory(path):
         if benchmark is not None and record["benchmark"] != benchmark:
             continue
-        groups.setdefault((record["benchmark"], record["mode"]), []).append(
-            record
-        )
+        key = (record["benchmark"], record["mode"], _fingerprint(record))
+        groups.setdefault(key, []).append(record)
     verdicts = []
-    for (bench, mode), records in groups.items():
+    for (bench, mode, fingerprint), records in groups.items():
         latest = records[-1]
         metric, value = _headline(latest)
         lower = _lower_is_better(metric)
         verdict = {
             "benchmark": bench,
             "mode": mode,
+            "fingerprint": fingerprint,
             "metric": metric,
             "latest": value,
             "baseline": None,
@@ -272,9 +287,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     for verdict in verdicts:
         status = "REGRESSED" if verdict["regressed"] else "ok"
         failed += int(verdict["regressed"])
+        machine = verdict["fingerprint"] or "no provenance"
         print(
             f"perf sentinel: {status:9s} {verdict['benchmark']}/"
-            f"{verdict['mode']}: {verdict['detail']}"
+            f"{verdict['mode']} [{machine}]: {verdict['detail']}"
         )
     return 1 if failed else 0
 

@@ -47,9 +47,10 @@ __all__ = [
 #: Environment variable overriding the default chunk budget (in cells).
 CHUNK_ENV_VAR = "REPRO_CHUNK_CELLS"
 
-#: Default per-chunk cell budget: 16M int64 cells is 128 MiB per tensor,
-#: small enough to stay cache-friendly alongside the scan scratch and large
-#: enough that per-chunk Python overhead disappears into the array math.
+#: Default per-chunk cell budget: 16M int64 cells is 128 MiB per tensor.
+#: It bounds the memory of the chunk-sized buffers (draws, masks), not the
+#: kernels' speed: the mask and drawdown kernels run cache-sized row tiles
+#: at any budget.  Large enough that per-chunk Python overhead disappears.
 DEFAULT_CHUNK_CELLS = 16_000_000
 
 

@@ -2,8 +2,9 @@
 
 A sweep revisits the same tensor shapes thousands of times: every grid point
 runs the same (trials, rounds) batch, and every ``run_traces`` call needs the
-same scratch tensors — the mask kernel's boolean panels, the drawdown
-kernel's running sums, scan state vectors, delivery rings.  A
+same scratch tensors — the opportunity mask and one row tile of the mask
+kernel's run panel, one row tile of the drawdown kernel's running sums,
+scan state vectors, delivery rings.  A
 :class:`Workspace` keeps one buffer per *tag* and hands it back on every
 request with a matching shape and dtype, so the steady state of a sweep
 performs no allocation at all in the hot kernels.  Without one the kernels

@@ -97,8 +97,8 @@ def machine_info() -> Dict[str, object]:
     model and architecture, core count, python/numpy versions — and nothing
     that churns without changing performance (kernel build strings) or
     identifies the host (no hostname): trajectory files are committed, and
-    the regression sentinel wants to group records by *capability*, not by
-    machine identity.
+    the regression sentinel groups records by this *capability* fingerprint,
+    not by machine identity.
     """
     import numpy
 

@@ -472,8 +472,9 @@ class RareEventSimulation:
         main run in order, so a seed fully determines the estimate.
     workspace:
         Optional :class:`~repro.backend.Workspace` for the batch engine's
-        kernels in the pilot and plain runs; the first-crossing scan of
-        tilted and splitting runs allocates its own scratch.
+        kernels in the pilot and plain runs.  The first-crossing scan of
+        tilted and splitting runs allocates its chunk-sized mask and its
+        tile-sized drawdown scratch per chunk instead.
     chunk_cells:
         Optional per-chunk cell budget override; ``None`` defers to the
         shared :func:`repro.backend.resolve_chunk_cells` configuration
@@ -831,8 +832,9 @@ class RareEventSimulation:
         before ``r``; its first crossing of ``level`` stops the tilted
         likelihood ratio and is the splitting stages' cloning point.  The
         batch kernels' scan of the whole chunk is the largest cost of a
-        tilted run after the draws; it takes no workspace, so chunk-sized
-        scratch never stays pinned in the runner's pool.
+        tilted run after the draws.  Their drawdown scratch is one row tile,
+        but the boolean mask spans the chunk, so the scan takes no
+        workspace: that mask never stays pinned in the runner's pool.
         """
         xp = self.engine.backend
         policy = self.engine.policy

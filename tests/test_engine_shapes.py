@@ -5,13 +5,19 @@
 boolean or string count raises :class:`SimulationError` — it neither
 truncates into a smaller run nor reaches NumPy as a raw ``TypeError`` — and
 an integral float still runs that many trials.
+
+The trace front ends check their tensors the same way: negative counts,
+zero-trial tensors, a mask of the wrong rank and a fractional ``delta``
+each raise the layer's named error instead of a wrong number or a raw
+NumPy exception.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ParameterError, SimulationError
 from repro.params import parameters_from_c
 from repro.simulation import (
     BatchSimulation,
@@ -22,6 +28,10 @@ from repro.simulation import (
     StreamingScenarioSimulation,
     draw_mining_traces,
     draw_tilted_traces,
+)
+from repro.simulation.batch import (
+    count_convergence_opportunities_batch,
+    worst_window_deficits,
 )
 
 PARAMS = parameters_from_c(c=2.0, n=200, delta=2, nu=0.3)
@@ -88,3 +98,42 @@ def test_an_integral_float_runs_that_many_trials(entry):
 def test_the_rare_event_estimators_still_need_two_trials(method):
     with pytest.raises(SimulationError, match="trials must be >= 2"):
         getattr(RareEventSimulation(PARAMS, 2, rng=0), method)(1, ROUNDS)
+
+
+TRACE_ENGINES = {
+    "batch": lambda: BatchSimulation(PARAMS, rng=0),
+    "scenario": lambda: ScenarioSimulation(PARAMS, "private_chain", rng=0),
+}
+
+
+@pytest.mark.parametrize("negative", ["honest", "adversary"])
+def test_negative_counts_are_rejected_by_both_trace_engines(negative):
+    counts = {
+        "honest": np.ones((2, ROUNDS), dtype=np.int64),
+        "adversary": np.zeros((2, ROUNDS), dtype=np.int64),
+    }
+    counts[negative][1, 5] = -2
+    for engine in TRACE_ENGINES.values():
+        with pytest.raises(SimulationError, match="must be non-negative"):
+            engine().run_traces(counts["honest"], counts["adversary"])
+
+
+@pytest.mark.parametrize("engine", sorted(TRACE_ENGINES))
+def test_zero_trial_tensors_are_rejected(engine):
+    empty = np.zeros((0, ROUNDS), dtype=np.int64)
+    with pytest.raises(SimulationError, match="at least one trial"):
+        TRACE_ENGINES[engine]().run_traces(empty, empty)
+
+
+@pytest.mark.parametrize("shape", [(ROUNDS,), (2, 3, ROUNDS)])
+def test_worst_window_deficits_needs_a_two_dimensional_mask(shape):
+    with pytest.raises(SimulationError, match="shape \\(trials, rounds\\)"):
+        worst_window_deficits(np.zeros(shape, dtype=bool), np.zeros(shape))
+
+
+@pytest.mark.parametrize("delta", [2.5, True, "2", 0], ids=repr)
+def test_opportunity_counts_need_a_positive_integer_delta(delta):
+    counts = np.zeros((2, ROUNDS), dtype=np.int64)
+    with pytest.raises(ParameterError, match="delta must be a positive integer"):
+        count_convergence_opportunities_batch(counts, delta)
+    assert count_convergence_opportunities_batch(counts, 2.0).tolist() == [0, 0]

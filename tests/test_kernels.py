@@ -8,7 +8,8 @@ replaced: core's
 :func:`~repro.core.concat_chain.convergence_opportunity_mask` for the mask,
 a ``cumsum`` / ``maximum.accumulate`` drawdown, and the first-crossing scan
 the rare-event estimator used to run on its own.  The kernels must match
-them bit for bit, with and without a workspace, under both dtype policies.
+them bit for bit, with and without a workspace, under both dtype policies,
+and whatever row tiles they run in.
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.simulation.batch as batch
 import repro.simulation.rare_events as rare_events
 from repro.backend import Workspace, get_backend, get_dtype_policy, use_dtype_policy
 from repro.core.concat_chain import convergence_opportunity_mask
 from repro.params import parameters_from_c
 from repro.simulation.batch import (
+    BatchSimulation,
     _opportunity_mask,
     _window_drawdown,
     count_convergence_opportunities_batch,
@@ -172,6 +175,76 @@ class TestFirstCrossings:
         # The data covers crossings inside the last delta rounds and rows
         # that never cross.
         assert late > 0 and never > 0
+
+
+class TestTiles:
+    """Tiny row tiles: full, partial and single tiles, and rows wider than one."""
+
+    @pytest.mark.parametrize("policy_name", POLICIES)
+    @pytest.mark.parametrize("trials", (1, 2, 3, 4, 10))
+    @pytest.mark.parametrize("rounds, tile_cells, rows", [(40, 3 * 41, 3), (90, 50, 1)])
+    def test_tiled_kernels_match_oracles(
+        self, policy_name, trials, rounds, tile_cells, rows, monkeypatch
+    ):
+        monkeypatch.setattr(batch, "TILE_CELLS", tile_cells)
+        assert batch._tile_rows(trials, rounds) == min(rows, trials)
+        delta = 3
+        policy = get_dtype_policy(policy_name)
+        xp = get_backend()
+        index_dtype = policy.index_dtype(xp)
+        honest, adversary = _traces(rounds, trials=trials, seed=trials + rounds)
+        expected_mask = convergence_opportunity_mask(honest, delta)
+        drawdown = reference_drawdown(expected_mask, adversary)
+        honest, adversary = honest.astype(index_dtype), adversary.astype(index_dtype)
+        for pool in (None, Workspace()):
+            mask = _opportunity_mask(xp, policy, honest, delta, pool)
+            assert np.array_equal(mask.astype(bool), expected_mask)
+            for level in (None, 1, 2, int(drawdown.max()) + 1):
+                deficits, first = _window_drawdown(
+                    xp, policy, mask, adversary, pool, level=level
+                )
+                assert np.array_equal(deficits, drawdown.max(axis=1))
+                if level is not None:
+                    assert np.array_equal(first, np.argmax(drawdown >= level, axis=1))
+
+    @pytest.mark.parametrize("policy_name", POLICIES)
+    def test_first_crossings_at_both_ends_of_a_tile(self, policy_name, monkeypatch):
+        """Crossings in a tile's first and last rows, and rows that never cross."""
+        rounds, level = 50, 2
+        monkeypatch.setattr(batch, "TILE_CELLS", 3 * (rounds + 1))
+        params = parameters_from_c(c=4.0, n=1_000, delta=2, nu=0.2)
+        with use_dtype_policy(policy_name) as policy:
+            estimator = RareEventSimulation(params, depth=level, rng=0)
+            index_dtype = policy.index_dtype(estimator.engine.backend)
+        honest, adversary = _traces(rounds, trials=10, seed=3, dtype=index_dtype)
+        adversary[[1, 4, 9]] = 0
+        reached, first = estimator._first_crossings(honest, adversary, level)
+        expected_reached, expected_first = reference_first_crossings(
+            honest, adversary, params.delta, level
+        )
+        assert np.array_equal(reached, expected_reached)
+        assert np.array_equal(first, expected_first)
+        rows = np.flatnonzero(reached)
+        assert (rows % 3 == 0).any() and (rows % 3 == 2).any()
+        assert not reached[[1, 4, 9]].any()
+
+    def test_scratch_stays_one_tile_as_trials_grow(self):
+        """Only ``mask.out`` grows with the trial count."""
+        params = parameters_from_c(c=4.0, n=1_000, delta=3, nu=0.2)
+        workspace = Workspace()
+        engine = BatchSimulation(params, rng=0, workspace=workspace)
+        rounds, trials = 100, 2_000
+        shapes = []
+        for count in (trials, 8 * trials):
+            engine.run_traces(*_traces(rounds, trials=count, seed=count))
+            shapes.append(
+                {tag: workspace._buffers[tag].shape for tag in workspace.tags}
+            )
+        small, large = shapes
+        for tag in ("mask.run", "deficit.running", "deficit.drawdown"):
+            assert small[tag] == large[tag], tag
+        assert small["mask.out"] == (trials, rounds)
+        assert large["mask.out"] == (8 * trials, rounds)
 
 
 class TestStoppedTotals:

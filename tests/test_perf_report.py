@@ -10,7 +10,7 @@ import pytest
 
 from repro.analysis import DEFAULT_TOLERANCE, detect_regressions
 from repro.analysis.perf_report import main
-from repro.observability import append_trajectory, trajectory_record
+from repro.observability import append_trajectory, machine_info, trajectory_record
 
 
 def _write(path, benchmark, mode, metrics_list, metric="speedup", **kwargs):
@@ -96,6 +96,25 @@ class TestDetectRegressions:
         (verdict,) = detect_regressions(path)
         assert verdict["regressed"] is False
 
+    def test_other_machines_never_serve_as_baseline(self, tmp_path):
+        """A faster box's or a provenance-free history never judges this one."""
+        path = tmp_path / "traj.json"
+        faster = dict(machine_info(), cpu="Faster CPU", cpu_count=64)
+        _write(path, "scenarios", "full", [20.0, 21.0], machine=faster)
+        _write(path, "scenarios", "full", [30.0], machine=None, timestamp=None)
+        _write(path, "scenarios", "full", [8.0])
+        verdicts = detect_regressions(path)
+        assert len(verdicts) == 3
+        faster_verdict, legacy, local = verdicts
+        assert "cpu=Faster CPU" in faster_verdict["fingerprint"]
+        assert legacy["fingerprint"] is None
+        assert f"numpy={machine_info()['numpy']}" in local["fingerprint"]
+        assert not local["regressed"] and local["history"] == 0
+        # ...while a same-machine 2x slowdown still trips.
+        _write(path, "scenarios", "full", [4.0])
+        local = detect_regressions(path)[-1]
+        assert local["regressed"] and local["baseline"] == pytest.approx(8.0)
+
     def test_tolerance_is_configurable(self, tmp_path):
         path = tmp_path / "traj.json"
         _write(path, "scenarios", "full", [10.0, 8.0])
@@ -131,7 +150,7 @@ class TestSentinelCli:
         assert main([str(path)]) == 1
         out = capsys.readouterr().out
         assert "REGRESSED" in out
-        assert "scenarios/full" in out
+        assert "scenarios/full [cpu=" in out
 
     def test_exit_zero_when_clean(self, tmp_path, capsys):
         path = tmp_path / "traj.json"

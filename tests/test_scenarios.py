@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.simulation.scenarios as scenarios
 from repro.errors import SimulationError
 from repro.params import parameters_from_c
 from repro.simulation import (
@@ -275,6 +276,32 @@ class TestRotatingAttribution:
         adversary = np.zeros((1, 12), dtype=np.int64)
         with pytest.raises(SimulationError, match="distinct"):
             ScenarioSimulation(params, "max_delay").run_traces(honest, adversary)
+
+    def test_window_scan_runs_only_past_the_fast_bound(self, monkeypatch):
+        """``window * max(counts) <= honest_miners`` clears a trace unscanned.
+
+        At exactly the bound (4 rounds x 2 blocks = 8 miners) the scan is
+        skipped; past it (4 x 3 > 8) the exact scan decides, and here every
+        4-round window holds 6 <= 8 blocks, so the trace still runs.
+        """
+        params = parameters_from_c(c=1.0, n=10, delta=4, nu=0.2, strict_model=False)
+        engine = ScenarioSimulation(params, "max_delay")
+        assert (engine.honest_miners, engine.honest_delay) == (8, 4)
+        calls = []
+        scan = scenarios._max_window_successes
+
+        def counted_scan(*args, **kwargs):
+            calls.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "_max_window_successes", counted_scan)
+        adversary = np.zeros((2, 12), dtype=np.int64)
+        engine.run_traces(np.full((2, 12), 2, dtype=np.int64), adversary)
+        assert calls == []
+        honest = np.zeros((2, 12), dtype=np.int64)
+        honest[:, ::2] = 3
+        engine.run_traces(honest, adversary)
+        assert len(calls) == 1
 
     def test_validation_errors(self):
         with pytest.raises(SimulationError):
