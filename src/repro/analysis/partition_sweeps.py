@@ -128,24 +128,20 @@ def partition_depth_sweep(
             [PartitionEvent(int(partition_start), int(duration))]
         )
         if share_traces:
-            model = TimeVaryingDelayModel(schedule, topology=topology)
-            delays = None
-            max_delay = None
-            if not model.trivial:
-                # A fresh generator from the same per-sweep entropy gives
-                # every duration the identical block-origin stream.
-                delays = model.draw_delays(
-                    trials,
-                    rounds,
-                    params.delta,
-                    np.random.default_rng(
-                        np.random.SeedSequence([*np.atleast_1d(origin_entropy), 1])
-                    ),
-                )
-                max_delay = model.delay_cap(params.delta, rounds)
-            result = BatchSimulation(
-                params, rng=0, draw_mode=runner.draw_mode, delay_model=model
-            ).run_traces(honest, adversary, delays=delays, max_delay=max_delay)
+            engine = BatchSimulation(
+                params,
+                rng=0,
+                draw_mode=runner.draw_mode,
+                delay_model=TimeVaryingDelayModel(schedule, topology=topology),
+            )
+            # A fresh generator from the same per-sweep entropy gives every
+            # duration the identical block-origin stream.
+            origins = np.random.default_rng(
+                np.random.SeedSequence([*np.atleast_1d(origin_entropy), 1])
+            )
+            result = engine.run_traces(
+                honest, adversary, **engine._third_draw(honest, origins)
+            )
         else:
             result = runner.run_dynamics_point(
                 params, trials, rounds, schedule, topology=topology

@@ -60,16 +60,18 @@ Components
     family where the adversary shows conflicting private chains to the two
     components.
 ``streaming``
-    The O(chunk)-memory streaming trial engine: the same dense batch and
-    scenario kernels driven in fixed-cell chunks through online
+    The O(chunk)-memory streaming trial engine.  Both streamed engines
+    share one chunk loop, one per-block draw and one result codec: each
+    fixed ``SEED_BLOCK_CELLS``-cell seed block draws from its own spawned
+    :class:`numpy.random.SeedSequence` in the dense engine's order (the
+    mining tensors, then the engine's third draw), and chunks of whole
+    blocks run through the dense batch and scenario kernels into online
     accumulators (exact integer tallies, Chan/Kahan float moments, a
-    bounded worst-deficit histogram), producing summary-only results whose
-    entries match the dense ``summary()`` exactly for integer-backed
-    statistics and within :data:`~repro.simulation.streaming.STREAM_STAT_RTOL`
-    for float moments.  Seeding is chunk-invariant: trials are carved into
-    fixed ``SEED_BLOCK_CELLS``-cell seed blocks, each drawn from its own
-    spawned :class:`numpy.random.SeedSequence`, so one seed produces one
-    bit stream regardless of chunk size or serial-versus-sharded execution.
+    bounded worst-deficit histogram).  The summary-only results match the
+    dense ``summary()`` exactly for integer-backed statistics and within
+    :data:`~repro.simulation.streaming.STREAM_STAT_RTOL` for float moments,
+    and one seed produces one bit stream regardless of chunk size or
+    serial-versus-sharded execution.
 ``rare_events``
     Rare-event estimation of deep violation tails: exponential tilting of
     the Bernoulli/Binomial mining draws with exact (stopped) per-trial

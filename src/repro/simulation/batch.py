@@ -217,6 +217,18 @@ def count_convergence_opportunities_batch(honest_counts, delta: int):
     return _opportunity_mask(xp, policy, counts, delta).sum(axis=1, dtype=index_dtype)
 
 
+def _delay_draw(delay_model: Optional[DelayModel], delta: int, honest, rng) -> dict:
+    """A non-trivial delay model's delays and cap as ``run_traces`` keyword
+    arguments; ``{}`` without one (a trivial model draws nothing)."""
+    if delay_model is None or delay_model.trivial:
+        return {}
+    trials, rounds = honest.shape
+    return {
+        "delays": delay_model.draw_delays(trials, rounds, delta, rng),
+        "max_delay": delay_model.delay_cap(delta, rounds),
+    }
+
+
 def _scratch(workspace: Optional[Workspace], xp: NumpyBackend, tag: str, shape, dtype):
     """The workspace's ``tag`` buffer, or a fresh one without a workspace."""
     if workspace is None:
@@ -619,10 +631,9 @@ class BatchSimulation:
     ) -> BatchResult:
         """Draw fresh traces for ``trials`` independent runs and analyse them.
 
-        The draw order is honest tensor, adversarial tensor, then (only for
-        a non-trivial delay model) the delay tensor — so with
-        ``delay_model=None`` or ``"fixed_delta"`` a seed produces exactly
-        the pre-topology stream.
+        The draw order is honest tensor, adversarial tensor, then
+        :meth:`_third_draw` — so with ``delay_model=None`` or
+        ``"fixed_delta"`` a seed produces exactly the pre-topology stream.
         """
         trials, rounds = _validate_shape(trials, rounds)
         with _TRACE.span(
@@ -642,22 +653,16 @@ class BatchSimulation:
                     power=self.power,
                     policy=self.policy,
                 )
-                delays = None
-                max_delay = None
-                if self.delay_model is not None and not self.delay_model.trivial:
-                    delays = self.delay_model.draw_delays(
-                        trials, rounds, self.params.delta, self.rng
-                    )
-                    max_delay = self.delay_model.delay_cap(
-                        self.params.delta, rounds
-                    )
+                third = self._third_draw(honest, self.rng)
             return self.run_traces(
-                honest,
-                adversary,
-                keep_traces=keep_traces,
-                delays=delays,
-                max_delay=max_delay,
+                honest, adversary, keep_traces=keep_traces, **third
             )
+
+    def _third_draw(self, honest, rng) -> dict:
+        """The draw after the two mining tensors, as ``run_traces`` keyword
+        arguments: a non-trivial delay model's delay tensor and cap, else
+        nothing.  The streamed engine draws each seed block through it too."""
+        return _delay_draw(self.delay_model, self.params.delta, honest, rng)
 
     def run_traces(
         self,

@@ -66,6 +66,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..backend import Workspace, get_backend, get_dtype_policy, resolve_chunk_cells
+from ..backend.chunking import chunk_sizes
 from ..errors import SimulationError
 from ..observability import METRICS as _METRICS, TRACE as _TRACE
 from ..params import ProtocolParameters
@@ -524,15 +525,6 @@ class RareEventSimulation:
         """The active per-chunk cell budget, resolved at call time."""
         return resolve_chunk_cells(self.chunk_cells)
 
-    def _chunk_sizes(self, trials: int, rounds: int) -> list:
-        chunk = max(int(self._chunk_cells() // max(rounds, 1)), 1)
-        sizes = []
-        remaining = int(trials)
-        while remaining > 0:
-            sizes.append(min(chunk, remaining))
-            remaining -= sizes[-1]
-        return sizes
-
     def _deficits(self, honest, adversary):
         """Worst windowed deficits plus block totals for pre-drawn tensors."""
         result = self.engine.run_traces(honest, adversary)
@@ -556,7 +548,7 @@ class RareEventSimulation:
         with _TRACE.span(
             "rare.plain", trials=int(trials), rounds=int(rounds), depth=self.depth
         ):
-            for chunk in self._chunk_sizes(trials, rounds):
+            for chunk in chunk_sizes(trials, rounds, self.chunk_cells):
                 honest, adversary = draw_mining_traces(
                     self.params,
                     chunk,
@@ -652,7 +644,7 @@ class RareEventSimulation:
             rounds=int(rounds),
             depth=self.depth,
         ):
-            for chunk in self._chunk_sizes(trials, rounds):
+            for chunk in chunk_sizes(trials, rounds, self.chunk_cells):
                 honest, adversary = draw_tilted_traces(
                     self.params,
                     tilt,

@@ -97,6 +97,7 @@ from .adversary import (
 from .batch import (
     DRAW_MODES,
     _confidence_interval,
+    _delay_draw,
     _opportunity_mask,
     _validate_shape,
     _window_drawdown,
@@ -1047,12 +1048,9 @@ class ScenarioSimulation:
     ) -> ScenarioResult:
         """Draw fresh traces for ``trials`` independent runs and simulate them.
 
-        Draw order: honest tensor, adversarial tensor, then (non-trivial
-        delay models only) the delay tensor — ``fixed_delta`` consumes no
-        entropy, so its stream matches the legacy engine's exactly.  A
-        partial-cut scenario has no delay model, so its third draw is the
-        minority-split tensor: per round, ``Binomial(honest, cut_fraction)``
-        of the honest successes land in the minority component.
+        Draw order: honest tensor, adversarial tensor, then
+        :meth:`_third_draw` — ``fixed_delta`` consumes no entropy, so its
+        stream matches the legacy engine's exactly.
         """
         trials, rounds = _validate_shape(trials, rounds)
         with _TRACE.span(
@@ -1072,39 +1070,38 @@ class ScenarioSimulation:
                     power=self.power,
                     policy=self.policy,
                 )
-                if self._cut_fraction is not None:
-                    split = self.backend.binomial(
-                        self.rng,
-                        self.backend.to_host(honest),
-                        float(self._cut_fraction),
-                        honest.shape,
-                    )
-            if self._cut_fraction is not None:
-                return self.run_traces(
-                    honest,
-                    adversary,
-                    keep_traces=keep_traces,
-                    record_rounds=record_rounds,
-                    split_counts=split,
+                # A partial cut's minority split is timed with the mining
+                # draws; delays keep a span of their own.
+                third = (
+                    None
+                    if self._cut_fraction is None
+                    else self._third_draw(honest, self.rng)
                 )
-            with _TRACE.span("scenario.draw_delays"):
-                delays = None
-                max_delay = None
-                if self.delay_model is not None and not self.delay_model.trivial:
-                    delays = self.delay_model.draw_delays(
-                        trials, rounds, self.params.delta, self.rng
-                    )
-                    max_delay = self.delay_model.delay_cap(
-                        self.params.delta, rounds
-                    )
+            if third is None:
+                with _TRACE.span("scenario.draw_delays"):
+                    third = self._third_draw(honest, self.rng)
             return self.run_traces(
                 honest,
                 adversary,
                 keep_traces=keep_traces,
                 record_rounds=record_rounds,
-                delays=delays,
-                max_delay=max_delay,
+                **third,
             )
+
+    def _third_draw(self, honest, rng) -> dict:
+        """The draw after the two mining tensors, as ``run_traces`` keyword
+        arguments.  A partial cut has no delay model and draws its
+        minority split: per round, ``Binomial(honest, cut_fraction)`` of the
+        honest successes land in the minority component.  Otherwise it is a
+        non-trivial delay model's delay tensor and cap, else nothing.  The
+        streamed engine draws each seed block through it too."""
+        if self._cut_fraction is None:
+            return _delay_draw(self.delay_model, self.params.delta, honest, rng)
+        xp = self.backend
+        split = xp.binomial(
+            rng, xp.to_host(honest), float(self._cut_fraction), honest.shape
+        )
+        return {"split_counts": split}
 
     def run_traces(
         self,

@@ -5,30 +5,33 @@ The dense engines (:class:`~repro.simulation.batch.BatchSimulation`,
 ``(trials, rounds)`` success-count tensors before analysing them — at
 ``1e8`` trials and a few hundred rounds that is hundreds of gigabytes, far
 past any single host.  This module keeps the dense kernels (they are the
-audited, golden-pinned implementations) but drives them in fixed-size
-*chunks* of trials through online accumulators, so the estimate for an
-arbitrarily large trial count is produced while never holding more than
-``chunk x rounds`` cells of trace data:
+audited, golden-pinned implementations) but drives them through online
+accumulators, never holding more than ``chunk x rounds`` cells of trace
+data.  Both streamed engines extend one spine, :class:`_StreamedSimulation`,
+adding only their dense engine, accumulator, span, progress label and
+result type:
 
-* **chunked execution spine** — trials are drawn and analysed
-  ``chunk_cells // rounds`` at a time (the shared
+* **one block draw** — randomness comes in fixed *seed blocks* of
+  :data:`SEED_BLOCK_CELLS` cells, block ``b`` drawing from the ``b``-th
+  spawn of the run's :class:`numpy.random.SeedSequence`: the honest and
+  adversarial tensors, then the dense engine's ``_third_draw`` (delays, a
+  partial cut's minority split, or nothing), in the dense ``run``'s order;
+* **one chunk loop** — a chunk is a group of whole consecutive blocks, at
+  most ``chunk_cells // rounds`` trials (the shared
   :func:`repro.backend.chunking.resolve_chunk_cells` knob, overridable per
-  engine); each chunk runs the ordinary dense ``run_traces`` kernels over a
-  reused :class:`~repro.backend.Workspace` buffer, so the per-chunk math is
+  engine), copied into reused :class:`~repro.backend.Workspace` buffers and
+  analysed by one dense ``run_traces`` call, so the per-chunk math is
   exactly the materialised engine's math;
 * **online accumulation** — integer tallies (convergence / adversary block
   totals, Lemma 1 satisfaction, violation hits per requested depth) are
   exact; rate means and confidence intervals stream through
   :class:`OnlineMoments` (Chan-merge Welford moments with a Kahan-compensated
   mean); the worst-deficit distribution lands in a bounded
-  :class:`DeficitHistogram`;
-* **chunk-invariant seeding** — randomness is organised in fixed *seed
-  blocks* of :data:`SEED_BLOCK_CELLS` cells: block ``b`` always draws from
-  the ``b``-th spawn of the run's :class:`numpy.random.SeedSequence`, and an
-  execution chunk is a group of whole consecutive blocks.  Accumulator
-  updates happen per seed block in block order, so the streamed summary is
-  **bit-identical** for every chunk size and for serial vs sharded
-  execution — the chunk knob is pure execution policy.
+  :class:`DeficitHistogram`.  Updates happen per seed block in block order,
+  so the streamed summary is **bit-identical** for every chunk size and for
+  serial vs sharded execution — the chunk knob is pure execution policy;
+* **one result codec** — both results derive ``payload()`` and
+  ``from_payload()`` from their dataclass fields (:class:`_StreamedResult`).
 
 The streamed :meth:`StreamingBatchResult.summary` carries exactly the keys
 of the dense :meth:`~repro.simulation.batch.BatchResult.summary` (and the
@@ -40,23 +43,22 @@ means and normal-approximation intervals) agree within
 :data:`STREAM_STAT_RTOL` — the online merge is algebraically the same mean
 and variance, accumulated in a different (but fixed) association order.
 
-The streamed draw protocol deliberately differs from the dense engines'
-single-generator protocol (per-block spawned child generators instead of one
-stream), so a streamed run is a *new* seeded experiment, not a re-execution
-of a dense one; :meth:`StreamingBatchSimulation.materialize_traces` exposes
-the streamed protocol's full tensors for audits and equivalence tests.
+One child generator per block instead of one stream makes a multi-block
+streamed run a *new* seeded experiment, not a re-execution of a dense one;
+:meth:`~_StreamedSimulation.materialize_traces` exposes its full tensors
+for audits and equivalence tests.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..backend import Workspace, get_backend, get_dtype_policy, resolve_chunk_cells
+from ..backend import Workspace, resolve_chunk_cells
 from ..backend.chunking import chunk_trials
 from ..errors import SimulationError
 from ..observability import (
@@ -196,11 +198,7 @@ class OnlineMoments:
 
     @classmethod
     def from_payload(cls, payload: Dict[str, float]) -> "OnlineMoments":
-        return cls(
-            count=int(payload["count"]),
-            mean=float(payload["mean"]),
-            m2=float(payload["m2"]),
-        )
+        return cls(**payload)
 
 
 class DeficitHistogram:
@@ -257,11 +255,7 @@ class DeficitHistogram:
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "DeficitHistogram":
-        return cls(
-            bins=int(payload["bins"]),
-            counts=payload["counts"],
-            overflow=int(payload["overflow"]),
-        )
+        return cls(**payload)
 
 
 def _normalize_depths(depths: Optional[Iterable[int]]) -> Tuple[int, ...]:
@@ -364,8 +358,59 @@ class ScenarioStreamingAccumulator:
             self.merge_depth_sum += int(merge_depths[lo:hi].sum())
 
 
+#: How :meth:`_StreamedResult._from_state` restores a field from its
+#: payload value, keyed by the field's annotation text (this module
+#: postpones annotations, so ``dataclasses.Field.type`` is that text).
+_DECODERS = {
+    "int": int,
+    "str": str,
+    "bool": bool,
+    "Optional[str]": lambda value: None if value is None else str(value),
+    "OnlineMoments": OnlineMoments.from_payload,
+    "DeficitHistogram": DeficitHistogram.from_payload,
+    "Dict[int, int]": lambda hits: {
+        int(depth): int(count) for depth, count in hits.items()
+    },
+}
+
+
+class _StreamedResult:
+    """The codec both streamed results derive from their dataclass fields.
+
+    ``payload()`` holds every field in order but ``params`` and ``scenario``
+    (the requesting point supplies those on the way back), nested moments
+    and histograms as their own ``payload()`` and depths as string keys.
+    """
+
+    _CONTEXT = ("params", "scenario")
+
+    def payload(self) -> Dict[str, object]:
+        """The statistical state as JSON-serialisable scalars (no params/scenario)."""
+        state = {}
+        for item in fields(self):
+            if item.name in self._CONTEXT:
+                continue
+            value = getattr(self, item.name)
+            if isinstance(value, (OnlineMoments, DeficitHistogram)):
+                value = value.payload()
+            elif isinstance(value, dict):
+                value = {str(key): count for key, count in value.items()}
+            state[item.name] = value
+        return state
+
+    @classmethod
+    def _from_state(cls, payload: Dict[str, object], **context):
+        """The inverse of :meth:`payload`, given the fields it leaves out."""
+        restored = {
+            item.name: _DECODERS[item.type](payload[item.name])
+            for item in fields(cls)
+            if item.name not in context
+        }
+        return cls(**context, **restored)
+
+
 @dataclass
-class StreamingBatchResult:
+class StreamingBatchResult(_StreamedResult):
     """Summary-only outcome of a streamed batch run (O(1) memory).
 
     Carries no per-trial arrays — every statistic the dense
@@ -471,65 +516,15 @@ class StreamingBatchResult:
             "delay_model": self.delay_model,
         }
 
-    def payload(self) -> Dict[str, object]:
-        """The statistical state as JSON-serialisable scalars (no params)."""
-        return {
-            "trials": self.trials,
-            "rounds": self.rounds,
-            "draw_mode": self.draw_mode,
-            "delay_model": self.delay_model,
-            "seed_block_trials": self.seed_block_trials,
-            "n_chunks": self.n_chunks,
-            "convergence_moments": self.convergence_moments.payload(),
-            "adversary_moments": self.adversary_moments.payload(),
-            "convergence_total": self.convergence_total,
-            "honest_total": self.honest_total,
-            "adversary_total": self.adversary_total,
-            "lemma1_satisfied": self.lemma1_satisfied,
-            "worst_deficit_sum": self.worst_deficit_sum,
-            "max_worst_deficit": self.max_worst_deficit,
-            "violation_hits": {
-                str(depth): hits for depth, hits in self.violation_hits.items()
-            },
-            "deficit_histogram": self.deficit_histogram.payload(),
-        }
-
     @classmethod
     def from_payload(
         cls, payload: Dict[str, object], params: ProtocolParameters
     ) -> "StreamingBatchResult":
-        return cls(
-            params=params,
-            trials=int(payload["trials"]),
-            rounds=int(payload["rounds"]),
-            draw_mode=str(payload["draw_mode"]),
-            delay_model=str(payload["delay_model"]),
-            seed_block_trials=int(payload["seed_block_trials"]),
-            n_chunks=int(payload["n_chunks"]),
-            convergence_moments=OnlineMoments.from_payload(
-                payload["convergence_moments"]
-            ),
-            adversary_moments=OnlineMoments.from_payload(
-                payload["adversary_moments"]
-            ),
-            convergence_total=int(payload["convergence_total"]),
-            honest_total=int(payload["honest_total"]),
-            adversary_total=int(payload["adversary_total"]),
-            lemma1_satisfied=int(payload["lemma1_satisfied"]),
-            worst_deficit_sum=int(payload["worst_deficit_sum"]),
-            max_worst_deficit=int(payload["max_worst_deficit"]),
-            violation_hits={
-                int(depth): int(hits)
-                for depth, hits in payload["violation_hits"].items()
-            },
-            deficit_histogram=DeficitHistogram.from_payload(
-                payload["deficit_histogram"]
-            ),
-        )
+        return cls._from_state(payload, params=params)
 
 
 @dataclass
-class StreamingScenarioResult:
+class StreamingScenarioResult(_StreamedResult):
     """Summary-only outcome of a streamed scenario run (O(1) memory)."""
 
     params: ProtocolParameters
@@ -612,29 +607,6 @@ class StreamingScenarioResult:
             "mean_merge_depth": self.mean_merge_depth,
         }
 
-    def payload(self) -> Dict[str, object]:
-        """The statistical state as JSON-serialisable scalars (no params/scenario)."""
-        return {
-            "trials": self.trials,
-            "rounds": self.rounds,
-            "draw_mode": self.draw_mode,
-            "honest_delay": self.honest_delay,
-            "delay_model": self.delay_model,
-            "release_delay": self.release_delay,
-            "seed_block_trials": self.seed_block_trials,
-            "n_chunks": self.n_chunks,
-            "success_hits": self.success_hits,
-            "fork_moments": self.fork_moments.payload(),
-            "max_deepest_fork": self.max_deepest_fork,
-            "releases_sum": self.releases_sum,
-            "abandons_sum": self.abandons_sum,
-            "orphaned_sum": self.orphaned_sum,
-            "final_height_sum": self.final_height_sum,
-            "lemma1_satisfied": self.lemma1_satisfied,
-            "merge_depth_sum": self.merge_depth_sum,
-            "has_merge_depths": self.has_merge_depths,
-        }
-
     @classmethod
     def from_payload(
         cls,
@@ -642,50 +614,192 @@ class StreamingScenarioResult:
         params: ProtocolParameters,
         scenario: Scenario,
     ) -> "StreamingScenarioResult":
-        delay_model = payload["delay_model"]
-        return cls(
-            params=params,
-            scenario=scenario,
-            trials=int(payload["trials"]),
-            rounds=int(payload["rounds"]),
-            draw_mode=str(payload["draw_mode"]),
-            honest_delay=int(payload["honest_delay"]),
-            delay_model=None if delay_model is None else str(delay_model),
-            release_delay=int(payload["release_delay"]),
-            seed_block_trials=int(payload["seed_block_trials"]),
-            n_chunks=int(payload["n_chunks"]),
-            success_hits=int(payload["success_hits"]),
-            fork_moments=OnlineMoments.from_payload(payload["fork_moments"]),
-            max_deepest_fork=int(payload["max_deepest_fork"]),
-            releases_sum=int(payload["releases_sum"]),
-            abandons_sum=int(payload["abandons_sum"]),
-            orphaned_sum=int(payload["orphaned_sum"]),
-            final_height_sum=int(payload["final_height_sum"]),
-            lemma1_satisfied=int(payload["lemma1_satisfied"]),
-            merge_depth_sum=int(payload["merge_depth_sum"]),
-            has_merge_depths=bool(payload["has_merge_depths"]),
-        )
+        return cls._from_state(payload, params=params, scenario=scenario)
 
 
 # ----------------------------------------------------------------------
 # The chunked execution spine
 # ----------------------------------------------------------------------
-def _plan_blocks(
-    trials: int, rounds: int, chunk_cells: Optional[int]
-) -> Tuple[int, int, int]:
-    """``(block, n_blocks, blocks_per_chunk)`` for one streamed run.
+class _StreamedSimulation:
+    """One block plan, one per-block draw and one chunk loop.
 
-    The seed block size depends only on ``rounds`` (a protocol constant);
-    the chunk groups whole consecutive blocks, at least one per chunk, so
-    any ``chunk_cells`` setting executes the identical per-block draws.
+    A subclass builds its dense engine as ``self.engine`` (with
+    ``run_traces`` and ``_third_draw``) and its accumulator in ``run``, and
+    names its span, progress label and result type.
     """
-    block = seed_block_trials(rounds)
-    n_blocks = -(-trials // block)
-    per_chunk = max(chunk_trials(rounds, resolve_chunk_cells(chunk_cells)) // block, 1)
-    return block, n_blocks, per_chunk
+
+    # The repository benchmark (perfbench/stages.py) wraps this module's
+    # ``draw_mining_traces`` and ``StreamingAccumulator.update`` and folds the
+    # ``stream.run`` / ``stream.scenario_run`` spans into per-layer stages,
+    # all by name, so renaming any of them silently zeroes a stage.  Both
+    # functions are looked up at call time, never bound once per run.
+    _span: str
+    _progress_label: str
+    _result_type: type
+
+    def __init__(
+        self,
+        params: ProtocolParameters,
+        seed: SeedLike,
+        workspace: Optional[Workspace],
+        chunk_cells: Optional[int],
+    ):
+        self.params = params
+        self.seed_sequence = derive_seed_sequence(seed)
+        self.chunk_cells = (
+            None if chunk_cells is None else resolve_chunk_cells(chunk_cells)
+        )
+        self.workspace = workspace
+
+    @property
+    def draw_mode(self) -> str:
+        return self.engine.draw_mode
+
+    def _plan(self, trials: int, rounds: int):
+        """``(block, blocks, per_chunk)``: trials per seed block (set by
+        ``rounds`` alone), each block's ``(trials, child seed)`` (the last
+        may be short), and the whole blocks per chunk, at least one, so any
+        ``chunk_cells`` setting executes the identical per-block draws."""
+        block = seed_block_trials(rounds)
+        seeds = _spawn_block_seeds(self.seed_sequence, -(-trials // block))
+        blocks = [
+            (min(block, trials - index * block), seed)
+            for index, seed in enumerate(seeds)
+        ]
+        return block, blocks, max(chunk_trials(rounds, self.chunk_cells) // block, 1)
+
+    def _draw_block(self, size: int, rounds: int, seed):
+        """One seed block's draws as ``run_traces`` keyword arguments, split
+        into ``(tensors, rest)``: the tensors need chunk buffers, the rest
+        (a delay cap) passes through.
+
+        The honest and adversarial tensors, then the dense engine's third
+        draw, all from the block's own child generator: the dense ``run``'s
+        protocol, so a one-block streamed run draws exactly what the dense
+        engine draws from that generator.
+        """
+        rng = np.random.default_rng(seed)
+        engine = self.engine
+        honest, adversary = draw_mining_traces(
+            self.params,
+            size,
+            rounds,
+            rng,
+            engine.draw_mode,
+            power=engine.power,
+            policy=engine.policy,
+        )
+        tensors = {"honest_counts": honest, "adversary_counts": adversary}
+        rest = {}
+        for name, value in engine._third_draw(honest, rng).items():
+            (tensors if isinstance(value, np.ndarray) else rest)[name] = value
+        return tensors, rest
+
+    def _stream(
+        self, trials, rounds, accumulator, progress, span: dict, **labels
+    ):
+        """Stream ``trials`` through the chunk loop into ``accumulator``;
+        the result is filled from the run's shape, the accumulator's tallies
+        and the subclass's ``labels``."""
+        trials, rounds = _validate_shape(trials, rounds)
+        self.engine.policy.check_rounds(rounds)
+        block, blocks, per_chunk = self._plan(trials, rounds)
+        n_blocks = len(blocks)
+        n_chunks = -(-n_blocks // per_chunk)
+        sinks = resolve_progress_sinks(progress)
+        reporter = (
+            GridProgress(self._progress_label, n_chunks, sinks) if sinks else None
+        )
+        with _TRACE.span(
+            self._span,
+            **span,
+            trials=trials,
+            rounds=rounds,
+            chunks=n_chunks,
+            blocks=n_blocks,
+        ):
+            self._chunk_loop(accumulator, blocks, rounds, per_chunk, reporter)
+        _METRICS.increment("engine.stream.chunks", n_chunks)
+        _METRICS.increment("engine.stream.blocks", n_blocks)
+        _METRICS.increment("engine.stream.trials", trials)
+        _METRICS.increment("engine.stream.cells", trials * rounds)
+        state = dict(
+            vars(accumulator),
+            params=self.params,
+            trials=trials,
+            rounds=rounds,
+            draw_mode=self.draw_mode,
+            seed_block_trials=block,
+            n_chunks=n_chunks,
+            **labels,
+        )
+        return self._result_type(
+            **{item.name: state[item.name] for item in fields(self._result_type)}
+        )
+
+    def _chunk_loop(self, accumulator, blocks, rounds, per_chunk, reporter):
+        """The chunk loop (hot path: handle-free, backend-only tensor math).
+
+        A chunk copies its blocks' tensors into chunk buffers (one per
+        tensor name, taken on first use), analyses them in one dense
+        ``run_traces`` call and folds the result into ``accumulator`` block
+        by block, in block order.
+        """
+        engine = self.engine
+        # The first chunk is the largest: ``per_chunk`` whole blocks, or all.
+        capacity = sum(size for size, _ in blocks[:per_chunk])
+        index_dtype = engine.policy.index_dtype(engine.backend)
+        buffers = {}
+        clock = time.perf_counter
+        for first in range(0, len(blocks), per_chunk):
+            started = clock()
+            chunk = blocks[first : first + per_chunk]
+            offset = 0
+            for size, seed in chunk:
+                tensors, rest = self._draw_block(size, rounds, seed)
+                for name, tensor in tensors.items():
+                    if name not in buffers:
+                        buffers[name] = _scratch(
+                            self.workspace,
+                            engine.backend,
+                            f"stream.{name}",
+                            (capacity, rounds),
+                            index_dtype,
+                        )
+                    buffers[name][offset : offset + size] = tensor
+                offset += size
+            result = engine.run_traces(
+                **{name: buffer[:offset] for name, buffer in buffers.items()}, **rest
+            )
+            lo = 0
+            for size, _ in chunk:
+                accumulator.update(result, lo, lo + size)
+                lo += size
+            if reporter is not None:
+                reporter.point_done(clock() - started)
+
+    def materialize_traces(self, trials: int, rounds: int):
+        """Full host tensors under the *streamed* draw protocol (audit helper).
+
+        Materialises exactly the per-block draws a streamed run would
+        consume, concatenated — O(trials x rounds) memory, so this is for
+        equivalence tests and audits at modest sizes, not production runs.
+        Returns ``(honest, adversary, third)``: ``third`` is the dense
+        engine's third draw (the delay tensor of a non-trivial delay model,
+        the minority-split tensor of a partial-cut scenario) or ``None``.
+        """
+        trials, rounds = _validate_shape(trials, rounds)
+        _, blocks, _ = self._plan(trials, rounds)
+        draws = [self._draw_block(size, rounds, seed)[0] for size, seed in blocks]
+        to_host = self.engine.backend.to_host
+        honest, adversary, *third = (
+            np.concatenate([to_host(draw[name]) for draw in draws], axis=0)
+            for name in draws[0]
+        )
+        return honest, adversary, third[0] if third else None
 
 
-class StreamingBatchSimulation:
+class StreamingBatchSimulation(_StreamedSimulation):
     """Chunked, constant-memory execution of the batch Monte Carlo engine.
 
     Parameters
@@ -721,6 +835,10 @@ class StreamingBatchSimulation:
     True
     """
 
+    _span = "stream.run"
+    _progress_label = "stream.batch"
+    _result_type = StreamingBatchResult
+
     def __init__(
         self,
         params: ProtocolParameters,
@@ -731,11 +849,7 @@ class StreamingBatchSimulation:
         workspace: Optional[Workspace] = None,
         chunk_cells: Optional[int] = None,
     ):
-        self.params = params
-        self.seed_sequence = derive_seed_sequence(seed)
-        self.chunk_cells = (
-            None if chunk_cells is None else resolve_chunk_cells(chunk_cells)
-        )
+        super().__init__(params, seed, workspace, chunk_cells)
         self.engine = BatchSimulation(
             params,
             rng=0,
@@ -744,20 +858,6 @@ class StreamingBatchSimulation:
             power=power,
             workspace=workspace,
         )
-        self.workspace = workspace
-
-    @property
-    def draw_mode(self) -> str:
-        return self.engine.draw_mode
-
-    def _buffer(self, tag: str, shape, dtype):
-        return _scratch(self.workspace, self.engine.backend, tag, shape, dtype)
-
-    def _block_sizes(self, trials: int, block: int, first: int, last: int):
-        """Trial counts of seed blocks ``first .. last-1`` (last may be short)."""
-        return [
-            min(block, trials - index * block) for index in range(first, last)
-        ]
 
     def run(
         self,
@@ -774,198 +874,30 @@ class StreamingBatchSimulation:
         (resolved like the runner's grid progress; ``None`` consults
         ``REPRO_PROGRESS``).
         """
-        trials, rounds = _validate_shape(trials, rounds)
-        self.engine.policy.check_rounds(rounds)
-        block, n_blocks, per_chunk = _plan_blocks(trials, rounds, self.chunk_cells)
-        n_chunks = -(-n_blocks // per_chunk)
-        accumulator = StreamingAccumulator(depths=depths)
-        children = _spawn_block_seeds(self.seed_sequence, n_blocks)
-        capacity = min(per_chunk * block, trials)
-        xp = self.engine.backend
-        index_dtype = self.engine.policy.index_dtype(xp)
-        honest_buffer = self._buffer("stream.honest", (capacity, rounds), index_dtype)
-        adversary_buffer = self._buffer(
-            "stream.adversary", (capacity, rounds), index_dtype
-        )
-        delay_model = self.engine.delay_model
-        streamed_delays = delay_model is not None and not delay_model.trivial
-        delays_buffer = (
-            self._buffer("stream.delays", (capacity, rounds), index_dtype)
-            if streamed_delays
-            else None
-        )
-        max_delay = (
-            delay_model.delay_cap(self.params.delta, rounds)
-            if streamed_delays
-            else None
-        )
-        sinks = resolve_progress_sinks(progress)
-        reporter = (
-            GridProgress("stream.batch", n_chunks, sinks) if sinks else None
-        )
-        with _TRACE.span(
-            "stream.run",
-            trials=trials,
-            rounds=rounds,
-            chunks=n_chunks,
-            blocks=n_blocks,
-            draw_mode=self.draw_mode,
-        ):
-            self._stream(
-                accumulator,
-                children,
-                trials,
-                rounds,
-                block,
-                per_chunk,
-                honest_buffer,
-                adversary_buffer,
-                delays_buffer,
-                max_delay,
-                reporter,
-            )
-        _METRICS.increment("engine.stream.chunks", n_chunks)
-        _METRICS.increment("engine.stream.blocks", n_blocks)
-        _METRICS.increment("engine.stream.trials", trials)
-        _METRICS.increment("engine.stream.cells", trials * rounds)
-        return StreamingBatchResult(
-            params=self.params,
-            trials=trials,
-            rounds=rounds,
-            draw_mode=self.draw_mode,
+        return self._stream(
+            trials,
+            rounds,
+            StreamingAccumulator(depths=depths),
+            progress,
+            {"draw_mode": self.draw_mode},
             delay_model=self.engine._delay_model_name,
-            seed_block_trials=block,
-            n_chunks=n_chunks,
-            convergence_moments=accumulator.convergence_moments,
-            adversary_moments=accumulator.adversary_moments,
-            convergence_total=accumulator.convergence_total,
-            honest_total=accumulator.honest_total,
-            adversary_total=accumulator.adversary_total,
-            lemma1_satisfied=accumulator.lemma1_satisfied,
-            worst_deficit_sum=accumulator.worst_deficit_sum,
-            max_worst_deficit=accumulator.max_worst_deficit,
-            violation_hits=dict(accumulator.violation_hits),
-            deficit_histogram=accumulator.deficit_histogram,
-        )
-
-    def _stream(
-        self,
-        accumulator: StreamingAccumulator,
-        children,
-        trials: int,
-        rounds: int,
-        block: int,
-        per_chunk: int,
-        honest_buffer,
-        adversary_buffer,
-        delays_buffer,
-        max_delay,
-        reporter,
-    ) -> None:
-        """The chunk loop (hot path: handle-free, backend-only tensor math)."""
-        engine = self.engine
-        params = self.params
-        draw_mode = self.draw_mode
-        power = engine.power
-        policy = engine.policy
-        delay_model = engine.delay_model
-        n_blocks = len(children)
-        clock = time.perf_counter
-        for first in range(0, n_blocks, per_chunk):
-            started = clock()
-            last = min(first + per_chunk, n_blocks)
-            sizes = self._block_sizes(trials, block, first, last)
-            offset = 0
-            for position, size in enumerate(sizes):
-                rng = np.random.default_rng(children[first + position])
-                honest, adversary = draw_mining_traces(
-                    params,
-                    size,
-                    rounds,
-                    rng,
-                    draw_mode,
-                    power=power,
-                    policy=policy,
-                )
-                honest_buffer[offset : offset + size] = honest
-                adversary_buffer[offset : offset + size] = adversary
-                if delays_buffer is not None:
-                    delays_buffer[offset : offset + size] = (
-                        delay_model.draw_delays(size, rounds, params.delta, rng)
-                    )
-                offset += size
-            result = engine.run_traces(
-                honest_buffer[:offset],
-                adversary_buffer[:offset],
-                delays=(
-                    delays_buffer[:offset] if delays_buffer is not None else None
-                ),
-                max_delay=max_delay,
-            )
-            lo = 0
-            for size in sizes:
-                accumulator.update(result, lo, lo + size)
-                lo += size
-            if reporter is not None:
-                reporter.point_done(clock() - started)
-
-    def materialize_traces(self, trials: int, rounds: int):
-        """Full host tensors under the *streamed* draw protocol (audit helper).
-
-        Materialises exactly the per-block draws a streamed run would
-        consume, concatenated — O(trials x rounds) memory, so this is for
-        equivalence tests and audits at modest sizes, not production runs.
-        Returns ``(honest, adversary, delays)`` with ``delays`` ``None``
-        under a trivial delay model.
-        """
-        trials, rounds = _validate_shape(trials, rounds)
-        block, n_blocks, _ = _plan_blocks(trials, rounds, self.chunk_cells)
-        children = _spawn_block_seeds(self.seed_sequence, n_blocks)
-        xp = self.engine.backend
-        honest_parts = []
-        adversary_parts = []
-        delay_parts = []
-        delay_model = self.engine.delay_model
-        streamed_delays = delay_model is not None and not delay_model.trivial
-        for index, child in enumerate(children):
-            size = min(block, trials - index * block)
-            rng = np.random.default_rng(child)
-            honest, adversary = draw_mining_traces(
-                self.params,
-                size,
-                rounds,
-                rng,
-                self.draw_mode,
-                power=self.engine.power,
-                policy=self.engine.policy,
-            )
-            honest_parts.append(xp.to_host(honest))
-            adversary_parts.append(xp.to_host(adversary))
-            if streamed_delays:
-                delay_parts.append(
-                    xp.to_host(
-                        delay_model.draw_delays(
-                            size, rounds, self.params.delta, rng
-                        )
-                    )
-                )
-        return (
-            np.concatenate(honest_parts, axis=0),
-            np.concatenate(adversary_parts, axis=0),
-            np.concatenate(delay_parts, axis=0) if streamed_delays else None,
         )
 
 
-class StreamingScenarioSimulation:
+class StreamingScenarioSimulation(_StreamedSimulation):
     """Chunked, constant-memory execution of one adversarial scenario.
 
-    Mirrors :class:`StreamingBatchSimulation` over the dense
-    :class:`~repro.simulation.scenarios.ScenarioSimulation` kernels: the
-    per-block draw protocol is honest tensor, adversarial tensor, then the
-    scenario's third draw (the minority-split tensor for partial-cut
+    The streamed :class:`~repro.simulation.scenarios.ScenarioSimulation`,
+    on the same spine as :class:`StreamingBatchSimulation`: each seed block
+    draws the honest tensor, the adversarial tensor, then the dense
+    engine's third draw (the minority-split tensor for partial-cut
     scenarios, the delay tensor for non-trivial delay models, nothing
-    otherwise), each block from its own spawned child seed.
+    otherwise), all from its own spawned child seed.
     """
+
+    _span = "stream.scenario_run"
+    _progress_label = "stream.scenario"
+    _result_type = StreamingScenarioResult
 
     def __init__(
         self,
@@ -979,11 +911,7 @@ class StreamingScenarioSimulation:
         workspace: Optional[Workspace] = None,
         chunk_cells: Optional[int] = None,
     ):
-        self.params = params
-        self.seed_sequence = derive_seed_sequence(seed)
-        self.chunk_cells = (
-            None if chunk_cells is None else resolve_chunk_cells(chunk_cells)
-        )
+        super().__init__(params, seed, workspace, chunk_cells)
         self.engine = ScenarioSimulation(
             params,
             scenario,
@@ -995,235 +923,22 @@ class StreamingScenarioSimulation:
             workspace=workspace,
         )
         self.scenario = self.engine.scenario
-        self.workspace = workspace
-
-    @property
-    def draw_mode(self) -> str:
-        return self.engine.draw_mode
-
-    _buffer = StreamingBatchSimulation._buffer
-    _block_sizes = StreamingBatchSimulation._block_sizes
 
     def run(
         self, trials: int, rounds: int, progress=None
     ) -> StreamingScenarioResult:
         """Stream ``trials`` independent attack trials through the dense scan."""
-        trials, rounds = _validate_shape(trials, rounds)
-        self.engine.policy.check_rounds(rounds)
-        block, n_blocks, per_chunk = _plan_blocks(trials, rounds, self.chunk_cells)
-        n_chunks = -(-n_blocks // per_chunk)
-        accumulator = ScenarioStreamingAccumulator(self.scenario.success_depth)
-        children = _spawn_block_seeds(self.seed_sequence, n_blocks)
-        capacity = min(per_chunk * block, trials)
         engine = self.engine
-        xp = engine.backend
-        index_dtype = engine.policy.index_dtype(xp)
-        honest_buffer = self._buffer("stream.honest", (capacity, rounds), index_dtype)
-        adversary_buffer = self._buffer(
-            "stream.adversary", (capacity, rounds), index_dtype
-        )
-        split_buffer = None
-        delays_buffer = None
-        max_delay = None
-        if engine._cut_fraction is not None:
-            split_buffer = self._buffer(
-                "stream.split", (capacity, rounds), index_dtype
-            )
-        elif engine.delay_model is not None and not engine.delay_model.trivial:
-            delays_buffer = self._buffer(
-                "stream.delays", (capacity, rounds), index_dtype
-            )
-            max_delay = engine.delay_model.delay_cap(self.params.delta, rounds)
-        sinks = resolve_progress_sinks(progress)
-        reporter = (
-            GridProgress("stream.scenario", n_chunks, sinks) if sinks else None
-        )
-        with _TRACE.span(
-            "stream.scenario_run",
-            scenario=self.scenario.name,
-            trials=trials,
-            rounds=rounds,
-            chunks=n_chunks,
-            blocks=n_blocks,
-        ):
-            self._stream(
-                accumulator,
-                children,
-                trials,
-                rounds,
-                block,
-                per_chunk,
-                honest_buffer,
-                adversary_buffer,
-                split_buffer,
-                delays_buffer,
-                max_delay,
-                reporter,
-            )
-        _METRICS.increment("engine.stream.chunks", n_chunks)
-        _METRICS.increment("engine.stream.blocks", n_blocks)
-        _METRICS.increment("engine.stream.trials", trials)
-        _METRICS.increment("engine.stream.cells", trials * rounds)
-        return StreamingScenarioResult(
-            params=self.params,
+        return self._stream(
+            trials,
+            rounds,
+            ScenarioStreamingAccumulator(self.scenario.success_depth),
+            progress,
+            {"scenario": self.scenario.name},
             scenario=self.scenario,
-            trials=trials,
-            rounds=rounds,
-            draw_mode=self.draw_mode,
             honest_delay=engine.honest_delay,
             delay_model=(
                 None if engine.delay_model is None else engine.delay_model.name
             ),
             release_delay=engine.release_delay,
-            seed_block_trials=block,
-            n_chunks=n_chunks,
-            success_hits=accumulator.success_hits,
-            fork_moments=accumulator.fork_moments,
-            max_deepest_fork=accumulator.max_deepest_fork,
-            releases_sum=accumulator.releases_sum,
-            abandons_sum=accumulator.abandons_sum,
-            orphaned_sum=accumulator.orphaned_sum,
-            final_height_sum=accumulator.final_height_sum,
-            lemma1_satisfied=accumulator.lemma1_satisfied,
-            merge_depth_sum=accumulator.merge_depth_sum,
-            has_merge_depths=accumulator.has_merge_depths,
-        )
-
-    def _stream(
-        self,
-        accumulator: ScenarioStreamingAccumulator,
-        children,
-        trials: int,
-        rounds: int,
-        block: int,
-        per_chunk: int,
-        honest_buffer,
-        adversary_buffer,
-        split_buffer,
-        delays_buffer,
-        max_delay,
-        reporter,
-    ) -> None:
-        """The chunk loop (hot path: handle-free, backend-only tensor math)."""
-        engine = self.engine
-        params = self.params
-        draw_mode = self.draw_mode
-        power = engine.power
-        xp = engine.backend
-        policy = engine.policy
-        delay_model = engine.delay_model
-        cut_fraction = engine._cut_fraction
-        n_blocks = len(children)
-        clock = time.perf_counter
-        for first in range(0, n_blocks, per_chunk):
-            started = clock()
-            last = min(first + per_chunk, n_blocks)
-            sizes = self._block_sizes(trials, block, first, last)
-            offset = 0
-            for position, size in enumerate(sizes):
-                rng = np.random.default_rng(children[first + position])
-                honest, adversary = draw_mining_traces(
-                    params,
-                    size,
-                    rounds,
-                    rng,
-                    draw_mode,
-                    power=power,
-                    policy=policy,
-                )
-                honest_buffer[offset : offset + size] = honest
-                adversary_buffer[offset : offset + size] = adversary
-                if split_buffer is not None:
-                    split_buffer[offset : offset + size] = xp.binomial(
-                        rng,
-                        xp.to_host(honest),
-                        float(cut_fraction),
-                        honest.shape,
-                    )
-                elif delays_buffer is not None:
-                    delays_buffer[offset : offset + size] = (
-                        delay_model.draw_delays(size, rounds, params.delta, rng)
-                    )
-                offset += size
-            result = engine.run_traces(
-                honest_buffer[:offset],
-                adversary_buffer[:offset],
-                delays=(
-                    delays_buffer[:offset] if delays_buffer is not None else None
-                ),
-                max_delay=max_delay,
-                split_counts=(
-                    split_buffer[:offset] if split_buffer is not None else None
-                ),
-            )
-            lo = 0
-            for size in sizes:
-                accumulator.update(result, lo, lo + size)
-                lo += size
-            if reporter is not None:
-                reporter.point_done(clock() - started)
-
-    def materialize_traces(self, trials: int, rounds: int):
-        """Full host tensors under the streamed scenario draw protocol.
-
-        Returns ``(honest, adversary, third)`` where ``third`` is the
-        minority-split tensor (partial-cut scenarios), the delay tensor
-        (non-trivial delay models) or ``None``.  O(trials x rounds) memory
-        — an audit/equivalence helper, not a production path.
-        """
-        trials, rounds = _validate_shape(trials, rounds)
-        block, n_blocks, _ = _plan_blocks(trials, rounds, self.chunk_cells)
-        children = _spawn_block_seeds(self.seed_sequence, n_blocks)
-        engine = self.engine
-        xp = engine.backend
-        honest_parts = []
-        adversary_parts = []
-        third_parts = []
-        delay_model = engine.delay_model
-        cut_fraction = engine._cut_fraction
-        streamed_delays = (
-            cut_fraction is None
-            and delay_model is not None
-            and not delay_model.trivial
-        )
-        for index, child in enumerate(children):
-            size = min(block, trials - index * block)
-            rng = np.random.default_rng(child)
-            honest, adversary = draw_mining_traces(
-                self.params,
-                size,
-                rounds,
-                rng,
-                self.draw_mode,
-                power=engine.power,
-                policy=engine.policy,
-            )
-            honest_parts.append(xp.to_host(honest))
-            adversary_parts.append(xp.to_host(adversary))
-            if cut_fraction is not None:
-                third_parts.append(
-                    xp.to_host(
-                        xp.binomial(
-                            rng,
-                            xp.to_host(honest),
-                            float(cut_fraction),
-                            honest.shape,
-                        )
-                    )
-                )
-            elif streamed_delays:
-                third_parts.append(
-                    xp.to_host(
-                        delay_model.draw_delays(
-                            size, rounds, self.params.delta, rng
-                        )
-                    )
-                )
-        third = (
-            np.concatenate(third_parts, axis=0) if third_parts else None
-        )
-        return (
-            np.concatenate(honest_parts, axis=0),
-            np.concatenate(adversary_parts, axis=0),
-            third,
         )

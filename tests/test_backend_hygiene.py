@@ -69,8 +69,8 @@ HOT_PATHS = [
     (dynamics, "TimeVaryingDelayModel.draw_delays"),
     (rare_events, "draw_tilted_traces"),
     (rare_events, "RareEventSimulation._first_crossings"),
-    (streaming, "StreamingBatchSimulation._stream"),
-    (streaming, "StreamingScenarioSimulation._stream"),
+    (streaming, "_StreamedSimulation._chunk_loop"),
+    (streaming, "_StreamedSimulation._draw_block"),
     (streaming, "StreamingAccumulator.update"),
     (streaming, "ScenarioStreamingAccumulator.update"),
     (streaming, "OnlineMoments.update"),

@@ -52,6 +52,59 @@ PARAMS = parameters_from_c(c=4.0, n=1_000, delta=3, nu=0.2)
 #: The pinned seed of the equivalence grid, matching the golden suites.
 BASE_SEED = 2026
 
+#: A partial cut early enough to fall inside even the shortest property runs.
+CUT = PartitionScenario(
+    name="cut_stream",
+    kind="private_chain",
+    target_depth=2,
+    partition_start=4,
+    partition_duration=8,
+    cut_fraction=0.3,
+)
+
+#: One streamed configuration per kind of chunk buffer, as ``(streamed
+#: engine, dense engine, engine arguments, streamed run arguments)``: batch
+#: with violation depths, batch with a delay tensor, a scenario scan, a
+#: scenario with a delay tensor and a partial cut with a minority-split tensor.
+CONFIGS = {
+    "batch_depths": (StreamingBatchSimulation, BatchSimulation, {}, {"depths": (1, 2)}),
+    "batch_uniform": (
+        StreamingBatchSimulation,
+        BatchSimulation,
+        {"delay_model": "uniform"},
+        {"depths": (1,)},
+    ),
+    "selfish_mining": (
+        StreamingScenarioSimulation,
+        ScenarioSimulation,
+        {"scenario": "selfish_mining"},
+        {},
+    ),
+    "private_chain_uniform": (
+        StreamingScenarioSimulation,
+        ScenarioSimulation,
+        {"scenario": "private_chain", "delay_model": "uniform"},
+        {},
+    ),
+    "partition_cut": (
+        StreamingScenarioSimulation,
+        ScenarioSimulation,
+        {"scenario": CUT},
+        {},
+    ),
+}
+
+
+def _streamed(config: str, seed=BASE_SEED, **engine):
+    """The streamed engine of ``config``."""
+    streamed, _, arguments, _ = CONFIGS[config]
+    return streamed(PARAMS, seed=seed, **arguments, **engine)
+
+
+def _run(config: str, simulation, trials: int, rounds: int):
+    """``simulation.run`` with ``config``'s streamed run arguments."""
+    return simulation.run(trials, rounds, **CONFIGS[config][3])
+
 
 def _state(result) -> dict:
     """The statistical payload, minus execution metadata (``n_chunks``)."""
@@ -181,6 +234,7 @@ class TestSeedBlocks:
 
 
 class TestChunkInvariance:
+    @pytest.mark.parametrize("config", CONFIGS)
     @given(
         trials=st.integers(min_value=1, max_value=50),
         rounds=st.integers(min_value=1, max_value=24),
@@ -193,17 +247,19 @@ class TestChunkInvariance:
     )
     @settings(max_examples=25, deadline=None)
     def test_arbitrary_chunk_splits_are_bit_identical(
-        self, trials, rounds, chunk_cells, block_cells
+        self, config, trials, rounds, chunk_cells, block_cells
     ):
         """Property: chunk=1 cell, chunk>run, anything between — the streamed
-        summary is bit-identical to the single-chunk reference."""
+        summary is bit-identical to the single-chunk reference, for every
+        kind of chunk buffer (delay and split tensors split across chunks
+        too)."""
         with _seed_block_cells(block_cells):
-            reference = StreamingBatchSimulation(
-                PARAMS, seed=BASE_SEED, chunk_cells=10**9
-            ).run(trials, rounds, depths=(1,))
-            streamed = StreamingBatchSimulation(
-                PARAMS, seed=BASE_SEED, chunk_cells=chunk_cells
-            ).run(trials, rounds, depths=(1,))
+            reference = _run(
+                config, _streamed(config, chunk_cells=10**9), trials, rounds
+            )
+            streamed = _run(
+                config, _streamed(config, chunk_cells=chunk_cells), trials, rounds
+            )
         assert _state(streamed) == _state(reference)
         assert streamed.summary() == reference.summary()
 
@@ -231,8 +287,40 @@ class TestChunkInvariance:
         assert first.payload() == second.payload()
 
 
+def _assert_summaries_match(streamed: dict, dense: dict) -> None:
+    """Integer entries exactly, float moments within ``STREAM_STAT_RTOL``."""
+    assert sorted(streamed) == sorted(dense)
+    for key, expected in dense.items():
+        actual = streamed[key]
+        if isinstance(expected, str) or expected is None:
+            assert actual == expected, key
+        elif isinstance(expected, (int, np.integer)) and not isinstance(
+            expected, bool
+        ):
+            assert actual == expected, key
+        else:
+            assert actual == pytest.approx(
+                expected, rel=STREAM_STAT_RTOL, abs=1e-12, nan_ok=True
+            ), key
+
+
 class TestDenseEquivalence:
-    """Streamed summaries vs the dense engine on the materialized traces."""
+    """Streamed summaries vs the dense engine on the materialized traces.
+
+    At 4,096-cell seed blocks, so every case spans several blocks and
+    several chunks: ``materialize_traces`` concatenates blocks and the
+    accumulators fold one block at a time across chunk boundaries.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _small_seed_blocks(self):
+        with _seed_block_cells(4096):
+            yield
+
+    @staticmethod
+    def _assert_multi_block(streamed) -> None:
+        assert streamed.seed_block_trials < streamed.trials
+        assert streamed.n_chunks > 1
 
     @pytest.mark.parametrize("nu", [0.1, 0.25])
     @pytest.mark.parametrize("delta", [2, 4])
@@ -242,10 +330,11 @@ class TestDenseEquivalence:
             params, seed=BASE_SEED, chunk_cells=20_000
         )
         streamed = simulation.run(400, 250, depths=(1, 2))
+        self._assert_multi_block(streamed)
         honest, adversary, delays = simulation.materialize_traces(400, 250)
         assert delays is None
         dense = BatchSimulation(params, rng=0).run_traces(honest, adversary)
-        self._assert_summaries_match(streamed.summary(), dense.summary())
+        _assert_summaries_match(streamed.summary(), dense.summary())
         # Exact integer cross-checks beyond the summary keys.
         assert streamed.max_worst_deficit == int(dense.worst_deficits.max())
         for depth in (1, 2):
@@ -264,24 +353,26 @@ class TestDenseEquivalence:
             params, strategy, seed=BASE_SEED, chunk_cells=15_000
         )
         streamed = simulation.run(300, 200)
+        self._assert_multi_block(streamed)
         honest, adversary, third = simulation.materialize_traces(300, 200)
         assert third is None
         dense = ScenarioSimulation(params, strategy, rng=0).run_traces(
             honest, adversary
         )
-        self._assert_summaries_match(streamed.summary(), dense.summary())
+        _assert_summaries_match(streamed.summary(), dense.summary())
 
     def test_uniform_delay_model_batch(self):
         simulation = StreamingBatchSimulation(
             PARAMS, seed=9, delay_model="uniform", chunk_cells=3_000
         )
         streamed = simulation.run(300, 200)
+        self._assert_multi_block(streamed)
         honest, adversary, delays = simulation.materialize_traces(300, 200)
         assert delays is not None
         dense = BatchSimulation(PARAMS, rng=0, delay_model="uniform").run_traces(
             honest, adversary, delays=delays
         )
-        self._assert_summaries_match(streamed.summary(), dense.summary())
+        _assert_summaries_match(streamed.summary(), dense.summary())
 
     def test_partition_cut_scenario(self):
         cut = PartitionScenario(
@@ -296,31 +387,40 @@ class TestDenseEquivalence:
             PARAMS, cut, seed=BASE_SEED, chunk_cells=8_000
         )
         streamed = simulation.run(300, 200)
+        self._assert_multi_block(streamed)
         honest, adversary, split = simulation.materialize_traces(300, 200)
         assert split is not None
         dense = ScenarioSimulation(PARAMS, cut, rng=0).run_traces(
             honest, adversary, split_counts=split
         )
-        self._assert_summaries_match(streamed.summary(), dense.summary())
+        _assert_summaries_match(streamed.summary(), dense.summary())
         assert streamed.summary()["mean_merge_depth"] == pytest.approx(
             dense.summary()["mean_merge_depth"], rel=STREAM_STAT_RTOL
         )
 
-    @staticmethod
-    def _assert_summaries_match(streamed: dict, dense: dict) -> None:
-        assert sorted(streamed) == sorted(dense)
-        for key, expected in dense.items():
-            actual = streamed[key]
-            if isinstance(expected, str) or expected is None:
-                assert actual == expected, key
-            elif isinstance(expected, (int, np.integer)) and not isinstance(
-                expected, bool
-            ):
-                assert actual == expected, key
-            else:
-                assert actual == pytest.approx(
-                    expected, rel=STREAM_STAT_RTOL, abs=1e-12, nan_ok=True
-                ), key
+
+class TestOneDrawProtocol:
+    """Within a seed block the streamed and dense engines draw alike."""
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_one_block_run_is_the_dense_run(self, config):
+        """A one-block streamed run equals the dense ``run`` drawn from the
+        block's child generator: the same mining tensors, then the same
+        third draw (delays, minority split or nothing)."""
+        trials, rounds = 120, 300
+        simulation = _streamed(config)
+        streamed = _run(config, simulation, trials, rounds)
+        assert streamed.seed_block_trials >= trials
+        _, dense_engine, arguments, _ = CONFIGS[config]
+        child = _spawn_block_seeds(simulation.seed_sequence, 1)[0]
+        dense = dense_engine(
+            PARAMS, rng=np.random.default_rng(child), **arguments
+        ).run(trials, rounds)
+        _assert_summaries_match(streamed.summary(), dense.summary())
+        for depth in getattr(streamed, "depths", ()):
+            assert streamed.violation_probability(depth) == (
+                dense.violation_probability(depth)
+            )
 
 
 class TestValidationAndResults:
@@ -360,22 +460,23 @@ class TestValidationAndResults:
         assert restored.summary() == result.summary()
         assert restored.violation_ci95(3) == result.violation_ci95(3)
 
-    def test_streamed_memory_stays_chunk_bounded(self):
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_streamed_memory_stays_chunk_bounded(self, config):
         """With every trial its own seed block, a chunked run's workspace
-        high-water mark stays well under the dense trace footprint."""
+        high-water mark stays well under the dense trace footprint, delay
+        and split buffers included.  At 4,096-cell seed blocks, so the
+        scenario scans stay quick."""
         from repro.backend import Workspace
 
-        rounds = SEED_BLOCK_CELLS + 1
         trials = 24
         per_chunk = 2
         workspace = Workspace()
-        simulation = StreamingBatchSimulation(
-            PARAMS,
-            seed=1,
-            workspace=workspace,
-            chunk_cells=per_chunk * rounds,
-        )
-        simulation.run(trials, rounds)
+        with _seed_block_cells(4096):
+            rounds = streaming.SEED_BLOCK_CELLS + 1
+            simulation = _streamed(
+                config, seed=1, workspace=workspace, chunk_cells=per_chunk * rounds
+            )
+            assert _run(config, simulation, trials, rounds).n_chunks == 12
         dense_trace_bytes = 2 * trials * rounds * 8
         assert workspace.high_water_bytes < dense_trace_bytes / 2
 
