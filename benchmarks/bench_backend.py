@@ -10,7 +10,7 @@ Three claims are measured:
   ``maximum.accumulate`` drawdown, allocating every intermediate on each
   call.  Both produce bit-identical results (asserted here and pinned by
   ``tests/test_kernels.py``).
-* **sampler speed** — the backend's ``binomial`` must draw one
+* **sampler speed** — :func:`repro.backend.binomial` must draw one
   streamed seed block (``seed_block_trials(1000)`` trials x 1,000 rounds,
   ``n`` = 700 honest and 300 adversarial miners at the near-bound
   ``nu = 0.3`` point) >= 1.5x faster than ``Generator.binomial``, and return
@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from conftest import bench_scale, record_trajectory
-from repro.backend import Workspace, get_backend
+from repro.backend import Workspace, binomial
 from repro.core.bounds import neat_bound
 from repro.core.concat_chain import convergence_opportunity_mask
 from repro.params import parameters_from_c
@@ -47,7 +47,7 @@ PARAMS = parameters_from_c(c=4.0, n=1_000, delta=3, nu=0.2)
 
 #: Required speedup of the engine's kernels over the allocating reference.
 KERNEL_SPEEDUP_GATE = 3.0
-#: Required speedup of the backend's binomial draws over ``Generator.binomial``.
+#: Required speedup of ``repro.backend.binomial`` over ``Generator.binomial``.
 SAMPLER_SPEEDUP_GATE = 1.5
 SAMPLER_REPEATS = bench_scale(7, 20)
 NEAR_BOUND = parameters_from_c(c=1.1 * neat_bound(0.3), n=1_000, delta=4, nu=0.3)
@@ -118,21 +118,20 @@ def test_kernels_beat_the_allocating_reference():
 
 
 def test_sampler_beats_generator_binomial():
-    """``get_backend().binomial`` must be >= 1.5x faster than NumPy's.
+    """``repro.backend.binomial`` must be >= 1.5x faster than NumPy's.
 
     Both sides draw the per-round block counts of one streamed seed block
     from generators seeded alike, and must return the same array.
     """
-    xp = get_backend()
     shape = (seed_block_trials(1_000), 1_000)
     miners = (
         round(NEAR_BOUND.honest_count),
         round(NEAR_BOUND.adversary_count),
     )
     for count in miners:
-        drawn = xp.binomial(np.random.default_rng(5), count, NEAR_BOUND.p, shape)
+        drawn = binomial(np.random.default_rng(5), count, NEAR_BOUND.p, shape)
         expected = np.random.default_rng(5).binomial(count, NEAR_BOUND.p, size=shape)
-        assert np.array_equal(xp.to_host(drawn), expected)
+        assert np.array_equal(drawn, expected)
 
     # The two sides alternate on every repeat, so noise hits both alike.
     rng = np.random.default_rng(0)
@@ -146,7 +145,7 @@ def test_sampler_beats_generator_binomial():
             )
             sampler_best = min(
                 sampler_best,
-                _best_of(1, lambda: xp.binomial(rng, count, NEAR_BOUND.p, shape)),
+                _best_of(1, lambda: binomial(rng, count, NEAR_BOUND.p, shape)),
             )
         numpy_seconds += numpy_best
         sampler_seconds += sampler_best
@@ -154,11 +153,12 @@ def test_sampler_beats_generator_binomial():
     print(
         f"\nBinomial draws of a {shape[0]} x {shape[1]} seed block at n = "
         f"{miners}, p = {NEAR_BOUND.p:.4g}: Generator.binomial "
-        f"{numpy_seconds * 1e3:.2f}ms, {xp.name} backend "
+        f"{numpy_seconds * 1e3:.2f}ms, repro.backend.binomial "
         f"{sampler_seconds * 1e3:.2f}ms, {speedup:.2f}x"
     )
     assert speedup >= SAMPLER_SPEEDUP_GATE, (
-        f"{xp.name} binomial only {speedup:.2f}x faster than Generator.binomial"
+        f"repro.backend.binomial only {speedup:.2f}x faster than "
+        "Generator.binomial"
     )
 
     record_trajectory(

@@ -5,10 +5,9 @@ Run with::
 
     python examples/backend_speed.py [--trials T] [--rounds R] [--repeats K]
 
-Every tensor operation in the batch, scenario, topology and dynamics
-engines is a call on the NumPy ``xp`` handle of ``repro.backend``, so the
-engines stay bit-identical to the pre-backend ones.  This script shows the
-two user-facing knobs:
+The engines call NumPy directly; ``repro.backend`` holds what they share
+beyond it: the exact Binomial sampler, dtype policies, workspaces and
+chunk budgets.  This script shows the two user-facing memory knobs:
 
 1. **dtype policies** — ``wide`` (int64/bool/float64, the bit-exact
    default) versus ``compact`` (int32/uint8/float32): integer outputs stay

@@ -4,9 +4,8 @@ Asynchronous Networks: Deriving a Neat Bound" (Jun Zhao, ICDCS 2020).
 The library has five layers:
 
 * :mod:`repro.params` — the protocol parameterisation of Table I;
-* :mod:`repro.backend` — the array layer under every engine's tensor math
-  (the NumPy ``xp`` handle, dtype policies, preallocated workspaces, chunk
-  budgets);
+* :mod:`repro.backend` — what the engines share beyond NumPy (the exact
+  Binomial sampler, dtype policies, preallocated workspaces, chunk budgets);
 * :mod:`repro.core` — the paper's contribution: the neat bound
   ``2 mu / ln(mu/nu)``, Theorems 1-3, the two Markov chains C_F and C_F||P,
   the concentration bounds, and the PSS/Kiffer baselines;
@@ -233,21 +232,16 @@ execution policy and deliberately excluded from the key), and
 ... ).summary()
 True
 
-Array backends
---------------
-Every tensor operation in the batch, scenario, topology and dynamics
-engines is a call on an ``xp`` handle, the one
-:class:`~repro.backend.NumpyBackend` that :func:`~repro.backend.get_backend`
-returns.  Its array ops are the NumPy functions themselves, and its
-``binomial`` draws the per-round block counts with a vectorized copy of
-NumPy's inversion sampler: the same array as ``Generator.binomial``, the
-generator left in the same state, about twice as fast at the paper's
-points.  So the engines are bit-identical to the pre-backend engines —
-pinned by pre-refactor golden digests.  Every draw comes from the caller's
-:class:`numpy.random.Generator`, and results leave each engine as host
-NumPy arrays.
+The array layer
+---------------
+The engines call NumPy directly, and every draw comes from the caller's
+:class:`numpy.random.Generator`.  The per-round block counts come from
+:func:`repro.backend.binomial`, a vectorized copy of NumPy's inversion
+sampler: the same array as ``Generator.binomial``, the generator left in
+the same state, about twice as fast at the paper's points.  Results are
+NumPy arrays that never alias engine scratch memory.
 
-Two companion knobs tune the engines' memory behaviour: a
+Two knobs tune the engines' memory behaviour: a
 :class:`~repro.backend.DtypePolicy` (``wide`` — int64/bool/float64, the
 bit-exact default — or ``compact`` — int32/uint8/float32 with exact
 integers and float statistics inside a documented tolerance, selected via
@@ -335,13 +329,7 @@ from .core import (
     theorem1_condition,
     theorem2_condition,
 )
-from .backend import (
-    DtypePolicy,
-    Workspace,
-    get_backend,
-    get_dtype_policy,
-    use_dtype_policy,
-)
+from .backend import DtypePolicy, Workspace, get_dtype_policy, use_dtype_policy
 from .errors import (
     AnalysisError,
     BackendError,
@@ -412,7 +400,6 @@ __all__ = [
     "StreamingBatchResult",
     "StreamingScenarioSimulation",
     "StreamingScenarioResult",
-    "get_backend",
     "DtypePolicy",
     "get_dtype_policy",
     "use_dtype_policy",

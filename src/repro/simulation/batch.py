@@ -26,11 +26,10 @@ array operations:
   running-maximum drawdown.
 
 The batch, scenario, streaming and rare-event engines all run these two
-kernels.  Every tensor operation is a call on the ``xp`` handle
-(:func:`repro.backend.get_backend`), whose ops are the NumPy functions and
-whose ``binomial`` returns ``Generator.binomial``'s bits, so the engine
-reproduces the historical one bit for bit.  Every draw comes from the
-caller's :class:`numpy.random.Generator`, and dtypes follow the active
+kernels.  The binomial counts come from :func:`repro.backend.binomial`,
+which returns ``Generator.binomial``'s bits, so the engine reproduces the
+historical one bit for bit.  Every draw comes from the caller's
+:class:`numpy.random.Generator`, and dtypes follow the active
 :class:`~repro.backend.DtypePolicy`.  Both kernels run one row tile of
 at most :data:`TILE_CELLS` cells at a time, so their scratch stays in cache
 and does not grow with the trial count; rows never interact, so the tiles
@@ -57,13 +56,7 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from ..backend import (
-    NumpyBackend,
-    Workspace,
-    get_backend,
-    get_dtype_policy,
-    resolve_chunk_cells,
-)
+from ..backend import Workspace, binomial, get_dtype_policy, resolve_chunk_cells
 from ..core.concat_chain import convergence_opportunity_mask
 from ..errors import ParameterError, SimulationError
 from ..observability import METRICS as _METRICS, TRACE as _TRACE
@@ -134,10 +127,9 @@ def draw_mining_traces(
         raise SimulationError(
             f"draw_mode must be one of {DRAW_MODES}, got {draw_mode!r}"
         )
-    xp = get_backend()
     policy = get_dtype_policy(policy)
     policy.check_rounds(rounds)
-    index_dtype = policy.index_dtype(xp)
+    index_dtype = policy.index_dtype()
     generator = resolve_rng(rng)
     honest_miners = max(int(round(params.honest_count)), 1)
     adversary_miners = int(round(params.adversary_count))
@@ -145,39 +137,41 @@ def draw_mining_traces(
     if power is not None:
         power.validate_against(params)
         honest = _bernoulli_counts(
-            xp, index_dtype, generator, trials, rounds, power.honest_miners,
-            power.honest_p,
+            index_dtype, generator, trials, rounds, power.honest_miners, power.honest_p
         )
         adversary = _bernoulli_counts(
-            xp, index_dtype, generator, trials, rounds, power.adversary_miners,
+            index_dtype,
+            generator,
+            trials,
+            rounds,
+            power.adversary_miners,
             power.adversary_p,
         )
         return honest, adversary
 
     if draw_mode == "binomial":
-        honest = xp.binomial(generator, honest_miners, params.p, (trials, rounds))
+        honest = binomial(generator, honest_miners, params.p, (trials, rounds))
         if adversary_miners > 0:
-            adversary = xp.binomial(
+            adversary = binomial(
                 generator, adversary_miners, params.p, (trials, rounds)
             )
         else:
-            adversary = xp.zeros((trials, rounds), dtype=index_dtype)
+            adversary = np.zeros((trials, rounds), dtype=index_dtype)
         return (
-            xp.asarray(honest, dtype=index_dtype),
-            xp.asarray(adversary, dtype=index_dtype),
+            np.asarray(honest, dtype=index_dtype),
+            np.asarray(adversary, dtype=index_dtype),
         )
 
     honest = _bernoulli_counts(
-        xp, index_dtype, generator, trials, rounds, honest_miners, params.p
+        index_dtype, generator, trials, rounds, honest_miners, params.p
     )
     adversary = _bernoulli_counts(
-        xp, index_dtype, generator, trials, rounds, adversary_miners, params.p
+        index_dtype, generator, trials, rounds, adversary_miners, params.p
     )
     return honest, adversary
 
 
 def _bernoulli_counts(
-    xp: NumpyBackend,
     index_dtype,
     generator: np.random.Generator,
     trials: int,
@@ -192,29 +186,28 @@ def _bernoulli_counts(
     a heterogeneous power profile) — the comparison broadcasts either way.
     """
     if miners <= 0:
-        return xp.zeros((trials, rounds), dtype=index_dtype)
-    counts = xp.empty((trials, rounds), dtype=index_dtype)
-    threshold = xp.asarray(hardness)
+        return np.zeros((trials, rounds), dtype=index_dtype)
+    counts = np.empty((trials, rounds), dtype=index_dtype)
+    threshold = np.asarray(hardness)
     # The chunk size is an execution knob only: ``rng.random`` consumes the
     # uniform stream contiguously, so any chunking yields identical counts.
     chunk = max(int(resolve_chunk_cells() // max(rounds * miners, 1)), 1)
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
-        draws = xp.random(generator, (stop - start, rounds, miners)) < threshold
+        draws = generator.random((stop - start, rounds, miners)) < threshold
         counts[start:stop] = draws.sum(axis=2, dtype=index_dtype)
     return counts
 
 
 def count_convergence_opportunities_batch(honest_counts, delta: int):
     """Per-trial convergence-opportunity counts for a ``(trials, rounds)`` tensor."""
-    xp = get_backend()
     policy = get_dtype_policy()
-    index_dtype = policy.index_dtype(xp)
-    counts = xp.asarray(honest_counts, dtype=index_dtype)
+    index_dtype = policy.index_dtype()
+    counts = np.asarray(honest_counts, dtype=index_dtype)
     delta = coerce_positive_int(delta, "delta", error_type=ParameterError)
     if counts.ndim != 2:
         raise ParameterError(f"need 2-D counts, got shape {counts.shape}")
-    return _opportunity_mask(xp, policy, counts, delta).sum(axis=1, dtype=index_dtype)
+    return _opportunity_mask(policy, counts, delta).sum(axis=1, dtype=index_dtype)
 
 
 def _delay_draw(delay_model: Optional[DelayModel], delta: int, honest, rng) -> dict:
@@ -229,10 +222,10 @@ def _delay_draw(delay_model: Optional[DelayModel], delta: int, honest, rng) -> d
     }
 
 
-def _scratch(workspace: Optional[Workspace], xp: NumpyBackend, tag: str, shape, dtype):
+def _scratch(workspace: Optional[Workspace], tag: str, shape, dtype):
     """The workspace's ``tag`` buffer, or a fresh one without a workspace."""
     if workspace is None:
-        return xp.empty(shape, dtype=dtype)
+        return np.empty(shape, dtype=dtype)
     return workspace.empty(tag, shape, dtype)
 
 
@@ -252,7 +245,7 @@ def _tile_rows(trials: int, rounds: int) -> int:
 
 
 def _opportunity_mask(
-    xp: NumpyBackend, policy, counts, delta: int, workspace: Optional[Workspace] = None
+    policy, counts, delta: int, workspace: Optional[Workspace] = None
 ):
     """The mask kernel: where the ``N^Δ H_1 N^Δ`` pattern of Eq. (42) completes.
 
@@ -267,38 +260,38 @@ def _opportunity_mask(
     count.  With a ``workspace`` both live there until the next call.
     """
     trials, rounds = counts.shape
-    mask_dtype = policy.mask_dtype(xp)
-    mask = _scratch(workspace, xp, "mask.out", (trials, rounds), mask_dtype)
+    mask_dtype = policy.mask_dtype()
+    mask = _scratch(workspace, "mask.out", (trials, rounds), mask_dtype)
     width = rounds - 2 * delta
     if width < 1:
         mask[...] = 0
         return mask
     mask[:, : 2 * delta] = 0
     rows = _tile_rows(trials, rounds)
-    tile = _scratch(workspace, xp, "mask.run", (rows, rounds), mask_dtype)
+    tile = _scratch(workspace, "mask.run", (rows, rounds), mask_dtype)
     for start in range(0, trials, rows):
         stop = min(start + rows, trials)
         run = tile[: stop - start]
         tile_counts = counts[start:stop]
-        xp.equal(tile_counts, 0, out=run)
+        np.equal(tile_counts, 0, out=run)
         flat = run.reshape(-1)
         span = 1
         while span < delta:
             step = min(span, delta - span)
-            xp.logical_and(flat[:-step], flat[step:], out=flat[:-step])
+            np.logical_and(flat[:-step], flat[step:], out=flat[:-step])
             span += step
         hits = mask[start:stop, 2 * delta :]
-        xp.logical_and(
+        np.logical_and(
             run[:, :width], run[:, delta + 1 : rounds - delta + 1], out=hits
         )
         single = run[:, :width]
-        xp.equal(tile_counts[:, delta : rounds - delta], 1, out=single)
-        xp.logical_and(hits, single, out=hits)
+        np.equal(tile_counts[:, delta : rounds - delta], 1, out=single)
+        np.logical_and(hits, single, out=hits)
     return mask
 
 
 def _window_drawdown(
-    xp: NumpyBackend, policy, mask, adversary, workspace=None, level=None
+    policy, mask, adversary, workspace=None, level=None
 ):
     """The drawdown kernel: ``(worst windowed deficits, first crossings)``.
 
@@ -311,22 +304,22 @@ def _window_drawdown(
     (:func:`_tile_rows`) at a time through tile-sized ``running`` and
     ``drawdown`` scratch and writes only the per-trial results.
     """
-    index_dtype = policy.index_dtype(xp)
+    index_dtype = policy.index_dtype()
     trials, rounds = mask.shape
     rows = _tile_rows(trials, rounds)
     shape = (rows, rounds + 1)
-    running = _scratch(workspace, xp, "deficit.running", shape, index_dtype)
-    drawdown = _scratch(workspace, xp, "deficit.drawdown", shape, index_dtype)
+    running = _scratch(workspace, "deficit.running", shape, index_dtype)
+    drawdown = _scratch(workspace, "deficit.drawdown", shape, index_dtype)
     running[:, 0] = 0
-    deficits = xp.empty(trials, dtype=index_dtype)
-    first = None if level is None else xp.empty(trials, dtype=xp.int64)
+    deficits = np.empty(trials, dtype=index_dtype)
+    first = None if level is None else np.empty(trials, dtype=np.int64)
     for start in range(0, trials, rows):
         stop = min(start + rows, trials)
         total, worst = running[: stop - start], drawdown[: stop - start]
-        xp.subtract(mask[start:stop], adversary[start:stop], out=total[:, 1:])
-        xp.cumsum(total[:, 1:], axis=1, dtype=index_dtype, out=total[:, 1:])
-        xp.maximum_accumulate(total, axis=1, out=worst)
-        xp.subtract(worst, total, out=worst)
+        np.subtract(mask[start:stop], adversary[start:stop], out=total[:, 1:])
+        np.cumsum(total[:, 1:], axis=1, dtype=index_dtype, out=total[:, 1:])
+        np.maximum.accumulate(total, axis=1, out=worst)
+        np.subtract(worst, total, out=worst)
         worst.max(axis=1, out=deficits[start:stop])
         if first is not None:
             (worst >= level).argmax(axis=1, out=first[start:stop])
@@ -350,11 +343,10 @@ def worst_window_deficits(
 
     A validating front end to the engines' drawdown kernel.
     """
-    xp = get_backend()
     policy = get_dtype_policy(policy)
-    index_dtype = policy.index_dtype(xp)
-    mask = xp.asarray(opportunity_mask, dtype=index_dtype)
-    adversary = xp.asarray(adversary_counts, dtype=index_dtype)
+    index_dtype = policy.index_dtype()
+    mask = np.asarray(opportunity_mask, dtype=index_dtype)
+    adversary = np.asarray(adversary_counts, dtype=index_dtype)
     if mask.ndim != 2:
         raise SimulationError(
             f"mask must have shape (trials, rounds), got {mask.shape}"
@@ -363,13 +355,13 @@ def worst_window_deficits(
         raise SimulationError(
             f"mask shape {mask.shape} does not match adversary shape {adversary.shape}"
         )
-    return _window_drawdown(xp, policy, mask, adversary, workspace)[0]
+    return _window_drawdown(policy, mask, adversary, workspace)[0]
 
 
 def _confidence_interval(values: np.ndarray) -> Tuple[float, float]:
     """Normal-approximation 95% confidence interval for the mean of ``values``.
 
-    Host-side statistics helper for *unbounded* means (rates, depths, fork
+    Statistics helper for *unbounded* means (rates, depths, fork
     sizes): accumulates in the active dtype policy's ``stat`` dtype (float64
     under ``wide`` — the historical behaviour; float32 under ``compact``,
     within the documented :data:`~repro.backend.dtypes.COMPACT_STAT_RTOL`).
@@ -426,7 +418,7 @@ def proportion_confidence_interval(
 class BatchResult:
     """Per-trial outcomes plus aggregate statistics for one batch run.
 
-    All per-trial arrays have shape ``(trials,)`` and live on the host.
+    All per-trial arrays have shape ``(trials,)``.
     ``honest_counts`` and ``adversary_counts`` (shape ``(trials, rounds)``)
     are retained only when the run was made with ``keep_traces=True``.
     """
@@ -584,8 +576,7 @@ class BatchSimulation:
 
     The engine binds the ambient dtype policy at construction (a
     ``use_dtype_policy`` context, or the ``REPRO_DTYPE_POLICY`` environment
-    variable), so a run issued after that context closed still uses it; all
-    results are converted back to host NumPy at the engine boundary.
+    variable), so a run issued after that context closed still uses it.
 
     Examples
     --------
@@ -618,7 +609,6 @@ class BatchSimulation:
         self.power = power
         if self.power is not None:
             self.power.validate_against(params)
-        self.backend = get_backend()
         self.policy = get_dtype_policy()
         self.workspace = workspace
 
@@ -681,10 +671,9 @@ class BatchSimulation:
         worst case); ``max_delay`` (default Δ) widens the validation cap for
         time-varying models whose adversarial windows exceed Δ.
         """
-        xp = self.backend
-        index_dtype = self.policy.index_dtype(xp)
-        honest = xp.asarray(honest_counts, dtype=index_dtype)
-        adversary = xp.asarray(adversary_counts, dtype=index_dtype)
+        index_dtype = self.policy.index_dtype()
+        honest = np.asarray(honest_counts, dtype=index_dtype)
+        adversary = np.asarray(adversary_counts, dtype=index_dtype)
         if honest.ndim != 2:
             raise SimulationError(
                 f"honest_counts must have shape (trials, rounds), got {honest.shape}"
@@ -707,7 +696,7 @@ class BatchSimulation:
         with _TRACE.span("batch.mask", trials=trials, rounds=rounds):
             if delays is None:
                 mask = _opportunity_mask(
-                    xp, self.policy, honest, self.params.delta, self.workspace
+                    self.policy, honest, self.params.delta, self.workspace
                 )
             else:
                 mask = convergence_opportunity_mask_with_delays(
@@ -718,21 +707,17 @@ class BatchSimulation:
                     policy=self.policy,
                 )
         with _TRACE.span("batch.deficits", trials=trials, rounds=rounds):
-            deficits, _ = _window_drawdown(
-                xp, self.policy, mask, adversary, self.workspace
-            )
+            deficits, _ = _window_drawdown(self.policy, mask, adversary, self.workspace)
         return BatchResult(
             params=self.params,
             trials=trials,
             rounds=rounds,
             draw_mode=self.draw_mode,
-            convergence_opportunities=xp.to_host(
-                mask.sum(axis=1, dtype=index_dtype)
-            ),
-            honest_blocks=xp.to_host(honest.sum(axis=1, dtype=index_dtype)),
-            adversary_blocks=xp.to_host(adversary.sum(axis=1, dtype=index_dtype)),
-            worst_deficits=xp.to_host(deficits),
-            honest_counts=xp.to_host(honest) if keep_traces else None,
-            adversary_counts=xp.to_host(adversary) if keep_traces else None,
+            convergence_opportunities=mask.sum(axis=1, dtype=index_dtype),
+            honest_blocks=honest.sum(axis=1, dtype=index_dtype),
+            adversary_blocks=adversary.sum(axis=1, dtype=index_dtype),
+            worst_deficits=deficits,
+            honest_counts=honest if keep_traces else None,
+            adversary_counts=adversary if keep_traces else None,
             delay_model=self._delay_model_name,
         )

@@ -72,7 +72,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..backend import get_backend, get_dtype_policy
+from ..backend import get_dtype_policy
 from ..errors import SimulationError
 from ..observability import METRICS as _METRICS, TRACE as _TRACE
 from .rng import resolve_rng
@@ -344,8 +344,7 @@ def compile_eclipse_offsets(
         raise SimulationError(f"rounds must be positive, got {rounds!r}")
     if delta < 1:
         raise SimulationError(f"delta must be >= 1, got {delta!r}")
-    xp = get_backend()
-    offsets = xp.full(rounds, delta, dtype=xp.int64)
+    offsets = np.full(rounds, delta, dtype=np.int64)
     for event in schedule.events:
         if not isinstance(event, PartitionEvent) or event.nodes is not None:
             raise SimulationError(
@@ -360,9 +359,9 @@ def compile_eclipse_offsets(
         heal = event.round + event.duration
         low, high = max(event.round, 0), min(heal, rounds)
         if low < high:
-            window = xp.arange(low, high, dtype=xp.int64)
-            xp.maximum(offsets[low:high], heal - window + delta, out=offsets[low:high])
-    return xp.to_host(offsets)
+            window = np.arange(low, high, dtype=np.int64)
+            np.maximum(offsets[low:high], heal - window + delta, out=offsets[low:high])
+    return offsets
 
 
 # ----------------------------------------------------------------------
@@ -473,36 +472,33 @@ def _epoch_distances(latencies, active):
     """All-pairs gossip distances for one epoch's graph (vectorized min-plus).
 
     Inactive peers neither relay nor receive: their rows and columns
-    (including the diagonal) are pinned at the unreached sentinel.  Inputs
-    and output are ``xp`` arrays — this is the inner kernel of the schedule
-    compiler.
+    (including the diagonal) are pinned at the unreached sentinel.  This is
+    the inner kernel of the schedule compiler.
     """
-    xp = get_backend()
     n = latencies.shape[0]
-    distance = xp.where(latencies > 0, latencies, _UNREACHED)
-    diagonal = xp.arange(n)
+    distance = np.where(latencies > 0, latencies, _UNREACHED)
+    diagonal = np.arange(n)
     distance[diagonal, diagonal] = 0
     distance[~active, :] = _UNREACHED
     distance[:, ~active] = _UNREACHED
-    for pivot in xp.to_host(xp.nonzero(active)[0]):
+    for pivot in np.nonzero(active)[0]:
         pivot = int(pivot)
-        xp.minimum(
+        np.minimum(
             distance,
             distance[:, pivot, None] + distance[None, pivot, :],
             out=distance,
         )
-    xp.minimum(distance, _UNREACHED, out=distance)
+    np.minimum(distance, _UNREACHED, out=distance)
     return distance
 
 
 def _masked_min_plus(delivered, distance):
     """``out[c, w] = min over delivered[c] sources u of distance[u, w]``."""
-    xp = get_backend()
     cells, n = delivered.shape
-    out = xp.full((cells, n), _UNREACHED, dtype=xp.int64)
+    out = np.full((cells, n), _UNREACHED, dtype=np.int64)
     for start in range(0, cells, _CONTINUATION_CHUNK):
         stop = min(start + _CONTINUATION_CHUNK, cells)
-        masked = xp.where(
+        masked = np.where(
             delivered[start:stop, :, None], distance[None, :, :], _UNREACHED
         )
         out[start:stop] = masked.min(axis=1)
@@ -533,22 +529,19 @@ def compile_schedule(
         raise SimulationError(f"rounds must be positive, got {rounds!r}")
     if delta < 1:
         raise SimulationError(f"delta must be >= 1, got {delta!r}")
-    xp = get_backend()
     n = topology.n_nodes
     epochs = _epoch_states(schedule, topology, rounds)
-    offsets = xp.zeros((rounds, n), dtype=xp.int64)
-    active_rounds = xp.full((rounds, n), True, dtype=xp.bool_)
+    offsets = np.zeros((rounds, n), dtype=np.int64)
+    active_rounds = np.full((rounds, n), True, dtype=np.bool_)
 
     # Pending spanning cells: absolute reach times plus their coordinates.
-    pending_reach = xp.empty((0, n), dtype=xp.int64)
-    pending_round = xp.empty((0,), dtype=xp.int64)
-    pending_origin = xp.empty((0,), dtype=xp.int64)
+    pending_reach = np.empty((0, n), dtype=np.int64)
+    pending_round = np.empty((0,), dtype=np.int64)
+    pending_origin = np.empty((0,), dtype=np.int64)
 
     for epoch in epochs:
-        distance = _epoch_distances(
-            xp.from_host(epoch.latencies), xp.from_host(epoch.active)
-        )
-        epoch_active = xp.from_host(epoch.active)
+        distance = _epoch_distances(epoch.latencies, epoch.active)
+        epoch_active = epoch.active
         start, end = epoch.start, epoch.end
 
         # 1. Continue pending cells across the boundary into this epoch:
@@ -556,14 +549,14 @@ def compile_schedule(
         #    peer re-gossips under the new graph.
         if pending_reach.shape[0]:
             delivered = pending_reach <= start
-            kept = xp.where(delivered, pending_reach, _UNREACHED)
+            kept = np.where(delivered, pending_reach, _UNREACHED)
             contribution = _masked_min_plus(delivered, distance)
-            pending_reach = xp.minimum(
-                kept, xp.minimum(start + contribution, _UNREACHED)
+            pending_reach = np.minimum(
+                kept, np.minimum(start + contribution, _UNREACHED)
             )
-            reach_active = xp.where(epoch_active[None, :], pending_reach, -1)
+            reach_active = np.where(epoch_active[None, :], pending_reach, -1)
             completion = reach_active.max(axis=1)
-            completion = xp.maximum(completion, start)
+            completion = np.maximum(completion, start)
             if end is None:
                 complete = completion < _UNREACHED
                 if not complete.all():
@@ -576,7 +569,7 @@ def compile_schedule(
             if complete.any():
                 rows = pending_round[complete]
                 cols = pending_origin[complete]
-                capped = xp.minimum(completion[complete], start + delta)
+                capped = np.minimum(completion[complete], start + delta)
                 offsets[rows, cols] = capped - rows
             pending_reach = pending_reach[~complete]
             pending_round = pending_round[~complete]
@@ -588,48 +581,46 @@ def compile_schedule(
         if low >= high:
             continue
         active_rounds[low:high, :] = epoch_active[None, :]
-        reach_active = xp.where(epoch_active[None, :], distance, -1)
-        radius = xp.minimum(reach_active.max(axis=1), _UNREACHED)
-        mined_rounds = xp.arange(low, high, dtype=xp.int64)
-        origins = xp.nonzero(epoch_active)[0]
+        reach_active = np.where(epoch_active[None, :], distance, -1)
+        radius = np.minimum(reach_active.max(axis=1), _UNREACHED)
+        mined_rounds = np.arange(low, high, dtype=np.int64)
+        origins = np.nonzero(epoch_active)[0]
         if end is None:
             if (radius[origins] >= _UNREACHED).any():
                 raise SimulationError(
                     "the dynamics schedule leaves the network disconnected "
                     "forever: some blocks can never reach every active peer"
                 )
-            offsets[low:high][:, origins] = xp.minimum(radius[origins], delta)[
+            offsets[low:high][:, origins] = np.minimum(radius[origins], delta)[
                 None, :
             ]
             continue
         # Interior cells complete by the boundary; spanning cells enter the
         # pending set with their absolute reach-time vectors.
         interior = mined_rounds[:, None] + radius[None, origins] <= end
-        offsets[low:high][:, origins] = xp.where(
-            interior, xp.minimum(radius[None, origins], delta), 0
+        offsets[low:high][:, origins] = np.where(
+            interior, np.minimum(radius[None, origins], delta), 0
         )
-        span_row, span_col = xp.nonzero(~interior)
+        span_row, span_col = np.nonzero(~interior)
         if span_row.size:
             new_rounds = mined_rounds[span_row]
             new_origins = origins[span_col]
-            new_reach = xp.minimum(
+            new_reach = np.minimum(
                 new_rounds[:, None] + distance[new_origins, :], _UNREACHED
             )
-            pending_reach = xp.concatenate([pending_reach, new_reach], axis=0)
-            pending_round = xp.concatenate([pending_round, new_rounds])
-            pending_origin = xp.concatenate([pending_origin, new_origins])
+            pending_reach = np.concatenate([pending_reach, new_reach], axis=0)
+            pending_round = np.concatenate([pending_round, new_rounds])
+            pending_origin = np.concatenate([pending_origin, new_origins])
 
     if pending_reach.shape[0]:  # pragma: no cover - the open epoch drains all
         raise SimulationError(
             "internal error: pending cells survived the open terminal epoch"
         )
-    offsets = xp.to_host(offsets)
-    active_host = xp.to_host(active_rounds)
-    uniform = bool(active_host.all())
-    max_offset = int(offsets[active_host].max(initial=0))
+    uniform = bool(active_rounds.all())
+    max_offset = int(offsets[active_rounds].max(initial=0))
     return CompiledSchedule(
         offsets=offsets,
-        active=active_host,
+        active=active_rounds,
         max_offset=max_offset,
         uniform_origins=uniform,
     )
@@ -846,28 +837,27 @@ class TimeVaryingDelayModel(DelayModel):
         self, trials: int, rounds: int, delta: int, rng: np.random.Generator
     ):
         self._check_shape(trials, rounds, delta)
-        xp = get_backend()
-        index_dtype = get_dtype_policy().index_dtype(xp)
+        index_dtype = get_dtype_policy().index_dtype()
         compiled = self.compiled(rounds, delta)
-        offsets = xp.asarray(xp.from_host(compiled.offsets), dtype=index_dtype)
+        offsets = np.asarray(compiled.offsets, dtype=index_dtype)
         if self.topology is None:
             # Offsets are deterministic per round; no entropy is consumed,
             # so the mining-trace stream matches the static engines exactly.
-            return xp.tile(offsets, (trials, 1))
+            return np.tile(offsets, (trials, 1))
         nodes = self.topology.n_nodes
-        row_index = xp.arange(rounds, dtype=xp.int64)[None, :]
+        row_index = np.arange(rounds, dtype=np.int64)[None, :]
         if compiled.uniform_origins:
             # Same draw as PeerGraphDelayModel: bit-identical origin stream.
-            sources = xp.integers(rng, 0, nodes, (trials, rounds))
+            sources = rng.integers(0, nodes, size=(trials, rounds))
             return offsets[row_index, sources]
         # Churn: sample uniformly among the peers active at each round.
-        active = xp.from_host(compiled.active)
-        counts = active.sum(axis=1, dtype=xp.int64)
-        order = xp.argsort(~active, axis=1, kind="stable")
-        picks = xp.minimum(
-            xp.asarray(
-                xp.random(rng, (trials, rounds)) * counts[None, :],
-                dtype=xp.int64,
+        active = compiled.active
+        counts = active.sum(axis=1, dtype=np.int64)
+        order = np.argsort(~active, axis=1, kind="stable")
+        picks = np.minimum(
+            np.asarray(
+                rng.random((trials, rounds)) * counts[None, :],
+                dtype=np.int64,
             ),
             counts[None, :] - 1,
         )

@@ -45,14 +45,15 @@ variance-reduction techniques layered on the batch engine:
   suffixes redrawn, so the product of per-level conditional hit fractions
   estimates the tail.
 
-All tensor math goes through the ``xp`` handle of :mod:`repro.backend`
-(draws on the caller's generator, dtype-policy aware, optional workspace);
-trials are processed in bounded-memory chunks, so deep tails can be hunted
-with large budgets without materialising a huge ``(trials, rounds)``
-tensor.  A zero tilt is *bit-identical* to plain MC at the same seed (the
-draw protocol is unchanged and every likelihood ratio is exactly 1), which
-is how the equivalence tests pin the estimator.  Plain-MC
-probability estimates carry Wilson score intervals
+Draws come from the caller's generator through
+:func:`repro.backend.binomial`, dtypes follow the dtype policy, and the
+kernels take an optional workspace; trials are processed in bounded-memory
+chunks, so deep tails can be hunted with large budgets without
+materialising a huge ``(trials, rounds)`` tensor.  A zero tilt is
+*bit-identical* to plain MC at the same seed (the draw protocol is
+unchanged and every likelihood ratio is exactly 1), which is how the
+equivalence tests pin the estimator.  Plain-MC probability estimates carry
+Wilson score intervals
 (:func:`~repro.simulation.batch.proportion_confidence_interval`), so a
 zero-violation run reports an honest strictly positive upper bound.
 """
@@ -65,7 +66,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..backend import Workspace, get_backend, get_dtype_policy, resolve_chunk_cells
+from ..backend import Workspace, binomial, get_dtype_policy, resolve_chunk_cells
 from ..backend.chunking import chunk_sizes
 from ..errors import SimulationError
 from ..observability import METRICS as _METRICS, TRACE as _TRACE
@@ -232,22 +233,21 @@ def draw_tilted_traces(
     estimator's ``tilt=0`` equivalence anchor.
     """
     trials, rounds = _validate_shape(trials, rounds)
-    xp = get_backend()
     policy = get_dtype_policy(policy)
     policy.check_rounds(rounds)
-    index_dtype = policy.index_dtype(xp)
+    index_dtype = policy.index_dtype()
     generator = resolve_rng(rng)
     honest_miners, adversary_miners = _miner_counts(params)
-    honest = xp.binomial(generator, honest_miners, tilt.honest_p, (trials, rounds))
+    honest = binomial(generator, honest_miners, tilt.honest_p, (trials, rounds))
     if adversary_miners > 0:
-        adversary = xp.binomial(
+        adversary = binomial(
             generator, adversary_miners, tilt.adversary_p, (trials, rounds)
         )
     else:
-        adversary = xp.zeros((trials, rounds), dtype=index_dtype)
+        adversary = np.zeros((trials, rounds), dtype=index_dtype)
     return (
-        xp.asarray(honest, dtype=index_dtype),
-        xp.asarray(adversary, dtype=index_dtype),
+        np.asarray(honest, dtype=index_dtype),
+        np.asarray(adversary, dtype=index_dtype),
     )
 
 
@@ -521,10 +521,6 @@ class RareEventSimulation:
     # ------------------------------------------------------------------
     # Shared plumbing
     # ------------------------------------------------------------------
-    def _chunk_cells(self) -> int:
-        """The active per-chunk cell budget, resolved at call time."""
-        return resolve_chunk_cells(self.chunk_cells)
-
     def _deficits(self, honest, adversary):
         """Worst windowed deficits plus block totals for pre-drawn tensors."""
         result = self.engine.run_traces(honest, adversary)
@@ -633,7 +629,6 @@ class RareEventSimulation:
             _METRICS.increment(
                 "rare_events.pilot_iterations", pilot_iterations
             )
-        xp = self.engine.backend
         delta = self.params.delta
         hits = 0
         weight_sum = 0.0
@@ -653,10 +648,8 @@ class RareEventSimulation:
                     self.rng,
                     policy=self.engine.policy,
                 )
-                honest_host = xp.to_host(honest)
-                adversary_host = xp.to_host(adversary)
                 reached, first_crossing = self._first_crossings(
-                    honest_host, adversary_host, self.depth
+                    honest, adversary, self.depth
                 )
                 hits += int(reached.sum())
                 if not reached.any():
@@ -666,10 +659,8 @@ class RareEventSimulation:
                 adversary_cut = first_crossing[reached]
                 honest_cut = np.minimum(adversary_cut + delta, rounds)
                 starts = np.nonzero(reached)[0] * rounds
-                honest_blocks = _prefix_totals(honest_host, starts, honest_cut)
-                adversary_blocks = _prefix_totals(
-                    adversary_host, starts, adversary_cut
-                )
+                honest_blocks = _prefix_totals(honest, starts, honest_cut)
+                adversary_blocks = _prefix_totals(adversary, starts, adversary_cut)
                 log_ratio = log_likelihood_ratios(
                     self.params,
                     tilt,
@@ -734,7 +725,6 @@ class RareEventSimulation:
         if trials < 2:
             raise SimulationError(f"trials must be >= 2, got {trials!r}")
         _METRICS.increment("engine.rare_events.trials", trials)
-        xp = self.engine.backend
         delta = self.params.delta
         with _TRACE.span(
             "rare.splitting",
@@ -749,8 +739,6 @@ class RareEventSimulation:
                 self.rng,
                 policy=self.engine.policy,
             )
-            honest = xp.to_host(honest)
-            adversary = xp.to_host(adversary)
             level_probabilities = np.full(self.depth, np.nan)
             probability = 1.0
             relative_variance = 0.0
@@ -785,12 +773,12 @@ class RareEventSimulation:
                 adversary = np.where(
                     columns < crossings[:, None],
                     adversary[ancestors],
-                    xp.to_host(fresh_adversary),
+                    fresh_adversary,
                 )
                 honest = np.where(
                     columns < np.minimum(crossings + delta, rounds)[:, None],
                     honest[ancestors],
-                    xp.to_host(fresh_honest),
+                    fresh_honest,
                 )
         if probability > 0.0:
             standard_error = probability * math.sqrt(relative_variance)
@@ -828,13 +816,10 @@ class RareEventSimulation:
         but the boolean mask spans the chunk, so the scan takes no
         workspace: that mask never stays pinned in the runner's pool.
         """
-        xp = self.engine.backend
         policy = self.engine.policy
-        mask = _opportunity_mask(xp, policy, xp.from_host(honest), self.params.delta)
-        deficits, first = _window_drawdown(
-            xp, policy, mask, xp.from_host(adversary), level=level
-        )
-        return xp.to_host(deficits >= level), xp.to_host(first)
+        mask = _opportunity_mask(policy, honest, self.params.delta)
+        deficits, first = _window_drawdown(policy, mask, adversary, level=level)
+        return deficits >= level, first
 
 
 def _prefix_totals(counts: np.ndarray, starts: np.ndarray, lengths: np.ndarray):

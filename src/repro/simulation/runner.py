@@ -457,14 +457,20 @@ class ExperimentRunner:
         return os.path.join(self.cache_dir, f"{prefix}_{identity}.latest.json")
 
     def _stale_cache_version(self, prefix: str, identity: str) -> Optional[str]:
-        """The sidecar's writer version if not the running one, else ``None``."""
+        """The sidecar's writer version if not the running one, else ``None``.
+
+        An unreadable sidecar (not UTF-8, not JSON, or JSON that is not an
+        object) names no version, so it costs no skip and no error.
+        """
         path = self._cache_index_path(prefix, identity)
         if path is None or not os.path.exists(path):
             return None
         try:
             with open(path, "r", encoding="utf-8") as source:
                 index = json.load(source)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+            return None
+        if not isinstance(index, dict):
             return None
         version = index.get("package_version")
         if version is not None and str(version) != _version.__version__:

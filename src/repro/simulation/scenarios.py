@@ -82,7 +82,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..backend import Workspace, get_backend, get_dtype_policy
+from ..backend import Workspace, binomial, get_dtype_policy
 from ..errors import SimulationError
 from ..observability import METRICS as _METRICS, TRACE as _TRACE
 from ..params import ProtocolParameters
@@ -300,20 +300,19 @@ register_scenario(Scenario(name="selfish_mining", kind="selfish_mining"))
 # ----------------------------------------------------------------------
 def _max_window_successes(honest_counts, window: int, policy=None) -> int:
     """Largest number of honest successes in any ``window`` consecutive rounds."""
-    xp = get_backend()
-    index_dtype = get_dtype_policy(policy).index_dtype(xp)
-    counts = xp.asarray(honest_counts, dtype=index_dtype)
+    index_dtype = get_dtype_policy(policy).index_dtype()
+    counts = np.asarray(honest_counts, dtype=index_dtype)
     if counts.ndim == 1:
         counts = counts[None, :]
     if counts.size == 0:
         return 0
     if window <= 1:
         return int(counts.max())
-    padded = xp.pad(counts, ((0, 0), (0, window - 1)))
-    cumulative = xp.concatenate(
+    padded = np.pad(counts, ((0, 0), (0, window - 1)))
+    cumulative = np.concatenate(
         [
-            xp.zeros((padded.shape[0], 1), dtype=index_dtype),
-            xp.cumsum(padded, axis=1, dtype=index_dtype),
+            np.zeros((padded.shape[0], 1), dtype=index_dtype),
+            np.cumsum(padded, axis=1, dtype=index_dtype),
         ],
         axis=1,
     )
@@ -332,7 +331,7 @@ def _require_attribution_feasible(
     ``honest_miners`` successes.
     """
     window = max(honest_delay, 1)
-    counts = get_backend().asarray(honest_counts)
+    counts = np.asarray(honest_counts)
     # No window holds more than ``window`` busiest rounds, so the exact scan
     # runs only when that bound alone cannot clear the trace.
     if counts.size == 0 or window * int(counts.max()) <= honest_miners:
@@ -883,8 +882,7 @@ class ScenarioSimulation:
         buffers for the scan state and window kernels; pass one workspace
         across repeated runs (as the runner does) and the hot loops stop
         allocating.  Results never alias the workspace.  Like the batch
-        engine, the ambient dtype policy is bound at construction and
-        results are converted to host NumPy at the boundary.
+        engine, the ambient dtype policy is bound at construction.
     placement:
         Optional :class:`~repro.simulation.dynamics.AdversaryPlacement`
         (any object with a ``release_delay(topology, delta)`` method and a
@@ -924,7 +922,6 @@ class ScenarioSimulation:
             raise SimulationError(
                 f"draw_mode must be one of {DRAW_MODES}, got {draw_mode!r}"
             )
-        self.backend = get_backend()
         self.policy = get_dtype_policy()
         self.workspace = workspace
         self.params = params
@@ -1097,10 +1094,7 @@ class ScenarioSimulation:
         streamed engine draws each seed block through it too."""
         if self._cut_fraction is None:
             return _delay_draw(self.delay_model, self.params.delta, honest, rng)
-        xp = self.backend
-        split = xp.binomial(
-            rng, xp.to_host(honest), float(self._cut_fraction), honest.shape
-        )
+        split = binomial(rng, honest, float(self._cut_fraction), honest.shape)
         return {"split_counts": split}
 
     def run_traces(
@@ -1125,10 +1119,9 @@ class ScenarioSimulation:
         honest successes; ``None`` keeps every honest success in the
         majority component.
         """
-        xp = self.backend
-        index_dtype = self.policy.index_dtype(xp)
-        honest = xp.asarray(honest_counts, dtype=index_dtype)
-        adversary = xp.asarray(adversary_counts, dtype=index_dtype)
+        index_dtype = self.policy.index_dtype()
+        honest = np.asarray(honest_counts, dtype=index_dtype)
+        adversary = np.asarray(adversary_counts, dtype=index_dtype)
         if honest.ndim != 2:
             raise SimulationError(
                 f"honest_counts must have shape (trials, rounds), got {honest.shape}"
@@ -1155,7 +1148,7 @@ class ScenarioSimulation:
                 f"{max_delay!r}"
             )
         if delays is not None:
-            delays = xp.asarray(delays, dtype=index_dtype)
+            delays = np.asarray(delays, dtype=index_dtype)
             if delays.shape != honest.shape:
                 raise SimulationError(
                     f"delays shape {delays.shape} does not match honest shape "
@@ -1177,9 +1170,9 @@ class ScenarioSimulation:
                 )
             cut_windows = list(self.scenario.partition_windows(rounds))
             if split_counts is None:
-                split = xp.zeros(honest.shape, dtype=index_dtype)
+                split = np.zeros(honest.shape, dtype=index_dtype)
             else:
-                split = xp.asarray(split_counts, dtype=index_dtype)
+                split = np.asarray(split_counts, dtype=index_dtype)
                 if split.shape != honest.shape:
                     raise SimulationError(
                         f"split_counts shape {split.shape} does not match "
@@ -1208,7 +1201,7 @@ class ScenarioSimulation:
         with _TRACE.span("scenario.mask", trials=trials, rounds=rounds):
             if delays is None:
                 mask = _opportunity_mask(
-                    xp, self.policy, honest, self.params.delta, self.workspace
+                    self.policy, honest, self.params.delta, self.workspace
                 )
             else:
                 mask = convergence_opportunity_mask_with_delays(
@@ -1224,9 +1217,7 @@ class ScenarioSimulation:
             for start, end in cut_windows:
                 mask[:, start:end] = 0
         with _TRACE.span("scenario.deficits", trials=trials, rounds=rounds):
-            deficits, _ = _window_drawdown(
-                xp, self.policy, mask, adversary, self.workspace
-            )
+            deficits, _ = _window_drawdown(self.policy, mask, adversary, self.workspace)
         return ScenarioResult(
             params=self.params,
             scenario=self.scenario,
@@ -1234,14 +1225,12 @@ class ScenarioSimulation:
             rounds=rounds,
             draw_mode=self.draw_mode,
             honest_delay=self.honest_delay,
-            honest_blocks=xp.to_host(honest.sum(axis=1, dtype=index_dtype)),
-            adversary_blocks=xp.to_host(adversary.sum(axis=1, dtype=index_dtype)),
-            convergence_opportunities=xp.to_host(
-                mask.sum(axis=1, dtype=index_dtype)
-            ),
-            worst_deficits=xp.to_host(deficits),
-            honest_counts=xp.to_host(honest) if keep_traces else None,
-            adversary_counts=xp.to_host(adversary) if keep_traces else None,
+            honest_blocks=honest.sum(axis=1, dtype=index_dtype),
+            adversary_blocks=adversary.sum(axis=1, dtype=index_dtype),
+            convergence_opportunities=mask.sum(axis=1, dtype=index_dtype),
+            worst_deficits=deficits,
+            honest_counts=honest if keep_traces else None,
+            adversary_counts=adversary if keep_traces else None,
             delay_model=(
                 None if self.delay_model is None else self.delay_model.name
             ),
@@ -1283,10 +1272,9 @@ class ScenarioSimulation:
         decision flags stay boolean regardless of the dtype policy — the
         scan's ``~`` / ``&`` logic needs logical, not bitwise, semantics.
         """
-        xp = self.backend
         workspace = self.workspace if self.workspace is not None else Workspace()
-        index_dtype = self.policy.index_dtype(xp)
-        mask_dtype = self.policy.mask_dtype(xp)
+        index_dtype = self.policy.index_dtype()
+        mask_dtype = self.policy.mask_dtype()
         trials, rounds = honest.shape
         kind = self.scenario.kind
         delay = self.honest_delay
@@ -1297,37 +1285,37 @@ class ScenarioSimulation:
         give_up = self.scenario.give_up_deficit
 
         # Round-major copies make each round's column contiguous in the scan.
-        honest_rows = xp.ascontiguousarray(honest.T)
-        adversary_rows = xp.ascontiguousarray(adversary.T)
+        honest_rows = np.ascontiguousarray(honest.T)
+        adversary_rows = np.ascontiguousarray(adversary.T)
         delay_rows = (
-            None if delays is None else xp.ascontiguousarray(delays.T)
+            None if delays is None else np.ascontiguousarray(delays.T)
         )
 
         public = workspace.zeros("scan.public", (trials,), index_dtype)
         private = workspace.zeros("scan.private", (trials,), index_dtype)
         fork = workspace.zeros("scan.fork", (trials,), index_dtype)
-        active = workspace.zeros("scan.active", (trials,), xp.bool_)
+        active = workspace.zeros("scan.active", (trials,), np.bool_)
         withheld = workspace.zeros("scan.withheld", (trials,), index_dtype)
         releases = workspace.zeros("scan.releases", (trials,), index_dtype)
         abandons = workspace.zeros("scan.abandons", (trials,), index_dtype)
         deepest = workspace.zeros("scan.deepest", (trials,), index_dtype)
         orphaned = workspace.zeros("scan.orphaned", (trials,), index_dtype)
-        no_release = workspace.zeros("scan.no_release", (trials,), xp.bool_)
+        no_release = workspace.zeros("scan.no_release", (trials,), np.bool_)
         # Per-round temporaries live in the workspace too, so the steady
         # state of the round loop performs no allocation at all.  Flags stay
         # boolean (never the policy mask dtype): the logic needs logical
         # semantics, and the buffers never escape into results.
-        some_honest = workspace.empty("scan.some_honest", (trials,), xp.bool_)
+        some_honest = workspace.empty("scan.some_honest", (trials,), np.bool_)
         mined_height = workspace.empty("scan.mined_height", (trials,), index_dtype)
-        flag = workspace.empty("scan.flag", (trials,), xp.bool_)
+        flag = workspace.empty("scan.flag", (trials,), np.bool_)
         scratch = workspace.empty("scan.scratch", (trials,), index_dtype)
-        some_adversary = workspace.empty("scan.some_adversary", (trials,), xp.bool_)
-        starting = workspace.empty("scan.starting", (trials,), xp.bool_)
+        some_adversary = workspace.empty("scan.some_adversary", (trials,), np.bool_)
+        starting = workspace.empty("scan.starting", (trials,), np.bool_)
         lead = workspace.empty("scan.lead", (trials,), index_dtype)
         depth = workspace.empty("scan.depth", (trials,), index_dtype)
-        released_flags = workspace.empty("scan.released", (trials,), xp.bool_)
-        abandoned_flags = workspace.empty("scan.abandoned", (trials,), xp.bool_)
-        keep = workspace.empty("scan.keep", (trials,), xp.bool_)
+        released_flags = workspace.empty("scan.released", (trials,), np.bool_)
+        abandoned_flags = workspace.empty("scan.abandoned", (trials,), np.bool_)
+        keep = workspace.empty("scan.keep", (trials,), np.bool_)
         # Scheduled arrival heights for in-flight honest blocks: slot r % delay
         # holds the height mined at round r, due at the start of round r+delay.
         ring = None
@@ -1354,12 +1342,12 @@ class ScenarioSimulation:
         if record_rounds:
             # Record tensors escape into the result, so they are allocated
             # fresh rather than drawn from the workspace.
-            public_record = xp.zeros((trials, rounds), dtype=index_dtype)
-            private_record = xp.zeros((trials, rounds), dtype=index_dtype)
-            release_record = xp.zeros((trials, rounds), dtype=mask_dtype)
-            abandon_record = xp.zeros((trials, rounds), dtype=mask_dtype)
-            lead_record = xp.zeros((trials, rounds), dtype=index_dtype)
-            depth_record = xp.zeros((trials, rounds), dtype=index_dtype)
+            public_record = np.zeros((trials, rounds), dtype=index_dtype)
+            private_record = np.zeros((trials, rounds), dtype=index_dtype)
+            release_record = np.zeros((trials, rounds), dtype=mask_dtype)
+            abandon_record = np.zeros((trials, rounds), dtype=mask_dtype)
+            lead_record = np.zeros((trials, rounds), dtype=index_dtype)
+            depth_record = np.zeros((trials, rounds), dtype=index_dtype)
 
         for index in range(rounds):
             mined_honest = honest_rows[index]
@@ -1370,10 +1358,10 @@ class ScenarioSimulation:
             #    delivery round (delay-model path).
             if ring is not None:
                 slot = index % delay
-                xp.maximum(public, ring[:, slot], out=public)
+                np.maximum(public, ring[:, slot], out=public)
             elif schedule is not None:
                 slot = index % (cap + 1)
-                xp.maximum(public, schedule[:, slot], out=public)
+                np.maximum(public, schedule[:, slot], out=public)
                 schedule[:, slot] = 0
 
             # 1b. Landing of in-flight adversarial releases: the displaced
@@ -1384,27 +1372,27 @@ class ScenarioSimulation:
                 landing = release_heights[:, release_slot]
                 if landing.any():
                     displaced = landing > public
-                    landed_depth = xp.where(
+                    landed_depth = np.where(
                         displaced, public - release_forks[:, release_slot], 0
                     )
                     if kind == "selfish_mining":
                         orphaned += landed_depth
-                    xp.maximum(deepest, landed_depth, out=deepest)
-                    xp.maximum(public, landing, out=public)
+                    np.maximum(deepest, landed_depth, out=deepest)
+                    np.maximum(public, landing, out=public)
                     release_heights[:, release_slot] = 0
                     release_forks[:, release_slot] = 0
 
             # 2. Honest mining on the delivered public chain; delayed blocks
             #    enter the pipeline, zero-delay blocks land at end of round.
-            xp.greater(mined_honest, 0, out=some_honest)
-            xp.add(public, 1, out=mined_height)
+            np.greater(mined_honest, 0, out=some_honest)
+            np.add(public, 1, out=mined_height)
             if ring is not None:
-                xp.multiply(mined_height, some_honest, out=ring[:, slot])
+                np.multiply(mined_height, some_honest, out=ring[:, slot])
             elif schedule is not None:
                 round_delays = delay_rows[index]
-                xp.greater(round_delays, 0, out=flag)
-                xp.logical_and(some_honest, flag, out=flag)
-                pipelined = xp.nonzero(flag)[0]
+                np.greater(round_delays, 0, out=flag)
+                np.logical_and(some_honest, flag, out=flag)
+                pipelined = np.nonzero(flag)[0]
                 if pipelined.size:
                     # Same-delivery-round collisions overwrite an older,
                     # never-larger height (public is monotone), so plain
@@ -1422,11 +1410,11 @@ class ScenarioSimulation:
                 abandoned = no_release
                 public += mined_adversary
             else:
-                xp.greater(mined_adversary, 0, out=some_adversary)
-                xp.logical_not(active, out=starting)
-                xp.logical_and(some_adversary, starting, out=starting)
-                xp.copyto(fork, public, where=starting)
-                xp.copyto(private, public, where=starting)
+                np.greater(mined_adversary, 0, out=some_adversary)
+                np.logical_not(active, out=starting)
+                np.logical_and(some_adversary, starting, out=starting)
+                np.copyto(fork, public, where=starting)
+                np.copyto(private, public, where=starting)
                 private += mined_adversary
                 withheld += mined_adversary
                 active |= some_adversary
@@ -1434,54 +1422,54 @@ class ScenarioSimulation:
                 # 4. Release decision against the pre-release public height.
                 # Note an inactive trial has private = fork = 0, so lead > 0
                 # (and lead in {0, 1} with public > 0) already implies active.
-                xp.subtract(private, public, out=lead)
-                xp.subtract(public, fork, out=depth)
+                np.subtract(private, public, out=lead)
+                np.subtract(public, fork, out=depth)
                 if kind == "private_chain":
                     if give_up is not None:
-                        xp.less_equal(lead, -give_up, out=abandoned_flags)
-                        xp.logical_and(abandoned_flags, active, out=abandoned_flags)
+                        np.less_equal(lead, -give_up, out=abandoned_flags)
+                        np.logical_and(abandoned_flags, active, out=abandoned_flags)
                         abandoned = abandoned_flags
                     else:
                         abandoned = no_release
                     # Released and abandoned are mutually exclusive: release
                     # needs lead > 0, abandonment needs lead <= -give_up.
-                    xp.greater(lead, 0, out=released_flags)
-                    xp.greater_equal(depth, target_depth, out=flag)
-                    xp.logical_and(released_flags, flag, out=released_flags)
+                    np.greater(lead, 0, out=released_flags)
+                    np.greater_equal(depth, target_depth, out=flag)
+                    np.logical_and(released_flags, flag, out=released_flags)
                     released = released_flags
                     if release_heights is None:
-                        xp.multiply(depth, released, out=scratch)
-                        xp.maximum(deepest, scratch, out=deepest)
+                        np.multiply(depth, released, out=scratch)
+                        np.maximum(deepest, scratch, out=deepest)
                 else:  # selfish_mining
-                    xp.less_equal(lead, -1, out=abandoned_flags)
-                    xp.logical_and(abandoned_flags, active, out=abandoned_flags)
+                    np.less_equal(lead, -1, out=abandoned_flags)
+                    np.logical_and(abandoned_flags, active, out=abandoned_flags)
                     abandoned = abandoned_flags
-                    xp.greater_equal(lead, 0, out=released_flags)
-                    xp.less_equal(lead, 1, out=flag)
-                    xp.logical_and(released_flags, flag, out=released_flags)
-                    xp.logical_and(released_flags, active, out=released_flags)
+                    np.greater_equal(lead, 0, out=released_flags)
+                    np.less_equal(lead, 1, out=flag)
+                    np.logical_and(released_flags, flag, out=released_flags)
+                    np.logical_and(released_flags, active, out=released_flags)
                     released = released_flags
                     if release_heights is None:
-                        orphan = xp.multiply(depth, released, out=scratch)
+                        orphan = np.multiply(depth, released, out=scratch)
                         orphaned += orphan
-                        xp.maximum(deepest, orphan, out=deepest)
+                        np.maximum(deepest, orphan, out=deepest)
                 releases += released
                 abandons += abandoned
                 if release_heights is None:
                     # A release always publishes a chain at least as high as
                     # the public one, displacing (or tying) the public suffix.
-                    xp.copyto(public, private, where=released)
+                    np.copyto(public, private, where=released)
                 else:
                     # The release gossips from the adversary's graph position;
                     # its displacement is accounted when it lands.
-                    xp.copyto(
+                    np.copyto(
                         release_heights[:, release_slot], private, where=released
                     )
-                    xp.copyto(
+                    np.copyto(
                         release_forks[:, release_slot], fork, where=released
                     )
-                xp.logical_or(released, abandoned, out=keep)
-                xp.logical_not(keep, out=keep)
+                np.logical_or(released, abandoned, out=keep)
+                np.logical_not(keep, out=keep)
                 private *= keep
                 fork *= keep
                 withheld *= keep
@@ -1489,14 +1477,14 @@ class ScenarioSimulation:
 
             # 5. End-of-round delivery of zero-delay honest broadcasts.
             if delay_rows is not None:
-                xp.equal(round_delays, 0, out=flag)
-                immediate = xp.logical_and(some_honest, flag, out=flag)
+                np.equal(round_delays, 0, out=flag)
+                immediate = np.logical_and(some_honest, flag, out=flag)
                 if immediate.any():
-                    xp.multiply(mined_height, immediate, out=scratch)
-                    xp.maximum(public, scratch, out=public)
+                    np.multiply(mined_height, immediate, out=scratch)
+                    np.maximum(public, scratch, out=public)
             elif delay == 0:
-                xp.multiply(mined_height, some_honest, out=scratch)
-                xp.maximum(public, scratch, out=public)
+                np.multiply(mined_height, some_honest, out=scratch)
+                np.maximum(public, scratch, out=public)
 
             if record_rounds:
                 public_record[:, index] = public
@@ -1510,35 +1498,31 @@ class ScenarioSimulation:
         # Network flush: every in-flight honest block eventually arrives, as
         # does every in-flight adversarial release (its displaced depth is
         # not tallied — the run ended before the network saw it land).
-        final = xp.copy(public)
+        final = np.copy(public)
         if ring is not None:
-            xp.maximum(final, ring.max(axis=1), out=final)
+            np.maximum(final, ring.max(axis=1), out=final)
         elif schedule is not None:
-            xp.maximum(final, schedule.max(axis=1), out=final)
+            np.maximum(final, schedule.max(axis=1), out=final)
         if release_heights is not None:
-            xp.maximum(final, release_heights.max(axis=1), out=final)
+            np.maximum(final, release_heights.max(axis=1), out=final)
 
         # Escaping per-trial vectors are copied out of the workspace; the
         # per-round record tensors are already freshly owned.
         return {
-            "releases": xp.to_host(xp.copy(releases)),
-            "abandons": xp.to_host(xp.copy(abandons)),
-            "deepest_forks": xp.to_host(xp.copy(deepest)),
-            "orphaned_honest": xp.to_host(xp.copy(orphaned)),
-            "withheld_final": xp.to_host(xp.copy(withheld)),
-            "final_public_heights": xp.to_host(final),
-            "public_heights": xp.to_host(public_record) if record_rounds else None,
-            "private_heights": xp.to_host(private_record) if record_rounds else None,
-            "release_mask": xp.to_host(release_record) if record_rounds else None,
-            "abandon_mask": xp.to_host(abandon_record) if record_rounds else None,
-            "decision_leads": xp.to_host(lead_record) if record_rounds else None,
-            "decision_fork_depths": (
-                xp.to_host(depth_record) if record_rounds else None
-            ),
+            "releases": np.copy(releases),
+            "abandons": np.copy(abandons),
+            "deepest_forks": np.copy(deepest),
+            "orphaned_honest": np.copy(orphaned),
+            "withheld_final": np.copy(withheld),
+            "final_public_heights": final,
+            "public_heights": public_record if record_rounds else None,
+            "private_heights": private_record if record_rounds else None,
+            "release_mask": release_record if record_rounds else None,
+            "abandon_mask": abandon_record if record_rounds else None,
+            "decision_leads": lead_record if record_rounds else None,
+            "decision_fork_depths": depth_record if record_rounds else None,
             # The aggregate path never splits, so it never merges.
-            "merge_depths": xp.to_host(
-                xp.zeros((trials,), dtype=index_dtype)
-            ),
+            "merge_depths": np.zeros((trials,), dtype=index_dtype),
             "component_heights": None,
         }
 
@@ -1561,10 +1545,9 @@ class ScenarioSimulation:
         cut rounds — global, not per trial, so the cut/merge phases are
         static branches over vector state.
         """
-        xp = self.backend
         workspace = self.workspace if self.workspace is not None else Workspace()
-        index_dtype = self.policy.index_dtype(xp)
-        mask_dtype = self.policy.mask_dtype(xp)
+        index_dtype = self.policy.index_dtype()
+        mask_dtype = self.policy.mask_dtype()
         trials, rounds = honest.shape
         kind = self.scenario.kind
         delay = self.honest_delay
@@ -1580,9 +1563,9 @@ class ScenarioSimulation:
         window_list = sorted((int(s), int(e)) for s, e in windows)
         starts = {s: e for s, e in window_list if s < rounds}
 
-        honest_rows = xp.ascontiguousarray(honest.T)
-        adversary_rows = xp.ascontiguousarray(adversary.T)
-        split_rows = xp.ascontiguousarray(split.T)
+        honest_rows = np.ascontiguousarray(honest.T)
+        adversary_rows = np.ascontiguousarray(adversary.T)
+        split_rows = np.ascontiguousarray(split.T)
 
         def pair(tag, shape=(trials,), dtype=index_dtype):
             return [
@@ -1594,7 +1577,7 @@ class ScenarioSimulation:
         ring = pair("ring", (trials, delay))
         priv = pair("private")
         fork = pair("fork")
-        active = pair("active", dtype=xp.bool_)
+        active = pair("active", dtype=np.bool_)
         withheld = pair("withheld")
         rel_h = rel_f = None
         if release_delay >= 1:
@@ -1606,16 +1589,16 @@ class ScenarioSimulation:
         deepest = workspace.zeros("scan2.deepest", (trials,), index_dtype)
         orphaned = workspace.zeros("scan2.orphaned", (trials,), index_dtype)
         merge_depth = workspace.zeros("scan2.merge_depth", (trials,), index_dtype)
-        no_release = workspace.zeros("scan2.no_release", (trials,), xp.bool_)
+        no_release = workspace.zeros("scan2.no_release", (trials,), np.bool_)
 
         if record_rounds:
-            public_record = xp.zeros((trials, rounds), dtype=index_dtype)
-            private_record = xp.zeros((trials, rounds), dtype=index_dtype)
-            release_record = xp.zeros((trials, rounds), dtype=mask_dtype)
-            abandon_record = xp.zeros((trials, rounds), dtype=mask_dtype)
-            lead_record = xp.zeros((trials, rounds), dtype=index_dtype)
-            depth_record = xp.zeros((trials, rounds), dtype=index_dtype)
-            component_record = xp.zeros((trials, rounds, 2), dtype=index_dtype)
+            public_record = np.zeros((trials, rounds), dtype=index_dtype)
+            private_record = np.zeros((trials, rounds), dtype=index_dtype)
+            release_record = np.zeros((trials, rounds), dtype=mask_dtype)
+            abandon_record = np.zeros((trials, rounds), dtype=mask_dtype)
+            lead_record = np.zeros((trials, rounds), dtype=index_dtype)
+            depth_record = np.zeros((trials, rounds), dtype=index_dtype)
+            component_record = np.zeros((trials, rounds, 2), dtype=index_dtype)
 
         cut = False
         cut_end = -1
@@ -1625,23 +1608,23 @@ class ScenarioSimulation:
             if cut and index == cut_end:
                 # The winner mask must be read before pub[0] absorbs the max.
                 won1 = pub[1] > pub[0]
-                displaced = xp.minimum(pub[0], pub[1]) - common
-                xp.maximum(merge_depth, displaced, out=merge_depth)
-                xp.maximum(deepest, displaced, out=deepest)
-                xp.maximum(pub[0], pub[1], out=pub[0])
-                xp.maximum(ring[0], ring[1], out=ring[0])
+                displaced = np.minimum(pub[0], pub[1]) - common
+                np.maximum(merge_depth, displaced, out=merge_depth)
+                np.maximum(deepest, displaced, out=deepest)
+                np.maximum(pub[0], pub[1], out=pub[0])
+                np.maximum(ring[0], ring[1], out=ring[0])
                 if rel_h is not None:
                     higher = rel_h[1] > rel_h[0]
-                    xp.copyto(rel_h[0], rel_h[1], where=higher)
-                    xp.copyto(rel_f[0], rel_f[1], where=higher)
+                    np.copyto(rel_h[0], rel_h[1], where=higher)
+                    np.copyto(rel_f[0], rel_f[1], where=higher)
                 if equivocating:
                     # The chain racing the winning component survives; the
                     # loser's chain forked from a displaced branch and is
                     # dropped without an abandon tally.
-                    xp.copyto(priv[0], priv[1], where=won1)
-                    xp.copyto(fork[0], fork[1], where=won1)
-                    xp.copyto(active[0], active[1], where=won1)
-                    xp.copyto(withheld[0], withheld[1], where=won1)
+                    np.copyto(priv[0], priv[1], where=won1)
+                    np.copyto(fork[0], fork[1], where=won1)
+                    np.copyto(active[0], active[1], where=won1)
+                    np.copyto(withheld[0], withheld[1], where=won1)
                     priv[1][:] = 0
                     fork[1][:] = 0
                     withheld[1][:] = 0
@@ -1672,7 +1655,7 @@ class ScenarioSimulation:
             # 1. Start-of-round ring deliveries, per component.
             slot = index % delay
             for c in components:
-                xp.maximum(pub[c], ring[c][:, slot], out=pub[c])
+                np.maximum(pub[c], ring[c][:, slot], out=pub[c])
 
             # 1b. Landing of in-flight adversarial releases.
             if rel_h is not None:
@@ -1684,13 +1667,13 @@ class ScenarioSimulation:
                         landing = rel_h[c][:, release_slot]
                         if landing.any():
                             displaced = landing > pub[c]
-                            landed = xp.where(
+                            landed = np.where(
                                 displaced,
                                 pub[c] - rel_f[c][:, release_slot],
                                 0,
                             )
-                            xp.maximum(deepest, landed, out=deepest)
-                            xp.maximum(pub[c], landing, out=pub[c])
+                            np.maximum(deepest, landed, out=deepest)
+                            np.maximum(pub[c], landing, out=pub[c])
                             rel_h[c][:, release_slot] = 0
                             rel_f[c][:, release_slot] = 0
                 else:
@@ -1705,9 +1688,9 @@ class ScenarioSimulation:
                         displaced_all = None
                         for c in components:
                             displaced = landing > pub[c]
-                            xp.maximum(
+                            np.maximum(
                                 landed,
-                                xp.where(
+                                np.where(
                                     displaced,
                                     pub[c] - rel_f[c][:, release_slot],
                                     0,
@@ -1721,15 +1704,15 @@ class ScenarioSimulation:
                             )
                         if kind == "selfish_mining":
                             orphaned += landed
-                        xp.maximum(deepest, landed, out=deepest)
+                        np.maximum(deepest, landed, out=deepest)
                         if cut:
                             # Displacing both sides re-converges them on the
                             # released chain.
-                            xp.copyto(common, landing, where=displaced_all)
+                            np.copyto(common, landing, where=displaced_all)
                         # `landing` aliases component 0's ring slot, so the
                         # slots are cleared only after every component read it.
                         for c in components:
-                            xp.maximum(pub[c], landing, out=pub[c])
+                            np.maximum(pub[c], landing, out=pub[c])
                         for c in components:
                             rel_h[c][:, release_slot] = 0
                             rel_f[c][:, release_slot] = 0
@@ -1742,7 +1725,7 @@ class ScenarioSimulation:
             else:
                 counts = [mined_honest]
             for c in components:
-                xp.multiply(pub[c] + 1, counts[c] > 0, out=ring[c][:, slot])
+                np.multiply(pub[c] + 1, counts[c] > 0, out=ring[c][:, slot])
 
             # 3/4. Adversarial mining and the release decision.
             if equivocating and cut:
@@ -1760,8 +1743,8 @@ class ScenarioSimulation:
                 for c in (0, 1):
                     some = allocation[c] > 0
                     starting = some & ~active[c]
-                    xp.copyto(fork[c], pub[c], where=starting)
-                    xp.copyto(priv[c], pub[c], where=starting)
+                    np.copyto(fork[c], pub[c], where=starting)
+                    np.copyto(priv[c], pub[c], where=starting)
                     priv[c] += allocation[c]
                     withheld[c] += allocation[c]
                     active[c] |= some
@@ -1775,13 +1758,13 @@ class ScenarioSimulation:
                     releases += released
                     abandons += abandoned
                     if rel_h is None:
-                        xp.maximum(deepest, depth * released, out=deepest)
-                        xp.copyto(pub[c], priv[c], where=released)
+                        np.maximum(deepest, depth * released, out=deepest)
+                        np.copyto(pub[c], priv[c], where=released)
                     else:
-                        xp.copyto(
+                        np.copyto(
                             rel_h[c][:, release_slot], priv[c], where=released
                         )
-                        xp.copyto(
+                        np.copyto(
                             rel_f[c][:, release_slot], fork[c], where=released
                         )
                     keep = ~(released | abandoned)
@@ -1793,15 +1776,15 @@ class ScenarioSimulation:
                     abandoned_any = abandoned_any | abandoned
                 released = released_any
                 abandoned = abandoned_any
-                lead = xp.maximum(priv[0] - pub[0], priv[1] - pub[1])
-                depth = xp.maximum(pub[0] - fork[0], pub[1] - fork[1])
+                lead = np.maximum(priv[0] - pub[0], priv[1] - pub[1])
+                depth = np.maximum(pub[0] - fork[0], pub[1] - fork[1])
             else:
                 # Single private chain racing the best public chain in view.
-                best = xp.maximum(pub[0], pub[1]) if cut else pub[0]
+                best = np.maximum(pub[0], pub[1]) if cut else pub[0]
                 some_adversary = mined_adversary > 0
                 starting = some_adversary & ~active[0]
-                xp.copyto(fork[0], best, where=starting)
-                xp.copyto(priv[0], best, where=starting)
+                np.copyto(fork[0], best, where=starting)
+                np.copyto(priv[0], best, where=starting)
                 priv[0] += mined_adversary
                 withheld[0] += mined_adversary
                 active[0] |= some_adversary
@@ -1813,7 +1796,7 @@ class ScenarioSimulation:
                     if rel_h is None:
                         orphan = depth * released
                         orphaned += orphan
-                        xp.maximum(deepest, orphan, out=deepest)
+                        np.maximum(deepest, orphan, out=deepest)
                 else:
                     if give_up is not None:
                         abandoned = (lead <= -give_up) & active[0]
@@ -1821,22 +1804,22 @@ class ScenarioSimulation:
                         abandoned = no_release
                     released = (lead > 0) & (depth >= target_depth)
                     if rel_h is None:
-                        xp.maximum(deepest, depth * released, out=deepest)
+                        np.maximum(deepest, depth * released, out=deepest)
                 releases += released
                 abandons += abandoned
                 if rel_h is None:
                     for c in components:
-                        xp.copyto(pub[c], priv[0], where=released)
+                        np.copyto(pub[c], priv[0], where=released)
                     if cut:
                         # One chain adopted by both sides: the components
                         # re-converge on the private chain.
-                        xp.copyto(common, priv[0], where=released)
+                        np.copyto(common, priv[0], where=released)
                 else:
                     for c in components:
-                        xp.copyto(
+                        np.copyto(
                             rel_h[c][:, release_slot], priv[0], where=released
                         )
-                        xp.copyto(
+                        np.copyto(
                             rel_f[c][:, release_slot], fork[0], where=released
                         )
                 keep = ~(released | abandoned)
@@ -1846,10 +1829,10 @@ class ScenarioSimulation:
                 active[0] &= keep
 
             if record_rounds:
-                top = xp.maximum(pub[0], pub[1]) if cut else pub[0]
+                top = np.maximum(pub[0], pub[1]) if cut else pub[0]
                 public_record[:, index] = top
                 private_record[:, index] = (
-                    xp.maximum(priv[0], priv[1])
+                    np.maximum(priv[0], priv[1])
                     if (equivocating and cut)
                     else priv[0]
                 )
@@ -1864,33 +1847,29 @@ class ScenarioSimulation:
         # all arrive eventually; a window still open at the end of the run
         # never merges — like a release the run ended before the network
         # saw land, its displaced depth is not tallied.
-        final = xp.copy(pub[0])
-        withheld_final = xp.copy(withheld[0])
+        final = np.copy(pub[0])
+        withheld_final = np.copy(withheld[0])
         for c in (0, 1) if cut else (0,):
-            xp.maximum(final, pub[c], out=final)
-            xp.maximum(final, ring[c].max(axis=1), out=final)
+            np.maximum(final, pub[c], out=final)
+            np.maximum(final, ring[c].max(axis=1), out=final)
             if rel_h is not None:
-                xp.maximum(final, rel_h[c].max(axis=1), out=final)
+                np.maximum(final, rel_h[c].max(axis=1), out=final)
         if cut:
-            xp.maximum(withheld_final, withheld[1], out=withheld_final)
+            np.maximum(withheld_final, withheld[1], out=withheld_final)
 
         return {
-            "releases": xp.to_host(xp.copy(releases)),
-            "abandons": xp.to_host(xp.copy(abandons)),
-            "deepest_forks": xp.to_host(xp.copy(deepest)),
-            "orphaned_honest": xp.to_host(xp.copy(orphaned)),
-            "withheld_final": xp.to_host(withheld_final),
-            "final_public_heights": xp.to_host(final),
-            "public_heights": xp.to_host(public_record) if record_rounds else None,
-            "private_heights": xp.to_host(private_record) if record_rounds else None,
-            "release_mask": xp.to_host(release_record) if record_rounds else None,
-            "abandon_mask": xp.to_host(abandon_record) if record_rounds else None,
-            "decision_leads": xp.to_host(lead_record) if record_rounds else None,
-            "decision_fork_depths": (
-                xp.to_host(depth_record) if record_rounds else None
-            ),
-            "merge_depths": xp.to_host(xp.copy(merge_depth)),
-            "component_heights": (
-                xp.to_host(component_record) if record_rounds else None
-            ),
+            "releases": np.copy(releases),
+            "abandons": np.copy(abandons),
+            "deepest_forks": np.copy(deepest),
+            "orphaned_honest": np.copy(orphaned),
+            "withheld_final": withheld_final,
+            "final_public_heights": final,
+            "public_heights": public_record if record_rounds else None,
+            "private_heights": private_record if record_rounds else None,
+            "release_mask": release_record if record_rounds else None,
+            "abandon_mask": abandon_record if record_rounds else None,
+            "decision_leads": lead_record if record_rounds else None,
+            "decision_fork_depths": depth_record if record_rounds else None,
+            "merge_depths": np.copy(merge_depth),
+            "component_heights": component_record if record_rounds else None,
         }

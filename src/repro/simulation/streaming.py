@@ -111,25 +111,20 @@ def seed_block_trials(rounds: int) -> int:
     return max(SEED_BLOCK_CELLS // max(int(rounds), 1), 1)
 
 
-def _spawn_block_seeds(
-    sequence: np.random.SeedSequence, n_blocks: int
-) -> List[np.random.SeedSequence]:
-    """Child seed for every block, *stateless*.
+def _block_seed(sequence: np.random.SeedSequence, index: int) -> np.random.SeedSequence:
+    """Block ``index``'s child seed, *stateless*.
 
     :meth:`numpy.random.SeedSequence.spawn` advances the parent's spawn
     counter, so calling it twice yields different children — a repeated
     ``run`` (or a ``materialize_traces`` audit after one) would silently
-    reroll the experiment.  Constructing the children with explicit spawn
-    keys reproduces exactly what a fresh sequence's first ``spawn`` returns,
-    every time.
+    reroll the experiment.  Constructing the child with an explicit spawn
+    key reproduces exactly what a fresh sequence's first ``spawn`` returns
+    at ``index``, every time.  Each block builds its own seed when it is
+    drawn, so a run holds one at a time whatever its block count.
     """
-    return [
-        np.random.SeedSequence(
-            entropy=sequence.entropy,
-            spawn_key=tuple(sequence.spawn_key) + (index,),
-        )
-        for index in range(n_blocks)
-    ]
+    return np.random.SeedSequence(
+        entropy=sequence.entropy, spawn_key=tuple(sequence.spawn_key) + (index,)
+    )
 
 
 class OnlineMoments:
@@ -656,20 +651,17 @@ class _StreamedSimulation:
         return self.engine.draw_mode
 
     def _plan(self, trials: int, rounds: int):
-        """``(block, blocks, per_chunk)``: trials per seed block (set by
-        ``rounds`` alone), each block's ``(trials, child seed)`` (the last
-        may be short), and the whole blocks per chunk, at least one, so any
-        ``chunk_cells`` setting executes the identical per-block draws."""
+        """``(block, n_blocks, per_chunk)``: trials per seed block (set by
+        ``rounds`` alone; the last block may be short), the block count and
+        the whole blocks per chunk, at least one, so any ``chunk_cells``
+        setting executes the identical per-block draws.  Nothing here is
+        per block: block ``b`` builds its child seed when it is drawn."""
         block = seed_block_trials(rounds)
-        seeds = _spawn_block_seeds(self.seed_sequence, -(-trials // block))
-        blocks = [
-            (min(block, trials - index * block), seed)
-            for index, seed in enumerate(seeds)
-        ]
-        return block, blocks, max(chunk_trials(rounds, self.chunk_cells) // block, 1)
+        per_chunk = max(chunk_trials(rounds, self.chunk_cells) // block, 1)
+        return block, -(-trials // block), per_chunk
 
-    def _draw_block(self, size: int, rounds: int, seed):
-        """One seed block's draws as ``run_traces`` keyword arguments, split
+    def _draw_block(self, index: int, size: int, rounds: int):
+        """Block ``index``'s draws as ``run_traces`` keyword arguments, split
         into ``(tensors, rest)``: the tensors need chunk buffers, the rest
         (a delay cap) passes through.
 
@@ -678,7 +670,7 @@ class _StreamedSimulation:
         protocol, so a one-block streamed run draws exactly what the dense
         engine draws from that generator.
         """
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_block_seed(self.seed_sequence, index))
         engine = self.engine
         honest, adversary = draw_mining_traces(
             self.params,
@@ -703,8 +695,8 @@ class _StreamedSimulation:
         and the subclass's ``labels``."""
         trials, rounds = _validate_shape(trials, rounds)
         self.engine.policy.check_rounds(rounds)
-        block, blocks, per_chunk = self._plan(trials, rounds)
-        n_blocks = len(blocks)
+        plan = self._plan(trials, rounds)
+        block, n_blocks, per_chunk = plan
         n_chunks = -(-n_blocks // per_chunk)
         sinks = resolve_progress_sinks(progress)
         reporter = (
@@ -718,7 +710,7 @@ class _StreamedSimulation:
             chunks=n_chunks,
             blocks=n_blocks,
         ):
-            self._chunk_loop(accumulator, blocks, rounds, per_chunk, reporter)
+            self._chunk_loop(accumulator, trials, rounds, plan, reporter)
         _METRICS.increment("engine.stream.chunks", n_chunks)
         _METRICS.increment("engine.stream.blocks", n_blocks)
         _METRICS.increment("engine.stream.trials", trials)
@@ -737,31 +729,31 @@ class _StreamedSimulation:
             **{item.name: state[item.name] for item in fields(self._result_type)}
         )
 
-    def _chunk_loop(self, accumulator, blocks, rounds, per_chunk, reporter):
-        """The chunk loop (hot path: handle-free, backend-only tensor math).
+    def _chunk_loop(self, accumulator, trials, rounds, plan, reporter):
+        """The chunk loop (a hot path).
 
         A chunk copies its blocks' tensors into chunk buffers (one per
         tensor name, taken on first use), analyses them in one dense
         ``run_traces`` call and folds the result into ``accumulator`` block
         by block, in block order.
         """
+        block, n_blocks, per_chunk = plan
         engine = self.engine
         # The first chunk is the largest: ``per_chunk`` whole blocks, or all.
-        capacity = sum(size for size, _ in blocks[:per_chunk])
-        index_dtype = engine.policy.index_dtype(engine.backend)
+        capacity = min(per_chunk * block, trials)
+        index_dtype = engine.policy.index_dtype()
         buffers = {}
         clock = time.perf_counter
-        for first in range(0, len(blocks), per_chunk):
+        for first in range(0, n_blocks, per_chunk):
             started = clock()
-            chunk = blocks[first : first + per_chunk]
             offset = 0
-            for size, seed in chunk:
-                tensors, rest = self._draw_block(size, rounds, seed)
+            for index in range(first, min(first + per_chunk, n_blocks)):
+                size = min(block, trials - index * block)
+                tensors, rest = self._draw_block(index, size, rounds)
                 for name, tensor in tensors.items():
                     if name not in buffers:
                         buffers[name] = _scratch(
                             self.workspace,
-                            engine.backend,
                             f"stream.{name}",
                             (capacity, rounds),
                             index_dtype,
@@ -771,15 +763,13 @@ class _StreamedSimulation:
             result = engine.run_traces(
                 **{name: buffer[:offset] for name, buffer in buffers.items()}, **rest
             )
-            lo = 0
-            for size, _ in chunk:
-                accumulator.update(result, lo, lo + size)
-                lo += size
+            for lo in range(0, offset, block):
+                accumulator.update(result, lo, min(lo + block, offset))
             if reporter is not None:
                 reporter.point_done(clock() - started)
 
     def materialize_traces(self, trials: int, rounds: int):
-        """Full host tensors under the *streamed* draw protocol (audit helper).
+        """Full tensors under the *streamed* draw protocol (audit helper).
 
         Materialises exactly the per-block draws a streamed run would
         consume, concatenated — O(trials x rounds) memory, so this is for
@@ -789,11 +779,13 @@ class _StreamedSimulation:
         the minority-split tensor of a partial-cut scenario) or ``None``.
         """
         trials, rounds = _validate_shape(trials, rounds)
-        _, blocks, _ = self._plan(trials, rounds)
-        draws = [self._draw_block(size, rounds, seed)[0] for size, seed in blocks]
-        to_host = self.engine.backend.to_host
+        block, n_blocks, _ = self._plan(trials, rounds)
+        draws = [
+            self._draw_block(index, min(block, trials - index * block), rounds)[0]
+            for index in range(n_blocks)
+        ]
         honest, adversary, *third = (
-            np.concatenate([to_host(draw[name]) for draw in draws], axis=0)
+            np.concatenate([draw[name] for draw in draws], axis=0)
             for name in draws[0]
         )
         return honest, adversary, third[0] if third else None

@@ -51,7 +51,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..backend import get_backend, get_dtype_policy
+from ..backend import get_dtype_policy
 from ..errors import SimulationError
 from ..observability import METRICS as _METRICS, TRACE as _TRACE
 from ..params import ProtocolParameters, coerce_positive_int
@@ -118,11 +118,10 @@ def convergence_opportunity_mask_with_delays(
     the obstructed span, which is exactly the consistency threat being
     measured.
     """
-    xp = get_backend()
     policy = get_dtype_policy(policy)
-    index_dtype = policy.index_dtype(xp)
-    counts = xp.asarray(honest_counts, dtype=index_dtype)
-    offsets = xp.asarray(delays, dtype=index_dtype)
+    index_dtype = policy.index_dtype()
+    counts = np.asarray(honest_counts, dtype=index_dtype)
+    offsets = np.asarray(delays, dtype=index_dtype)
     if counts.ndim != 2:
         raise SimulationError(
             f"honest_counts must have shape (trials, rounds), got {counts.shape}"
@@ -142,26 +141,26 @@ def convergence_opportunity_mask_with_delays(
     if (offsets < 0).any() or (offsets > cap).any():
         raise SimulationError(f"delays must lie in [0, {cap}]")
     trials, rounds = counts.shape
-    mask = xp.zeros((trials, rounds), dtype=policy.mask_dtype(xp))
+    mask = np.zeros((trials, rounds), dtype=policy.mask_dtype())
     # No early exit for short traces: with realized delays below delta an
     # opportunity can complete even when rounds < 2*delta + 1 (the warm-up
     # and completion conditions below make the constant-delta case return
     # all-false there, exactly like the classic mask).
-    index = xp.arange(rounds, dtype=index_dtype)
+    index = np.arange(rounds, dtype=index_dtype)
     success = counts > 0
     # Delivery round of each mined block; -1 sentinels keep the running
     # maximum below any real round for silent cells.
-    arrival = xp.where(success, index + offsets, -1)
-    previous_arrival = xp.maximum_accumulate(arrival, axis=1)
-    previous_arrival = xp.concatenate(
-        [xp.full((trials, 1), -1, dtype=index_dtype), previous_arrival[:, :-1]],
+    arrival = np.where(success, index + offsets, -1)
+    previous_arrival = np.maximum.accumulate(arrival, axis=1)
+    previous_arrival = np.concatenate(
+        [np.full((trials, 1), -1, dtype=index_dtype), previous_arrival[:, :-1]],
         axis=1,
     )
     # First success strictly after each round, via a reversed running minimum.
-    next_success = xp.where(success, index, rounds)
-    next_success = xp.minimum_accumulate(next_success[:, ::-1], axis=1)[:, ::-1]
-    next_success = xp.concatenate(
-        [next_success[:, 1:], xp.full((trials, 1), rounds, dtype=index_dtype)],
+    next_success = np.where(success, index, rounds)
+    next_success = np.minimum.accumulate(next_success[:, ::-1], axis=1)[:, ::-1]
+    next_success = np.concatenate(
+        [next_success[:, 1:], np.full((trials, 1), rounds, dtype=index_dtype)],
         axis=1,
     )
 
@@ -176,7 +175,7 @@ def convergence_opportunity_mask_with_delays(
     # Valid centres in one trial complete at distinct rounds (a later centre
     # requires the earlier one's block to have been delivered first), so a
     # plain scatter cannot collide.
-    rows, cols = xp.nonzero(centre)
+    rows, cols = np.nonzero(centre)
     mask[rows, completion[rows, cols]] = True
     return mask
 
@@ -434,25 +433,21 @@ class PeerGraphTopology:
         One min-plus relaxation per pivot node: ``D <- min(D, D[:,k] + D[k,:])``
         — Floyd–Warshall with the inner two loops as one array broadcast,
         which is what the ≥5x benchmark gate measures against the per-source
-        Python reference.  The kernel runs on the ``xp`` handle; the cached
-        matrix is a host array (the graph-analysis helpers built on it —
-        radii, diameters, quantiles — are host consumers).
+        Python reference.
         """
         if self._distances is None:
             _METRICS.increment("engine.topology.distance_computations")
             with _TRACE.span("topology.distances", nodes=self.n_nodes):
-                xp = get_backend()
-                latencies = xp.from_host(self.latencies)
-                distance = xp.where(latencies > 0, latencies, _UNREACHED)
-                diagonal = xp.arange(self.n_nodes)
+                distance = np.where(self.latencies > 0, self.latencies, _UNREACHED)
+                diagonal = np.arange(self.n_nodes)
                 distance[diagonal, diagonal] = 0
                 for pivot in range(self.n_nodes):
-                    xp.minimum(
+                    np.minimum(
                         distance,
                         distance[:, pivot, None] + distance[None, pivot, :],
                         out=distance,
                     )
-                self._distances = xp.to_host(distance)
+                self._distances = distance
         return self._distances
 
     def distances_reference(self) -> np.ndarray:
@@ -616,9 +611,8 @@ class FixedDeltaDelayModel(DelayModel):
         self, trials: int, rounds: int, delta: int, rng: np.random.Generator
     ):
         self._check_shape(trials, rounds, delta)
-        xp = get_backend()
-        return xp.full(
-            (trials, rounds), delta, dtype=get_dtype_policy().index_dtype(xp)
+        return np.full(
+            (trials, rounds), delta, dtype=get_dtype_policy().index_dtype()
         )
 
 
@@ -647,11 +641,10 @@ class UniformDelayModel(DelayModel):
                 f"uniform delay support [{self.low}, {high}] is empty under "
                 f"the Delta cap {delta}"
             )
-        xp = get_backend()
-        # The host draw's default dtype is int64, matching the historical
+        # The draw's default dtype is int64, matching the historical
         # explicit dtype, so the bit stream is unchanged.
-        draws = xp.integers(rng, self.low, high + 1, (trials, rounds))
-        return xp.asarray(draws, dtype=get_dtype_policy().index_dtype(xp))
+        draws = rng.integers(self.low, high + 1, size=(trials, rounds))
+        return np.asarray(draws, dtype=get_dtype_policy().index_dtype())
 
     def payload(self) -> Dict[str, object]:
         return {"name": self.name, "low": self.low, "high": self.high}
@@ -680,10 +673,9 @@ class TruncatedGeometricDelayModel(DelayModel):
         self, trials: int, rounds: int, delta: int, rng: np.random.Generator
     ):
         self._check_shape(trials, rounds, delta)
-        xp = get_backend()
-        index_dtype = get_dtype_policy().index_dtype(xp)
-        draws = xp.geometric(rng, self.success_probability, (trials, rounds)) - 1
-        return xp.minimum(xp.asarray(draws, dtype=index_dtype), delta)
+        index_dtype = get_dtype_policy().index_dtype()
+        draws = rng.geometric(self.success_probability, size=(trials, rounds)) - 1
+        return np.minimum(np.asarray(draws, dtype=index_dtype), delta)
 
     def payload(self) -> Dict[str, object]:
         return {"name": self.name, "success_probability": self.success_probability}
@@ -712,12 +704,11 @@ class PeerGraphDelayModel(DelayModel):
         self, trials: int, rounds: int, delta: int, rng: np.random.Generator
     ):
         self._check_shape(trials, rounds, delta)
-        xp = get_backend()
-        index_dtype = get_dtype_policy().index_dtype(xp)
-        radii = xp.minimum(
-            xp.asarray(self.topology.delivery_radii(), dtype=index_dtype), delta
+        index_dtype = get_dtype_policy().index_dtype()
+        radii = np.minimum(
+            np.asarray(self.topology.delivery_radii(), dtype=index_dtype), delta
         )
-        sources = xp.integers(rng, 0, self.topology.n_nodes, (trials, rounds))
+        sources = rng.integers(0, self.topology.n_nodes, size=(trials, rounds))
         return radii[sources]
 
     def payload(self) -> Dict[str, object]:

@@ -1,27 +1,16 @@
-"""Unit tests for the array layer: the backend handle, dtypes, workspaces."""
+"""Unit tests for the array layer: dtype policies and workspaces."""
 
 from __future__ import annotations
-
-import ast
-import inspect
 
 import numpy as np
 import pytest
 
-import repro.simulation.batch as batch
-import repro.simulation.dynamics as dynamics
-import repro.simulation.rare_events as rare_events
-import repro.simulation.scenarios as scenarios
-import repro.simulation.streaming as streaming
-import repro.simulation.topology as topology
 from repro.backend import (
     COMPACT_POLICY,
     COMPACT_STAT_RTOL,
     DTYPE_POLICY_ENV_VAR,
     WIDE_POLICY,
-    NumpyBackend,
     Workspace,
-    get_backend,
     get_dtype_policy,
     use_dtype_policy,
 )
@@ -39,91 +28,20 @@ from repro.simulation.topology import convergence_opportunity_mask_with_delays
 
 
 # ----------------------------------------------------------------------
-# The backend handle
-# ----------------------------------------------------------------------
-#: Every engine module that calls ops on the ``xp`` handle.
-ENGINE_MODULES = [batch, scenarios, topology, dynamics, rare_events, streaming]
-
-
-def _handle_ops(source: str) -> list:
-    """``(op, line)`` for every ``xp.<op>`` / ``self.backend.<op>`` access."""
-    ops = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.Attribute):
-            continue
-        handle = node.value
-        if (isinstance(handle, ast.Name) and handle.id == "xp") or (
-            isinstance(handle, ast.Attribute)
-            and handle.attr == "backend"
-            and isinstance(handle.value, ast.Name)
-            and handle.value.id == "self"
-        ):
-            ops.append((node.attr, node.lineno))
-    return ops
-
-
-class TestDispatch:
-    def test_default_backend_is_numpy(self):
-        backend = get_backend()
-        assert isinstance(backend, NumpyBackend)
-        assert backend.name == "numpy"
-
-    def test_instances_are_cached(self):
-        backend = get_backend()
-        assert get_backend() is backend
-        params = parameters_from_c(c=1.0, n=400, delta=3, nu=0.4)
-        assert BatchSimulation(params, rng=0).backend is backend
-        with use_dtype_policy("compact"):
-            engine = ScenarioSimulation(params, "private_chain", rng=0)
-        assert engine.backend is backend
-
-    def test_every_declared_op_exists_on_numpy_backend(self):
-        """The class body is the op list: every op an engine calls on its
-        handle must be declared there, or the path fails only when run."""
-        missing = []
-        used = set()
-        for module in ENGINE_MODULES:
-            for op, line in _handle_ops(inspect.getsource(module)):
-                used.add(op)
-                if not hasattr(NumpyBackend, op):
-                    missing.append(f"{module.__name__}:{line} xp.{op}")
-        assert not missing
-        assert {"binomial", "to_host", "maximum_accumulate"} <= used
-        # The scan sees both handle spellings and flags an undeclared op.
-        smuggled = "def f(self, xp):\n    xp.fft(self.backend.binomial)\n"
-        assert _handle_ops(smuggled) == [("fft", 2), ("binomial", 2)]
-        assert not hasattr(NumpyBackend, "fft")
-
-    def test_host_boundary_and_copy(self):
-        backend = get_backend()
-        array = np.arange(6).reshape(2, 3)
-        assert backend.to_host(array) is array
-        assert backend.from_host(array) is array
-        assert isinstance(backend.from_host([1, 2]), np.ndarray)
-        copied = backend.copy(array[:, 1:])
-        assert np.array_equal(copied, array[:, 1:])
-        assert copied.flags.owndata and copied.flags.c_contiguous
-        copied[...] = -1
-        assert array.min() == 0
-
-
-# ----------------------------------------------------------------------
 # Dtype policies
 # ----------------------------------------------------------------------
 class TestDtypePolicy:
     def test_wide_is_default_and_matches_history(self):
         policy = get_dtype_policy()
-        backend = get_backend()
         assert policy.name == "wide"
-        assert policy.index_dtype(backend) is np.int64
-        assert policy.mask_dtype(backend) is np.bool_
-        assert policy.stat_dtype(backend) is np.float64
+        assert policy.index_dtype() is np.int64
+        assert policy.mask_dtype() is np.bool_
+        assert policy.stat_dtype() is np.float64
 
     def test_compact_mapping(self):
-        backend = get_backend()
-        assert COMPACT_POLICY.index_dtype(backend) is np.int32
-        assert COMPACT_POLICY.mask_dtype(backend) is np.uint8
-        assert COMPACT_POLICY.stat_dtype(backend) is np.float32
+        assert COMPACT_POLICY.index_dtype() is np.int32
+        assert COMPACT_POLICY.mask_dtype() is np.uint8
+        assert COMPACT_POLICY.stat_dtype() is np.float32
 
     def test_env_var_and_context(self, monkeypatch):
         monkeypatch.setenv(DTYPE_POLICY_ENV_VAR, "compact")

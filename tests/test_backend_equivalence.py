@@ -6,8 +6,8 @@ dtype, shape and raw bytes of every headline result tensor.  The refactored
 engines must reproduce them exactly — with and without a shared
 :class:`~repro.backend.Workspace`, and under an explicit
 ``use_dtype_policy("wide")`` that overrides the environment — which pins the
-claim that routing the tensor math through ``repro.backend`` changed nothing
-about the arithmetic.
+claim that neither routing the tensor math through a backend handle nor
+calling NumPy directly again changed anything about the arithmetic.
 """
 
 from __future__ import annotations

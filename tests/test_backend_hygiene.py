@@ -1,17 +1,13 @@
-"""Lint-style guard: no direct NumPy tensor-op call sites in engine hot paths.
+"""Lint-style guards on the engines' hot paths: Binomial draws and instrumentation.
 
-The ``xp`` handle only holds if nobody quietly reintroduces a module-level
-``np.`` call into a refactored kernel.  This test parses the engine modules
-and asserts that every designated hot-path function touches ``np``/``numpy``
-only through the allowlisted host-boundary names (type annotations and the
-:class:`numpy.random.Generator` seeding surface).  Everything tensor-shaped
-must go through the backend handle or Python operators, which dispatch
-through the array type itself.
-
-Failing this test means a new ``np.<op>`` crept into a hot path — route it
-through :func:`repro.backend.get_backend` (adding the op to
-:class:`repro.backend.NumpyBackend` if it is genuinely new) instead of
-widening the allowlist.
+Every Binomial count a hot path draws must come from
+:func:`repro.backend.binomial`, the exact inversion sampler.  It returns
+``Generator.binomial``'s bits, so a stray ``rng.binomial(...)`` would pass
+every golden while halving draw speed.  This test parses the engine modules
+and flags, inside each designated hot path, any ``<expr>.binomial(...)``
+call and any module-level ``np.random.<draw>(...)`` call (a draw on NumPy's
+legacy global generator); ``binomial(rng, ...)`` is the one allowed
+spelling, and the engine modules must bind that name to the sampler.
 
 The guard also pins the observability layer's cost model: hot paths may
 touch instrumentation only through the module-level no-op handles
@@ -26,8 +22,10 @@ from __future__ import annotations
 import ast
 import inspect
 
+import numpy as np
 import pytest
 
+import repro.backend
 import repro.simulation.batch as batch
 import repro.simulation.dynamics as dynamics
 import repro.simulation.rare_events as rare_events
@@ -37,12 +35,6 @@ import repro.simulation.topology as topology
 
 #: Names the engines may import NumPy under.
 NUMPY_ALIASES = {"np", "numpy"}
-
-#: ``np.<attr>`` accesses that remain legitimate inside hot paths: type
-#: annotations (``np.ndarray``) and the host RNG surface
-#: (``np.random.Generator`` annotations — all *draws* go through the
-#: backend's random ops).
-ALLOWED_ATTRS = {"ndarray", "random"}
 
 #: The hot-path functions the guard covers, as (module, qualname) pairs.
 HOT_PATHS = [
@@ -103,61 +95,77 @@ def _resolve_function_node(module, qualname: str) -> ast.FunctionDef:
     return node
 
 
-def _numpy_violations(node: ast.FunctionDef) -> list:
+def _draw_violations(node: ast.FunctionDef) -> list:
+    """Binomial draws that bypass :func:`repro.backend.binomial`."""
     violations = []
     for child in ast.walk(node):
-        if (
-            isinstance(child, ast.Attribute)
-            and isinstance(child.value, ast.Name)
-            and child.value.id in NUMPY_ALIASES
-            and child.attr not in ALLOWED_ATTRS
+        if not isinstance(child, ast.Call) or not isinstance(
+            child.func, ast.Attribute
         ):
-            violations.append(f"np.{child.attr} at line {child.lineno}")
-        # A bare `np`/`numpy` passed around (e.g. as a backend stand-in)
-        # defeats the abstraction just as thoroughly as an attribute call.
-        if (
-            isinstance(child, ast.Name)
-            and child.id in NUMPY_ALIASES
-            and isinstance(child.ctx, ast.Load)
-            and not _is_attribute_base(child, node)
-        ):
-            violations.append(f"bare {child.id} at line {child.lineno}")
+            continue
+        function = child.func
+        owner = function.value
+        global_draw = (
+            isinstance(owner, ast.Attribute)
+            and owner.attr == "random"
+            and isinstance(owner.value, ast.Name)
+            and owner.value.id in NUMPY_ALIASES
+            and hasattr(np.random.RandomState, function.attr)
+        )
+        if function.attr == "binomial" or global_draw:
+            violations.append(f"{ast.unparse(function)}() at line {child.lineno}")
     return violations
 
 
-def _is_attribute_base(name: ast.Name, root: ast.FunctionDef) -> bool:
-    return any(
-        isinstance(parent, ast.Attribute) and parent.value is name
-        for parent in ast.walk(root)
-    )
+#: The hot paths plus the scenario engine's minority-split draw.
+DRAW_PATHS = [*HOT_PATHS, (scenarios, "ScenarioSimulation._third_draw")]
 
 
 @pytest.mark.parametrize(
     "module,qualname",
-    HOT_PATHS,
-    ids=[f"{module.__name__.split('.')[-1]}:{name}" for module, name in HOT_PATHS],
+    DRAW_PATHS,
+    ids=[f"{module.__name__.split('.')[-1]}:{name}" for module, name in DRAW_PATHS],
 )
-def test_hot_path_has_no_direct_numpy_tensor_ops(module, qualname):
+def test_hot_path_draws_binomial_counts_through_the_sampler(module, qualname):
     node = _resolve_function_node(module, qualname)
-    violations = _numpy_violations(node)
+    violations = _draw_violations(node)
     assert not violations, (
-        f"{module.__name__}.{qualname} bypasses the backend layer: "
+        f"{module.__name__}.{qualname} draws around repro.backend.binomial: "
         + ", ".join(violations)
     )
 
 
-def test_guard_actually_detects_violations():
-    """The guard must flag a representative smuggled ``np.`` call (meta-test
-    so allowlist edits cannot quietly blind it)."""
+def test_engine_modules_bind_the_sampler():
+    """A bare ``binomial(...)`` in an engine is the backend's sampler, not
+    ``numpy.random.binomial`` imported under the same name."""
+    for module in (batch, scenarios, topology, dynamics, rare_events, streaming):
+        bound = vars(module).get("binomial", repro.backend.binomial)
+        assert bound is repro.backend.binomial, module.__name__
+    assert vars(batch)["binomial"] is repro.backend.binomial
+
+
+def test_draw_guard_actually_detects_violations():
+    """The guard flags the planted draws and passes the sampler's spelling
+    (meta-test, so an edit to the detector cannot quietly blind it)."""
     source = (
-        "def bad(x):\n"
-        "    return np.cumsum(x) + np.asarray(x) + len(np.ndarray.__mro__)\n"
+        "def bad(rng, shape):\n"
+        "    honest = rng.binomial(700, 1e-4, size=shape)\n"
+        "    adversary = np.random.binomial(300, 1e-4, size=shape)\n"
+        "    return honest, adversary, numpy.random.random(shape)\n"
     )
-    node = ast.parse(source).body[0]
-    found = _numpy_violations(node)
-    assert any("np.cumsum" in item for item in found)
-    assert any("np.asarray" in item for item in found)
-    assert not any("np.ndarray" in item for item in found)
+    found = _draw_violations(ast.parse(source).body[0])
+    assert any(item.startswith("rng.binomial()") for item in found)
+    assert any(item.startswith("np.random.binomial()") for item in found)
+    assert any(item.startswith("numpy.random.random()") for item in found)
+    assert len(found) == 3
+
+    clean = (
+        "def good(rng, seed, shape):\n"
+        "    block = np.random.default_rng(np.random.SeedSequence(seed))\n"
+        "    honest = binomial(rng, 700, 1e-4, shape)\n"
+        "    return honest, rng.random(shape), block.integers(0, 3, shape)\n"
+    )
+    assert not _draw_violations(ast.parse(clean).body[0])
 
 
 # ----------------------------------------------------------------------

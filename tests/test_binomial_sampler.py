@@ -1,8 +1,8 @@
-"""``NumpyBackend.binomial`` is pinned to ``Generator.binomial`` bit for bit.
+"""``repro.backend.binomial`` is pinned to ``Generator.binomial`` bit for bit.
 
-The backend samples NumPy's inversion regime itself (see
-:mod:`repro.backend.numpy_backend`).  Every test here draws from two
-generators built from the same seed, one through the backend and one
+The sampler runs NumPy's inversion regime itself (see
+:mod:`repro.backend.sampler`).  Every test here draws from two
+generators built from the same seed, one through the sampler and one
 through NumPy, and requires the same int64 array *and* the same next
 uniforms, so the generators were left in the same state.
 """
@@ -14,8 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.backend import NumpyBackend
-from repro.backend import numpy_backend
+from repro.backend import binomial, sampler
 
 BIT_GENERATORS = (
     np.random.PCG64,
@@ -44,7 +43,7 @@ def _generators(bit_generator, seed):
 
 def assert_same_draws(bit_generator, seed, n, p, size):
     ours, theirs = _generators(bit_generator, seed)
-    drawn = NumpyBackend.binomial(ours, n, p, size)
+    drawn = binomial(ours, n, p, size)
     expected = theirs.binomial(n, p, size=size)
     assert drawn.dtype == expected.dtype == np.int64
     assert drawn.shape == expected.shape
@@ -113,25 +112,25 @@ def test_same_draws_and_state_across_the_inversion_regime(bit_generator, n, p):
 def test_same_draws_and_state_for_a_streamed_seed_block(
     monkeypatch, bit_generator, n, p
 ):
-    loop = numpy_backend._inversion_loop
+    loop = sampler._inversion_loop
     tails = []
 
     def recorded_loop(u, *args):
         tails.append(u.size)
         return loop(u, *args)
 
-    monkeypatch.setattr(numpy_backend, "_inversion_loop", recorded_loop)
+    monkeypatch.setattr(sampler, "_inversion_loop", recorded_loop)
     for seed in (0, 7):
         assert_same_draws(bit_generator, seed, n, p, (1048, 1000))
-    # The op's own sampler drew both seed blocks, 64K uniforms at a time,
+    # The sampler drew both seed blocks, 64K uniforms at a time,
     # and ran NumPy's loop on < 1% of them.
-    blocks = -(-1048 * 1000 // numpy_backend._BLOCK_CELLS)
+    blocks = -(-1048 * 1000 // sampler._BLOCK_CELLS)
     assert len(tails) == 2 * blocks and 0 < sum(tails) < 0.01 * 2 * 1048 * 1000
 
 
 @pytest.mark.parametrize("n,p", INVERSION_PAIRS)
 def test_t1_is_the_least_double_that_reaches_two(n, p):
-    t1 = numpy_backend._inversion_constants(n, p)[3]
+    t1 = sampler._inversion_constants(n, p)[3]
     if t1 < 1.0:
         assert numpy_inversion(t1, n, p) >= 2
     assert numpy_inversion(float(np.nextafter(t1, 0.0)), n, p) <= 1
@@ -139,29 +138,29 @@ def test_t1_is_the_least_double_that_reaches_two(n, p):
 
 @pytest.mark.parametrize("n,p", INVERSION_PAIRS)
 def test_uniforms_on_either_side_of_each_step_land_where_numpy_puts_them(n, p):
-    bound = numpy_backend._inversion_constants(n, p)[2]
+    bound = sampler._inversion_constants(n, p)[2]
     uniforms = [0.0]
     for k in range(1, min(bound, 5) + 1):
         step = threshold(n, p, k)
         if step < 1.0:
             uniforms += [float(np.nextafter(step, 0.0)), step]
-    drawn = NumpyBackend.binomial(ChosenUniforms(uniforms), n, p, len(uniforms))
+    drawn = binomial(ChosenUniforms(uniforms), n, p, len(uniforms))
     assert drawn.tolist() == [numpy_inversion(u, n, p) for u in uniforms]
 
 
 def test_the_loop_rejects_exactly_past_bound():
     n, p = 7, 0.3
-    q, qn, _, _ = numpy_backend._inversion_constants(n, p)
+    q, qn, _, _ = sampler._inversion_constants(n, p)
     for k in (1, 2, 3, 4):
         u = np.array([threshold(n, p, k)])
-        assert numpy_backend._inversion_loop(u, n, p, q, qn, k).tolist() == [k]
-        assert numpy_backend._inversion_loop(u, n, p, q, qn, k - 1) is None
+        assert sampler._inversion_loop(u, n, p, q, qn, k).tolist() == [k]
+        assert sampler._inversion_loop(u, n, p, q, qn, k - 1) is None
 
 
 def test_a_rejection_rewinds_and_lets_numpy_draw(monkeypatch):
-    """Past ``bound`` NumPy takes a fresh uniform; the op must follow it."""
-    constants = numpy_backend._inversion_constants
-    loop = numpy_backend._inversion_loop
+    """Past ``bound`` NumPy takes a fresh uniform; the sampler must follow it."""
+    constants = sampler._inversion_constants
+    loop = sampler._inversion_loop
     outcomes = []
 
     def tight_bound(n, p):
@@ -172,8 +171,8 @@ def test_a_rejection_rewinds_and_lets_numpy_draw(monkeypatch):
         outcomes.append(loop(*args))
         return outcomes[-1]
 
-    monkeypatch.setattr(numpy_backend, "_inversion_constants", tight_bound)
-    monkeypatch.setattr(numpy_backend, "_inversion_loop", recorded_loop)
+    monkeypatch.setattr(sampler, "_inversion_constants", tight_bound)
+    monkeypatch.setattr(sampler, "_inversion_loop", recorded_loop)
     n, p = ENGINE_PAIRS[0]
     for bit_generator in BIT_GENERATORS:
         assert_same_draws(bit_generator, 3, n, p, (3, 65537))
@@ -207,16 +206,16 @@ def test_outside_the_regime_numpy_draws(monkeypatch, n, p):
     def unreachable(*args):
         raise AssertionError("the sampler ran outside NumPy's inversion regime")
 
-    monkeypatch.setattr(numpy_backend, "_inversion_constants", unreachable)
+    monkeypatch.setattr(sampler, "_inversion_constants", unreachable)
     size = np.shape(n) or (4, 9)
     assert_same_draws(np.random.PCG64, 5, n, p, size)
 
 
 def test_legacy_generators_and_scalar_draws_go_to_numpy():
-    legacy = NumpyBackend.binomial(np.random.RandomState(4), 700, 1e-3, 50)
+    legacy = binomial(np.random.RandomState(4), 700, 1e-3, 50)
     assert np.array_equal(legacy, np.random.RandomState(4).binomial(700, 1e-3, 50))
     ours, theirs = _generators(np.random.PCG64, 4)
-    assert NumpyBackend.binomial(ours, 700, 0.2, None) == theirs.binomial(700, 0.2)
+    assert binomial(ours, 700, 0.2, None) == theirs.binomial(700, 0.2)
 
 
 @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
@@ -224,5 +223,5 @@ def test_an_invalid_p_raises_numpys_error(p):
     with pytest.raises(ValueError) as theirs:
         np.random.default_rng(0).binomial(700, p, size=10)
     with pytest.raises(ValueError) as ours:
-        NumpyBackend.binomial(np.random.default_rng(0), 700, p, 10)
+        binomial(np.random.default_rng(0), 700, p, 10)
     assert str(ours.value) == str(theirs.value)

@@ -19,9 +19,11 @@ from repro.backend import (
     chunk_trials,
     resolve_chunk_cells,
 )
+from repro.backend import chunking
 from repro.errors import BackendError
 from repro.params import parameters_from_c
-from repro.simulation.rare_events import RareEventSimulation
+from repro.simulation import rare_events
+from repro.simulation.rare_events import ExponentialTilt, RareEventSimulation
 
 
 @pytest.fixture
@@ -81,27 +83,41 @@ class TestChunkPlanning:
         assert chunk_sizes(25, 10) == [5, 5, 5, 5, 5]
 
 
+def _drawn_chunks(params, monkeypatch, **estimator_options):
+    """Trials of each chunk a 500 x 10 tilted estimate draws."""
+    drawn = []
+    draw = rare_events.draw_tilted_traces
+
+    def recorded(params_, tilt, trials, rounds, rng, policy=None):
+        drawn.append(trials)
+        return draw(params_, tilt, trials, rounds, rng, policy=policy)
+
+    monkeypatch.setattr(rare_events, "draw_tilted_traces", recorded)
+    estimator = RareEventSimulation(params, 4, rng=0, **estimator_options)
+    estimator.run_tilted(500, 10, tilt=ExponentialTilt.identity(params))
+    return drawn
+
+
 class TestRareEventRouting:
     """The rare-event estimators consume the shared chunk configuration."""
 
-    def test_explicit_ctor_override_wins(self, params):
-        estimator = RareEventSimulation(params, 4, rng=0, chunk_cells=900)
-        assert estimator._chunk_cells() == 900
+    def test_explicit_ctor_override_wins(self, params, monkeypatch):
+        drawn = _drawn_chunks(params, monkeypatch, chunk_cells=900)
+        assert drawn == [90, 90, 90, 90, 90, 50]
 
     def test_explicit_ctor_override_beats_env(self, params, monkeypatch):
         monkeypatch.setenv(CHUNK_ENV_VAR, "2048")
-        estimator = RareEventSimulation(params, 4, rng=0, chunk_cells=900)
-        assert estimator._chunk_cells() == 900
+        drawn = _drawn_chunks(params, monkeypatch, chunk_cells=900)
+        assert drawn == [90, 90, 90, 90, 90, 50]
 
     def test_env_reaches_estimator(self, params, monkeypatch):
         monkeypatch.setenv(CHUNK_ENV_VAR, "2048")
-        estimator = RareEventSimulation(params, 4, rng=0)
-        assert estimator._chunk_cells() == 2048
+        assert _drawn_chunks(params, monkeypatch) == [204, 204, 92]
 
     def test_default_without_overrides(self, params, monkeypatch):
         monkeypatch.delenv(CHUNK_ENV_VAR, raising=False)
-        estimator = RareEventSimulation(params, 4, rng=0)
-        assert estimator._chunk_cells() == DEFAULT_CHUNK_CELLS
+        monkeypatch.setattr(chunking, "DEFAULT_CHUNK_CELLS", 3_000)
+        assert _drawn_chunks(params, monkeypatch) == [300, 200]
 
     def test_invalid_ctor_chunk_rejected(self, params):
         with pytest.raises(BackendError):

@@ -19,7 +19,7 @@ import pytest
 
 import repro.simulation.batch as batch
 import repro.simulation.rare_events as rare_events
-from repro.backend import Workspace, get_backend, get_dtype_policy, use_dtype_policy
+from repro.backend import Workspace, get_dtype_policy, use_dtype_policy
 from repro.core.concat_chain import convergence_opportunity_mask
 from repro.params import parameters_from_c
 from repro.simulation.batch import (
@@ -78,8 +78,7 @@ class TestKernels:
         Δ runs past 4, the first doubling step that is not a power of two.
         """
         policy = get_dtype_policy(policy_name)
-        xp = get_backend()
-        index_dtype = policy.index_dtype(xp)
+        index_dtype = policy.index_dtype()
         workspace = Workspace()
         for rounds in (2 * delta, 2 * delta + 1, 2 * delta + 2, 400):
             honest, adversary = _traces(rounds, seed=delta * 1_000 + rounds)
@@ -88,13 +87,11 @@ class TestKernels:
             adversary = adversary.astype(index_dtype)
             for pool in (None, workspace):
                 mask = _opportunity_mask(
-                    xp, policy, honest.astype(index_dtype), delta, pool
+                    policy, honest.astype(index_dtype), delta, pool
                 )
-                assert mask.dtype == policy.mask_dtype(xp)
+                assert mask.dtype == policy.mask_dtype()
                 assert np.array_equal(mask.astype(bool), expected_mask), rounds
-                deficits, crossings = _window_drawdown(
-                    xp, policy, mask, adversary, pool
-                )
+                deficits, crossings = _window_drawdown(policy, mask, adversary, pool)
                 assert crossings is None
                 assert np.array_equal(deficits, expected)
                 assert np.array_equal(
@@ -117,11 +114,10 @@ class TestKernels:
     def test_stale_workspace_buffers_do_not_leak(self):
         """A reused buffer holding a previous run's values gives fresh results."""
         policy = get_dtype_policy("wide")
-        xp = get_backend()
         workspace = Workspace()
         for seed in (3, 4, 5):
             honest, _ = _traces(50, trials=8, seed=seed)
-            got = _opportunity_mask(xp, policy, honest, 3, workspace)
+            got = _opportunity_mask(policy, honest, 3, workspace)
             assert np.array_equal(got, convergence_opportunity_mask(honest, 3))
 
 
@@ -129,18 +125,13 @@ class TestDrawdownKernel:
     @pytest.mark.parametrize("policy_name", POLICIES)
     def test_first_crossing_at_every_level(self, policy_name):
         policy = get_dtype_policy(policy_name)
-        xp = get_backend()
         honest, adversary = _traces(120, trials=64, seed=7)
         mask = convergence_opportunity_mask(honest, 2)
         drawdown = reference_drawdown(mask, adversary)
         for level in range(1, int(drawdown.max()) + 2):
             crossed = drawdown >= level
             deficits, first = _window_drawdown(
-                xp,
-                policy,
-                mask,
-                adversary.astype(policy.index_dtype(xp)),
-                level=level,
+                policy, mask, adversary.astype(policy.index_dtype()), level=level
             )
             assert np.array_equal(deficits >= level, crossed.any(axis=1))
             assert np.array_equal(first, np.argmax(crossed, axis=1))
@@ -157,7 +148,7 @@ class TestFirstCrossings:
         rounds = 60
         with use_dtype_policy(policy_name) as policy:
             estimator = RareEventSimulation(params, depth=depth, rng=0)
-            index_dtype = policy.index_dtype(estimator.engine.backend)
+            index_dtype = policy.index_dtype()
         honest, adversary = _traces(rounds, trials=200, seed=delta, dtype=index_dtype)
         # Rows with no adversarial block never cross any level.
         adversary[:20] = 0
@@ -190,18 +181,17 @@ class TestTiles:
         assert batch._tile_rows(trials, rounds) == min(rows, trials)
         delta = 3
         policy = get_dtype_policy(policy_name)
-        xp = get_backend()
-        index_dtype = policy.index_dtype(xp)
+        index_dtype = policy.index_dtype()
         honest, adversary = _traces(rounds, trials=trials, seed=trials + rounds)
         expected_mask = convergence_opportunity_mask(honest, delta)
         drawdown = reference_drawdown(expected_mask, adversary)
         honest, adversary = honest.astype(index_dtype), adversary.astype(index_dtype)
         for pool in (None, Workspace()):
-            mask = _opportunity_mask(xp, policy, honest, delta, pool)
+            mask = _opportunity_mask(policy, honest, delta, pool)
             assert np.array_equal(mask.astype(bool), expected_mask)
             for level in (None, 1, 2, int(drawdown.max()) + 1):
                 deficits, first = _window_drawdown(
-                    xp, policy, mask, adversary, pool, level=level
+                    policy, mask, adversary, pool, level=level
                 )
                 assert np.array_equal(deficits, drawdown.max(axis=1))
                 if level is not None:
@@ -215,7 +205,7 @@ class TestTiles:
         params = parameters_from_c(c=4.0, n=1_000, delta=2, nu=0.2)
         with use_dtype_policy(policy_name) as policy:
             estimator = RareEventSimulation(params, depth=level, rng=0)
-            index_dtype = policy.index_dtype(estimator.engine.backend)
+            index_dtype = policy.index_dtype()
         honest, adversary = _traces(rounds, trials=10, seed=3, dtype=index_dtype)
         adversary[[1, 4, 9]] = 0
         reached, first = estimator._first_crossings(honest, adversary, level)
@@ -287,11 +277,10 @@ class TestStoppedTotals:
         adversary[2, -3:] = 1
 
         def crafted(params_, tilt_, trials, rounds_, rng, policy=None):
-            xp = get_backend()
-            dtype = policy.index_dtype(xp)
+            dtype = policy.index_dtype()
             return (
-                xp.asarray(honest[:trials], dtype=dtype),
-                xp.asarray(adversary[:trials], dtype=dtype),
+                np.asarray(honest[:trials], dtype=dtype),
+                np.asarray(adversary[:trials], dtype=dtype),
             )
 
         monkeypatch.setattr(rare_events, "draw_tilted_traces", crafted)

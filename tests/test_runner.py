@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import multiprocessing
+import json
+import multiprocessing.pool
 import os
 
 import numpy as np
@@ -480,7 +481,7 @@ def _damage(path, how):
 
 class TestCorruptCache:
     @pytest.mark.parametrize("how", ["empty", "garbage", "truncated"])
-    @pytest.mark.parametrize("method", ["run_point", "run_streaming_point"])
+    @pytest.mark.parametrize("method", sorted(POINT_CALLS))
     def test_unreadable_entry_is_recomputed_and_counted(
         self, method, how, tmp_path, caplog
     ):
@@ -507,3 +508,70 @@ class TestCorruptCache:
         call(runner, 5, 300)
         assert read_run_log(log)[-1]["cache"] == "hit"
         assert (runner.cache_hits, runner.cache_misses) == (1, 2)
+
+    @pytest.mark.parametrize(
+        "sidecar", [b"garbage{", b"[]", b"null", b"3", b"\xff\xfe{"]
+    )
+    @pytest.mark.parametrize("method", sorted(POINT_CALLS))
+    def test_unreadable_sidecar_is_no_version_skip(self, method, sidecar, tmp_path):
+        """A sidecar that is not a JSON object names no writer version: the
+        miss recomputes without a version skip and rewrites the sidecar."""
+        log = tmp_path / "log.jsonl"
+        cache = tmp_path / "cache"
+        runner = ExperimentRunner(base_seed=3, cache_dir=str(cache), run_log=log)
+        call = POINT_CALLS[method]
+        call(runner, 5, 300)
+        (entry,) = [name for name in os.listdir(cache) if name.endswith(".npz")]
+        (index,) = [name for name in os.listdir(cache) if name.endswith(".json")]
+        os.remove(cache / entry)
+        (cache / index).write_bytes(sidecar)
+
+        call(runner, 5, 300)
+        assert (runner.cache_misses, runner.version_skips) == (2, 0)
+        cold, recomputed = read_run_log(log)
+        assert recomputed["cache"] == "miss"
+        assert recomputed["stale_version"] is None
+        assert recomputed["result_digest"] == cold["result_digest"]
+        assert json.loads((cache / index).read_text())["key"] == cold["cache_key"]
+        call(runner, 5, 300)
+        assert read_run_log(log)[-1]["cache"] == "hit"
+
+    @pytest.mark.parametrize("method", sorted(POINT_CALLS))
+    def test_leftover_temporary_from_a_killed_writer(self, method, tmp_path):
+        """Half-written ``<npz>.tmp.<pid>.npz`` files neither shadow the entry
+        nor stop the next store, whichever pid wrote them."""
+        log = tmp_path / "log.jsonl"
+        cache = tmp_path / "cache"
+        runner = ExperimentRunner(base_seed=3, cache_dir=str(cache), run_log=log)
+        call = POINT_CALLS[method]
+        call(runner, 5, 300)
+        (entry,) = [name for name in os.listdir(cache) if name.endswith(".npz")]
+        for pid in (os.getpid(), 999_999):
+            (cache / f"{entry}.tmp.{pid}.npz").write_bytes(b"PK\x03\x04 cut short")
+
+        call(runner, 5, 300)
+        os.remove(cache / entry)
+        call(runner, 5, 300)
+        call(runner, 5, 300)
+        states = [record["cache"] for record in read_run_log(log)]
+        assert states == ["miss", "hit", "miss", "hit"]
+        digests = {record["result_digest"] for record in read_run_log(log)}
+        assert len(digests) == 1
+        # The store reused its own pid's name; the other writer's file stays.
+        leftovers = [name for name in os.listdir(cache) if ".tmp." in name]
+        assert leftovers == [f"{entry}.tmp.999999.npz"]
+
+    def test_raising_worker_fails_a_sharded_grid_cleanly(self, tmp_path):
+        """A worker's error reaches the caller as itself, and no temporary
+        file is left behind."""
+        cache = tmp_path / "cache"
+        runner = ExperimentRunner(base_seed=3, cache_dir=str(cache), processes=2)
+        empty_adversary = parameters_from_c(c=4.0, n=1_000, delta=3, nu=0.0005)
+        with pytest.raises(SimulationError, match="non-empty adversary") as raised:
+            runner.run_rare_event_grid(
+                [PARAMS, empty_adversary], 8, 150, 4, method="plain"
+            )
+        assert isinstance(raised.value.__cause__, multiprocessing.pool.RemoteTraceback)
+        written = os.listdir(cache) if cache.exists() else []
+        assert not [name for name in written if ".tmp" in name]
+

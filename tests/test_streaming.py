@@ -43,7 +43,7 @@ from repro.simulation.streaming import (
     StreamingBatchResult,
     StreamingBatchSimulation,
     StreamingScenarioSimulation,
-    _spawn_block_seeds,
+    _block_seed,
     seed_block_trials,
 )
 
@@ -225,12 +225,52 @@ class TestSeedBlocks:
         """Repeated spawning must reproduce a fresh sequence's first spawn —
         ``SeedSequence.spawn`` itself is stateful and would reroll."""
         root = np.random.SeedSequence(77)
-        first = _spawn_block_seeds(root, 4)
-        second = _spawn_block_seeds(root, 4)
+        first = [_block_seed(root, index) for index in range(4)]
+        second = [_block_seed(root, index) for index in range(4)]
         fresh = np.random.SeedSequence(77).spawn(4)
         for a, b, c in zip(first, second, fresh):
             assert a.generate_state(4).tolist() == b.generate_state(4).tolist()
             assert a.generate_state(4).tolist() == c.generate_state(4).tolist()
+
+
+    def test_block_seeds_are_built_when_drawn(self, monkeypatch):
+        """Planning builds no ``SeedSequence``, even for 10^12 trials; a run
+        and an audit build one per block, each just before drawing it, and
+        block ``b``'s seed is the ``b``-th spawn of the run's seed."""
+        simulation = StreamingBatchSimulation(PARAMS, seed=BASE_SEED)
+        parent = np.random.SeedSequence
+
+        class Forbidden(parent):
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("planning built a SeedSequence")
+
+        monkeypatch.setattr(np.random, "SeedSequence", Forbidden)
+        block, n_blocks, _ = simulation._plan(10**12, 1_000)
+        assert (block, n_blocks) == (1_048, 954_198_474)
+
+        events = []
+
+        class Recorded(parent):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                events.append(("seed", self.spawn_key))
+
+        draw = streaming.draw_mining_traces
+
+        def recorded_draw(*args, **kwargs):
+            events.append(("draw",))
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", Recorded)
+        monkeypatch.setattr(streaming, "draw_mining_traces", recorded_draw)
+        # 400-cell seed blocks at 100 rounds: blocks of 4, 4 and 2 trials.
+        expected = [event for b in range(3) for event in (("seed", (b,)), ("draw",))]
+        with _seed_block_cells(400):
+            simulation.run(trials=10, rounds=100)
+            assert events == expected
+            events.clear()
+            simulation.materialize_traces(10, 100)
+            assert events == expected
 
 
 class TestChunkInvariance:
@@ -412,7 +452,7 @@ class TestOneDrawProtocol:
         streamed = _run(config, simulation, trials, rounds)
         assert streamed.seed_block_trials >= trials
         _, dense_engine, arguments, _ = CONFIGS[config]
-        child = _spawn_block_seeds(simulation.seed_sequence, 1)[0]
+        child = _block_seed(simulation.seed_sequence, 0)
         dense = dense_engine(
             PARAMS, rng=np.random.default_rng(child), **arguments
         ).run(trials, rounds)
