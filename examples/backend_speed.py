@@ -1,24 +1,19 @@
 #!/usr/bin/env python3
-"""Walk the array layer: dtype policies and workspaces.
+"""Walk the array layer: workspaces.
 
 Run with::
 
     python examples/backend_speed.py [--trials T] [--rounds R] [--repeats K]
 
 The engines call NumPy directly; ``repro.backend`` holds what they share
-beyond it: the exact Binomial sampler, dtype policies, workspaces and
-chunk budgets.  This script shows the two user-facing memory knobs:
-
-1. **dtype policies** — ``wide`` (int64/bool/float64, the bit-exact
-   default) versus ``compact`` (int32/uint8/float32): integer outputs stay
-   exact, float statistics agree within the documented tolerance, memory
-   traffic halves.
-2. **workspaces** — a :class:`repro.backend.Workspace` pools the mask and
-   drawdown kernels' scratch buffers across repeated runs; without one the
-   same kernels allocate per call and return the same numbers.  The script
-   checks that, then times the pooled kernels against an allocating
-   reference pipeline (core's window-sum mask plus a cumsum drawdown) on
-   the same pre-drawn tensors (``bench_backend.py`` gates this at >= 3x).
+beyond it: the exact Binomial sampler, workspaces and chunk budgets.  This
+script shows the user-facing memory knob, the workspace: a
+:class:`repro.backend.Workspace` pools the mask and drawdown kernels'
+scratch buffers across repeated runs; without one the same kernels
+allocate per call and return the same numbers.  The script checks that,
+then times the pooled kernels against an allocating reference pipeline
+(core's window-sum mask plus a cumsum drawdown) on the same pre-drawn
+tensors (``bench_backend.py`` gates this at >= 3x).
 """
 
 from __future__ import annotations
@@ -29,7 +24,7 @@ import time
 
 import numpy as np
 
-from repro.backend import COMPACT_STAT_RTOL, Workspace, use_dtype_policy
+from repro.backend import Workspace
 from repro.core.concat_chain import convergence_opportunity_mask
 from repro.params import parameters_from_c
 from repro.simulation import BatchSimulation, draw_mining_traces
@@ -60,21 +55,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     params = parameters_from_c(c=4.0, n=1_000, delta=3, nu=0.2)
 
-    # 1. The compact dtype policy's exact-integer / tolerant-float contract.
-    reference = BatchSimulation(params, rng=0).run(64, 2_000)
-    with use_dtype_policy("compact"):
-        compact = BatchSimulation(params, rng=0).run(64, 2_000)
-    assert np.array_equal(
-        reference.convergence_opportunities, compact.convergence_opportunities
-    ), "compact integers must be exact"
-    drift = abs(compact.mean_convergence_rate - reference.mean_convergence_rate)
-    print(
-        f"compact dtype policy: integer outputs exact, mean-rate drift "
-        f"{drift:.2e} (documented tolerance {COMPACT_STAT_RTOL:.0e} relative)"
-    )
-
-    # 2. One kernel path with or without a workspace, against the
-    #    allocating reference on the deterministic analysis half.
+    # One kernel path with or without a workspace, against the allocating
+    # reference on the deterministic analysis half.
     honest, adversary = draw_mining_traces(params, args.trials, args.rounds, rng=0)
     workspace = Workspace()
     pooled = BatchSimulation(params, rng=0, workspace=workspace)

@@ -5,7 +5,7 @@ The library has five layers:
 
 * :mod:`repro.params` — the protocol parameterisation of Table I;
 * :mod:`repro.backend` — what the engines share beyond NumPy (the exact
-  Binomial sampler, dtype policies, preallocated workspaces, chunk budgets);
+  Binomial sampler, preallocated workspaces, chunk budgets);
 * :mod:`repro.core` — the paper's contribution: the neat bound
   ``2 mu / ln(mu/nu)``, Theorems 1-3, the two Markov chains C_F and C_F||P,
   the concentration bounds, and the PSS/Kiffer baselines;
@@ -241,13 +241,10 @@ sampler: the same array as ``Generator.binomial``, the generator left in
 the same state, about twice as fast at the paper's points.  Results are
 NumPy arrays that never alias engine scratch memory.
 
-Two knobs tune the engines' memory behaviour: a
-:class:`~repro.backend.DtypePolicy` (``wide`` — int64/bool/float64, the
-bit-exact default — or ``compact`` — int32/uint8/float32 with exact
-integers and float statistics inside a documented tolerance, selected via
-``use_dtype_policy`` / ``REPRO_DTYPE_POLICY``), and a
-:class:`~repro.backend.Workspace` of preallocated scratch buffers that the
-mask and drawdown kernels reuse across repeated (trials, rounds) runs —
+The engines name their dtypes directly (int64 counts and heights, bool
+masks, float64 statistics).  A :class:`~repro.backend.Workspace` of
+preallocated scratch buffers tunes their memory behaviour: the mask and
+drawdown kernels reuse it across repeated (trials, rounds) runs —
 ``ExperimentRunner`` threads one workspace through every grid point; without
 one the same kernels allocate per call.  ``benchmarks/bench_backend.py``
 gates them at >= 3x over the allocating reference pipeline.  See
@@ -270,7 +267,7 @@ pieces:
 * **tracing** — ``REPRO_TRACE=1`` (process-wide) or a
   :func:`~repro.observability.use_tracer` context records nestable wall-
   time spans (runner call → engine stage → kernel), each stamped with the
-  backend and the ambient dtype policy;
+  array library and dtypes (``numpy``, ``wide``);
 * **metrics** — counters and gauges (trials/rounds simulated, cache
   hits/misses and version skips per runner method, workspace reuse versus
   fresh allocation, rare-event pilot iterations and ESS) behind
@@ -329,7 +326,7 @@ from .core import (
     theorem1_condition,
     theorem2_condition,
 )
-from .backend import DtypePolicy, Workspace, get_dtype_policy, use_dtype_policy
+from .backend import Workspace
 from .errors import (
     AnalysisError,
     BackendError,
@@ -400,9 +397,6 @@ __all__ = [
     "StreamingBatchResult",
     "StreamingScenarioSimulation",
     "StreamingScenarioResult",
-    "DtypePolicy",
-    "get_dtype_policy",
-    "use_dtype_policy",
     "Workspace",
     "ReproError",
     "ParameterError",

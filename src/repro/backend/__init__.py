@@ -1,7 +1,8 @@
-"""The array layer under the engines: the Binomial sampler, dtypes, scratch, chunks.
+"""The array layer under the engines: the Binomial sampler, scratch, chunks.
 
-The engines call NumPy directly.  This package holds what they share
-beyond NumPy itself:
+The engines call NumPy directly and name their dtypes where they allocate:
+int64 for counts, heights and window sums, bool for masks, float64 for
+statistics.  This package holds what they share beyond NumPy itself:
 
 * **the sampler** (:mod:`repro.backend.sampler`) — :func:`binomial`, the
   one entry point for every Binomial draw: a vectorized copy of NumPy's
@@ -9,11 +10,6 @@ beyond NumPy itself:
   twice as fast at ``n * p <= 1``, so results are bit-identical to drawing
   with ``rng.binomial``.  Every draw comes from the caller's
   :class:`numpy.random.Generator`.
-* **dtype policy** (:mod:`repro.backend.dtypes`) — a named dtype per tensor
-  family: ``wide`` (int64 / bool / float64, the bit-exact default) and
-  ``compact`` (int32 / uint8 / float32 — exact integers, float statistics
-  within :data:`~repro.backend.dtypes.COMPACT_STAT_RTOL`), selected via
-  ``use_dtype_policy`` / ``REPRO_DTYPE_POLICY``.
 * **workspace** (:mod:`repro.backend.workspace`) — preallocated scratch
   buffers keyed by tag, reused across repeated (trials, rounds) runs so
   sweeps stop re-allocating in the hot kernels.
@@ -27,15 +23,6 @@ overlap guarantee, one reason the engines name NumPy rather than an
 abstract array library.
 """
 
-from .dtypes import (
-    COMPACT_POLICY,
-    COMPACT_STAT_RTOL,
-    DTYPE_POLICY_ENV_VAR,
-    WIDE_POLICY,
-    DtypePolicy,
-    get_dtype_policy,
-    use_dtype_policy,
-)
 from .chunking import (
     CHUNK_ENV_VAR,
     DEFAULT_CHUNK_CELLS,
@@ -48,13 +35,6 @@ from .workspace import Workspace
 
 __all__ = [
     "binomial",
-    "DtypePolicy",
-    "WIDE_POLICY",
-    "COMPACT_POLICY",
-    "COMPACT_STAT_RTOL",
-    "DTYPE_POLICY_ENV_VAR",
-    "get_dtype_policy",
-    "use_dtype_policy",
     "Workspace",
     "CHUNK_ENV_VAR",
     "DEFAULT_CHUNK_CELLS",

@@ -45,9 +45,8 @@ class AnalysisError(ReproError, RuntimeError):
 
 
 class BackendError(ReproError, RuntimeError):
-    """Raised when the array layer is misconfigured: an unknown dtype-policy
-    name, a policy field that is not a known dtype, a run too long for the
-    ``compact`` policy's int32 heights, or a chunk-cell budget that is not a
+    """Raised when the array layer is misconfigured: a chunk-cell budget
+    (``REPRO_CHUNK_CELLS`` or an explicit ``chunk_cells``) that is not a
     positive integer."""
 
 

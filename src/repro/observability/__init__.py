@@ -9,8 +9,8 @@ Four pieces, all off by default and all bit-neutral when off:
   read), so the default path is bit-identical to uninstrumented code —
   pinned by golden-digest tests and a <2% overhead gate in
   ``benchmarks/bench_observability.py``.  Enable with ``REPRO_TRACE=1`` or
-  a :func:`use_tracer` context; spans record wall time, the backend and the
-  ambient dtype policy, and whatever attributes the call site attaches
+  a :func:`use_tracer` context; spans record wall time, the backend and
+  dtype policy, and whatever attributes the call site attaches
   (trials, rounds, cache state, workspace bytes).
 * **metrics** (:mod:`repro.observability.metrics`) — counters and gauges
   behind the same handle pattern (:data:`METRICS`): trials simulated,

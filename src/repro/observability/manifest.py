@@ -5,10 +5,10 @@ log* describing exactly what was executed and where the result came from:
 the parameter payload, shape, base seed, cache key and prefix, whether the
 call was a cache hit / miss / uncached, whether a warm entry was skipped
 because it was written by an older package version, the wall-clock
-duration, the backend and the ambient dtype policy, and a digest of the
-result arrays.  Cached ``.npz`` artefacts thereby gain a provenance trail:
-given a cache file name, the run log says which call produced it, when,
-how long it took, and what the bytes hashed to.
+duration, the backend and dtype policy, and a digest of the result arrays.
+Cached ``.npz`` artefacts thereby gain a provenance trail: given a cache
+file name, the run log says which call produced it, when, how long it
+took, and what the bytes hashed to.
 
 Activation is by construction argument (``ExperimentRunner(run_log=...)``)
 or the ``REPRO_RUN_LOG`` environment variable naming the target path — the
@@ -114,12 +114,12 @@ def manifest_record(
 ) -> dict:
     """Build (and validate) one schema-conformant run-manifest record.
 
-    The array library (``"numpy"``) and the ambient dtype-policy name are
-    stamped automatically; ``extra`` carries method-specific context
-    (scenario name, rare-event spec, delay-model name, ...).
+    The array library (``"numpy"``) and the dtype policy (``"wide"``, the
+    engines' one set of dtypes) are stamped as constants; ``extra`` carries
+    method-specific context (scenario name, rare-event spec, delay-model
+    name, ...).
     """
     from .. import _version
-    from ..backend import get_dtype_policy
 
     record = {
         "schema": MANIFEST_SCHEMA,
@@ -136,7 +136,7 @@ def manifest_record(
         "rounds": int(rounds),
         "base_seed": int(base_seed),
         "backend": "numpy",
-        "dtype_policy": get_dtype_policy().name,
+        "dtype_policy": "wide",
         "repro_version": (
             _version.__version__ if repro_version is None else str(repro_version)
         ),

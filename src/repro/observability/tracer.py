@@ -16,9 +16,10 @@ tracer at all.
 With a tracer installed (``REPRO_TRACE=1`` at import, or a
 :func:`use_tracer` context), ``span(name, **attributes)`` opens a
 :class:`SpanRecord` that nests under the innermost open span, measures wall
-time with :func:`time.perf_counter`, and stamps the backend and the ambient
-dtype-policy names — so a trace tree answers "where did this run spend its
-time, under which policy" without any engine changes.
+time with :func:`time.perf_counter`, and stamps the array library
+(``"numpy"``) and dtype policy (``"wide"``), the same two fields every run
+manifest carries — so a trace tree answers "where did this run spend its
+time" without any engine changes.
 """
 
 from __future__ import annotations
@@ -147,12 +148,8 @@ class Tracer:
     def span(self, name: str, **attributes) -> _Span:
         """Open a new span; use as ``with tracer.span("name", key=value):``."""
         if self._stamp_context:
-            # Lazy import: the backend package is unrelated at import time,
-            # and this path only runs with tracing enabled.
-            from ..backend import get_dtype_policy
-
             attributes.setdefault("backend", "numpy")
-            attributes.setdefault("dtype_policy", get_dtype_policy().name)
+            attributes.setdefault("dtype_policy", "wide")
         record = SpanRecord(
             name=str(name), start=self._clock(), attributes=attributes
         )

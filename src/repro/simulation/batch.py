@@ -29,12 +29,11 @@ The batch, scenario, streaming and rare-event engines all run these two
 kernels.  The binomial counts come from :func:`repro.backend.binomial`,
 which returns ``Generator.binomial``'s bits, so the engine reproduces the
 historical one bit for bit.  Every draw comes from the caller's
-:class:`numpy.random.Generator`, and dtypes follow the active
-:class:`~repro.backend.DtypePolicy`.  Both kernels run one row tile of
-at most :data:`TILE_CELLS` cells at a time, so their scratch stays in cache
-and does not grow with the trial count; rows never interact, so the tiles
-change no bit.  A kernel takes that scratch from a
-:class:`~repro.backend.Workspace` when given one (as
+:class:`numpy.random.Generator`; counts are int64 and masks bool.  Both
+kernels run one row tile of at most :data:`TILE_CELLS` cells at a time, so
+their scratch stays in cache and does not grow with the trial count; rows
+never interact, so the tiles change no bit.  A kernel takes that scratch
+from a :class:`~repro.backend.Workspace` when given one (as
 :class:`~repro.simulation.runner.ExperimentRunner` does, so repeated
 (trials, rounds) runs stop allocating) and allocates it otherwise; the
 arithmetic is the same either way.
@@ -56,7 +55,7 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from ..backend import Workspace, binomial, get_dtype_policy, resolve_chunk_cells
+from ..backend import Workspace, binomial, resolve_chunk_cells
 from ..core.concat_chain import convergence_opportunity_mask
 from ..errors import ParameterError, SimulationError
 from ..observability import METRICS as _METRICS, TRACE as _TRACE
@@ -65,6 +64,7 @@ from .rng import SeedLike, resolve_rng
 from .topology import (
     DelayModel,
     MiningPowerProfile,
+    _integer_tensor,
     convergence_opportunity_mask_with_delays,
     resolve_delay_model,
 )
@@ -103,7 +103,6 @@ def draw_mining_traces(
     rng: SeedLike = None,
     draw_mode: str = "binomial",
     power: Optional[MiningPowerProfile] = None,
-    policy=None,
 ):
     """Draw ``(trials, rounds)`` honest and adversarial success-count tensors.
 
@@ -127,9 +126,6 @@ def draw_mining_traces(
         raise SimulationError(
             f"draw_mode must be one of {DRAW_MODES}, got {draw_mode!r}"
         )
-    policy = get_dtype_policy(policy)
-    policy.check_rounds(rounds)
-    index_dtype = policy.index_dtype()
     generator = resolve_rng(rng)
     honest_miners = max(int(round(params.honest_count)), 1)
     adversary_miners = int(round(params.adversary_count))
@@ -137,15 +133,10 @@ def draw_mining_traces(
     if power is not None:
         power.validate_against(params)
         honest = _bernoulli_counts(
-            index_dtype, generator, trials, rounds, power.honest_miners, power.honest_p
+            generator, trials, rounds, power.honest_miners, power.honest_p
         )
         adversary = _bernoulli_counts(
-            index_dtype,
-            generator,
-            trials,
-            rounds,
-            power.adversary_miners,
-            power.adversary_p,
+            generator, trials, rounds, power.adversary_miners, power.adversary_p
         )
         return honest, adversary
 
@@ -156,23 +147,17 @@ def draw_mining_traces(
                 generator, adversary_miners, params.p, (trials, rounds)
             )
         else:
-            adversary = np.zeros((trials, rounds), dtype=index_dtype)
-        return (
-            np.asarray(honest, dtype=index_dtype),
-            np.asarray(adversary, dtype=index_dtype),
-        )
+            adversary = np.zeros((trials, rounds), dtype=np.int64)
+        return honest, adversary
 
-    honest = _bernoulli_counts(
-        index_dtype, generator, trials, rounds, honest_miners, params.p
-    )
+    honest = _bernoulli_counts(generator, trials, rounds, honest_miners, params.p)
     adversary = _bernoulli_counts(
-        index_dtype, generator, trials, rounds, adversary_miners, params.p
+        generator, trials, rounds, adversary_miners, params.p
     )
     return honest, adversary
 
 
 def _bernoulli_counts(
-    index_dtype,
     generator: np.random.Generator,
     trials: int,
     rounds: int,
@@ -186,8 +171,8 @@ def _bernoulli_counts(
     a heterogeneous power profile) — the comparison broadcasts either way.
     """
     if miners <= 0:
-        return np.zeros((trials, rounds), dtype=index_dtype)
-    counts = np.empty((trials, rounds), dtype=index_dtype)
+        return np.zeros((trials, rounds), dtype=np.int64)
+    counts = np.empty((trials, rounds), dtype=np.int64)
     threshold = np.asarray(hardness)
     # The chunk size is an execution knob only: ``rng.random`` consumes the
     # uniform stream contiguously, so any chunking yields identical counts.
@@ -195,19 +180,17 @@ def _bernoulli_counts(
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
         draws = generator.random((stop - start, rounds, miners)) < threshold
-        counts[start:stop] = draws.sum(axis=2, dtype=index_dtype)
+        counts[start:stop] = draws.sum(axis=2, dtype=np.int64)
     return counts
 
 
 def count_convergence_opportunities_batch(honest_counts, delta: int):
     """Per-trial convergence-opportunity counts for a ``(trials, rounds)`` tensor."""
-    policy = get_dtype_policy()
-    index_dtype = policy.index_dtype()
-    counts = np.asarray(honest_counts, dtype=index_dtype)
+    counts = _integer_tensor(honest_counts, "honest_counts", ParameterError)
     delta = coerce_positive_int(delta, "delta", error_type=ParameterError)
     if counts.ndim != 2:
         raise ParameterError(f"need 2-D counts, got shape {counts.shape}")
-    return _opportunity_mask(policy, counts, delta).sum(axis=1, dtype=index_dtype)
+    return _opportunity_mask(counts, delta).sum(axis=1, dtype=np.int64)
 
 
 def _delay_draw(delay_model: Optional[DelayModel], delta: int, honest, rng) -> dict:
@@ -244,9 +227,7 @@ def _tile_rows(trials: int, rounds: int) -> int:
     return max(min(TILE_CELLS // (rounds + 1), trials), 1)
 
 
-def _opportunity_mask(
-    policy, counts, delta: int, workspace: Optional[Workspace] = None
-):
+def _opportunity_mask(counts, delta: int, workspace: Optional[Workspace] = None):
     """The mask kernel: where the ``N^Δ H_1 N^Δ`` pattern of Eq. (42) completes.
 
     Equal to :func:`~repro.core.concat_chain.convergence_opportunity_mask`,
@@ -260,15 +241,14 @@ def _opportunity_mask(
     count.  With a ``workspace`` both live there until the next call.
     """
     trials, rounds = counts.shape
-    mask_dtype = policy.mask_dtype()
-    mask = _scratch(workspace, "mask.out", (trials, rounds), mask_dtype)
+    mask = _scratch(workspace, "mask.out", (trials, rounds), np.bool_)
     width = rounds - 2 * delta
     if width < 1:
         mask[...] = 0
         return mask
     mask[:, : 2 * delta] = 0
     rows = _tile_rows(trials, rounds)
-    tile = _scratch(workspace, "mask.run", (rows, rounds), mask_dtype)
+    tile = _scratch(workspace, "mask.run", (rows, rounds), np.bool_)
     for start in range(0, trials, rows):
         stop = min(start + rows, trials)
         run = tile[: stop - start]
@@ -290,9 +270,7 @@ def _opportunity_mask(
     return mask
 
 
-def _window_drawdown(
-    policy, mask, adversary, workspace=None, level=None
-):
+def _window_drawdown(mask, adversary, workspace=None, level=None):
     """The drawdown kernel: ``(worst windowed deficits, first crossings)``.
 
     The drawdown of ``D_r = C(1,r) - A(1,r)`` from the baseline ``D_0 = 0``
@@ -304,20 +282,19 @@ def _window_drawdown(
     (:func:`_tile_rows`) at a time through tile-sized ``running`` and
     ``drawdown`` scratch and writes only the per-trial results.
     """
-    index_dtype = policy.index_dtype()
     trials, rounds = mask.shape
     rows = _tile_rows(trials, rounds)
     shape = (rows, rounds + 1)
-    running = _scratch(workspace, "deficit.running", shape, index_dtype)
-    drawdown = _scratch(workspace, "deficit.drawdown", shape, index_dtype)
+    running = _scratch(workspace, "deficit.running", shape, np.int64)
+    drawdown = _scratch(workspace, "deficit.drawdown", shape, np.int64)
     running[:, 0] = 0
-    deficits = np.empty(trials, dtype=index_dtype)
+    deficits = np.empty(trials, dtype=np.int64)
     first = None if level is None else np.empty(trials, dtype=np.int64)
     for start in range(0, trials, rows):
         stop = min(start + rows, trials)
         total, worst = running[: stop - start], drawdown[: stop - start]
         np.subtract(mask[start:stop], adversary[start:stop], out=total[:, 1:])
-        np.cumsum(total[:, 1:], axis=1, dtype=index_dtype, out=total[:, 1:])
+        np.cumsum(total[:, 1:], axis=1, dtype=np.int64, out=total[:, 1:])
         np.maximum.accumulate(total, axis=1, out=worst)
         np.subtract(worst, total, out=worst)
         worst.max(axis=1, out=deficits[start:stop])
@@ -330,7 +307,6 @@ def worst_window_deficits(
     opportunity_mask,
     adversary_counts,
     workspace: Optional[Workspace] = None,
-    policy=None,
 ):
     """Per-trial worst windowed deficit ``max_{s<=t} (A(s,t) - C(s,t))``.
 
@@ -343,10 +319,8 @@ def worst_window_deficits(
 
     A validating front end to the engines' drawdown kernel.
     """
-    policy = get_dtype_policy(policy)
-    index_dtype = policy.index_dtype()
-    mask = np.asarray(opportunity_mask, dtype=index_dtype)
-    adversary = np.asarray(adversary_counts, dtype=index_dtype)
+    mask = _integer_tensor(opportunity_mask, "opportunity_mask")
+    adversary = _integer_tensor(adversary_counts, "adversary_counts")
     if mask.ndim != 2:
         raise SimulationError(
             f"mask must have shape (trials, rounds), got {mask.shape}"
@@ -355,16 +329,14 @@ def worst_window_deficits(
         raise SimulationError(
             f"mask shape {mask.shape} does not match adversary shape {adversary.shape}"
         )
-    return _window_drawdown(policy, mask, adversary, workspace)[0]
+    return _window_drawdown(mask, adversary, workspace)[0]
 
 
 def _confidence_interval(values: np.ndarray) -> Tuple[float, float]:
     """Normal-approximation 95% confidence interval for the mean of ``values``.
 
     Statistics helper for *unbounded* means (rates, depths, fork
-    sizes): accumulates in the active dtype policy's ``stat`` dtype (float64
-    under ``wide`` — the historical behaviour; float32 under ``compact``,
-    within the documented :data:`~repro.backend.dtypes.COMPACT_STAT_RTOL`).
+    sizes), accumulated in float64.
 
     A single observation carries no variance information, so the interval is
     ``(nan, nan)`` rather than the zero-width ``(mean, mean)`` — a one-trial
@@ -375,7 +347,7 @@ def _confidence_interval(values: np.ndarray) -> Tuple[float, float]:
     collapses to a zero-width interval at 0 or ``trials`` successes, which is
     exactly where honest tail bounds matter most.
     """
-    values = np.asarray(values, dtype=np.dtype(get_dtype_policy().stat))
+    values = np.asarray(values, dtype=np.float64)
     if values.size < 2:
         return (math.nan, math.nan)
     mean = float(values.mean())
@@ -574,10 +546,6 @@ class BatchSimulation:
         stop allocating.  Without one they allocate per call and run the
         same arithmetic.  Results never alias the workspace.
 
-    The engine binds the ambient dtype policy at construction (a
-    ``use_dtype_policy`` context, or the ``REPRO_DTYPE_POLICY`` environment
-    variable), so a run issued after that context closed still uses it.
-
     Examples
     --------
     >>> from repro.params import parameters_from_c
@@ -609,7 +577,6 @@ class BatchSimulation:
         self.power = power
         if self.power is not None:
             self.power.validate_against(params)
-        self.policy = get_dtype_policy()
         self.workspace = workspace
 
     @property
@@ -641,7 +608,6 @@ class BatchSimulation:
                     self.rng,
                     self.draw_mode,
                     power=self.power,
-                    policy=self.policy,
                 )
                 third = self._third_draw(honest, self.rng)
             return self.run_traces(
@@ -671,9 +637,8 @@ class BatchSimulation:
         worst case); ``max_delay`` (default Δ) widens the validation cap for
         time-varying models whose adversarial windows exceed Δ.
         """
-        index_dtype = self.policy.index_dtype()
-        honest = np.asarray(honest_counts, dtype=index_dtype)
-        adversary = np.asarray(adversary_counts, dtype=index_dtype)
+        honest = _integer_tensor(honest_counts, "honest_counts")
+        adversary = _integer_tensor(adversary_counts, "adversary_counts")
         if honest.ndim != 2:
             raise SimulationError(
                 f"honest_counts must have shape (trials, rounds), got {honest.shape}"
@@ -690,32 +655,25 @@ class BatchSimulation:
             )
         if honest.min() < 0 or adversary.min() < 0:
             raise SimulationError("success counts must be non-negative")
-        self.policy.check_rounds(rounds)
         _METRICS.increment("engine.batch.trials", trials)
         _METRICS.increment("engine.batch.rounds", trials * rounds)
         with _TRACE.span("batch.mask", trials=trials, rounds=rounds):
             if delays is None:
-                mask = _opportunity_mask(
-                    self.policy, honest, self.params.delta, self.workspace
-                )
+                mask = _opportunity_mask(honest, self.params.delta, self.workspace)
             else:
                 mask = convergence_opportunity_mask_with_delays(
-                    honest,
-                    delays,
-                    self.params.delta,
-                    max_delay=max_delay,
-                    policy=self.policy,
+                    honest, delays, self.params.delta, max_delay=max_delay
                 )
         with _TRACE.span("batch.deficits", trials=trials, rounds=rounds):
-            deficits, _ = _window_drawdown(self.policy, mask, adversary, self.workspace)
+            deficits, _ = _window_drawdown(mask, adversary, self.workspace)
         return BatchResult(
             params=self.params,
             trials=trials,
             rounds=rounds,
             draw_mode=self.draw_mode,
-            convergence_opportunities=mask.sum(axis=1, dtype=index_dtype),
-            honest_blocks=honest.sum(axis=1, dtype=index_dtype),
-            adversary_blocks=adversary.sum(axis=1, dtype=index_dtype),
+            convergence_opportunities=mask.sum(axis=1, dtype=np.int64),
+            honest_blocks=honest.sum(axis=1, dtype=np.int64),
+            adversary_blocks=adversary.sum(axis=1, dtype=np.int64),
             worst_deficits=deficits,
             honest_counts=honest if keep_traces else None,
             adversary_counts=adversary if keep_traces else None,

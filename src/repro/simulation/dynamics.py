@@ -72,7 +72,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..backend import get_dtype_policy
 from ..errors import SimulationError
 from ..observability import METRICS as _METRICS, TRACE as _TRACE
 from .rng import resolve_rng
@@ -837,9 +836,8 @@ class TimeVaryingDelayModel(DelayModel):
         self, trials: int, rounds: int, delta: int, rng: np.random.Generator
     ):
         self._check_shape(trials, rounds, delta)
-        index_dtype = get_dtype_policy().index_dtype()
         compiled = self.compiled(rounds, delta)
-        offsets = np.asarray(compiled.offsets, dtype=index_dtype)
+        offsets = np.asarray(compiled.offsets, dtype=np.int64)
         if self.topology is None:
             # Offsets are deterministic per round; no entropy is consumed,
             # so the mining-trace stream matches the static engines exactly.

@@ -46,8 +46,8 @@ variance-reduction techniques layered on the batch engine:
   estimates the tail.
 
 Draws come from the caller's generator through
-:func:`repro.backend.binomial`, dtypes follow the dtype policy, and the
-kernels take an optional workspace; trials are processed in bounded-memory
+:func:`repro.backend.binomial` as int64 counts, and the kernels take an
+optional workspace; trials are processed in bounded-memory
 chunks, so deep tails can be hunted with large budgets without
 materialising a huge ``(trials, rounds)`` tensor.  A zero tilt is
 *bit-identical* to plain MC at the same seed (the draw protocol is
@@ -66,7 +66,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..backend import Workspace, binomial, get_dtype_policy, resolve_chunk_cells
+from ..backend import Workspace, binomial, resolve_chunk_cells
 from ..backend.chunking import chunk_sizes
 from ..errors import SimulationError
 from ..observability import METRICS as _METRICS, TRACE as _TRACE
@@ -221,7 +221,6 @@ def draw_tilted_traces(
     trials: int,
     rounds: int,
     rng: SeedLike = None,
-    policy=None,
 ):
     """Draw ``(trials, rounds)`` success-count tensors under a tilted measure.
 
@@ -233,9 +232,6 @@ def draw_tilted_traces(
     estimator's ``tilt=0`` equivalence anchor.
     """
     trials, rounds = _validate_shape(trials, rounds)
-    policy = get_dtype_policy(policy)
-    policy.check_rounds(rounds)
-    index_dtype = policy.index_dtype()
     generator = resolve_rng(rng)
     honest_miners, adversary_miners = _miner_counts(params)
     honest = binomial(generator, honest_miners, tilt.honest_p, (trials, rounds))
@@ -244,11 +240,8 @@ def draw_tilted_traces(
             generator, adversary_miners, tilt.adversary_p, (trials, rounds)
         )
     else:
-        adversary = np.zeros((trials, rounds), dtype=index_dtype)
-    return (
-        np.asarray(honest, dtype=index_dtype),
-        np.asarray(adversary, dtype=index_dtype),
-    )
+        adversary = np.zeros((trials, rounds), dtype=np.int64)
+    return honest, adversary
 
 
 def cross_entropy_tilt(
@@ -309,12 +302,7 @@ def cross_entropy_tilt(
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         honest, adversary = draw_tilted_traces(
-            params,
-            tilt,
-            pilot_trials,
-            rounds,
-            generator,
-            policy=engine.policy,
+            params, tilt, pilot_trials, rounds, generator
         )
         result = engine.run_traces(honest, adversary)
         deficits = result.worst_deficits
@@ -546,11 +534,7 @@ class RareEventSimulation:
         ):
             for chunk in chunk_sizes(trials, rounds, self.chunk_cells):
                 honest, adversary = draw_mining_traces(
-                    self.params,
-                    chunk,
-                    rounds,
-                    self.rng,
-                    policy=self.engine.policy,
+                    self.params, chunk, rounds, self.rng
                 )
                 deficits, _, _ = self._deficits(honest, adversary)
                 hits += int((deficits >= self.depth).sum())
@@ -641,12 +625,7 @@ class RareEventSimulation:
         ):
             for chunk in chunk_sizes(trials, rounds, self.chunk_cells):
                 honest, adversary = draw_tilted_traces(
-                    self.params,
-                    tilt,
-                    chunk,
-                    rounds,
-                    self.rng,
-                    policy=self.engine.policy,
+                    self.params, tilt, chunk, rounds, self.rng
                 )
                 reached, first_crossing = self._first_crossings(
                     honest, adversary, self.depth
@@ -733,11 +712,7 @@ class RareEventSimulation:
             depth=self.depth,
         ):
             honest, adversary = draw_mining_traces(
-                self.params,
-                trials,
-                rounds,
-                self.rng,
-                policy=self.engine.policy,
+                self.params, trials, rounds, self.rng
             )
             level_probabilities = np.full(self.depth, np.nan)
             probability = 1.0
@@ -763,11 +738,7 @@ class RareEventSimulation:
                 ]
                 crossings = first_crossing[ancestors]
                 fresh_honest, fresh_adversary = draw_mining_traces(
-                    self.params,
-                    trials,
-                    rounds,
-                    self.rng,
-                    policy=self.engine.policy,
+                    self.params, trials, rounds, self.rng
                 )
                 columns = np.arange(rounds)[None, :]
                 adversary = np.where(
@@ -816,9 +787,8 @@ class RareEventSimulation:
         but the boolean mask spans the chunk, so the scan takes no
         workspace: that mask never stays pinned in the runner's pool.
         """
-        policy = self.engine.policy
-        mask = _opportunity_mask(policy, honest, self.params.delta)
-        deficits, first = _window_drawdown(policy, mask, adversary, level=level)
+        mask = _opportunity_mask(honest, self.params.delta)
+        deficits, first = _window_drawdown(mask, adversary, level=level)
         return deficits >= level, first
 
 

@@ -10,13 +10,13 @@ every spec takes the same path through :meth:`ExperimentRunner._cached_run`:
   :class:`numpy.random.SeedSequence`: a point's result is the same alone or
   in a grid, serial or sharded;
 * **caching** — one ``.npz`` per point, addressed by the identity plus the
-  package version (and any non-default dtype policy), so sweeps pay only
-  for new points and an upgrade never reads older files.  One codec serves
-  every result type (array fields as arrays, the rest as JSON meta); an
-  unreadable entry is logged, counted ``corrupt`` and recomputed;
+  package version, so sweeps pay only for new points and an upgrade never
+  reads older files.  One codec serves every result type (array fields as
+  arrays, the rest as JSON meta); an unreadable entry is logged, counted
+  ``corrupt`` and recomputed;
 * **sharding** — with ``processes > 1``, :meth:`ExperimentRunner._run_grid`
-  ships each pickled spec, with the caller's dtype policy, as one pool task
-  and merges the worker's result, spans, metrics and manifests back
+  ships each pickled spec as one pool task and merges the worker's result,
+  spans, metrics and manifests back
   (:mod:`repro.observability.distributed`), so a sharded grid of any kind
   reports exactly like a sequential one.
 """
@@ -36,7 +36,7 @@ from typing import Iterable, List, Optional, Sequence, Union
 import numpy as np
 
 from .. import _version
-from ..backend import WIDE_POLICY, Workspace, get_dtype_policy, use_dtype_policy
+from ..backend import Workspace
 from ..errors import SimulationError
 from ..observability import (
     METRICS as _METRICS,
@@ -265,16 +265,14 @@ class _WorkerOutcome:
 
 
 def _run_spec_task(job: tuple) -> tuple:
-    """The pool task of every grid: ``(index, flags, spec, cache_dir, policy)``.
+    """The pool task of every grid: ``(index, flags, spec, cache_dir)``.
 
     The parent's capture flags scope a tracer, metrics registry and buffering
     run log around the point, so its telemetry crosses the pool boundary.
-    The point runs under the parent's dtype policy, which a worker started
-    by spawn or forkserver would not inherit.
     """
-    index, flags, spec, cache_dir, policy = job
+    index, flags, spec, cache_dir = job
     started = time.perf_counter()
-    with use_dtype_policy(policy), capture_worker_telemetry(**flags) as capture:
+    with capture_worker_telemetry(**flags) as capture:
         runner = ExperimentRunner(
             base_seed=spec.base_seed,
             cache_dir=cache_dir,
@@ -366,11 +364,6 @@ class ExperimentRunner:
         payload = spec.payload()
         identity = _digest(payload)
         payload["package_version"] = _version.__version__
-        # Non-default dtype policies get their own cache slots (their float
-        # statistics may differ); seeds ignore the policy.
-        policy = get_dtype_policy()
-        if policy.name != WIDE_POLICY.name:
-            payload["dtype_policy"] = policy.payload()
         return identity, _digest(payload)
 
     def _seed_from_identity(self, identity: str) -> np.random.SeedSequence:
@@ -628,11 +621,7 @@ class ExperimentRunner:
                 "metrics": _METRICS.enabled,
                 "manifests": self.run_log is not None,
             }
-            policy = get_dtype_policy()
-            jobs = [
-                (i, flags, spec, self.cache_dir, policy)
-                for i, spec in enumerate(specs)
-            ]
+            jobs = [(i, flags, spec, self.cache_dir) for i, spec in enumerate(specs)]
             outcomes: List[Optional[_WorkerOutcome]] = [None] * len(jobs)
             import multiprocessing
 

@@ -82,7 +82,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..backend import Workspace, binomial, get_dtype_policy
+from ..backend import Workspace, binomial
 from ..errors import SimulationError
 from ..observability import METRICS as _METRICS, TRACE as _TRACE
 from ..params import ProtocolParameters
@@ -108,6 +108,7 @@ from .rng import SeedLike, resolve_rng
 from .topology import (
     DelayModel,
     MiningPowerProfile,
+    _integer_tensor,
     convergence_opportunity_mask_with_delays,
     resolve_delay_model,
 )
@@ -298,10 +299,9 @@ register_scenario(Scenario(name="selfish_mining", kind="selfish_mining"))
 # ----------------------------------------------------------------------
 # Scripted honest attribution
 # ----------------------------------------------------------------------
-def _max_window_successes(honest_counts, window: int, policy=None) -> int:
+def _max_window_successes(honest_counts, window: int) -> int:
     """Largest number of honest successes in any ``window`` consecutive rounds."""
-    index_dtype = get_dtype_policy(policy).index_dtype()
-    counts = np.asarray(honest_counts, dtype=index_dtype)
+    counts = np.asarray(honest_counts, dtype=np.int64)
     if counts.ndim == 1:
         counts = counts[None, :]
     if counts.size == 0:
@@ -311,8 +311,8 @@ def _max_window_successes(honest_counts, window: int, policy=None) -> int:
     padded = np.pad(counts, ((0, 0), (0, window - 1)))
     cumulative = np.concatenate(
         [
-            np.zeros((padded.shape[0], 1), dtype=index_dtype),
-            np.cumsum(padded, axis=1, dtype=index_dtype),
+            np.zeros((padded.shape[0], 1), dtype=np.int64),
+            np.cumsum(padded, axis=1, dtype=np.int64),
         ],
         axis=1,
     )
@@ -321,7 +321,7 @@ def _max_window_successes(honest_counts, window: int, policy=None) -> int:
 
 
 def _require_attribution_feasible(
-    honest_counts, honest_miners: int, honest_delay: int, policy=None
+    honest_counts, honest_miners: int, honest_delay: int
 ) -> None:
     """Raise unless rotating attribution avoids in-flight re-selection.
 
@@ -336,7 +336,7 @@ def _require_attribution_feasible(
     # runs only when that bound alone cannot clear the trace.
     if counts.size == 0 or window * int(counts.max()) <= honest_miners:
         return
-    worst = _max_window_successes(counts, window, policy)
+    worst = _max_window_successes(counts, window)
     if worst > honest_miners:
         raise SimulationError(
             f"cannot attribute {worst} honest successes within a "
@@ -881,8 +881,7 @@ class ScenarioSimulation:
         Optional :class:`~repro.backend.Workspace` of preallocated scratch
         buffers for the scan state and window kernels; pass one workspace
         across repeated runs (as the runner does) and the hot loops stop
-        allocating.  Results never alias the workspace.  Like the batch
-        engine, the ambient dtype policy is bound at construction.
+        allocating.  Results never alias the workspace.
     placement:
         Optional :class:`~repro.simulation.dynamics.AdversaryPlacement`
         (any object with a ``release_delay(topology, delta)`` method and a
@@ -922,7 +921,6 @@ class ScenarioSimulation:
             raise SimulationError(
                 f"draw_mode must be one of {DRAW_MODES}, got {draw_mode!r}"
             )
-        self.policy = get_dtype_policy()
         self.workspace = workspace
         self.params = params
         self.scenario = get_scenario(scenario)
@@ -1065,7 +1063,6 @@ class ScenarioSimulation:
                     self.rng,
                     self.draw_mode,
                     power=self.power,
-                    policy=self.policy,
                 )
                 # A partial cut's minority split is timed with the mining
                 # draws; delays keep a span of their own.
@@ -1119,9 +1116,8 @@ class ScenarioSimulation:
         honest successes; ``None`` keeps every honest success in the
         majority component.
         """
-        index_dtype = self.policy.index_dtype()
-        honest = np.asarray(honest_counts, dtype=index_dtype)
-        adversary = np.asarray(adversary_counts, dtype=index_dtype)
+        honest = _integer_tensor(honest_counts, "honest_counts")
+        adversary = _integer_tensor(adversary_counts, "adversary_counts")
         if honest.ndim != 2:
             raise SimulationError(
                 f"honest_counts must have shape (trials, rounds), got {honest.shape}"
@@ -1138,7 +1134,6 @@ class ScenarioSimulation:
             )
         if honest.min() < 0 or adversary.min() < 0:
             raise SimulationError("success counts must be non-negative")
-        self.policy.check_rounds(rounds)
         _METRICS.increment("engine.scenario.trials", trials)
         _METRICS.increment("engine.scenario.rounds", trials * rounds)
         cap = self.params.delta if max_delay is None else int(max_delay)
@@ -1148,7 +1143,7 @@ class ScenarioSimulation:
                 f"{max_delay!r}"
             )
         if delays is not None:
-            delays = np.asarray(delays, dtype=index_dtype)
+            delays = _integer_tensor(delays, "delays")
             if delays.shape != honest.shape:
                 raise SimulationError(
                     f"delays shape {delays.shape} does not match honest shape "
@@ -1157,9 +1152,7 @@ class ScenarioSimulation:
             if (delays < 0).any() or (delays > cap).any():
                 raise SimulationError(f"delays must lie in [0, {cap}]")
         window = cap if delays is not None else self.honest_delay
-        _require_attribution_feasible(
-            honest, self.honest_miners, window, policy=self.policy
-        )
+        _require_attribution_feasible(honest, self.honest_miners, window)
 
         cut_windows: List[Tuple[int, int]] = []
         if self._cut_fraction is not None:
@@ -1170,9 +1163,9 @@ class ScenarioSimulation:
                 )
             cut_windows = list(self.scenario.partition_windows(rounds))
             if split_counts is None:
-                split = np.zeros(honest.shape, dtype=index_dtype)
+                split = np.zeros(honest.shape, dtype=np.int64)
             else:
-                split = np.asarray(split_counts, dtype=index_dtype)
+                split = _integer_tensor(split_counts, "split_counts")
                 if split.shape != honest.shape:
                     raise SimulationError(
                         f"split_counts shape {split.shape} does not match "
@@ -1200,16 +1193,10 @@ class ScenarioSimulation:
                 )
         with _TRACE.span("scenario.mask", trials=trials, rounds=rounds):
             if delays is None:
-                mask = _opportunity_mask(
-                    self.policy, honest, self.params.delta, self.workspace
-                )
+                mask = _opportunity_mask(honest, self.params.delta, self.workspace)
             else:
                 mask = convergence_opportunity_mask_with_delays(
-                    honest,
-                    delays,
-                    self.params.delta,
-                    max_delay=cap,
-                    policy=self.policy,
+                    honest, delays, self.params.delta, max_delay=cap
                 )
             # During a cut no round is a convergence opportunity — the honest
             # miners cannot all hear a unique block while the network is split
@@ -1217,7 +1204,7 @@ class ScenarioSimulation:
             for start, end in cut_windows:
                 mask[:, start:end] = 0
         with _TRACE.span("scenario.deficits", trials=trials, rounds=rounds):
-            deficits, _ = _window_drawdown(self.policy, mask, adversary, self.workspace)
+            deficits, _ = _window_drawdown(mask, adversary, self.workspace)
         return ScenarioResult(
             params=self.params,
             scenario=self.scenario,
@@ -1225,9 +1212,9 @@ class ScenarioSimulation:
             rounds=rounds,
             draw_mode=self.draw_mode,
             honest_delay=self.honest_delay,
-            honest_blocks=honest.sum(axis=1, dtype=index_dtype),
-            adversary_blocks=adversary.sum(axis=1, dtype=index_dtype),
-            convergence_opportunities=mask.sum(axis=1, dtype=index_dtype),
+            honest_blocks=honest.sum(axis=1, dtype=np.int64),
+            adversary_blocks=adversary.sum(axis=1, dtype=np.int64),
+            convergence_opportunities=mask.sum(axis=1, dtype=np.int64),
             worst_deficits=deficits,
             honest_counts=honest if keep_traces else None,
             adversary_counts=adversary if keep_traces else None,
@@ -1269,12 +1256,10 @@ class ScenarioSimulation:
         the engine was built without one), so repeated runs at one
         (trials, rounds) shape reuse their vectors and delivery rings;
         every array that escapes into the result is copied out first.  The
-        decision flags stay boolean regardless of the dtype policy — the
-        scan's ``~`` / ``&`` logic needs logical, not bitwise, semantics.
+        decision flags are boolean: the scan's ``~`` / ``&`` logic needs
+        logical, not bitwise, semantics.
         """
         workspace = self.workspace if self.workspace is not None else Workspace()
-        index_dtype = self.policy.index_dtype()
-        mask_dtype = self.policy.mask_dtype()
         trials, rounds = honest.shape
         kind = self.scenario.kind
         delay = self.honest_delay
@@ -1291,28 +1276,26 @@ class ScenarioSimulation:
             None if delays is None else np.ascontiguousarray(delays.T)
         )
 
-        public = workspace.zeros("scan.public", (trials,), index_dtype)
-        private = workspace.zeros("scan.private", (trials,), index_dtype)
-        fork = workspace.zeros("scan.fork", (trials,), index_dtype)
+        public = workspace.zeros("scan.public", (trials,), np.int64)
+        private = workspace.zeros("scan.private", (trials,), np.int64)
+        fork = workspace.zeros("scan.fork", (trials,), np.int64)
         active = workspace.zeros("scan.active", (trials,), np.bool_)
-        withheld = workspace.zeros("scan.withheld", (trials,), index_dtype)
-        releases = workspace.zeros("scan.releases", (trials,), index_dtype)
-        abandons = workspace.zeros("scan.abandons", (trials,), index_dtype)
-        deepest = workspace.zeros("scan.deepest", (trials,), index_dtype)
-        orphaned = workspace.zeros("scan.orphaned", (trials,), index_dtype)
+        withheld = workspace.zeros("scan.withheld", (trials,), np.int64)
+        releases = workspace.zeros("scan.releases", (trials,), np.int64)
+        abandons = workspace.zeros("scan.abandons", (trials,), np.int64)
+        deepest = workspace.zeros("scan.deepest", (trials,), np.int64)
+        orphaned = workspace.zeros("scan.orphaned", (trials,), np.int64)
         no_release = workspace.zeros("scan.no_release", (trials,), np.bool_)
         # Per-round temporaries live in the workspace too, so the steady
-        # state of the round loop performs no allocation at all.  Flags stay
-        # boolean (never the policy mask dtype): the logic needs logical
-        # semantics, and the buffers never escape into results.
+        # state of the round loop performs no allocation at all.
         some_honest = workspace.empty("scan.some_honest", (trials,), np.bool_)
-        mined_height = workspace.empty("scan.mined_height", (trials,), index_dtype)
+        mined_height = workspace.empty("scan.mined_height", (trials,), np.int64)
         flag = workspace.empty("scan.flag", (trials,), np.bool_)
-        scratch = workspace.empty("scan.scratch", (trials,), index_dtype)
+        scratch = workspace.empty("scan.scratch", (trials,), np.int64)
         some_adversary = workspace.empty("scan.some_adversary", (trials,), np.bool_)
         starting = workspace.empty("scan.starting", (trials,), np.bool_)
-        lead = workspace.empty("scan.lead", (trials,), index_dtype)
-        depth = workspace.empty("scan.depth", (trials,), index_dtype)
+        lead = workspace.empty("scan.lead", (trials,), np.int64)
+        depth = workspace.empty("scan.depth", (trials,), np.int64)
         released_flags = workspace.empty("scan.released", (trials,), np.bool_)
         abandoned_flags = workspace.empty("scan.abandoned", (trials,), np.bool_)
         keep = workspace.empty("scan.keep", (trials,), np.bool_)
@@ -1322,10 +1305,10 @@ class ScenarioSimulation:
         schedule = None
         if delay_rows is not None:
             schedule = workspace.zeros(
-                "scan.schedule", (trials, cap + 1), index_dtype
+                "scan.schedule", (trials, cap + 1), np.int64
             )
         elif delay >= 1:
-            ring = workspace.zeros("scan.ring", (trials, delay), index_dtype)
+            ring = workspace.zeros("scan.ring", (trials, delay), np.int64)
         # In-flight adversarial releases (placement-aware adversaries): the
         # slot being delivered this round is the one refilled afterwards, so
         # at most one pending release ever occupies a slot.
@@ -1333,21 +1316,21 @@ class ScenarioSimulation:
         release_forks = None
         if release_delay >= 1:
             release_heights = workspace.zeros(
-                "scan.release_heights", (trials, release_delay), index_dtype
+                "scan.release_heights", (trials, release_delay), np.int64
             )
             release_forks = workspace.zeros(
-                "scan.release_forks", (trials, release_delay), index_dtype
+                "scan.release_forks", (trials, release_delay), np.int64
             )
 
         if record_rounds:
             # Record tensors escape into the result, so they are allocated
             # fresh rather than drawn from the workspace.
-            public_record = np.zeros((trials, rounds), dtype=index_dtype)
-            private_record = np.zeros((trials, rounds), dtype=index_dtype)
-            release_record = np.zeros((trials, rounds), dtype=mask_dtype)
-            abandon_record = np.zeros((trials, rounds), dtype=mask_dtype)
-            lead_record = np.zeros((trials, rounds), dtype=index_dtype)
-            depth_record = np.zeros((trials, rounds), dtype=index_dtype)
+            public_record = np.zeros((trials, rounds), dtype=np.int64)
+            private_record = np.zeros((trials, rounds), dtype=np.int64)
+            release_record = np.zeros((trials, rounds), dtype=np.bool_)
+            abandon_record = np.zeros((trials, rounds), dtype=np.bool_)
+            lead_record = np.zeros((trials, rounds), dtype=np.int64)
+            depth_record = np.zeros((trials, rounds), dtype=np.int64)
 
         for index in range(rounds):
             mined_honest = honest_rows[index]
@@ -1522,7 +1505,7 @@ class ScenarioSimulation:
             "decision_leads": lead_record if record_rounds else None,
             "decision_fork_depths": depth_record if record_rounds else None,
             # The aggregate path never splits, so it never merges.
-            "merge_depths": np.zeros((trials,), dtype=index_dtype),
+            "merge_depths": np.zeros((trials,), dtype=np.int64),
             "component_heights": None,
         }
 
@@ -1546,8 +1529,6 @@ class ScenarioSimulation:
         static branches over vector state.
         """
         workspace = self.workspace if self.workspace is not None else Workspace()
-        index_dtype = self.policy.index_dtype()
-        mask_dtype = self.policy.mask_dtype()
         trials, rounds = honest.shape
         kind = self.scenario.kind
         delay = self.honest_delay
@@ -1567,7 +1548,7 @@ class ScenarioSimulation:
         adversary_rows = np.ascontiguousarray(adversary.T)
         split_rows = np.ascontiguousarray(split.T)
 
-        def pair(tag, shape=(trials,), dtype=index_dtype):
+        def pair(tag, shape=(trials,), dtype=np.int64):
             return [
                 workspace.zeros(f"scan2.{tag}0", shape, dtype),
                 workspace.zeros(f"scan2.{tag}1", shape, dtype),
@@ -1583,22 +1564,22 @@ class ScenarioSimulation:
         if release_delay >= 1:
             rel_h = pair("release_heights", (trials, release_delay))
             rel_f = pair("release_forks", (trials, release_delay))
-        common = workspace.zeros("scan2.common", (trials,), index_dtype)
-        releases = workspace.zeros("scan2.releases", (trials,), index_dtype)
-        abandons = workspace.zeros("scan2.abandons", (trials,), index_dtype)
-        deepest = workspace.zeros("scan2.deepest", (trials,), index_dtype)
-        orphaned = workspace.zeros("scan2.orphaned", (trials,), index_dtype)
-        merge_depth = workspace.zeros("scan2.merge_depth", (trials,), index_dtype)
+        common = workspace.zeros("scan2.common", (trials,), np.int64)
+        releases = workspace.zeros("scan2.releases", (trials,), np.int64)
+        abandons = workspace.zeros("scan2.abandons", (trials,), np.int64)
+        deepest = workspace.zeros("scan2.deepest", (trials,), np.int64)
+        orphaned = workspace.zeros("scan2.orphaned", (trials,), np.int64)
+        merge_depth = workspace.zeros("scan2.merge_depth", (trials,), np.int64)
         no_release = workspace.zeros("scan2.no_release", (trials,), np.bool_)
 
         if record_rounds:
-            public_record = np.zeros((trials, rounds), dtype=index_dtype)
-            private_record = np.zeros((trials, rounds), dtype=index_dtype)
-            release_record = np.zeros((trials, rounds), dtype=mask_dtype)
-            abandon_record = np.zeros((trials, rounds), dtype=mask_dtype)
-            lead_record = np.zeros((trials, rounds), dtype=index_dtype)
-            depth_record = np.zeros((trials, rounds), dtype=index_dtype)
-            component_record = np.zeros((trials, rounds, 2), dtype=index_dtype)
+            public_record = np.zeros((trials, rounds), dtype=np.int64)
+            private_record = np.zeros((trials, rounds), dtype=np.int64)
+            release_record = np.zeros((trials, rounds), dtype=np.bool_)
+            abandon_record = np.zeros((trials, rounds), dtype=np.bool_)
+            lead_record = np.zeros((trials, rounds), dtype=np.int64)
+            depth_record = np.zeros((trials, rounds), dtype=np.int64)
+            component_record = np.zeros((trials, rounds, 2), dtype=np.int64)
 
         cut = False
         cut_end = -1
@@ -1683,7 +1664,7 @@ class ScenarioSimulation:
                     landing = rel_h[0][:, release_slot]
                     if landing.any():
                         landed = workspace.zeros(
-                            "scan2.landed", (trials,), index_dtype
+                            "scan2.landed", (trials,), np.int64
                         )
                         displaced_all = None
                         for c in components:

@@ -679,7 +679,6 @@ class _StreamedSimulation:
             rng,
             engine.draw_mode,
             power=engine.power,
-            policy=engine.policy,
         )
         tensors = {"honest_counts": honest, "adversary_counts": adversary}
         rest = {}
@@ -694,7 +693,6 @@ class _StreamedSimulation:
         the result is filled from the run's shape, the accumulator's tallies
         and the subclass's ``labels``."""
         trials, rounds = _validate_shape(trials, rounds)
-        self.engine.policy.check_rounds(rounds)
         plan = self._plan(trials, rounds)
         block, n_blocks, per_chunk = plan
         n_chunks = -(-n_blocks // per_chunk)
@@ -741,7 +739,6 @@ class _StreamedSimulation:
         engine = self.engine
         # The first chunk is the largest: ``per_chunk`` whole blocks, or all.
         capacity = min(per_chunk * block, trials)
-        index_dtype = engine.policy.index_dtype()
         buffers = {}
         clock = time.perf_counter
         for first in range(0, n_blocks, per_chunk):
@@ -756,7 +753,7 @@ class _StreamedSimulation:
                             self.workspace,
                             f"stream.{name}",
                             (capacity, rounds),
-                            index_dtype,
+                            np.int64,
                         )
                     buffers[name][offset : offset + size] = tensor
                 offset += size

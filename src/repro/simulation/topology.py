@@ -51,7 +51,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..backend import get_dtype_policy
 from ..errors import SimulationError
 from ..observability import METRICS as _METRICS, TRACE as _TRACE
 from ..params import ProtocolParameters, coerce_positive_int
@@ -80,6 +79,38 @@ __all__ = [
 _UNREACHED = np.int64(2) ** 31
 
 
+def _integer_tensor(values, name: str, error_type: type = SimulationError):
+    """``values`` as an int64 array, rejecting what is not whole numbers.
+
+    The engines' trace front ends share this rule.  An integer or bool
+    array converts without a scan, and an int64 one without a copy, so the
+    engines' own tensors pass for free.  A float array is accepted when
+    every value is an exact integer.  Fractional, non-finite and
+    non-numeric input raises ``error_type`` instead of being truncated.
+    """
+    message = (
+        f"{name} must hold integers; got non-integral, non-finite or "
+        "non-numeric values"
+    )
+    try:
+        array = np.asarray(values)
+    except (TypeError, ValueError):  # ragged nesting
+        raise error_type(message) from None
+    if array.dtype.kind in "biu":
+        return array.astype(np.int64, copy=False)
+    if array.dtype.kind != "f":
+        raise error_type(message)
+    # NaN, infinities and floats beyond int64 make the cast invalid.
+    with np.errstate(invalid="raise"):
+        try:
+            integers = array.astype(np.int64)
+        except FloatingPointError:
+            raise error_type(message) from None
+    if not np.array_equal(integers, array):
+        raise error_type(message)
+    return integers
+
+
 # ----------------------------------------------------------------------
 # Generalized convergence-opportunity detection
 # ----------------------------------------------------------------------
@@ -88,7 +119,6 @@ def convergence_opportunity_mask_with_delays(
     delays,
     delta: int,
     max_delay: Optional[int] = None,
-    policy=None,
 ):
     """Convergence opportunities under per-block realized delivery delays.
 
@@ -118,10 +148,8 @@ def convergence_opportunity_mask_with_delays(
     the obstructed span, which is exactly the consistency threat being
     measured.
     """
-    policy = get_dtype_policy(policy)
-    index_dtype = policy.index_dtype()
-    counts = np.asarray(honest_counts, dtype=index_dtype)
-    offsets = np.asarray(delays, dtype=index_dtype)
+    counts = _integer_tensor(honest_counts, "honest_counts")
+    offsets = _integer_tensor(delays, "delays")
     if counts.ndim != 2:
         raise SimulationError(
             f"honest_counts must have shape (trials, rounds), got {counts.shape}"
@@ -141,26 +169,26 @@ def convergence_opportunity_mask_with_delays(
     if (offsets < 0).any() or (offsets > cap).any():
         raise SimulationError(f"delays must lie in [0, {cap}]")
     trials, rounds = counts.shape
-    mask = np.zeros((trials, rounds), dtype=policy.mask_dtype())
+    mask = np.zeros((trials, rounds), dtype=np.bool_)
     # No early exit for short traces: with realized delays below delta an
     # opportunity can complete even when rounds < 2*delta + 1 (the warm-up
     # and completion conditions below make the constant-delta case return
     # all-false there, exactly like the classic mask).
-    index = np.arange(rounds, dtype=index_dtype)
+    index = np.arange(rounds, dtype=np.int64)
     success = counts > 0
     # Delivery round of each mined block; -1 sentinels keep the running
     # maximum below any real round for silent cells.
     arrival = np.where(success, index + offsets, -1)
     previous_arrival = np.maximum.accumulate(arrival, axis=1)
     previous_arrival = np.concatenate(
-        [np.full((trials, 1), -1, dtype=index_dtype), previous_arrival[:, :-1]],
+        [np.full((trials, 1), -1, dtype=np.int64), previous_arrival[:, :-1]],
         axis=1,
     )
     # First success strictly after each round, via a reversed running minimum.
     next_success = np.where(success, index, rounds)
     next_success = np.minimum.accumulate(next_success[:, ::-1], axis=1)[:, ::-1]
     next_success = np.concatenate(
-        [next_success[:, 1:], np.full((trials, 1), rounds, dtype=index_dtype)],
+        [next_success[:, 1:], np.full((trials, 1), rounds, dtype=np.int64)],
         axis=1,
     )
 
@@ -611,9 +639,7 @@ class FixedDeltaDelayModel(DelayModel):
         self, trials: int, rounds: int, delta: int, rng: np.random.Generator
     ):
         self._check_shape(trials, rounds, delta)
-        return np.full(
-            (trials, rounds), delta, dtype=get_dtype_policy().index_dtype()
-        )
+        return np.full((trials, rounds), delta, dtype=np.int64)
 
 
 class UniformDelayModel(DelayModel):
@@ -643,8 +669,7 @@ class UniformDelayModel(DelayModel):
             )
         # The draw's default dtype is int64, matching the historical
         # explicit dtype, so the bit stream is unchanged.
-        draws = rng.integers(self.low, high + 1, size=(trials, rounds))
-        return np.asarray(draws, dtype=get_dtype_policy().index_dtype())
+        return rng.integers(self.low, high + 1, size=(trials, rounds))
 
     def payload(self) -> Dict[str, object]:
         return {"name": self.name, "low": self.low, "high": self.high}
@@ -673,9 +698,8 @@ class TruncatedGeometricDelayModel(DelayModel):
         self, trials: int, rounds: int, delta: int, rng: np.random.Generator
     ):
         self._check_shape(trials, rounds, delta)
-        index_dtype = get_dtype_policy().index_dtype()
         draws = rng.geometric(self.success_probability, size=(trials, rounds)) - 1
-        return np.minimum(np.asarray(draws, dtype=index_dtype), delta)
+        return np.minimum(draws, delta)
 
     def payload(self) -> Dict[str, object]:
         return {"name": self.name, "success_probability": self.success_probability}
@@ -704,9 +728,8 @@ class PeerGraphDelayModel(DelayModel):
         self, trials: int, rounds: int, delta: int, rng: np.random.Generator
     ):
         self._check_shape(trials, rounds, delta)
-        index_dtype = get_dtype_policy().index_dtype()
         radii = np.minimum(
-            np.asarray(self.topology.delivery_radii(), dtype=index_dtype), delta
+            np.asarray(self.topology.delivery_radii(), dtype=np.int64), delta
         )
         sources = rng.integers(0, self.topology.n_nodes, size=(trials, rounds))
         return radii[sources]

@@ -4,10 +4,11 @@ The digests below were produced by the engines *before* the backend-layer
 refactor (PR 4 state, ``rng=2026``, 12 trials x 600 rounds) by hashing the
 dtype, shape and raw bytes of every headline result tensor.  The refactored
 engines must reproduce them exactly — with and without a shared
-:class:`~repro.backend.Workspace`, and under an explicit
-``use_dtype_policy("wide")`` that overrides the environment — which pins the
-claim that neither routing the tensor math through a backend handle nor
-calling NumPy directly again changed anything about the arithmetic.
+:class:`~repro.backend.Workspace`, and with a leftover
+``REPRO_DTYPE_POLICY`` in the environment, which the engines no longer
+read — which pins the claim that neither routing the tensor math through a
+backend handle, nor calling NumPy directly again, nor naming the dtypes
+directly changed anything about the arithmetic.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.backend import DTYPE_POLICY_ENV_VAR, Workspace, use_dtype_policy
+from repro.backend import Workspace
 from repro.params import parameters_from_c
 from repro.simulation import BatchSimulation, ScenarioSimulation
 from repro.simulation.dynamics import (
@@ -123,12 +124,11 @@ def test_batch_engine_bit_identical_to_pre_refactor(nu, delta):
 
 
 @pytest.mark.parametrize("nu,delta", GRID)
-def test_batch_engine_bit_identical_under_explicit_wide_policy(
+def test_batch_engine_bit_identical_under_a_leftover_policy_variable(
     nu, delta, monkeypatch
 ):
-    monkeypatch.setenv(DTYPE_POLICY_ENV_VAR, "compact")
-    with use_dtype_policy("wide"):
-        assert _batch_digest(nu, delta) == BATCH_GOLDENS[(nu, delta)]
+    monkeypatch.setenv("REPRO_DTYPE_POLICY", "compact")
+    assert _batch_digest(nu, delta) == BATCH_GOLDENS[(nu, delta)]
 
 
 @pytest.mark.parametrize("nu,delta", GRID)

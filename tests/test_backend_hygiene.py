@@ -1,4 +1,4 @@
-"""Lint-style guards on the engines' hot paths: Binomial draws and instrumentation.
+"""Lint-style guards: hot-path Binomial draws and instrumentation, and knobs.
 
 Every Binomial count a hot path draws must come from
 :func:`repro.backend.binomial`, the exact inversion sampler.  It returns
@@ -15,12 +15,18 @@ touch instrumentation only through the module-level no-op handles
 through the public names or a live tracer object, and never from inside a
 ``for``/``while`` loop, so steady-state kernels stay instrumentation-free
 per iteration even when tracing is on.
+
+A last guard pins the package's environment knobs: every ``REPRO_*`` name
+in a string constant of ``src/repro`` (docstrings aside) must be on one
+list, so adding a knob is a visible test edit.
 """
 
 from __future__ import annotations
 
 import ast
 import inspect
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -322,3 +328,56 @@ def test_instrumentation_guard_actually_detects_violations():
     clean_node = ast.parse(clean).body[0]
     assert not _instrumentation_violations(clean_node)
     assert not _loop_instrumentation_violations(clean_node)
+
+
+# ----------------------------------------------------------------------
+# Environment knobs: one pinned list
+# ----------------------------------------------------------------------
+#: Every environment variable the package reads.
+ENVIRONMENT_KNOBS = {
+    "REPRO_CHUNK_CELLS",
+    "REPRO_TRACE",
+    "REPRO_PROGRESS",
+    "REPRO_RUN_LOG",
+    "REPRO_BENCH_TRAJECTORY",
+}
+
+
+def _knob_names(tree: ast.AST) -> set:
+    """``REPRO_*`` names in the string constants of ``tree``, docstrings aside."""
+    docstrings = set()
+    for node in ast.walk(tree):
+        body = getattr(node, "body", None)
+        if (
+            isinstance(
+                node,
+                (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef),
+            )
+            and body
+            and isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant)
+        ):
+            docstrings.add(id(body[0].value))
+    return {
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and id(node) not in docstrings
+        for name in re.findall(r"REPRO_[A-Z_]+", node.value)
+    }
+
+
+def test_environment_knobs_are_the_pinned_list():
+    planted = (
+        '"""Docs may name REPRO_DOC."""\n'
+        'def f(x):\n'
+        '    """Nor REPRO_DOC2."""\n'
+        '    return os.environ.get("REPRO_A"), f"REPRO_B={x}"\n'
+    )
+    assert _knob_names(ast.parse(planted)) == {"REPRO_A", "REPRO_B"}
+    package = pathlib.Path(repro.backend.__file__).parent.parent
+    found = set()
+    for path in sorted(package.rglob("*.py")):
+        found |= _knob_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert found == ENVIRONMENT_KNOBS

@@ -88,9 +88,9 @@ def _drawn_chunks(params, monkeypatch, **estimator_options):
     drawn = []
     draw = rare_events.draw_tilted_traces
 
-    def recorded(params_, tilt, trials, rounds, rng, policy=None):
+    def recorded(params_, tilt, trials, rounds, rng):
         drawn.append(trials)
-        return draw(params_, tilt, trials, rounds, rng, policy=policy)
+        return draw(params_, tilt, trials, rounds, rng)
 
     monkeypatch.setattr(rare_events, "draw_tilted_traces", recorded)
     estimator = RareEventSimulation(params, 4, rng=0, **estimator_options)

@@ -7,9 +7,9 @@ truncates into a smaller run nor reaches NumPy as a raw ``TypeError`` — and
 an integral float still runs that many trials.
 
 The trace front ends check their tensors the same way: negative counts,
-zero-trial tensors, a mask of the wrong rank and a fractional ``delta``
-each raise the layer's named error instead of a wrong number or a raw
-NumPy exception.
+zero-trial tensors, a mask of the wrong rank, a fractional ``delta`` and a
+tensor holding a fractional, NaN or non-numeric value each raise the
+layer's named error instead of a wrong number or a raw NumPy exception.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.params import parameters_from_c
 from repro.simulation import (
     BatchSimulation,
     ExponentialTilt,
+    PartitionScenario,
     RareEventSimulation,
     ScenarioSimulation,
     StreamingBatchSimulation,
@@ -33,6 +34,7 @@ from repro.simulation.batch import (
     count_convergence_opportunities_batch,
     worst_window_deficits,
 )
+from repro.simulation.topology import convergence_opportunity_mask_with_delays
 
 PARAMS = parameters_from_c(c=2.0, n=200, delta=2, nu=0.3)
 ROUNDS = 40
@@ -137,3 +139,109 @@ def test_opportunity_counts_need_a_positive_integer_delta(delta):
     with pytest.raises(ParameterError, match="delta must be a positive integer"):
         count_convergence_opportunities_batch(counts, delta)
     assert count_convergence_opportunities_batch(counts, 2.0).tolist() == [0, 0]
+
+
+_HONEST, _ADVERSARY = draw_mining_traces(PARAMS, 2, ROUNDS, rng=0)
+_TENSORS = {
+    "honest_counts": _HONEST,
+    "adversary_counts": _ADVERSARY,
+    "delays": np.ones_like(_HONEST),
+    "split_counts": np.zeros_like(_HONEST),
+    "opportunity_mask": np.zeros(_HONEST.shape, dtype=bool),
+}
+_CUT = PartitionScenario(
+    name="cut",
+    kind="private_chain",
+    partition_start=10,
+    partition_duration=10,
+    cut_fraction=0.5,
+)
+
+
+def _batch(honest_counts, adversary_counts, delays, **_):
+    engine = BatchSimulation(PARAMS, rng=0)
+    return engine.run_traces(honest_counts, adversary_counts, delays=delays)
+
+
+def _scenario(honest_counts, adversary_counts, delays, **_):
+    engine = ScenarioSimulation(PARAMS, "private_chain", rng=0)
+    return engine.run_traces(honest_counts, adversary_counts, delays=delays)
+
+
+def _cut(honest_counts, adversary_counts, split_counts, **_):
+    engine = ScenarioSimulation(PARAMS, _CUT, rng=0)
+    return engine.run_traces(
+        honest_counts, adversary_counts, split_counts=split_counts
+    )
+
+
+def _deficits(opportunity_mask, adversary_counts, **_):
+    return worst_window_deficits(opportunity_mask, adversary_counts)
+
+
+def _opportunities(honest_counts, **_):
+    return count_convergence_opportunities_batch(honest_counts, 2)
+
+
+def _mask(honest_counts, delays, **_):
+    return convergence_opportunity_mask_with_delays(honest_counts, delays, 2)
+
+
+#: ``(front end, argument)`` -> (call taking every tensor by name, error).
+INTEGER_ARGUMENTS = {
+    (front, name): (call, error)
+    for front, call, error, names in (
+        (
+            "BatchSimulation.run_traces",
+            _batch,
+            SimulationError,
+            ("honest_counts", "adversary_counts", "delays"),
+        ),
+        (
+            "ScenarioSimulation.run_traces",
+            _scenario,
+            SimulationError,
+            ("honest_counts", "adversary_counts", "delays"),
+        ),
+        ("ScenarioSimulation.run_traces", _cut, SimulationError, ("split_counts",)),
+        (
+            "worst_window_deficits",
+            _deficits,
+            SimulationError,
+            ("opportunity_mask", "adversary_counts"),
+        ),
+        (
+            "count_convergence_opportunities_batch",
+            _opportunities,
+            ParameterError,
+            ("honest_counts",),
+        ),
+        (
+            "convergence_opportunity_mask_with_delays",
+            _mask,
+            SimulationError,
+            ("honest_counts", "delays"),
+        ),
+    )
+    for name in names
+}
+
+
+@pytest.mark.parametrize("value", [1.5, np.nan, "a"], ids=repr)
+@pytest.mark.parametrize(
+    "front, argument",
+    sorted(INTEGER_ARGUMENTS),
+    ids=[":".join(key) for key in sorted(INTEGER_ARGUMENTS)],
+)
+def test_an_integer_tensor_holding_a_non_integer_is_rejected(front, argument, value):
+    """Integral floats pass as before; 1.5 is not truncated to 1, NaN is
+    not cast under a warning, and a string raises the layer's error."""
+    call, error = INTEGER_ARGUMENTS[front, argument]
+    tensors = dict(_TENSORS)
+    tensors[argument] = tensors[argument].astype(float)
+    call(**tensors)
+    bad = tensors[argument].astype(object if isinstance(value, str) else float)
+    bad[0, 3] = value
+    tensors[argument] = bad
+    with pytest.raises(error, match=f"^{argument} must hold integers"):
+        call(**tensors)

@@ -8,8 +8,8 @@ replaced: core's
 :func:`~repro.core.concat_chain.convergence_opportunity_mask` for the mask,
 a ``cumsum`` / ``maximum.accumulate`` drawdown, and the first-crossing scan
 the rare-event estimator used to run on its own.  The kernels must match
-them bit for bit, with and without a workspace, under both dtype policies,
-and whatever row tiles they run in.
+them bit for bit, with and without a workspace, and whatever row tiles
+they run in.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 
 import repro.simulation.batch as batch
 import repro.simulation.rare_events as rare_events
-from repro.backend import Workspace, get_dtype_policy, use_dtype_policy
+from repro.backend import Workspace
 from repro.core.concat_chain import convergence_opportunity_mask
 from repro.params import parameters_from_c
 from repro.simulation.batch import (
@@ -36,7 +36,6 @@ from repro.simulation.rare_events import (
     log_likelihood_ratios,
 )
 
-POLICIES = ("wide", "compact")
 DELTAS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 16)
 
 
@@ -61,78 +60,63 @@ def reference_first_crossings(honest, adversary, delta: int, level: int):
     return crossed.any(axis=1), np.argmax(crossed, axis=1)
 
 
-def _traces(rounds: int, trials: int = 24, seed: int = 0, dtype=np.int64):
+def _traces(rounds: int, trials: int = 24, seed: int = 0):
     """Sparse honest counts (long empty runs, some singles) and adversary counts."""
     rng = np.random.default_rng(seed)
     honest = rng.poisson(rng.uniform(0.05, 0.8, size=(trials, 1)), (trials, rounds))
     adversary = rng.poisson(0.2, size=(trials, rounds))
-    return honest.astype(dtype), adversary.astype(dtype)
+    return honest, adversary
 
 
 class TestKernels:
-    @pytest.mark.parametrize("policy_name", POLICIES)
     @pytest.mark.parametrize("delta", DELTAS)
-    def test_kernels_match_oracles_around_the_shortest_traces(self, policy_name, delta):
+    def test_kernels_match_oracles_around_the_shortest_traces(self, delta):
         """Both kernels, on and off a workspace, from ``2Δ`` rounds up.
 
         Δ runs past 4, the first doubling step that is not a power of two.
         """
-        policy = get_dtype_policy(policy_name)
-        index_dtype = policy.index_dtype()
         workspace = Workspace()
         for rounds in (2 * delta, 2 * delta + 1, 2 * delta + 2, 400):
             honest, adversary = _traces(rounds, seed=delta * 1_000 + rounds)
             expected_mask = convergence_opportunity_mask(honest, delta)
             expected = reference_drawdown(expected_mask, adversary).max(axis=1)
-            adversary = adversary.astype(index_dtype)
             for pool in (None, workspace):
-                mask = _opportunity_mask(
-                    policy, honest.astype(index_dtype), delta, pool
-                )
-                assert mask.dtype == policy.mask_dtype()
-                assert np.array_equal(mask.astype(bool), expected_mask), rounds
-                deficits, crossings = _window_drawdown(policy, mask, adversary, pool)
+                mask = _opportunity_mask(honest, delta, pool)
+                assert mask.dtype == np.bool_
+                assert np.array_equal(mask, expected_mask), rounds
+                deficits, crossings = _window_drawdown(mask, adversary, pool)
                 assert crossings is None
                 assert np.array_equal(deficits, expected)
                 assert np.array_equal(
-                    worst_window_deficits(
-                        mask, adversary, workspace=pool, policy=policy
-                    ),
+                    worst_window_deficits(mask, adversary, workspace=pool),
                     expected,
                 )
         # The sparse traces do exercise the pattern (no vacuous pass).
         assert expected_mask.any()
 
-    @pytest.mark.parametrize("policy_name", POLICIES)
-    def test_batch_counts_match_core_mask(self, policy_name):
+    def test_batch_counts_match_core_mask(self):
         honest, _ = _traces(300)
-        with use_dtype_policy(policy_name):
-            counts = count_convergence_opportunities_batch(honest, 5)
+        counts = count_convergence_opportunities_batch(honest, 5)
         expected = convergence_opportunity_mask(honest, 5).sum(axis=1)
         assert np.array_equal(counts, expected)
 
     def test_stale_workspace_buffers_do_not_leak(self):
         """A reused buffer holding a previous run's values gives fresh results."""
-        policy = get_dtype_policy("wide")
         workspace = Workspace()
         for seed in (3, 4, 5):
             honest, _ = _traces(50, trials=8, seed=seed)
-            got = _opportunity_mask(policy, honest, 3, workspace)
+            got = _opportunity_mask(honest, 3, workspace)
             assert np.array_equal(got, convergence_opportunity_mask(honest, 3))
 
 
 class TestDrawdownKernel:
-    @pytest.mark.parametrize("policy_name", POLICIES)
-    def test_first_crossing_at_every_level(self, policy_name):
-        policy = get_dtype_policy(policy_name)
+    def test_first_crossing_at_every_level(self):
         honest, adversary = _traces(120, trials=64, seed=7)
         mask = convergence_opportunity_mask(honest, 2)
         drawdown = reference_drawdown(mask, adversary)
         for level in range(1, int(drawdown.max()) + 2):
             crossed = drawdown >= level
-            deficits, first = _window_drawdown(
-                policy, mask, adversary.astype(policy.index_dtype()), level=level
-            )
+            deficits, first = _window_drawdown(mask, adversary, level=level)
             assert np.array_equal(deficits >= level, crossed.any(axis=1))
             assert np.array_equal(first, np.argmax(crossed, axis=1))
 
@@ -140,16 +124,13 @@ class TestDrawdownKernel:
 class TestFirstCrossings:
     """``RareEventSimulation._first_crossings`` against the old private scan."""
 
-    @pytest.mark.parametrize("policy_name", POLICIES)
     @pytest.mark.parametrize("delta", (1, 2, 5))
-    def test_matches_oracle_at_every_level(self, policy_name, delta):
+    def test_matches_oracle_at_every_level(self, delta):
         params = parameters_from_c(c=4.0, n=1_000, delta=delta, nu=0.2)
         depth = 6
         rounds = 60
-        with use_dtype_policy(policy_name) as policy:
-            estimator = RareEventSimulation(params, depth=depth, rng=0)
-            index_dtype = policy.index_dtype()
-        honest, adversary = _traces(rounds, trials=200, seed=delta, dtype=index_dtype)
+        estimator = RareEventSimulation(params, depth=depth, rng=0)
+        honest, adversary = _traces(rounds, trials=200, seed=delta)
         # Rows with no adversarial block never cross any level.
         adversary[:20] = 0
         late = never = 0
@@ -171,42 +152,33 @@ class TestFirstCrossings:
 class TestTiles:
     """Tiny row tiles: full, partial and single tiles, and rows wider than one."""
 
-    @pytest.mark.parametrize("policy_name", POLICIES)
     @pytest.mark.parametrize("trials", (1, 2, 3, 4, 10))
     @pytest.mark.parametrize("rounds, tile_cells, rows", [(40, 3 * 41, 3), (90, 50, 1)])
     def test_tiled_kernels_match_oracles(
-        self, policy_name, trials, rounds, tile_cells, rows, monkeypatch
+        self, trials, rounds, tile_cells, rows, monkeypatch
     ):
         monkeypatch.setattr(batch, "TILE_CELLS", tile_cells)
         assert batch._tile_rows(trials, rounds) == min(rows, trials)
         delta = 3
-        policy = get_dtype_policy(policy_name)
-        index_dtype = policy.index_dtype()
         honest, adversary = _traces(rounds, trials=trials, seed=trials + rounds)
         expected_mask = convergence_opportunity_mask(honest, delta)
         drawdown = reference_drawdown(expected_mask, adversary)
-        honest, adversary = honest.astype(index_dtype), adversary.astype(index_dtype)
         for pool in (None, Workspace()):
-            mask = _opportunity_mask(policy, honest, delta, pool)
-            assert np.array_equal(mask.astype(bool), expected_mask)
+            mask = _opportunity_mask(honest, delta, pool)
+            assert np.array_equal(mask, expected_mask)
             for level in (None, 1, 2, int(drawdown.max()) + 1):
-                deficits, first = _window_drawdown(
-                    policy, mask, adversary, pool, level=level
-                )
+                deficits, first = _window_drawdown(mask, adversary, pool, level=level)
                 assert np.array_equal(deficits, drawdown.max(axis=1))
                 if level is not None:
                     assert np.array_equal(first, np.argmax(drawdown >= level, axis=1))
 
-    @pytest.mark.parametrize("policy_name", POLICIES)
-    def test_first_crossings_at_both_ends_of_a_tile(self, policy_name, monkeypatch):
+    def test_first_crossings_at_both_ends_of_a_tile(self, monkeypatch):
         """Crossings in a tile's first and last rows, and rows that never cross."""
         rounds, level = 50, 2
         monkeypatch.setattr(batch, "TILE_CELLS", 3 * (rounds + 1))
         params = parameters_from_c(c=4.0, n=1_000, delta=2, nu=0.2)
-        with use_dtype_policy(policy_name) as policy:
-            estimator = RareEventSimulation(params, depth=level, rng=0)
-            index_dtype = policy.index_dtype()
-        honest, adversary = _traces(rounds, trials=10, seed=3, dtype=index_dtype)
+        estimator = RareEventSimulation(params, depth=level, rng=0)
+        honest, adversary = _traces(rounds, trials=10, seed=3)
         adversary[[1, 4, 9]] = 0
         reached, first = estimator._first_crossings(honest, adversary, level)
         expected_reached, expected_first = reference_first_crossings(
@@ -257,10 +229,7 @@ class TestStoppedTotals:
         counts = np.arange(12).reshape(1, 12)
         assert _prefix_totals(counts, np.array([0]), np.array([12])).tolist() == [66]
 
-    @pytest.mark.parametrize("policy_name", POLICIES)
-    def test_last_reached_row_crossing_in_the_final_round(
-        self, policy_name, monkeypatch
-    ):
+    def test_last_reached_row_crossing_in_the_final_round(self, monkeypatch):
         """``run_tilted`` on crafted traces matches the old cumsum totals.
 
         The last trial of the chunk crosses the depth in the final round, so
@@ -276,18 +245,13 @@ class TestStoppedTotals:
         adversary[0, 3:7] = 1
         adversary[2, -3:] = 1
 
-        def crafted(params_, tilt_, trials, rounds_, rng, policy=None):
-            dtype = policy.index_dtype()
-            return (
-                np.asarray(honest[:trials], dtype=dtype),
-                np.asarray(adversary[:trials], dtype=dtype),
-            )
+        def crafted(params_, tilt_, trials, rounds_, rng):
+            return honest[:trials], adversary[:trials]
 
         monkeypatch.setattr(rare_events, "draw_tilted_traces", crafted)
-        with use_dtype_policy(policy_name):
-            result = RareEventSimulation(params, depth=depth, rng=0).run_tilted(
-                trials=3, rounds=rounds, tilt=tilt
-            )
+        result = RareEventSimulation(params, depth=depth, rng=0).run_tilted(
+            trials=3, rounds=rounds, tilt=tilt
+        )
 
         reached, first = reference_first_crossings(
             honest, adversary, params.delta, depth

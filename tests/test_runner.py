@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import repro._version as version_module
-from repro.backend import use_dtype_policy
 from repro.errors import SimulationError
 from repro.observability import read_run_log, use_metrics
 from repro.params import parameters_from_c
@@ -131,48 +130,35 @@ class TestGrid:
     @pytest.mark.parametrize(
         "start_method", multiprocessing.get_all_start_methods()
     )
-    def test_sharded_grid_keeps_the_callers_dtype_policy(
+    def test_sharded_grid_matches_serial_under_every_start_method(
         self, tmp_path, monkeypatch, start_method
     ):
         """A worker started by spawn (the macOS and Windows default) or
-        forkserver does not inherit the parent's ``use_dtype_policy`` stack,
-        so each job carries the caller's policy."""
+        forkserver imports the package afresh and inherits no state but the
+        environment; its points must key, compute and log like serial ones."""
         monkeypatch.setattr(
             multiprocessing, "Pool", multiprocessing.get_context(start_method).Pool
         )
-        cache, log = str(tmp_path / "cache"), str(tmp_path / "runs.jsonl")
-        with use_dtype_policy("compact"):
-            ExperimentRunner(
-                base_seed=4, processes=2, cache_dir=cache, run_log=log
-            ).run_grid([PARAMS, OTHER], trials=3, rounds=400)
-            serial = ExperimentRunner(base_seed=4, cache_dir=cache)
-            serial.run_point(PARAMS, trials=3, rounds=400)
-        policies = [record["dtype_policy"] for record in read_run_log(log)]
-        assert policies == ["compact", "compact"]
-        assert serial.cache_hits == 1
-
-    def test_worker_task_runs_under_the_jobs_policy(self):
-        """The pool task applies the policy its job carries, whatever the
-        worker's own ambient selection, and leaves that selection as found."""
-        from repro.backend import COMPACT_POLICY, get_dtype_policy
-        from repro.simulation.runner import _run_spec_task
-
-        runner = ExperimentRunner(base_seed=4)
-        spec = runner._spec("run_point", "batch", PARAMS, 3, 400)
-        flags = {"spans": False, "metrics": False, "manifests": False}
-        index, outcome = _run_spec_task((7, flags, spec, None, COMPACT_POLICY))
-        assert index == 7
-        assert get_dtype_policy().name == "wide"
-        assert outcome.result.convergence_opportunities.dtype == np.int32
-        with use_dtype_policy("compact"):
-            expected = ExperimentRunner(base_seed=4).run_point(
-                PARAMS, trials=3, rounds=400
+        results, records = [], []
+        for processes in (1, 2):
+            log = tmp_path / f"runs{processes}.jsonl"
+            runner = ExperimentRunner(
+                base_seed=4,
+                processes=processes,
+                cache_dir=str(tmp_path / f"cache{processes}"),
+                run_log=log,
             )
-        assert np.array_equal(
-            expected.convergence_opportunities,
-            outcome.result.convergence_opportunities,
+            results.append(runner.run_grid([PARAMS, OTHER], trials=3, rounds=400))
+            records.append(read_run_log(log))
+        for left, right in zip(*results):
+            for name in ("convergence_opportunities", "worst_deficits"):
+                assert np.array_equal(getattr(left, name), getattr(right, name))
+        fields = ("cache_key", "cache", "result_digest", "dtype_policy", "params")
+        serial, sharded = (
+            [{field: record[field] for field in fields} for record in log]
+            for log in records
         )
-        assert outcome.cache_misses == 1
+        assert serial == sharded
 
 
 class TestValidation:
@@ -366,11 +352,24 @@ PINS = {
 
 
 class TestKeyStability:
-    @pytest.mark.parametrize("kind", sorted(KINDS))
-    def test_identity_seed_and_key_are_pinned(self, kind, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "kind, leftover_policy",
+        [pytest.param(kind, None, id=kind) for kind in sorted(KINDS)]
+        + [
+            pytest.param(kind, "compact", id=f"{kind}-leftover_policy")
+            for kind in sorted(KINDS)
+        ],
+    )
+    def test_identity_seed_and_key_are_pinned(
+        self, kind, leftover_policy, tmp_path, monkeypatch
+    ):
+        """The pins hold, also with a ``REPRO_DTYPE_POLICY`` left in the
+        environment from older releases: nothing reads it any more."""
         identity, entropy, key = PINS[kind]
         shape, run, ingredients = KINDS[kind]
         monkeypatch.setattr(version_module, "__version__", PIN_VERSION)
+        if leftover_policy is not None:
+            monkeypatch.setenv("REPRO_DTYPE_POLICY", leftover_policy)
         log = tmp_path / "log.jsonl"
         runner = ExperimentRunner(
             base_seed=PIN_SEED, cache_dir=str(tmp_path / "cache"), run_log=log
@@ -381,6 +380,7 @@ class TestKeyStability:
         run(runner, *shape)
         (record,) = read_run_log(log)
         assert record["cache_key"] == key
+        assert record["dtype_policy"] == "wide"
         sidecars = [
             name
             for name in os.listdir(tmp_path / "cache")
