@@ -1,7 +1,8 @@
-"""Benchmark: the vectorized two-component partition scan vs its reference.
+"""Benchmark: the vectorized scan under a partial cut vs its reference.
 
-The equivalence tests pin :meth:`ScenarioSimulation._scan_partition` bit for
-bit against the pure-Python per-trial :func:`reference_partition_scan`; this
+The equivalence tests pin :meth:`ScenarioSimulation._scan` on partial-cut
+scenarios bit for bit against the pure-Python per-trial
+:func:`reference_partition_scan`; this
 benchmark makes sure the vectorized engine is the one worth running.  Both
 engines price the same equivocation attack on the same seeded mining,
 adversary and minority-split tensors across a mid-run partial cut, and the

@@ -147,18 +147,19 @@ on the gossip graph — their releases then propagate through gossip
 A :class:`~repro.simulation.PartitionScenario` with ``cut_fraction`` set
 makes the cut *partial*: the honest network splits into a majority and a
 minority component (each honest success landing in the minority with that
-probability) and the engine switches to a **two-component scan** — per-
-component public heights, fork points and pending-release rings, a common
-prefix frozen at the cut round, and merge-on-heal reconciliation where the
-higher chain wins and the losing suffix counts as displaced depth.  The
+probability) and the scan runs a **second component** inside each cut
+window — its own public height and delivery ring, a common prefix frozen
+at the cut round, and merge-on-heal reconciliation where the higher chain
+wins and the losing suffix counts as displaced depth.  The
 ``equivocation`` scenario rides on it: the adversary maintains one private
 chain per component, feeds each round's successes to the weaker race, and
 releases conflicting chains to the two sides.  Both are pinned bit-exactly
 to the pure-Python :func:`~repro.simulation.reference_partition_scan`;
-aggregate-path runs (no windows) stay bit-identical to the legacy engine,
-and routing a *node-set* partition through the aggregate single-height
-scan now raises (``allow_partial_partitions=True`` downgrades it to a
-warning) instead of silently mispricing the race.
+outside every window the round body is the one every scenario runs, so a
+run with no window stays bit-identical to the legacy engine.  Routing a
+*node-set* partition through the single-height delay-model path raises
+:class:`~repro.errors.SimulationError` instead of silently mispricing the
+race.
 
 >>> from repro.simulation import DynamicsSchedule, PartitionEvent, TimeVaryingDelayModel
 >>> model = TimeVaryingDelayModel(DynamicsSchedule([PartitionEvent(1_000, 200)]))

@@ -54,8 +54,8 @@ Components
     and :class:`AdversaryPlacement` — corrupted miners positioned on the
     gossip graph whose releases propagate instead of landing instantly.
     :class:`PartitionScenario` with ``cut_fraction`` prices *partial* cuts
-    with the two-component scan (per-component public chains, merge-on-heal
-    reconciliation, pinned bit-exactly to
+    with a second component inside the scan's cut windows (per-component
+    public chains, merge-on-heal reconciliation, pinned bit-exactly to
     :func:`reference_partition_scan`), including the ``equivocation``
     family where the adversary shows conflicting private chains to the two
     components.

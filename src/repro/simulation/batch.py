@@ -655,6 +655,10 @@ class BatchSimulation:
             )
         if honest.min() < 0 or adversary.min() < 0:
             raise SimulationError("success counts must be non-negative")
+        if max_delay is not None:
+            max_delay = coerce_positive_int(
+                max_delay, "max_delay", error_type=SimulationError
+            )
         _METRICS.increment("engine.batch.trials", trials)
         _METRICS.increment("engine.batch.rounds", trials * rounds)
         with _TRACE.span("batch.mask", trials=trials, rounds=rounds):

@@ -723,7 +723,6 @@ class RareEventSimulation:
                     honest, adversary, level
                 )
                 hits = int(reached.sum())
-                _METRICS.gauge("rare_events.splitting_level_hits", hits)
                 fraction = hits / trials
                 level_probabilities[level - 1] = fraction
                 probability *= fraction
@@ -751,6 +750,8 @@ class RareEventSimulation:
                     honest[ancestors],
                     fresh_honest,
                 )
+            # The last level's hits, as a gauge set on every level would read.
+            _METRICS.gauge("rare_events.splitting_level_hits", hits)
         if probability > 0.0:
             standard_error = probability * math.sqrt(relative_variance)
             ci_low = max(probability - 1.96 * standard_error, 0.0)

@@ -41,22 +41,25 @@ default — and every :class:`Scenario` can also build the corresponding
 legacy :class:`~repro.simulation.adversary.AdversaryStrategy`, which stays
 the reference implementation.
 
-Partial partitions and the two-component scan
----------------------------------------------
+Partial partitions: a cut inside the scan
+-----------------------------------------
 A :class:`~repro.simulation.dynamics.PartitionScenario` with a
 ``cut_fraction`` splits the honest network in two for the scheduled window:
 a minority component holding that fraction of the honest mining power and
-the majority complement.  The engine then generalizes the scan to *two*
-public chains — per-component heights, delivery rings and pending-release
-rings — forked from the common prefix frozen at the cut round.  Honest
-successes are allocated binomially between the components (the ``split``
-tensor, drawn after the honest and adversarial tensors), each component
-runs the legacy constant-Δ delivery pipeline internally, and nothing
-crosses the cut until the heal.  At the merge round the higher chain wins
-and the displaced depth of the losing component — its height above the
-common prefix — is tallied (``merge_depths``, also folded into
-``deepest_forks``): the majority/minority race the aggregate scan silently
-mispriced.  Conventions, shared bit-exactly with the pure-Python
+the majority complement.  The same round scan prices every scenario; for a
+partial cut it runs a second component beside component 0 inside each
+window — its own public height and delivery ring, forked from the common
+prefix frozen at the cut round — and outside every window the round body
+is the one every other scenario runs.  Honest successes are allocated
+binomially between the components (the ``split`` tensor, drawn after the
+honest and adversarial tensors), each component runs the legacy
+constant-Δ delivery pipeline internally, and nothing crosses the cut until
+the heal.  The single private chain races the higher of the two public
+chains and releases to both.  At the merge round the higher chain wins and
+the displaced depth of the losing component — its height above the common
+prefix — is tallied (``merge_depths``, also folded into
+``deepest_forks``): the majority/minority race a single public height
+silently mispriced.  Conventions, shared bit-exactly with the pure-Python
 :func:`reference_partition_scan`: the common prefix does not advance on
 honest mining inside the window (pre-cut in-flight blocks deliver to both
 sides but the last-Δ suffix is adversarially unconverged, the worst case);
@@ -64,7 +67,7 @@ reconciliation at the heal is instantaneous; a window still open when the
 run ends is flushed without a merge tally, exactly like an in-flight
 release.
 
-The ``equivocation`` kind rides on that scan: outside the window it is the
+The ``equivocation`` kind rides on that cut: outside the window it is the
 ``private_chain`` state machine, and inside it the adversary maintains one
 private chain *per component* — duplicated at the cut, extended by feeding
 each round's blocks to the weaker race, released to its own component
@@ -76,7 +79,6 @@ racing the winning component survives as the single private chain.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -85,7 +87,7 @@ import numpy as np
 from ..backend import Workspace, binomial
 from ..errors import SimulationError
 from ..observability import METRICS as _METRICS, TRACE as _TRACE
-from ..params import ProtocolParameters
+from ..params import ProtocolParameters, coerce_positive_int
 from .adversary import (
     AdversaryStrategy,
     EquivocationAdversary,
@@ -128,8 +130,8 @@ __all__ = [
 #: The adversary state machines the engine knows how to vectorize.
 SCENARIO_KINDS = ("publish", "private_chain", "selfish_mining", "equivocation")
 
-#: Kinds the two-component partition scan can price (the withholding state
-#: machines; ``publish`` scenarios have no private chain to race per side).
+#: Kinds a partial cut can price (the withholding state machines;
+#: ``publish`` scenarios have no private chain to race per side).
 PARTITION_KINDS = ("private_chain", "selfish_mining", "equivocation")
 
 
@@ -149,7 +151,7 @@ class Scenario:
         model) or ``"equivocation"`` (one private chain per partition
         component, released to its own side only — meaningful solely on a
         partial-cut :class:`~repro.simulation.dynamics.PartitionScenario`,
-        where the engine runs the two-component scan).
+        where the scan runs a second network component inside the cut).
     honest_delay:
         The delay (in rounds, capped by Δ) the adversary imposes on every
         honest block.  ``None`` means the full Δ; ``publish`` scenarios may
@@ -377,7 +379,7 @@ def rotating_honest_attribution(
 
 
 # ----------------------------------------------------------------------
-# Pure-Python per-trial reference for the two-component partition scan
+# Pure-Python per-trial reference for the scan under a partial cut
 # ----------------------------------------------------------------------
 def reference_partition_scan(
     honest_counts: Sequence[int],
@@ -391,10 +393,11 @@ def reference_partition_scan(
     give_up_deficit: Optional[int] = 12,
     release_delay: int = 0,
 ) -> Dict[str, object]:
-    """One trial of the two-component partition scan, in plain Python.
+    """One trial of the scan under a partial cut, in plain Python.
 
     This is the executable specification the vectorized
-    :meth:`ScenarioSimulation._scan_partition` must match *bit for bit*:
+    :meth:`ScenarioSimulation._scan` must match *bit for bit* on a
+    partial-cut scenario:
     the equivalence tests sweep a (nu, Δ, cut-fraction, duration) grid and
     compare every tally and per-round record, and the equivocation
     benchmark uses it as the per-trial baseline for the speedup gate.
@@ -702,11 +705,12 @@ class ScenarioResult:
     #: Rounds an adversarial release took to reach the honest miners (0 =
     #: the legacy perfectly-connected adversary; see ``AdversaryPlacement``).
     release_delay: int = 0
-    #: Deepest suffix displaced at a partition heal, per trial (all zeros on
-    #: the aggregate path — only the two-component scan can merge).
+    #: Deepest suffix displaced at a partition heal, per trial (all zeros
+    #: unless the scenario is a partial cut — only a heal can merge).
     merge_depths: Optional[np.ndarray] = field(default=None, repr=False)
-    #: ``(trials, rounds, 2)`` per-component public heights, kept only by the
-    #: two-component scan under ``record_rounds=True``.
+    #: ``(trials, rounds, 2)`` per-component public heights (majority,
+    #: minority; both columns equal outside a cut window), kept only for a
+    #: partial-cut scenario under ``record_rounds=True``.
     component_heights: Optional[np.ndarray] = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
@@ -915,7 +919,6 @@ class ScenarioSimulation:
         power: Optional[MiningPowerProfile] = None,
         placement=None,
         workspace: Optional[Workspace] = None,
-        allow_partial_partitions: bool = False,
     ):
         if draw_mode not in DRAW_MODES:
             raise SimulationError(
@@ -925,8 +928,8 @@ class ScenarioSimulation:
         self.params = params
         self.scenario = get_scenario(scenario)
         # A PartitionScenario with a cut_fraction prices the cut as a real
-        # two-component chain race (majority vs minority); everything else
-        # takes the aggregate single-height scan.
+        # two-component chain race (majority vs minority) inside the scan;
+        # it owns its delivery semantics, so it takes no delay model.
         self._cut_fraction = getattr(self.scenario, "cut_fraction", None)
         if self.scenario.kind == "equivocation" and self._cut_fraction is None:
             raise SimulationError(
@@ -942,30 +945,19 @@ class ScenarioSimulation:
             if delay_model is not None:
                 raise SimulationError(
                     "partial-cut scenarios own their delivery semantics (the "
-                    "two-component scan); an explicit delay_model cannot be "
-                    "combined with cut_fraction"
+                    "scan's two-component cut); an explicit delay_model "
+                    "cannot be combined with cut_fraction"
                 )
             self.delay_model = None
-            self.honest_delay = self.scenario.resolved_honest_delay(
-                params.delta
-            )
-            self._init_placement(placement)
-            self.rng = resolve_rng(rng)
-            self.draw_mode = draw_mode
-            self.power = power
-            if self.power is not None:
-                self.power.validate_against(params)
-            self.honest_miners = max(int(round(params.honest_count)), 1)
-            return
-        self.delay_model = resolve_delay_model(delay_model)
-        if self.delay_model is None:
+        else:
+            self.delay_model = resolve_delay_model(delay_model)
             # A scenario that schedules its own network cut supplies the
             # matching time-varying delay model (duck-typed so this module
             # does not need to import repro.simulation.dynamics).
             builder = getattr(self.scenario, "build_delay_model", None)
-            if builder is not None:
+            if self.delay_model is None and builder is not None:
                 self.delay_model = builder()
-        self._check_partial_partition_events(allow_partial_partitions)
+            self._check_partial_partition_events()
         if self.delay_model is None:
             self.honest_delay = self.scenario.resolved_honest_delay(params.delta)
         else:
@@ -1001,38 +993,32 @@ class ScenarioSimulation:
                 f"outside [0, {self.params.delta}]"
             )
 
-    def _check_partial_partition_events(self, allow: bool) -> None:
+    def _check_partial_partition_events(self) -> None:
         """Refuse to misprice a partial cut on the aggregate-height path.
 
         A ``PartitionEvent`` with an explicit node set leaves the remaining
         honest miners connected: two components, two chain races.  The
-        aggregate scan tracks one public height, which is exact only for
-        full eclipses, so routing a partial cut through it silently
-        underprices the majority/minority race — price it with
-        ``cut_fraction`` (the two-component scan) instead.  Pass
-        ``allow_partial_partitions=True`` to accept the mispricing loudly.
+        aggregate path tracks one public height, which is exact only for
+        full eclipses, so routing a partial cut through it would silently
+        underprice the majority/minority race — price it with
+        ``cut_fraction`` (the scan's two-component cut) instead.
         """
         schedule = getattr(self.delay_model, "schedule", None)
-        if schedule is None or schedule.empty:
+        if schedule is None:
             return
         partial = [
-            event.payload()
+            event
             for event in schedule.events
             if event.payload().get("kind") == "partition"
             and event.payload().get("nodes") is not None
         ]
-        if not partial:
-            return
-        message = (
-            f"{len(partial)} partition event(s) cut an explicit node set, "
-            "leaving the rest of the network connected; the aggregate "
-            "single-height scan misprices that two-component race. Use a "
-            "PartitionScenario with cut_fraction to price it exactly, or "
-            "pass allow_partial_partitions=True to proceed anyway."
-        )
-        if not allow:
-            raise ValueError(message)
-        warnings.warn(message, RuntimeWarning, stacklevel=3)
+        if partial:
+            raise SimulationError(
+                f"{len(partial)} partition event(s) cut an explicit node set, "
+                "leaving the rest of the network connected; the aggregate "
+                "single-height scan misprices that two-component race. Use a "
+                "PartitionScenario with cut_fraction to price it exactly."
+            )
 
     def run(
         self,
@@ -1114,7 +1100,10 @@ class ScenarioSimulation:
         adversarial windows exceed Δ.  ``split_counts`` (partial-cut
         scenarios only) carries the pre-drawn minority share of each round's
         honest successes; ``None`` keeps every honest success in the
-        majority component.
+        majority component.  Every scenario then runs the one round scan,
+        :meth:`_scan`, which a partial cut enters with its cut windows
+        (:meth:`~repro.simulation.dynamics.PartitionScenario.partition_windows`);
+        no round inside a window counts as a convergence opportunity.
         """
         honest = _integer_tensor(honest_counts, "honest_counts")
         adversary = _integer_tensor(adversary_counts, "adversary_counts")
@@ -1136,7 +1125,11 @@ class ScenarioSimulation:
             raise SimulationError("success counts must be non-negative")
         _METRICS.increment("engine.scenario.trials", trials)
         _METRICS.increment("engine.scenario.rounds", trials * rounds)
-        cap = self.params.delta if max_delay is None else int(max_delay)
+        cap = (
+            self.params.delta
+            if max_delay is None
+            else coerce_positive_int(max_delay, "max_delay", error_type=SimulationError)
+        )
         if cap < self.params.delta:
             raise SimulationError(
                 f"max_delay must be >= delta ({self.params.delta}), got "
@@ -1155,13 +1148,14 @@ class ScenarioSimulation:
         _require_attribution_feasible(honest, self.honest_miners, window)
 
         cut_windows: List[Tuple[int, int]] = []
+        split = None
         if self._cut_fraction is not None:
             if delays is not None:
                 raise SimulationError(
                     "partial-cut scenarios have no delay model; delays "
                     "cannot be supplied"
                 )
-            cut_windows = list(self.scenario.partition_windows(rounds))
+            cut_windows = self.scenario.partition_windows(rounds)
             if split_counts is None:
                 split = np.zeros(honest.shape, dtype=np.int64)
             else:
@@ -1175,22 +1169,21 @@ class ScenarioSimulation:
                     raise SimulationError(
                         "split_counts must lie in [0, honest_counts]"
                     )
-            with _TRACE.span(
-                "scenario.scan_partition", trials=trials, rounds=rounds
-            ):
-                state = self._scan_partition(
-                    honest, adversary, split, record_rounds, windows=cut_windows
-                )
         elif split_counts is not None:
             raise SimulationError(
                 "split_counts applies only to partial-cut scenarios "
                 "(PartitionScenario with cut_fraction set)"
             )
-        else:
-            with _TRACE.span("scenario.scan", trials=trials, rounds=rounds):
-                state = self._scan(
-                    honest, adversary, record_rounds, delays=delays, cap=cap
-                )
+        with _TRACE.span("scenario.scan", trials=trials, rounds=rounds):
+            state = self._scan(
+                honest,
+                adversary,
+                record_rounds,
+                delays=delays,
+                cap=cap,
+                split=split,
+                windows=cut_windows,
+            )
         with _TRACE.span("scenario.mask", trials=trials, rounds=rounds):
             if delays is None:
                 mask = _opportunity_mask(honest, self.params.delta, self.workspace)
@@ -1235,6 +1228,8 @@ class ScenarioSimulation:
         record_rounds: bool,
         delays=None,
         cap: Optional[int] = None,
+        split=None,
+        windows: Sequence[Tuple[int, int]] = (),
     ) -> Dict[str, Optional[np.ndarray]]:
         """One pass over rounds with all per-trial state as vectors.
 
@@ -1252,6 +1247,18 @@ class ScenarioSimulation:
         chain, and the displaced suffix is measured at landing — against
         the public height the honest miners actually reached by then.
 
+        A partial-cut scenario passes ``split``, each round's minority share
+        of the honest successes, and ``windows``, the disjoint sorted
+        ``[start, end)`` cut rounds.  Inside a window a second component
+        runs beside component 0 (the majority): its own public height and
+        delivery ring, plus a second private chain and release ring for
+        ``equivocation``.  The windows are global, not per trial, so cut
+        entry and merge-on-heal are static branches over vector state, and
+        outside every window the round body is the one every other scenario
+        runs: an empty window list is bit-identical to the same scenario
+        without a cut.  :func:`reference_partition_scan` is the executable
+        specification of the cut rounds.
+
         All scan state lives in workspace buffers (a private workspace when
         the engine was built without one), so repeated runs at one
         (trials, rounds) shape reuse their vectors and delivery rings;
@@ -1268,6 +1275,9 @@ class ScenarioSimulation:
         release_delay = self.release_delay if kind != "publish" else 0
         target_depth = self.scenario.target_depth
         give_up = self.scenario.give_up_deficit
+        partial = split is not None
+        equivocating = kind == "equivocation"
+        starts = dict(windows)
 
         # Round-major copies make each round's column contiguous in the scan.
         honest_rows = np.ascontiguousarray(honest.T)
@@ -1321,6 +1331,37 @@ class ScenarioSimulation:
             release_forks = workspace.zeros(
                 "scan.release_forks", (trials, release_delay), np.int64
             )
+        # Component 1 (the minority), allocated for partial cuts only.  A
+        # withholding kind's honest delay is Δ >= 1, so its ring exists.  A
+        # single private chain releases to both components alike, through
+        # one release ring; only equivocation keeps a second private chain
+        # and a second release ring.
+        chain = (private, fork, active, withheld)
+        sides = [(public, chain, release_heights, release_forks)]
+        if partial:
+            split_rows = np.ascontiguousarray(split.T)
+            public1 = workspace.zeros("scan.public1", (trials,), np.int64)
+            ring1 = workspace.zeros("scan.ring1", (trials, delay), np.int64)
+            best = workspace.empty("scan.best", (trials,), np.int64)
+            # The common prefix frozen at the cut round, and the deepest
+            # suffix a heal displaced.
+            common = workspace.zeros("scan.common", (trials,), np.int64)
+            merge_depth = workspace.zeros("scan.merge_depth", (trials,), np.int64)
+        if equivocating:
+            private1 = workspace.zeros("scan.private1", (trials,), np.int64)
+            fork1 = workspace.zeros("scan.fork1", (trials,), np.int64)
+            active1 = workspace.zeros("scan.active1", (trials,), np.bool_)
+            withheld1 = workspace.zeros("scan.withheld1", (trials,), np.int64)
+            chain1 = (private1, fork1, active1, withheld1)
+            release_heights1 = release_forks1 = None
+            if release_delay >= 1:
+                release_heights1 = workspace.zeros(
+                    "scan.release_heights1", (trials, release_delay), np.int64
+                )
+                release_forks1 = workspace.zeros(
+                    "scan.release_forks1", (trials, release_delay), np.int64
+                )
+            sides.append((public1, chain1, release_heights1, release_forks1))
 
         if record_rounds:
             # Record tensors escape into the result, so they are allocated
@@ -1331,10 +1372,50 @@ class ScenarioSimulation:
             abandon_record = np.zeros((trials, rounds), dtype=np.bool_)
             lead_record = np.zeros((trials, rounds), dtype=np.int64)
             depth_record = np.zeros((trials, rounds), dtype=np.int64)
+            if partial:
+                component_record = np.zeros((trials, rounds, 2), dtype=np.int64)
 
+        cut = False
         for index in range(rounds):
             mined_honest = honest_rows[index]
             mined_adversary = adversary_rows[index]
+
+            # 0a. Merge-on-heal: max height wins; the losing component's
+            #     suffix above the frozen common prefix is displaced.
+            if cut and index == cut_end:
+                # The winner mask must be read before `public` absorbs the max.
+                won1 = public1 > public
+                displaced = np.minimum(public, public1) - common
+                np.maximum(merge_depth, displaced, out=merge_depth)
+                np.maximum(deepest, displaced, out=deepest)
+                np.maximum(public, public1, out=public)
+                np.maximum(ring, ring1, out=ring)
+                if equivocating:
+                    if release_heights is not None:
+                        higher = release_heights1 > release_heights
+                        np.copyto(release_heights, release_heights1, where=higher)
+                        np.copyto(release_forks, release_forks1, where=higher)
+                    # The chain racing the winning component survives; the
+                    # loser's chain forked from a displaced branch and is
+                    # dropped without an abandon tally.
+                    for mine, theirs in zip(chain, chain1):
+                        np.copyto(mine, theirs, where=won1)
+                        theirs[...] = 0
+                cut = False
+            # 0b. Cut entry: both components start from the merged state and
+            #     the common prefix freezes at the pre-cut public height.
+            if not cut and index in starts:
+                cut = True
+                cut_end = starts[index]
+                public1[...] = public
+                ring1[...] = ring
+                common[...] = public
+                if equivocating:
+                    for mine, theirs in zip(chain, chain1):
+                        theirs[...] = mine
+                    if release_heights is not None:
+                        release_heights1[...] = release_heights
+                        release_forks1[...] = release_forks
 
             # 1. Start-of-round deliveries: blocks mined `delay` rounds ago
             #    (constant path), or whatever the schedule holds for this
@@ -1342,6 +1423,8 @@ class ScenarioSimulation:
             if ring is not None:
                 slot = index % delay
                 np.maximum(public, ring[:, slot], out=public)
+                if cut:
+                    np.maximum(public1, ring1[:, slot], out=public1)
             elif schedule is not None:
                 slot = index % (cap + 1)
                 np.maximum(public, schedule[:, slot], out=public)
@@ -1352,21 +1435,52 @@ class ScenarioSimulation:
             #     miners actually reached while the release gossiped.
             if release_heights is not None:
                 release_slot = index % release_delay
-                landing = release_heights[:, release_slot]
-                if landing.any():
-                    displaced = landing > public
-                    landed_depth = np.where(
-                        displaced, public - release_forks[:, release_slot], 0
-                    )
-                    if kind == "selfish_mining":
-                        orphaned += landed_depth
-                    np.maximum(deepest, landed_depth, out=deepest)
-                    np.maximum(public, landing, out=public)
-                    release_heights[:, release_slot] = 0
-                    release_forks[:, release_slot] = 0
+                if cut and not equivocating:
+                    # One chain spans the cut and lands on both sides at
+                    # once; displacing both re-converges them on it.
+                    landing = release_heights[:, release_slot]
+                    if landing.any():
+                        forks = release_forks[:, release_slot]
+                        over = landing > public
+                        over1 = landing > public1
+                        landed_depth = np.maximum(
+                            np.where(over, public - forks, 0),
+                            np.where(over1, public1 - forks, 0),
+                        )
+                        np.maximum(landed_depth, 0, out=landed_depth)
+                        if kind == "selfish_mining":
+                            orphaned += landed_depth
+                        np.maximum(deepest, landed_depth, out=deepest)
+                        np.copyto(common, landing, where=over & over1)
+                        np.maximum(public, landing, out=public)
+                        np.maximum(public1, landing, out=public1)
+                        landing[...] = 0
+                        forks[...] = 0
+                else:
+                    # Otherwise each component's releases (during a cut, the
+                    # equivocating chains' conflicting ones) land on it alone.
+                    for public_c, _, heights, forks in sides if cut else sides[:1]:
+                        landing = heights[:, release_slot]
+                        if landing.any():
+                            displaced = landing > public_c
+                            landed_depth = np.where(
+                                displaced, public_c - forks[:, release_slot], 0
+                            )
+                            if kind == "selfish_mining":
+                                orphaned += landed_depth
+                            np.maximum(deepest, landed_depth, out=deepest)
+                            np.maximum(public_c, landing, out=public_c)
+                            heights[:, release_slot] = 0
+                            forks[:, release_slot] = 0
 
             # 2. Honest mining on the delivered public chain; delayed blocks
             #    enter the pipeline, zero-delay blocks land at end of round.
+            #    During a cut the minority mines the split share on its own
+            #    tip and component 0 keeps the rest.
+            if cut:
+                minority = split_rows[index]
+                np.multiply(public1 + 1, minority > 0, out=ring1[:, slot])
+                mined_honest = mined_honest - minority
             np.greater(mined_honest, 0, out=some_honest)
             np.add(public, 1, out=mined_height)
             if ring is not None:
@@ -1392,12 +1506,58 @@ class ScenarioSimulation:
                 released = no_release
                 abandoned = no_release
                 public += mined_adversary
+            elif cut and equivocating:
+                # Feed the weaker race: the whole round's successes extend
+                # the chain with the smaller lead (minority on a full tie);
+                # each chain then decides against its own component.
+                lead0 = private - public
+                lead1 = private1 - public1
+                choose1 = (lead1 < lead0) | ((lead1 == lead0) & (public1 < public))
+                released = abandoned = no_release
+                for (public_c, chain_c, heights, forks), mined in zip(
+                    sides, (mined_adversary * ~choose1, mined_adversary * choose1)
+                ):
+                    private_c, fork_c, active_c, withheld_c = chain_c
+                    some = mined > 0
+                    fresh = some & ~active_c
+                    np.copyto(fork_c, public_c, where=fresh)
+                    np.copyto(private_c, public_c, where=fresh)
+                    private_c += mined
+                    withheld_c += mined
+                    active_c |= some
+                    lead_c = private_c - public_c
+                    depth_c = public_c - fork_c
+                    released_c = (lead_c > 0) & (depth_c >= target_depth)
+                    abandoned_c = (
+                        no_release
+                        if give_up is None
+                        else (lead_c <= -give_up) & active_c
+                    )
+                    releases += released_c
+                    abandons += abandoned_c
+                    if heights is None:
+                        np.maximum(deepest, depth_c * released_c, out=deepest)
+                        np.copyto(public_c, private_c, where=released_c)
+                    else:
+                        np.copyto(
+                            heights[:, release_slot], private_c, where=released_c
+                        )
+                        np.copyto(forks[:, release_slot], fork_c, where=released_c)
+                    kept = ~(released_c | abandoned_c)
+                    for buffer in chain_c:
+                        buffer *= kept
+                    released = released | released_c
+                    abandoned = abandoned | abandoned_c
+                np.maximum(private - public, private1 - public1, out=lead)
+                np.maximum(public - fork, public1 - fork1, out=depth)
             else:
+                # A single private chain races the best public chain in view.
+                racing = np.maximum(public, public1, out=best) if cut else public
                 np.greater(mined_adversary, 0, out=some_adversary)
                 np.logical_not(active, out=starting)
                 np.logical_and(some_adversary, starting, out=starting)
-                np.copyto(fork, public, where=starting)
-                np.copyto(private, public, where=starting)
+                np.copyto(fork, racing, where=starting)
+                np.copyto(private, racing, where=starting)
                 private += mined_adversary
                 withheld += mined_adversary
                 active |= some_adversary
@@ -1405,9 +1565,22 @@ class ScenarioSimulation:
                 # 4. Release decision against the pre-release public height.
                 # Note an inactive trial has private = fork = 0, so lead > 0
                 # (and lead in {0, 1} with public > 0) already implies active.
-                np.subtract(private, public, out=lead)
-                np.subtract(public, fork, out=depth)
-                if kind == "private_chain":
+                np.subtract(private, racing, out=lead)
+                np.subtract(racing, fork, out=depth)
+                if kind == "selfish_mining":
+                    np.less_equal(lead, -1, out=abandoned_flags)
+                    np.logical_and(abandoned_flags, active, out=abandoned_flags)
+                    abandoned = abandoned_flags
+                    np.greater_equal(lead, 0, out=released_flags)
+                    np.less_equal(lead, 1, out=flag)
+                    np.logical_and(released_flags, flag, out=released_flags)
+                    np.logical_and(released_flags, active, out=released_flags)
+                    released = released_flags
+                    if release_heights is None:
+                        orphan = np.multiply(depth, released, out=scratch)
+                        orphaned += orphan
+                        np.maximum(deepest, orphan, out=deepest)
+                else:  # private_chain, and equivocation outside a cut
                     if give_up is not None:
                         np.less_equal(lead, -give_up, out=abandoned_flags)
                         np.logical_and(abandoned_flags, active, out=abandoned_flags)
@@ -1423,25 +1596,16 @@ class ScenarioSimulation:
                     if release_heights is None:
                         np.multiply(depth, released, out=scratch)
                         np.maximum(deepest, scratch, out=deepest)
-                else:  # selfish_mining
-                    np.less_equal(lead, -1, out=abandoned_flags)
-                    np.logical_and(abandoned_flags, active, out=abandoned_flags)
-                    abandoned = abandoned_flags
-                    np.greater_equal(lead, 0, out=released_flags)
-                    np.less_equal(lead, 1, out=flag)
-                    np.logical_and(released_flags, flag, out=released_flags)
-                    np.logical_and(released_flags, active, out=released_flags)
-                    released = released_flags
-                    if release_heights is None:
-                        orphan = np.multiply(depth, released, out=scratch)
-                        orphaned += orphan
-                        np.maximum(deepest, orphan, out=deepest)
                 releases += released
                 abandons += abandoned
                 if release_heights is None:
                     # A release always publishes a chain at least as high as
                     # the public one, displacing (or tying) the public suffix.
                     np.copyto(public, private, where=released)
+                    if cut:
+                        # Both components adopt it and re-converge on it.
+                        np.copyto(public1, private, where=released)
+                        np.copyto(common, private, where=released)
                 else:
                     # The release gossips from the adversary's graph position;
                     # its displacement is accounted when it lands.
@@ -1470,374 +1634,46 @@ class ScenarioSimulation:
                 np.maximum(public, scratch, out=public)
 
             if record_rounds:
-                public_record[:, index] = public
-                private_record[:, index] = private
+                if cut:
+                    np.maximum(public, public1, out=public_record[:, index])
+                else:
+                    public_record[:, index] = public
+                if cut and equivocating:
+                    np.maximum(private, private1, out=private_record[:, index])
+                else:
+                    private_record[:, index] = private
                 release_record[:, index] = released
                 abandon_record[:, index] = abandoned
                 if kind != "publish":
                     lead_record[:, index] = lead
                     depth_record[:, index] = depth
+                if partial:
+                    component_record[:, index, 0] = public
+                    component_record[:, index, 1] = public1 if cut else public
 
         # Network flush: every in-flight honest block eventually arrives, as
         # does every in-flight adversarial release (its displaced depth is
-        # not tallied — the run ended before the network saw it land).
+        # not tallied — the run ended before the network saw it land).  A
+        # window still open at the end of the run never merges, so it tallies
+        # no merge depth either.
         final = np.copy(public)
+        withheld_final = np.copy(withheld)
         if ring is not None:
             np.maximum(final, ring.max(axis=1), out=final)
         elif schedule is not None:
             np.maximum(final, schedule.max(axis=1), out=final)
         if release_heights is not None:
             np.maximum(final, release_heights.max(axis=1), out=final)
+        if cut:
+            np.maximum(final, public1, out=final)
+            np.maximum(final, ring1.max(axis=1), out=final)
+            if equivocating:
+                np.maximum(withheld_final, withheld1, out=withheld_final)
+                if release_heights1 is not None:
+                    np.maximum(final, release_heights1.max(axis=1), out=final)
 
         # Escaping per-trial vectors are copied out of the workspace; the
         # per-round record tensors are already freshly owned.
-        return {
-            "releases": np.copy(releases),
-            "abandons": np.copy(abandons),
-            "deepest_forks": np.copy(deepest),
-            "orphaned_honest": np.copy(orphaned),
-            "withheld_final": np.copy(withheld),
-            "final_public_heights": final,
-            "public_heights": public_record if record_rounds else None,
-            "private_heights": private_record if record_rounds else None,
-            "release_mask": release_record if record_rounds else None,
-            "abandon_mask": abandon_record if record_rounds else None,
-            "decision_leads": lead_record if record_rounds else None,
-            "decision_fork_depths": depth_record if record_rounds else None,
-            # The aggregate path never splits, so it never merges.
-            "merge_depths": np.zeros((trials,), dtype=np.int64),
-            "component_heights": None,
-        }
-
-    def _scan_partition(
-        self,
-        honest,
-        adversary,
-        split,
-        record_rounds: bool,
-        windows: Sequence[Tuple[int, int]],
-    ) -> Dict[str, Optional[np.ndarray]]:
-        """The two-component scan: per-component chains during cut windows.
-
-        Vectorized counterpart of :func:`reference_partition_scan` (the
-        equivalence tests pin the two bit-exactly).  Component 0 is the
-        majority, component 1 the minority; outside every window only
-        component 0 exists and the round body is exactly :meth:`_scan`'s
-        constant-delay path, so an empty window list is bit-identical to the
-        aggregate engine.  ``windows`` holds disjoint sorted ``[start, end)``
-        cut rounds — global, not per trial, so the cut/merge phases are
-        static branches over vector state.
-        """
-        workspace = self.workspace if self.workspace is not None else Workspace()
-        trials, rounds = honest.shape
-        kind = self.scenario.kind
-        delay = self.honest_delay
-        if delay < 1:
-            raise SimulationError(
-                f"the two-component scan needs honest delay >= 1, got {delay}"
-            )
-        release_delay = self.release_delay
-        target_depth = self.scenario.target_depth
-        give_up = self.scenario.give_up_deficit
-        equivocating = kind == "equivocation"
-
-        window_list = sorted((int(s), int(e)) for s, e in windows)
-        starts = {s: e for s, e in window_list if s < rounds}
-
-        honest_rows = np.ascontiguousarray(honest.T)
-        adversary_rows = np.ascontiguousarray(adversary.T)
-        split_rows = np.ascontiguousarray(split.T)
-
-        def pair(tag, shape=(trials,), dtype=np.int64):
-            return [
-                workspace.zeros(f"scan2.{tag}0", shape, dtype),
-                workspace.zeros(f"scan2.{tag}1", shape, dtype),
-            ]
-
-        pub = pair("public")
-        ring = pair("ring", (trials, delay))
-        priv = pair("private")
-        fork = pair("fork")
-        active = pair("active", dtype=np.bool_)
-        withheld = pair("withheld")
-        rel_h = rel_f = None
-        if release_delay >= 1:
-            rel_h = pair("release_heights", (trials, release_delay))
-            rel_f = pair("release_forks", (trials, release_delay))
-        common = workspace.zeros("scan2.common", (trials,), np.int64)
-        releases = workspace.zeros("scan2.releases", (trials,), np.int64)
-        abandons = workspace.zeros("scan2.abandons", (trials,), np.int64)
-        deepest = workspace.zeros("scan2.deepest", (trials,), np.int64)
-        orphaned = workspace.zeros("scan2.orphaned", (trials,), np.int64)
-        merge_depth = workspace.zeros("scan2.merge_depth", (trials,), np.int64)
-        no_release = workspace.zeros("scan2.no_release", (trials,), np.bool_)
-
-        if record_rounds:
-            public_record = np.zeros((trials, rounds), dtype=np.int64)
-            private_record = np.zeros((trials, rounds), dtype=np.int64)
-            release_record = np.zeros((trials, rounds), dtype=np.bool_)
-            abandon_record = np.zeros((trials, rounds), dtype=np.bool_)
-            lead_record = np.zeros((trials, rounds), dtype=np.int64)
-            depth_record = np.zeros((trials, rounds), dtype=np.int64)
-            component_record = np.zeros((trials, rounds, 2), dtype=np.int64)
-
-        cut = False
-        cut_end = -1
-        for index in range(rounds):
-            # 0a. Merge-on-heal: max height wins; the losing component's
-            #     suffix above the frozen common prefix is displaced.
-            if cut and index == cut_end:
-                # The winner mask must be read before pub[0] absorbs the max.
-                won1 = pub[1] > pub[0]
-                displaced = np.minimum(pub[0], pub[1]) - common
-                np.maximum(merge_depth, displaced, out=merge_depth)
-                np.maximum(deepest, displaced, out=deepest)
-                np.maximum(pub[0], pub[1], out=pub[0])
-                np.maximum(ring[0], ring[1], out=ring[0])
-                if rel_h is not None:
-                    higher = rel_h[1] > rel_h[0]
-                    np.copyto(rel_h[0], rel_h[1], where=higher)
-                    np.copyto(rel_f[0], rel_f[1], where=higher)
-                if equivocating:
-                    # The chain racing the winning component survives; the
-                    # loser's chain forked from a displaced branch and is
-                    # dropped without an abandon tally.
-                    np.copyto(priv[0], priv[1], where=won1)
-                    np.copyto(fork[0], fork[1], where=won1)
-                    np.copyto(active[0], active[1], where=won1)
-                    np.copyto(withheld[0], withheld[1], where=won1)
-                    priv[1][:] = 0
-                    fork[1][:] = 0
-                    withheld[1][:] = 0
-                    active[1][:] = False
-                cut = False
-                common[:] = 0
-            # 0b. Cut entry: both components start from the merged state and
-            #     the common prefix freezes at the pre-cut public height.
-            if not cut and index in starts:
-                cut = True
-                cut_end = starts[index]
-                pub[1][:] = pub[0]
-                ring[1][:] = ring[0]
-                if rel_h is not None:
-                    rel_h[1][:] = rel_h[0]
-                    rel_f[1][:] = rel_f[0]
-                common[:] = pub[0]
-                if equivocating:
-                    priv[1][:] = priv[0]
-                    fork[1][:] = fork[0]
-                    active[1][:] = active[0]
-                    withheld[1][:] = withheld[0]
-
-            mined_honest = honest_rows[index]
-            mined_adversary = adversary_rows[index]
-            components = (0, 1) if cut else (0,)
-
-            # 1. Start-of-round ring deliveries, per component.
-            slot = index % delay
-            for c in components:
-                np.maximum(pub[c], ring[c][:, slot], out=pub[c])
-
-            # 1b. Landing of in-flight adversarial releases.
-            if rel_h is not None:
-                release_slot = index % release_delay
-                if equivocating and cut:
-                    # Conflicting releases: each lands on its own side only
-                    # and never advances the common prefix.
-                    for c in components:
-                        landing = rel_h[c][:, release_slot]
-                        if landing.any():
-                            displaced = landing > pub[c]
-                            landed = np.where(
-                                displaced,
-                                pub[c] - rel_f[c][:, release_slot],
-                                0,
-                            )
-                            np.maximum(deepest, landed, out=deepest)
-                            np.maximum(pub[c], landing, out=pub[c])
-                            rel_h[c][:, release_slot] = 0
-                            rel_f[c][:, release_slot] = 0
-                else:
-                    # Single-chain release, mirrored into both rings during
-                    # a cut: the adversary spans the cut and lands
-                    # everywhere at once.
-                    landing = rel_h[0][:, release_slot]
-                    if landing.any():
-                        landed = workspace.zeros(
-                            "scan2.landed", (trials,), np.int64
-                        )
-                        displaced_all = None
-                        for c in components:
-                            displaced = landing > pub[c]
-                            np.maximum(
-                                landed,
-                                np.where(
-                                    displaced,
-                                    pub[c] - rel_f[c][:, release_slot],
-                                    0,
-                                ),
-                                out=landed,
-                            )
-                            displaced_all = (
-                                displaced
-                                if displaced_all is None
-                                else displaced_all & displaced
-                            )
-                        if kind == "selfish_mining":
-                            orphaned += landed
-                        np.maximum(deepest, landed, out=deepest)
-                        if cut:
-                            # Displacing both sides re-converges them on the
-                            # released chain.
-                            np.copyto(common, landing, where=displaced_all)
-                        # `landing` aliases component 0's ring slot, so the
-                        # slots are cleared only after every component read it.
-                        for c in components:
-                            np.maximum(pub[c], landing, out=pub[c])
-                        for c in components:
-                            rel_h[c][:, release_slot] = 0
-                            rel_f[c][:, release_slot] = 0
-
-            # 2. Honest mining: the minority component mines the split
-            #    share; each component's successes sit above its own tip.
-            if cut:
-                minority = split_rows[index]
-                counts = [mined_honest - minority, minority]
-            else:
-                counts = [mined_honest]
-            for c in components:
-                np.multiply(pub[c] + 1, counts[c] > 0, out=ring[c][:, slot])
-
-            # 3/4. Adversarial mining and the release decision.
-            if equivocating and cut:
-                # Feed the weaker race: the whole round's successes extend
-                # the chain with the smaller lead (minority on a full tie).
-                lead0 = priv[0] - pub[0]
-                lead1 = priv[1] - pub[1]
-                choose1 = (lead1 < lead0) | ((lead1 == lead0) & (pub[1] < pub[0]))
-                allocation = [
-                    mined_adversary * ~choose1,
-                    mined_adversary * choose1,
-                ]
-                released_any = no_release
-                abandoned_any = no_release
-                for c in (0, 1):
-                    some = allocation[c] > 0
-                    starting = some & ~active[c]
-                    np.copyto(fork[c], pub[c], where=starting)
-                    np.copyto(priv[c], pub[c], where=starting)
-                    priv[c] += allocation[c]
-                    withheld[c] += allocation[c]
-                    active[c] |= some
-                    lead = priv[c] - pub[c]
-                    depth = pub[c] - fork[c]
-                    released = (lead > 0) & (depth >= target_depth)
-                    if give_up is not None:
-                        abandoned = (lead <= -give_up) & active[c]
-                    else:
-                        abandoned = no_release
-                    releases += released
-                    abandons += abandoned
-                    if rel_h is None:
-                        np.maximum(deepest, depth * released, out=deepest)
-                        np.copyto(pub[c], priv[c], where=released)
-                    else:
-                        np.copyto(
-                            rel_h[c][:, release_slot], priv[c], where=released
-                        )
-                        np.copyto(
-                            rel_f[c][:, release_slot], fork[c], where=released
-                        )
-                    keep = ~(released | abandoned)
-                    priv[c] *= keep
-                    fork[c] *= keep
-                    withheld[c] *= keep
-                    active[c] &= keep
-                    released_any = released_any | released
-                    abandoned_any = abandoned_any | abandoned
-                released = released_any
-                abandoned = abandoned_any
-                lead = np.maximum(priv[0] - pub[0], priv[1] - pub[1])
-                depth = np.maximum(pub[0] - fork[0], pub[1] - fork[1])
-            else:
-                # Single private chain racing the best public chain in view.
-                best = np.maximum(pub[0], pub[1]) if cut else pub[0]
-                some_adversary = mined_adversary > 0
-                starting = some_adversary & ~active[0]
-                np.copyto(fork[0], best, where=starting)
-                np.copyto(priv[0], best, where=starting)
-                priv[0] += mined_adversary
-                withheld[0] += mined_adversary
-                active[0] |= some_adversary
-                lead = priv[0] - best
-                depth = best - fork[0]
-                if kind == "selfish_mining":
-                    abandoned = (lead <= -1) & active[0]
-                    released = (lead >= 0) & (lead <= 1) & active[0]
-                    if rel_h is None:
-                        orphan = depth * released
-                        orphaned += orphan
-                        np.maximum(deepest, orphan, out=deepest)
-                else:
-                    if give_up is not None:
-                        abandoned = (lead <= -give_up) & active[0]
-                    else:
-                        abandoned = no_release
-                    released = (lead > 0) & (depth >= target_depth)
-                    if rel_h is None:
-                        np.maximum(deepest, depth * released, out=deepest)
-                releases += released
-                abandons += abandoned
-                if rel_h is None:
-                    for c in components:
-                        np.copyto(pub[c], priv[0], where=released)
-                    if cut:
-                        # One chain adopted by both sides: the components
-                        # re-converge on the private chain.
-                        np.copyto(common, priv[0], where=released)
-                else:
-                    for c in components:
-                        np.copyto(
-                            rel_h[c][:, release_slot], priv[0], where=released
-                        )
-                        np.copyto(
-                            rel_f[c][:, release_slot], fork[0], where=released
-                        )
-                keep = ~(released | abandoned)
-                priv[0] *= keep
-                fork[0] *= keep
-                withheld[0] *= keep
-                active[0] &= keep
-
-            if record_rounds:
-                top = np.maximum(pub[0], pub[1]) if cut else pub[0]
-                public_record[:, index] = top
-                private_record[:, index] = (
-                    np.maximum(priv[0], priv[1])
-                    if (equivocating and cut)
-                    else priv[0]
-                )
-                release_record[:, index] = released
-                abandon_record[:, index] = abandoned
-                lead_record[:, index] = lead
-                depth_record[:, index] = depth
-                component_record[:, index, 0] = pub[0]
-                component_record[:, index, 1] = pub[1] if cut else pub[0]
-
-        # Network flush: in-flight honest blocks and adversarial releases
-        # all arrive eventually; a window still open at the end of the run
-        # never merges — like a release the run ended before the network
-        # saw land, its displaced depth is not tallied.
-        final = np.copy(pub[0])
-        withheld_final = np.copy(withheld[0])
-        for c in (0, 1) if cut else (0,):
-            np.maximum(final, pub[c], out=final)
-            np.maximum(final, ring[c].max(axis=1), out=final)
-            if rel_h is not None:
-                np.maximum(final, rel_h[c].max(axis=1), out=final)
-        if cut:
-            np.maximum(withheld_final, withheld[1], out=withheld_final)
-
         return {
             "releases": np.copy(releases),
             "abandons": np.copy(abandons),
@@ -1851,6 +1687,13 @@ class ScenarioSimulation:
             "abandon_mask": abandon_record if record_rounds else None,
             "decision_leads": lead_record if record_rounds else None,
             "decision_fork_depths": depth_record if record_rounds else None,
-            "merge_depths": np.copy(merge_depth),
-            "component_heights": component_record if record_rounds else None,
+            # Only a heal merges, so only a partial cut tallies merge depths.
+            "merge_depths": (
+                np.copy(merge_depth)
+                if partial
+                else np.zeros((trials,), dtype=np.int64)
+            ),
+            "component_heights": (
+                component_record if record_rounds and partial else None
+            ),
         }

@@ -159,9 +159,12 @@ def convergence_opportunity_mask_with_delays(
             f"delays shape {offsets.shape} does not match honest_counts shape "
             f"{counts.shape}"
         )
-    if delta < 1:
-        raise SimulationError(f"delta must be >= 1, got {delta!r}")
-    cap = delta if max_delay is None else int(max_delay)
+    delta = coerce_positive_int(delta, "delta", error_type=SimulationError)
+    cap = (
+        delta
+        if max_delay is None
+        else coerce_positive_int(max_delay, "max_delay", error_type=SimulationError)
+    )
     if cap < delta:
         raise SimulationError(
             f"max_delay must be >= delta ({delta}), got {max_delay!r}"

@@ -14,7 +14,9 @@ touch instrumentation only through the module-level no-op handles
 (``_TRACE`` / ``_METRICS`` — one ``None`` check when disabled), never
 through the public names or a live tracer object, and never from inside a
 ``for``/``while`` loop, so steady-state kernels stay instrumentation-free
-per iteration even when tracing is on.
+per iteration even when tracing is on.  Every function of the engine
+modules that holds a ``for``/``while`` loop is either one of those hot paths
+or declared not hot, so a new loop cannot slip past both guards.
 
 A last guard pins the package's environment knobs: every ``REPRO_*`` name
 in a string constant of ``src/repro`` (docstrings aside) must be on one
@@ -66,6 +68,11 @@ HOT_PATHS = [
     (dynamics, "compile_schedule"),
     (dynamics, "TimeVaryingDelayModel.draw_delays"),
     (rare_events, "draw_tilted_traces"),
+    (rare_events, "log_likelihood_ratios"),
+    (rare_events, "cross_entropy_tilt"),
+    (rare_events, "RareEventSimulation.run_plain"),
+    (rare_events, "RareEventSimulation.run_tilted"),
+    (rare_events, "RareEventSimulation.run_splitting"),
     (rare_events, "RareEventSimulation._first_crossings"),
     (streaming, "_StreamedSimulation._chunk_loop"),
     (streaming, "_StreamedSimulation._draw_block"),
@@ -75,6 +82,75 @@ HOT_PATHS = [
     (streaming, "OnlineMoments.combine"),
     (streaming, "DeficitHistogram.update"),
 ]
+
+
+#: Engine functions holding a ``for``/``while`` loop that are not hot paths:
+#: reference oracles and the replay's attribution helper, graph generators,
+#: constructors and validators, the dynamics epoch walk, the cut-window view
+#: and the streamed result codec.
+NOT_HOT = [
+    (scenarios, "rotating_honest_attribution"),
+    (scenarios, "reference_partition_scan"),
+    (topology, "PeerGraphTopology._from_edges"),
+    (topology, "PeerGraphTopology.random_regular"),
+    (topology, "PeerGraphTopology.erdos_renyi"),
+    (topology, "PeerGraphTopology.distances_reference"),
+    (topology, "reference_draw_delays"),
+    (topology, "MiningPowerProfile.__init__"),
+    (dynamics, "DynamicsSchedule.__init__"),
+    (dynamics, "_epoch_states"),
+    (dynamics, "reference_compile_schedule"),
+    (dynamics, "partition_windows"),
+    (rare_events, "ExponentialTilt.__post_init__"),
+    (streaming, "_StreamedResult.payload"),
+]
+
+#: The modules whose loops the two guards police.
+ENGINE_MODULES = (batch, scenarios, topology, dynamics, rare_events, streaming)
+
+
+def _looping_functions(tree: ast.Module) -> set:
+    """Qualnames of the functions and methods in ``tree`` holding a loop."""
+
+    def walk(scope, prefix):
+        for node in scope:
+            if isinstance(node, ast.ClassDef):
+                yield from walk(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(child, (ast.For, ast.While, ast.AsyncFor))
+                for child in ast.walk(node)
+            ):
+                yield prefix + node.name
+
+    return set(walk(tree.body, ""))
+
+
+def test_every_engine_loop_is_a_hot_path_or_declared_not_hot():
+    """A loop added to an engine module joins ``HOT_PATHS`` (and with it
+    both guards) or is declared in ``NOT_HOT``; a stale ``NOT_HOT`` entry
+    fails too, so the exemptions cannot outlive their loops."""
+    planted = ast.parse(
+        "class A:\n"
+        "    def f(self):\n"
+        "        while True:\n"
+        "            pass\n"
+        "    def g(self):\n"
+        "        return [x for x in ()]\n"
+        "def h():\n"
+        "    for _ in ():\n"
+        "        pass\n"
+    )
+    assert _looping_functions(planted) == {"A.f", "h"}
+    looping = {
+        (module.__name__, name)
+        for module in ENGINE_MODULES
+        for name in _looping_functions(ast.parse(inspect.getsource(module)))
+    }
+    hot = {(module.__name__, name) for module, name in HOT_PATHS}
+    not_hot = {(module.__name__, name) for module, name in NOT_HOT}
+    assert sorted(looping - hot - not_hot) == []
+    assert sorted(not_hot - looping) == []
+    assert sorted(hot & not_hot) == []
 
 
 def _resolve_function_node(module, qualname: str) -> ast.FunctionDef:
@@ -144,7 +220,7 @@ def test_hot_path_draws_binomial_counts_through_the_sampler(module, qualname):
 def test_engine_modules_bind_the_sampler():
     """A bare ``binomial(...)`` in an engine is the backend's sampler, not
     ``numpy.random.binomial`` imported under the same name."""
-    for module in (batch, scenarios, topology, dynamics, rare_events, streaming):
+    for module in ENGINE_MODULES:
         bound = vars(module).get("binomial", repro.backend.binomial)
         assert bound is repro.backend.binomial, module.__name__
     assert vars(batch)["binomial"] is repro.backend.binomial

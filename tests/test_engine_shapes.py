@@ -7,9 +7,10 @@ truncates into a smaller run nor reaches NumPy as a raw ``TypeError`` — and
 an integral float still runs that many trials.
 
 The trace front ends check their tensors the same way: negative counts,
-zero-trial tensors, a mask of the wrong rank, a fractional ``delta`` and a
-tensor holding a fractional, NaN or non-numeric value each raise the
-layer's named error instead of a wrong number or a raw NumPy exception.
+zero-trial tensors, a mask of the wrong rank, a fractional or boolean
+``delta``, a fractional or non-numeric ``max_delay`` and a tensor holding a
+fractional, NaN or non-numeric value each raise the layer's named error
+instead of a wrong number or a raw NumPy exception.
 """
 
 from __future__ import annotations
@@ -245,3 +246,39 @@ def test_an_integer_tensor_holding_a_non_integer_is_rejected(front, argument, va
     tensors[argument] = bad
     with pytest.raises(error, match=f"^{argument} must hold integers"):
         call(**tensors)
+
+
+@pytest.mark.parametrize("delta", [2.5, True], ids=repr)
+def test_delay_mask_needs_a_positive_integer_delta(delta):
+    """2.5 is not read as a wider Δ and ``True`` is not read as 1."""
+    delays = np.ones_like(_HONEST)
+    with pytest.raises(SimulationError, match="delta must be a positive integer"):
+        convergence_opportunity_mask_with_delays(_HONEST, delays, delta)
+    assert convergence_opportunity_mask_with_delays(_HONEST, delays, 2.0).any()
+
+
+#: Front ends taking a ``max_delay``, each called with delays of 1.
+MAX_DELAY_FRONT_ENDS = {
+    "BatchSimulation.run_traces": lambda cap: BatchSimulation(
+        PARAMS, rng=0
+    ).run_traces(_HONEST, _ADVERSARY, delays=np.ones_like(_HONEST), max_delay=cap),
+    "ScenarioSimulation.run_traces": lambda cap: ScenarioSimulation(
+        PARAMS, "private_chain", rng=0
+    ).run_traces(_HONEST, _ADVERSARY, delays=np.ones_like(_HONEST), max_delay=cap),
+    "convergence_opportunity_mask_with_delays": lambda cap: (
+        convergence_opportunity_mask_with_delays(
+            _HONEST, np.ones_like(_HONEST), 2, max_delay=cap
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [2.9, 2.5, "3", "zzz"], ids=repr)
+@pytest.mark.parametrize("front", sorted(MAX_DELAY_FRONT_ENDS))
+def test_max_delay_must_be_a_positive_integer(front, value):
+    """A fractional cap is not truncated, a numeric string is not parsed,
+    and a non-numeric one raises the layer's error, not ``ValueError``."""
+    call = MAX_DELAY_FRONT_ENDS[front]
+    call(3.0)
+    with pytest.raises(SimulationError, match="max_delay must be a positive integer"):
+        call(value)

@@ -1,14 +1,15 @@
-"""The two-component partition scan, pinned to its pure-Python reference.
+"""The scan under a partial cut, pinned to its pure-Python reference.
 
-Every tally and per-round record of :meth:`ScenarioSimulation._scan_partition`
-must match :func:`reference_partition_scan` *bit for bit* over a
-(kind, nu, Delta, cut-fraction, duration) grid including placement-aware
-release routing, and the no-window / duration-0 configurations must stay
-bit-identical to the aggregate single-height engine.  Alongside the
-equivalence grid this module pins the satellite fixes of the same PR: the
-partial-partition guard on the aggregate path, the growth-rate convention
-golden, NaN-safe rare-event agreement, registry/cache wiring for the
-``equivocation`` family, and the shared-trace comparison sweep.
+On a partial-cut scenario every tally and per-round record of
+:meth:`ScenarioSimulation._scan` must match :func:`reference_partition_scan`
+*bit for bit*: over a (kind, nu, Delta, cut-fraction, duration) grid, and
+over a Hypothesis sweep of kind, Delta, release placement, give-up rule and
+window position.  The no-window and duration-0 configurations must stay
+bit-identical to the same scenario without a cut.  Alongside the
+equivalence tests this module pins the partial-partition guard on the
+aggregate path, the growth-rate convention golden, NaN-safe rare-event
+agreement, registry/cache wiring for the ``equivocation`` family, and the
+shared-trace comparison sweep.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from repro.simulation import (
     reference_partition_scan,
     rotating_honest_attribution,
 )
+from repro.simulation.scenarios import PARTITION_KINDS
 
 TRIALS = 3
 ROUNDS = 400
@@ -139,22 +141,37 @@ class TestReferenceEquivalence:
         honest, adversary, split = _draw(params, seed=17, cut=cut)
         _assert_matches_reference(sim, scenario, honest, adversary, split, delta)
 
-    @pytest.mark.parametrize("kind", ["private_chain", "equivocation"])
-    @pytest.mark.parametrize("placement_kind", ["leaf", "random"])
-    def test_placement_release_routing_matches_reference(
-        self, kind, placement_kind
+    @settings(max_examples=50, deadline=None)
+    @given(
+        kind=st.sampled_from(PARTITION_KINDS),
+        delta=st.integers(min_value=1, max_value=4),
+        placement=st.sampled_from([None, "hub", "leaf", "random"]),
+        give_up=st.sampled_from([None, 8]),
+        # From round 0, inside the run, open at the end, zero-length, and
+        # past the horizon.
+        window=st.sampled_from(
+            [(0, 50), (120, 90), (380, 100), (150, 0), (ROUNDS + 100, 60)]
+        ),
+        nu=st.sampled_from([0.2, 0.4]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_cut_path_matches_reference(
+        self, kind, delta, placement, give_up, window, nu, seed
     ):
-        params = parameters_from_c(c=C, n=MINERS, delta=3, nu=0.4)
-        scenario = _make_scenario(kind, 0.5, 100, 120)
+        """Every kind, Δ, release placement (so also a selfish-mining
+        release delay under a cut), give-up rule and window position."""
+        params = parameters_from_c(c=C, n=MINERS, delta=delta, nu=nu)
+        scenario = _make_scenario(kind, 0.5, *window, give_up=give_up)
         sim = ScenarioSimulation(
             params,
             scenario,
             rng=0,
-            placement=AdversaryPlacement(placement_kind, seed=2),
+            placement=(
+                None if placement is None else AdversaryPlacement(placement, seed=2)
+            ),
         )
-        assert sim.release_delay >= 1
-        honest, adversary, split = _draw(params, seed=23)
-        _assert_matches_reference(sim, scenario, honest, adversary, split, 3)
+        honest, adversary, split = _draw(params, seed=seed)
+        _assert_matches_reference(sim, scenario, honest, adversary, split, delta)
 
     def test_mid_run_window_never_merges(self):
         """A window still open at the end of the run tallies no merge depth."""
@@ -312,20 +329,23 @@ class TestPartialPartitionGuard:
 
     def test_partial_cut_on_aggregate_path_raises(self):
         params = parameters_from_c(c=C, n=MINERS, delta=3, nu=0.3)
-        with pytest.raises(ValueError, match="misprice"):
+        with pytest.raises(SimulationError, match="misprice"):
             ScenarioSimulation(
                 params, "private_chain", rng=0, delay_model=self._model()
             )
 
-    def test_opt_out_flag_downgrades_to_warning(self):
+    def test_partial_cut_through_the_runner_raises(self):
+        from repro.simulation import PeerGraphTopology
+
         params = parameters_from_c(c=C, n=MINERS, delta=3, nu=0.3)
-        with pytest.warns(RuntimeWarning, match="misprice"):
-            ScenarioSimulation(
+        with pytest.raises(SimulationError, match="misprice"):
+            ExperimentRunner(base_seed=1).run_dynamics_point(
                 params,
-                "private_chain",
-                rng=0,
-                delay_model=self._model(),
-                allow_partial_partitions=True,
+                4,
+                200,
+                schedule=DynamicsSchedule([PartitionEvent(50, 20, nodes=(0, 1, 2))]),
+                topology=PeerGraphTopology.ring(8),
+                scenario="private_chain",
             )
 
     def test_full_eclipse_stays_silent(self):
