@@ -238,12 +238,13 @@ The array layer
 The engines call NumPy directly, and every draw comes from the caller's
 :class:`numpy.random.Generator`.  The per-round block counts come from
 :func:`repro.backend.binomial`, a vectorized copy of NumPy's inversion
-sampler: the same array as ``Generator.binomial``, the generator left in
-the same state, about twice as fast at the paper's points.  Results are
-NumPy arrays that never alias engine scratch memory.
+sampler: ``Generator.binomial``'s values, written into the engine's own
+count tensor, with the generator left in the same state, about twice as
+fast at the paper's points.  Results are NumPy arrays that never alias
+engine scratch memory.
 
-The engines name their dtypes directly (int64 counts and heights, bool
-masks, float64 statistics).  A :class:`~repro.backend.Workspace` of
+The engines name their dtypes directly (int32 drawn counts, int64 heights,
+running sums and per-trial results, bool masks, float64 statistics).  A :class:`~repro.backend.Workspace` of
 preallocated scratch buffers tunes their memory behaviour: the mask and
 drawdown kernels reuse it across repeated (trials, rounds) runs —
 ``ExperimentRunner`` threads one workspace through every grid point; without

@@ -1,14 +1,14 @@
 """The array layer under the engines: the Binomial sampler, scratch, chunks.
 
 The engines call NumPy directly and name their dtypes where they allocate:
-int64 for counts, heights and window sums, bool for masks, float64 for
-statistics.  This package holds what they share beyond NumPy itself:
+int32 for drawn counts, int64 for heights, window sums and per-trial
+results, bool for masks, float64 for statistics.  This package holds what they share beyond NumPy itself:
 
 * **the sampler** (:mod:`repro.backend.sampler`) — :func:`binomial`, the
   one entry point for every Binomial draw: a vectorized copy of NumPy's
-  inversion sampler that returns ``Generator.binomial``'s bits, about
-  twice as fast at ``n * p <= 1``, so results are bit-identical to drawing
-  with ``rng.binomial``.  Every draw comes from the caller's
+  inversion sampler that writes ``Generator.binomial``'s values into an
+  array the caller owns, about twice as fast at ``n * p <= 1``, so results
+  are bit-identical to drawing with ``rng.binomial``.  Every draw comes from the caller's
   :class:`numpy.random.Generator`.
 * **workspace** (:mod:`repro.backend.workspace`) — preallocated scratch
   buffers keyed by tag, reused across repeated (trials, rounds) runs so

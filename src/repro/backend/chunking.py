@@ -47,7 +47,7 @@ __all__ = [
 #: Environment variable overriding the default chunk budget (in cells).
 CHUNK_ENV_VAR = "REPRO_CHUNK_CELLS"
 
-#: Default per-chunk cell budget: 16M int64 cells is 128 MiB per tensor.
+#: Default per-chunk cell budget: 16M int32 count cells is 64 MiB per tensor.
 #: It bounds the memory of the chunk-sized buffers (draws, masks), not the
 #: kernels' speed: the mask and drawdown kernels run cache-sized row tiles
 #: at any budget.  Large enough that per-chunk Python overhead disappears.

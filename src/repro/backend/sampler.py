@@ -4,8 +4,9 @@ Every Binomial count the engines draw (mining tensors, tilted traces, a
 partial cut's minority split) comes from :func:`binomial`.  For the
 paper's ``n * p <= 1`` it runs a vectorized copy of NumPy's inversion
 sampler at about twice ``Generator.binomial``'s speed; everywhere it
-returns the same int64 array and leaves the caller's generator in the
-same state, so results are bit-identical to drawing with
+writes ``Generator.binomial``'s values into an array the caller owns
+(int32 for the engines' count tensors) and leaves the caller's generator
+in the same state, so results are bit-identical to drawing with
 ``rng.binomial`` (pinned by ``tests/test_binomial_sampler.py``).
 """
 
@@ -16,6 +17,8 @@ import struct
 from typing import Tuple
 
 import numpy as np
+
+from ..errors import BackendError
 
 __all__ = ["binomial"]
 
@@ -66,10 +69,17 @@ def _inversion_loop(u, n: int, p: float, q: float, qn: float, bound: int):
     return x
 
 
-def binomial(rng: np.random.Generator, n, p, size) -> np.ndarray:
-    """``rng.binomial(n, p, size=size)``: the same int64 array, and the
-    generator left in the same state, at about twice the speed for the
-    paper's ``n * p <= 1``.
+def binomial(rng: np.random.Generator, n, p, out) -> np.ndarray:
+    """Fill ``out`` with ``rng.binomial(n, p, size=out.shape)``'s values,
+    leave the generator in the same state, and return ``out``; about twice
+    as fast for the paper's ``n * p <= 1``.
+
+    ``out`` is an integer array the caller owns (the engines pass int32
+    count tensors, or rows of one); its shape replaces ``size``, and a
+    dtype that cannot hold ``n`` raises
+    :class:`~repro.errors.BackendError`.  A shape, or ``None``, in its
+    place draws a new int64 array (a scalar for ``None``), as
+    ``rng.binomial(n, p, size=out)`` would.
 
     For a scalar integer ``n >= 1``, ``0 < p <= 0.5`` and ``p * n <= 30``
     NumPy samples by inversion, one ``next_double`` a cell.  There this
@@ -79,20 +89,32 @@ def binomial(rng: np.random.Generator, n, p, size) -> np.ndarray:
     (~0.4% at ``n * p = 0.1``).  Should one pass NumPy's ``bound`` (NumPy
     then draws afresh, ~1e-19 a cell), the generator is rewound and NumPy
     draws the array.  Anything else (array ``n``, ``p > 0.5``,
-    ``p * n > 30``, ``n`` or ``p`` zero, an invalid ``p``, ``size=None``,
-    a legacy generator) goes to ``rng.binomial``.
+    ``p * n > 30``, ``n`` or ``p`` zero, an invalid ``p``, a legacy
+    generator) goes to ``rng.binomial``.
     """
+    if out is None:
+        return rng.binomial(n, p)
+    if not isinstance(out, np.ndarray):
+        out = np.empty(out, np.int64)
+    most = np.max(n, initial=0)
+    if out.dtype.kind not in "iu" or most > np.iinfo(out.dtype).max:
+        raise BackendError(
+            f"out of dtype {out.dtype} cannot hold Binomial counts up to n = {most}"
+        )
+    if not out.flags.c_contiguous:
+        out[...] = binomial(rng, n, p, np.empty(out.shape, out.dtype))
+        return out
     if not (
-        isinstance(rng, np.random.Generator) and size is not None
+        isinstance(rng, np.random.Generator)
         and isinstance(n, (int, np.integer)) and 0 < n < 1 << 63
         and isinstance(p, (float, np.floating)) and 0.0 < p <= 0.5
         and float(p) * int(n) <= 30.0
     ):
-        return rng.binomial(n, p, size=size)
+        out[...] = rng.binomial(n, p, size=out.shape)
+        return out
     n, p = int(n), float(p)
     q, qn, bound, t1 = _inversion_constants(n, p)
     state = rng.bit_generator.state
-    out = np.empty(size, np.int64)
     flat = out.reshape(-1)
     block = np.empty(min(flat.size, _BLOCK_CELLS))
     for start in range(0, flat.size, _BLOCK_CELLS):
@@ -105,6 +127,7 @@ def binomial(rng: np.random.Generator, n, p, size) -> np.ndarray:
             counts = _inversion_loop(u[tail], n, p, q, qn, bound)
             if counts is None:
                 rng.bit_generator.state = state
-                return rng.binomial(n, p, size=size)
+                out[...] = rng.binomial(n, p, size=out.shape)
+                return out
             x[tail] = counts
     return out

@@ -29,7 +29,10 @@ The batch, scenario, streaming and rare-event engines all run these two
 kernels.  The binomial counts come from :func:`repro.backend.binomial`,
 which returns ``Generator.binomial``'s bits, so the engine reproduces the
 historical one bit for bit.  Every draw comes from the caller's
-:class:`numpy.random.Generator`; counts are int64 and masks bool.  Both
+:class:`numpy.random.Generator`.  Drawn counts are int32 (a count never
+exceeds its miner count), masks bool; the kernels read int32 or int64
+counts, keep their running sums in int64 and every per-trial result is
+summed in int64, so the narrow draws change no result.  Both
 kernels run one row tile of at most :data:`TILE_CELLS` cells at a time, so
 their scratch stays in cache and does not grow with the trial count; rows
 never interact, so the tiles change no bit.  A kernel takes that scratch
@@ -96,6 +99,12 @@ def _validate_shape(trials, rounds) -> Tuple[int, int]:
     )
 
 
+def _count_dtype(params: ProtocolParameters):
+    """The drawn count tensors' dtype: int32, which holds every per-round
+    count of up to 2^31 - 1 miners, else int64."""
+    return np.int32 if params.n <= np.iinfo(np.int32).max else np.int64
+
+
 def draw_mining_traces(
     params: ProtocolParameters,
     trials: int,
@@ -103,6 +112,7 @@ def draw_mining_traces(
     rng: SeedLike = None,
     draw_mode: str = "binomial",
     power: Optional[MiningPowerProfile] = None,
+    out=None,
 ):
     """Draw ``(trials, rounds)`` honest and adversarial success-count tensors.
 
@@ -120,6 +130,11 @@ def draw_mining_traces(
     (validated against ``params``) replaces both paths with per-miner
     Bernoulli draws at each miner's own ``p_i`` — the Poisson-binomial
     per-round law — honest side first, same chunking.
+
+    Every path fills two new int32 arrays (int64 past 2^31 - 1 miners), or
+    ``out``: a ``(honest, adversary)`` pair of ``(trials, rounds)`` integer
+    arrays the caller owns, such as rows of the streamed chunk buffers.
+    The values do not depend on the dtype.
     """
     trials, rounds = _validate_shape(trials, rounds)
     if draw_mode not in DRAW_MODES:
@@ -129,50 +144,55 @@ def draw_mining_traces(
     generator = resolve_rng(rng)
     honest_miners = max(int(round(params.honest_count)), 1)
     adversary_miners = int(round(params.adversary_count))
+    shape = (trials, rounds)
+    if out is None:
+        dtype = _count_dtype(params)
+        out = (np.empty(shape, dtype), np.empty(shape, dtype))
+    elif len(out) != 2 or not all(
+        isinstance(tensor, np.ndarray)
+        and tensor.shape == shape
+        and tensor.dtype.kind in "iu"
+        and np.iinfo(tensor.dtype).max >= params.n
+        for tensor in out
+    ):
+        raise SimulationError(
+            f"out must be two {shape} integer arrays that hold counts up to "
+            f"n = {params.n}"
+        )
+    honest, adversary = out
 
     if power is not None:
         power.validate_against(params)
-        honest = _bernoulli_counts(
-            generator, trials, rounds, power.honest_miners, power.honest_p
+        _bernoulli_counts(generator, power.honest_miners, power.honest_p, honest)
+        _bernoulli_counts(
+            generator, power.adversary_miners, power.adversary_p, adversary
         )
-        adversary = _bernoulli_counts(
-            generator, trials, rounds, power.adversary_miners, power.adversary_p
-        )
-        return honest, adversary
-
-    if draw_mode == "binomial":
-        honest = binomial(generator, honest_miners, params.p, (trials, rounds))
+    elif draw_mode == "binomial":
+        binomial(generator, honest_miners, params.p, honest)
         if adversary_miners > 0:
-            adversary = binomial(
-                generator, adversary_miners, params.p, (trials, rounds)
-            )
+            binomial(generator, adversary_miners, params.p, adversary)
         else:
-            adversary = np.zeros((trials, rounds), dtype=np.int64)
-        return honest, adversary
-
-    honest = _bernoulli_counts(generator, trials, rounds, honest_miners, params.p)
-    adversary = _bernoulli_counts(
-        generator, trials, rounds, adversary_miners, params.p
-    )
+            adversary[...] = 0
+    else:
+        _bernoulli_counts(generator, honest_miners, params.p, honest)
+        _bernoulli_counts(generator, adversary_miners, params.p, adversary)
     return honest, adversary
 
 
 def _bernoulli_counts(
-    generator: np.random.Generator,
-    trials: int,
-    rounds: int,
-    miners: int,
-    hardness,
+    generator: np.random.Generator, miners: int, hardness, counts: np.ndarray
 ):
-    """Sum a ``(trials, rounds, miners)`` Bernoulli tensor over the miner axis.
+    """Sum a ``(trials, rounds, miners)`` Bernoulli tensor over the miner
+    axis into the ``(trials, rounds)`` array ``counts``.
 
     ``hardness`` is a scalar ``p`` (the identical-miner model) or a
     ``(miners,)`` vector of per-miner ``p_i`` (the Poisson-binomial draw of
     a heterogeneous power profile) — the comparison broadcasts either way.
     """
     if miners <= 0:
-        return np.zeros((trials, rounds), dtype=np.int64)
-    counts = np.empty((trials, rounds), dtype=np.int64)
+        counts[...] = 0
+        return
+    trials, rounds = counts.shape
     threshold = np.asarray(hardness)
     # The chunk size is an execution knob only: ``rng.random`` consumes the
     # uniform stream contiguously, so any chunking yields identical counts.
@@ -180,8 +200,7 @@ def _bernoulli_counts(
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
         draws = generator.random((stop - start, rounds, miners)) < threshold
-        counts[start:stop] = draws.sum(axis=2, dtype=np.int64)
-    return counts
+        draws.sum(axis=2, dtype=counts.dtype, out=counts[start:stop])
 
 
 def count_convergence_opportunities_batch(honest_counts, delta: int):
@@ -281,6 +300,11 @@ def _window_drawdown(mask, adversary, workspace=None, level=None):
     else ``None``.  Rows are independent, so the kernel runs one row tile
     (:func:`_tile_rows`) at a time through tile-sized ``running`` and
     ``drawdown`` scratch and writes only the per-trial results.
+
+    ``adversary`` may be int32 or int64; the running sums are int64 either
+    way.  A bool mask less a non-negative count fits the count's dtype, so
+    the engines' int32 tiles subtract in int32; an integer mask (from
+    :func:`worst_window_deficits`) subtracts in int64.
     """
     trials, rounds = mask.shape
     rows = _tile_rows(trials, rounds)
@@ -290,10 +314,13 @@ def _window_drawdown(mask, adversary, workspace=None, level=None):
     running[:, 0] = 0
     deficits = np.empty(trials, dtype=np.int64)
     first = None if level is None else np.empty(trials, dtype=np.int64)
+    difference = None if mask.dtype == np.bool_ else np.int64
     for start in range(0, trials, rows):
         stop = min(start + rows, trials)
         total, worst = running[: stop - start], drawdown[: stop - start]
-        np.subtract(mask[start:stop], adversary[start:stop], out=total[:, 1:])
+        np.subtract(
+            mask[start:stop], adversary[start:stop], out=total[:, 1:], dtype=difference
+        )
         np.cumsum(total[:, 1:], axis=1, dtype=np.int64, out=total[:, 1:])
         np.maximum.accumulate(total, axis=1, out=worst)
         np.subtract(worst, total, out=worst)
@@ -390,9 +417,10 @@ def proportion_confidence_interval(
 class BatchResult:
     """Per-trial outcomes plus aggregate statistics for one batch run.
 
-    All per-trial arrays have shape ``(trials,)``.
+    All per-trial arrays have shape ``(trials,)`` and are int64.
     ``honest_counts`` and ``adversary_counts`` (shape ``(trials, rounds)``)
-    are retained only when the run was made with ``keep_traces=True``.
+    are retained only when the run was made with ``keep_traces=True``: the
+    analysed tensors themselves, int32 when the engine drew them.
     """
 
     params: ProtocolParameters

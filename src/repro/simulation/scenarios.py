@@ -1072,12 +1072,14 @@ class ScenarioSimulation:
         """The draw after the two mining tensors, as ``run_traces`` keyword
         arguments.  A partial cut has no delay model and draws its
         minority split: per round, ``Binomial(honest, cut_fraction)`` of the
-        honest successes land in the minority component.  Otherwise it is a
+        honest successes land in the minority component (drawn in the
+        honest tensor's dtype, which holds any share of it).  Otherwise it is a
         non-trivial delay model's delay tensor and cap, else nothing.  The
         streamed engine draws each seed block through it too."""
         if self._cut_fraction is None:
             return _delay_draw(self.delay_model, self.params.delta, honest, rng)
-        split = binomial(rng, honest, float(self._cut_fraction), honest.shape)
+        split = np.empty(honest.shape, honest.dtype)
+        binomial(rng, honest, float(self._cut_fraction), split)
         return {"split_counts": split}
 
     def run_traces(
@@ -1279,11 +1281,12 @@ class ScenarioSimulation:
         equivocating = kind == "equivocation"
         starts = dict(windows)
 
-        # Round-major copies make each round's column contiguous in the scan.
-        honest_rows = np.ascontiguousarray(honest.T)
-        adversary_rows = np.ascontiguousarray(adversary.T)
+        # Round-major copies make each round's column contiguous in the scan,
+        # and widen int32 counts to the scan's int64 state on the way.
+        honest_rows = honest.T.astype(np.int64, order="C")
+        adversary_rows = adversary.T.astype(np.int64, order="C")
         delay_rows = (
-            None if delays is None else np.ascontiguousarray(delays.T)
+            None if delays is None else delays.T.astype(np.int64, order="C")
         )
 
         public = workspace.zeros("scan.public", (trials,), np.int64)
@@ -1339,7 +1342,7 @@ class ScenarioSimulation:
         chain = (private, fork, active, withheld)
         sides = [(public, chain, release_heights, release_forks)]
         if partial:
-            split_rows = np.ascontiguousarray(split.T)
+            split_rows = split.T.astype(np.int64, order="C")
             public1 = workspace.zeros("scan.public1", (trials,), np.int64)
             ring1 = workspace.zeros("scan.ring1", (trials, delay), np.int64)
             best = workspace.empty("scan.best", (trials,), np.int64)

@@ -19,9 +19,10 @@ result type:
 * **one chunk loop** — a chunk is a group of whole consecutive blocks, at
   most ``chunk_cells // rounds`` trials (the shared
   :func:`repro.backend.chunking.resolve_chunk_cells` knob, overridable per
-  engine), copied into reused :class:`~repro.backend.Workspace` buffers and
-  analysed by one dense ``run_traces`` call, so the per-chunk math is
-  exactly the materialised engine's math;
+  engine), drawn into reused :class:`~repro.backend.Workspace` buffers
+  (each block's int32 mining counts in place, in its own rows; a third
+  draw copied in) and analysed by one dense ``run_traces`` call, so the
+  per-chunk math is exactly the materialised engine's math;
 * **online accumulation** — integer tallies (convergence / adversary block
   totals, Lemma 1 satisfaction, violation hits per requested depth) are
   exact; rate means and confidence intervals stream through
@@ -71,6 +72,7 @@ from ..params import ProtocolParameters
 from .batch import (
     BatchResult,
     BatchSimulation,
+    _count_dtype,
     _scratch,
     _validate_shape,
     draw_mining_traces,
@@ -660,12 +662,13 @@ class _StreamedSimulation:
         per_chunk = max(chunk_trials(rounds, self.chunk_cells) // block, 1)
         return block, -(-trials // block), per_chunk
 
-    def _draw_block(self, index: int, size: int, rounds: int):
+    def _draw_block(self, index: int, size: int, rounds: int, out=None):
         """Block ``index``'s draws as ``run_traces`` keyword arguments, split
         into ``(tensors, rest)``: the tensors need chunk buffers, the rest
         (a delay cap) passes through.
 
-        The honest and adversarial tensors, then the dense engine's third
+        The honest and adversarial tensors (drawn into ``out``, a pair of
+        chunk-buffer row views, when given), then the dense engine's third
         draw, all from the block's own child generator: the dense ``run``'s
         protocol, so a one-block streamed run draws exactly what the dense
         engine draws from that generator.
@@ -679,6 +682,7 @@ class _StreamedSimulation:
             rng,
             engine.draw_mode,
             power=engine.power,
+            out=out,
         )
         tensors = {"honest_counts": honest, "adversary_counts": adversary}
         rest = {}
@@ -730,32 +734,40 @@ class _StreamedSimulation:
     def _chunk_loop(self, accumulator, trials, rounds, plan, reporter):
         """The chunk loop (a hot path).
 
-        A chunk copies its blocks' tensors into chunk buffers (one per
-        tensor name, taken on first use), analyses them in one dense
-        ``run_traces`` call and folds the result into ``accumulator`` block
-        by block, in block order.
+        Each block draws its mining tensors in place, into its rows of the
+        two count buffers (int32, taken up front); a third draw (delays, a
+        minority split) is copied into a buffer of its own, taken on first
+        use.  A chunk is then analysed in one dense ``run_traces`` call and
+        folded into ``accumulator`` block by block, in block order.
         """
         block, n_blocks, per_chunk = plan
         engine = self.engine
         # The first chunk is the largest: ``per_chunk`` whole blocks, or all.
-        capacity = min(per_chunk * block, trials)
-        buffers = {}
+        shape = (min(per_chunk * block, trials), rounds)
+        mining = ("honest_counts", "adversary_counts")
+        dtype = _count_dtype(self.params)
+        buffers = {
+            name: _scratch(self.workspace, f"stream.{name}", shape, dtype)
+            for name in mining
+        }
         clock = time.perf_counter
         for first in range(0, n_blocks, per_chunk):
             started = clock()
             offset = 0
             for index in range(first, min(first + per_chunk, n_blocks)):
                 size = min(block, trials - index * block)
-                tensors, rest = self._draw_block(index, size, rounds)
+                rows = slice(offset, offset + size)
+                tensors, rest = self._draw_block(
+                    index, size, rounds, [buffers[name][rows] for name in mining]
+                )
                 for name, tensor in tensors.items():
+                    if name in mining:
+                        continue
                     if name not in buffers:
                         buffers[name] = _scratch(
-                            self.workspace,
-                            f"stream.{name}",
-                            (capacity, rounds),
-                            np.int64,
+                            self.workspace, f"stream.{name}", shape, tensor.dtype
                         )
-                    buffers[name][offset : offset + size] = tensor
+                    buffers[name][rows] = tensor
                 offset += size
             result = engine.run_traces(
                 **{name: buffer[:offset] for name, buffer in buffers.items()}, **rest

@@ -80,13 +80,17 @@ _UNREACHED = np.int64(2) ** 31
 
 
 def _integer_tensor(values, name: str, error_type: type = SimulationError):
-    """``values`` as an int64 array, rejecting what is not whole numbers.
+    """``values`` as an int32 or int64 array, rejecting what is not whole
+    numbers.
 
-    The engines' trace front ends share this rule.  An integer or bool
-    array converts without a scan, and an int64 one without a copy, so the
-    engines' own tensors pass for free.  A float array is accepted when
-    every value is an exact integer.  Fractional, non-finite and
-    non-numeric input raises ``error_type`` instead of being truncated.
+    The engines' trace front ends share this rule.  An int32 or int64 array
+    passes through without a copy, so the engines' own tensors (int32
+    draws, int64 delays) pass for free; the kernels read both.  Any other
+    integer or bool array widens to int64 without a scan, but for one
+    ``max()`` of a uint64 array: a value beyond int64's range raises
+    ``error_type`` rather than wrapping negative.  A float array is
+    accepted when every value is an exact integer.  Fractional, non-finite
+    and non-numeric input raises ``error_type`` instead of being truncated.
     """
     message = (
         f"{name} must hold integers; got non-integral, non-finite or "
@@ -96,8 +100,13 @@ def _integer_tensor(values, name: str, error_type: type = SimulationError):
         array = np.asarray(values)
     except (TypeError, ValueError):  # ragged nesting
         raise error_type(message) from None
+    if array.dtype == np.int32 or array.dtype == np.int64:
+        return array
     if array.dtype.kind in "biu":
-        return array.astype(np.int64, copy=False)
+        wide = array.dtype == np.uint64 and array.size
+        if wide and array.max() > np.iinfo(np.int64).max:
+            raise error_type(f"{name} holds values beyond int64's range")
+        return array.astype(np.int64)
     if array.dtype.kind != "f":
         raise error_type(message)
     # NaN, infinities and floats beyond int64 make the cast invalid.

@@ -30,7 +30,7 @@ _MASK = convergence_opportunity_mask_with_delays(
 KERNELS = {
     "draw_mining_traces": lambda: (
         draw_mining_traces(KERNEL_PARAMS, 6, 400, rng=3),
-        np.int64,
+        np.int32,
     ),
     "draw_tilted_traces": lambda: (
         draw_tilted_traces(

@@ -25,7 +25,7 @@ class TestDrawMiningTraces:
     def test_shapes_and_dtypes(self):
         honest, adversary = draw_mining_traces(PARAMS, trials=5, rounds=70, rng=0)
         assert honest.shape == adversary.shape == (5, 70)
-        assert honest.dtype == np.int64 and adversary.dtype == np.int64
+        assert honest.dtype == np.int32 and adversary.dtype == np.int32
         assert (honest >= 0).all() and (adversary >= 0).all()
 
     def test_same_seed_same_tensors(self):
@@ -67,6 +67,43 @@ class TestDrawMiningTraces:
     def test_invalid_arguments_raise(self, kwargs):
         with pytest.raises(SimulationError):
             draw_mining_traces(PARAMS, rng=0, **kwargs)
+
+    @pytest.mark.parametrize("draw_mode", ["binomial", "bernoulli"])
+    def test_draws_into_an_out_pair_of_either_dtype(self, draw_mode):
+        """The caller's arrays are filled with the values of a fresh draw."""
+        params = parameters_from_c(c=2.0, n=50, delta=2, nu=0.2)
+        expected = draw_mining_traces(params, 4, 60, rng=9, draw_mode=draw_mode)
+        for dtype in (np.int32, np.int64):
+            out = (np.empty((4, 60), dtype), np.empty((4, 60), dtype))
+            drawn = draw_mining_traces(
+                params, 4, 60, rng=9, draw_mode=draw_mode, out=out
+            )
+            assert drawn[0] is out[0] and drawn[1] is out[1]
+            assert np.array_equal(drawn[0], expected[0])
+            assert np.array_equal(drawn[1], expected[1])
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            (np.empty((4, 59), np.int32), np.empty((4, 60), np.int32)),
+            (np.empty((4, 60), np.int8), np.empty((4, 60), np.int8)),
+            (np.empty((4, 60)), np.empty((4, 60))),
+            (np.empty((4, 60), np.int32),),
+        ],
+        ids=["shape", "too_narrow_for_n", "float", "one_array"],
+    )
+    def test_an_out_pair_that_cannot_hold_the_draw_raises(self, out):
+        with pytest.raises(SimulationError, match="out must be two"):
+            draw_mining_traces(PARAMS, 4, 60, rng=0, out=out)
+
+    def test_past_int32_miners_the_counts_are_int64(self):
+        params = parameters_from_c(c=2.0, n=2**32, delta=2, nu=0.2)
+        honest, adversary = draw_mining_traces(params, 3, 40, rng=0)
+        assert honest.dtype == adversary.dtype == np.int64
+        expected = np.random.default_rng(0).binomial(
+            round(params.honest_count), params.p, size=(3, 40)
+        )
+        assert np.array_equal(honest, expected)
 
 
 class TestConvergenceOpportunityMask:

@@ -3,8 +3,9 @@
 The sampler runs NumPy's inversion regime itself (see
 :mod:`repro.backend.sampler`).  Every test here draws from two
 generators built from the same seed, one through the sampler and one
-through NumPy, and requires the same int64 array *and* the same next
-uniforms, so the generators were left in the same state.
+through NumPy, and requires the same values, drawn into an int32 and into
+an int64 array, *and* the same next uniforms, so the generators were left
+in the same state.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.backend import binomial, sampler
+from repro.errors import BackendError
 
 BIT_GENERATORS = (
     np.random.PCG64,
@@ -42,13 +44,15 @@ def _generators(bit_generator, seed):
 
 
 def assert_same_draws(bit_generator, seed, n, p, size):
-    ours, theirs = _generators(bit_generator, seed)
-    drawn = binomial(ours, n, p, size)
-    expected = theirs.binomial(n, p, size=size)
-    assert drawn.dtype == expected.dtype == np.int64
-    assert drawn.shape == expected.shape
-    assert np.array_equal(drawn, expected)
-    assert np.array_equal(ours.random(3), theirs.random(3))
+    for dtype in (np.int32, np.int64):
+        ours, theirs = _generators(bit_generator, seed)
+        out = np.empty(size, dtype)
+        drawn = binomial(ours, n, p, out)
+        expected = theirs.binomial(n, p, size=size)
+        assert drawn is out and drawn.dtype == dtype
+        assert drawn.shape == expected.shape
+        assert np.array_equal(drawn, expected)
+        assert np.array_equal(ours.random(3), theirs.random(3))
 
 
 def numpy_inversion(u, n, p):
@@ -122,10 +126,10 @@ def test_same_draws_and_state_for_a_streamed_seed_block(
     monkeypatch.setattr(sampler, "_inversion_loop", recorded_loop)
     for seed in (0, 7):
         assert_same_draws(bit_generator, seed, n, p, (1048, 1000))
-    # The sampler drew both seed blocks, 64K uniforms at a time,
-    # and ran NumPy's loop on < 1% of them.
+    # The sampler drew both seed blocks into both dtypes, 64K uniforms at a
+    # time, and ran NumPy's loop on < 1% of them.
     blocks = -(-1048 * 1000 // sampler._BLOCK_CELLS)
-    assert len(tails) == 2 * blocks and 0 < sum(tails) < 0.01 * 2 * 1048 * 1000
+    assert len(tails) == 4 * blocks and 0 < sum(tails) < 0.01 * 4 * 1048 * 1000
 
 
 @pytest.mark.parametrize("n,p", INVERSION_PAIRS)
@@ -176,7 +180,8 @@ def test_a_rejection_rewinds_and_lets_numpy_draw(monkeypatch):
     n, p = ENGINE_PAIRS[0]
     for bit_generator in BIT_GENERATORS:
         assert_same_draws(bit_generator, 3, n, p, (3, 65537))
-    assert outcomes == [None] * len(BIT_GENERATORS)
+    # One rejection a draw: into int32, then into int64.
+    assert outcomes == [None] * 2 * len(BIT_GENERATORS)
 
 
 @pytest.mark.parametrize(
@@ -225,3 +230,24 @@ def test_an_invalid_p_raises_numpys_error(p):
     with pytest.raises(ValueError) as ours:
         binomial(np.random.default_rng(0), 700, p, 10)
     assert str(ours.value) == str(theirs.value)
+
+
+def test_an_out_that_cannot_hold_n_raises():
+    """An int32 count past 2^31 - 1 would wrap in ``x[tail] = counts``."""
+    out = np.empty((2, 5), np.int32)
+    for n in (2**31, np.array([[5], [2**31]])):
+        with pytest.raises(BackendError, match="int32"):
+            binomial(np.random.default_rng(0), n, 1e-12, out)
+    with pytest.raises(BackendError, match="float64"):
+        binomial(np.random.default_rng(0), 700, 1e-3, np.empty(5))
+    assert_same_draws(np.random.PCG64, 0, 2**31 - 1, 1e-12, (2, 5))
+
+
+def test_a_strided_out_is_filled_in_place():
+    ours, theirs = _generators(np.random.PCG64, 8)
+    out = np.full((6, 9), -1, np.int32)
+    view = out[:, ::2]
+    assert binomial(ours, 700, 1e-3, view) is view
+    assert np.array_equal(view, theirs.binomial(700, 1e-3, size=view.shape))
+    assert (out[:, 1::2] == -1).all()
+    assert np.array_equal(ours.random(3), theirs.random(3))

@@ -248,6 +248,32 @@ def test_an_integer_tensor_holding_a_non_integer_is_rejected(front, argument, va
         call(**tensors)
 
 
+@pytest.mark.parametrize(
+    "front, argument",
+    sorted(INTEGER_ARGUMENTS),
+    ids=[":".join(key) for key in sorted(INTEGER_ARGUMENTS)],
+)
+def test_a_uint64_value_beyond_int64_is_rejected(front, argument):
+    """A uint64 tensor in range widens as before; 2^64 - 1 does not wrap to
+    -1 (which ``worst_window_deficits`` read as a deficit of 0)."""
+    call, error = INTEGER_ARGUMENTS[front, argument]
+    tensors = dict(_TENSORS)
+    tensors[argument] = tensors[argument].astype(np.uint64)
+    call(**tensors)
+    tensors[argument][0, 3] = 2**64 - 1
+    with pytest.raises(error, match=f"^{argument} holds values beyond int64's range"):
+        call(**tensors)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64], ids=lambda d: d.__name__)
+@pytest.mark.parametrize("engine", sorted(TRACE_ENGINES))
+def test_int32_and_int64_counts_pass_through_without_a_copy(engine, dtype):
+    honest, adversary = (tensor.astype(dtype) for tensor in (_HONEST, _ADVERSARY))
+    result = TRACE_ENGINES[engine]().run_traces(honest, adversary, keep_traces=True)
+    assert np.shares_memory(result.honest_counts, honest)
+    assert np.shares_memory(result.adversary_counts, adversary)
+
+
 @pytest.mark.parametrize("delta", [2.5, True], ids=repr)
 def test_delay_mask_needs_a_positive_integer_delta(delta):
     """2.5 is not read as a wider Δ and ``True`` is not read as 1."""

@@ -9,7 +9,8 @@ replaced: core's
 a ``cumsum`` / ``maximum.accumulate`` drawdown, and the first-crossing scan
 the rare-event estimator used to run on its own.  The kernels must match
 them bit for bit, with and without a workspace, and whatever row tiles
-they run in.
+they run in, on int32 count tensors (the engines' draws) and on int64 ones
+(``draw_tilted_traces`` and callers' own arrays).
 """
 
 from __future__ import annotations
@@ -207,6 +208,55 @@ class TestTiles:
             assert small[tag] == large[tag], tag
         assert small["mask.out"] == (trials, rounds)
         assert large["mask.out"] == (8 * trials, rounds)
+
+
+class _Int32Counts:
+    """Reruns a class's oracle comparisons on int32 count tensors, the dtype
+    the engines draw; the classes above run on :func:`_traces`' int64."""
+
+    @pytest.fixture(autouse=True)
+    def _int32_traces(self, monkeypatch):
+        int64_traces = _traces
+
+        def int32_traces(*args, **kwargs):
+            return tuple(t.astype(np.int32) for t in int64_traces(*args, **kwargs))
+
+        monkeypatch.setitem(globals(), "_traces", int32_traces)
+
+
+class TestKernelsOnInt32Counts(_Int32Counts, TestKernels):
+    pass
+
+
+class TestFirstCrossingsOnInt32Counts(_Int32Counts, TestFirstCrossings):
+    pass
+
+
+class TestTilesOnInt32Counts(_Int32Counts, TestTiles):
+    pass
+
+
+class TestResultBoundary:
+    def test_int32_counts_whose_totals_pass_int32_stay_exact(self):
+        """Per-trial sums and the drawdown's running totals are int64, so
+        int32 counts bring back no round limit: three rounds of 2^30
+        blocks total 3 * 2^30, past 2^31 - 1."""
+        counts = np.full((1, 3), 2**30, dtype=np.int32)
+        params = parameters_from_c(c=4.0, n=1_000, delta=1, nu=0.2)
+        result = BatchSimulation(params, rng=0).run_traces(counts, counts)
+        for totals in (result.honest_blocks, result.adversary_blocks):
+            assert totals.dtype == np.int64 and totals.tolist() == [3 * 2**30]
+        assert result.convergence_opportunities.tolist() == [0]
+        assert result.worst_deficits.tolist() == [3 * 2**30]
+        for mask in (np.zeros(counts.shape, bool), np.zeros(counts.shape, np.int32)):
+            assert worst_window_deficits(mask, counts).tolist() == [3 * 2**30]
+
+    def test_an_int32_mask_subtracts_in_int64(self):
+        """Only a bool mask less a non-negative count surely fits int32; an
+        int32 mask less an int32 count of -2^31 is 2^31, which must not wrap."""
+        mask = np.zeros((1, 2), dtype=np.int32)
+        adversary = np.array([[-(2**31), 2**31 - 1]], dtype=np.int32)
+        assert worst_window_deficits(mask, adversary).tolist() == [2**31 - 1]
 
 
 class TestStoppedTotals:

@@ -19,12 +19,14 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.bounds import neat_bound
 from repro.errors import SimulationError
 from repro.params import parameters_from_c
 from repro.simulation import streaming
@@ -519,6 +521,36 @@ class TestValidationAndResults:
             assert _run(config, simulation, trials, rounds).n_chunks == 12
         dense_trace_bytes = 2 * trials * rounds * 8
         assert workspace.high_water_bytes < dense_trace_bytes / 2
+
+    def test_blocks_draw_in_place_into_int32_chunk_buffers(self):
+        """A warm streamed run allocates less than one seed block's int32
+        tensor: every block draws its mining counts into its rows of the
+        chunk buffers rather than into fresh tensors copied in.  At the
+        ``stream_validation`` point (ν = 0.3, c = 1.1 × the neat bound),
+        12 blocks × 1,000 rounds in chunks of 4 blocks."""
+        from repro.backend import Workspace
+
+        params = parameters_from_c(
+            c=1.1 * neat_bound(0.3), n=1_000, delta=4, nu=0.3
+        )
+        rounds = 1_000
+        block = seed_block_trials(rounds)
+        workspace = Workspace()
+        simulation = StreamingBatchSimulation(
+            params, seed=3, workspace=workspace, chunk_cells=4 * block * rounds
+        )
+        warm = simulation.run(12 * block, rounds, depths=(2, 4, 8))
+        tracemalloc.start()
+        try:
+            traced = simulation.run(12 * block, rounds, depths=(2, 4, 8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traced.n_chunks == 3 and traced.payload() == warm.payload()
+        assert peak < block * rounds * np.dtype(np.int32).itemsize
+        for name in ("honest_counts", "adversary_counts"):
+            buffer = workspace._buffers[f"stream.{name}"]
+            assert buffer.dtype == np.int32 and buffer.shape == (4 * block, rounds)
 
 
 class _CaptureSink:
