@@ -14,7 +14,7 @@ Three claims are measured:
   streamed seed block (``seed_block_trials(1000)`` trials x 1,000 rounds,
   ``n`` = 700 honest and 300 adversarial miners at the near-bound
   ``nu = 0.3`` point) into a preallocated int32 array, as
-  ``draw_mining_traces`` draws into the streamed chunk buffers, >= 1.5x
+  ``draw_mining_traces`` draws into the streamed count buffers, >= 1.5x
   faster than ``Generator.binomial`` allocates its int64 array, and write
   the same values from the same seed (pinned over NumPy's whole inversion
   regime by ``tests/test_binomial_sampler.py``).

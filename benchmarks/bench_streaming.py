@@ -1,17 +1,18 @@
 """Benchmark: O(chunk) memory and dense-competitive throughput for streaming.
 
 The streaming trial engine exists so grid points with ``1e8+`` trials fit
-in bounded memory: the dense kernels are driven chunk by chunk through
-online accumulators, so peak footprint scales with ``chunk_cells`` — not
-with ``trials``.  Two gates pin that promise on the overlap-region anchor
-point (``c=4, n=1000, delta=3, nu=0.2``):
+in bounded memory: the dense kernels are driven one seed block at a time
+through online accumulators, so a streamed batch point's peak footprint
+scales with the seed block — not with ``trials``, nor with ``chunk_cells``,
+which only groups blocks into progress chunks.  Two gates pin that promise
+on the overlap-region anchor point (``c=4, n=1000, delta=3, nu=0.2``):
 
 * **memory** — a streamed point at ``TRIALS`` trials must peak (measured
   by ``Workspace.high_water_bytes``) at <= 10% of what the dense engine
   would need for the same point: the dense workspace high-water mark
   measured at ``DENSE_TRIALS`` scaled linearly to ``TRIALS``, plus the two
-  ``(TRIALS, ROUNDS)`` int64 trace tensors the dense path materialises
-  outside the workspace.
+  ``(TRIALS, ROUNDS)`` trace tensors the dense path materialises outside
+  the workspace, in the dtype it draws them in (int32).
 * **throughput** — streaming must not buy that memory with a slowdown:
   streamed cells/second must stay within 1.5x of the dense engine's rate
   (in practice chunked execution is cache-friendlier and *faster* at
@@ -26,22 +27,25 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from conftest import bench_scale, record_trajectory
 from repro.backend import Workspace
 from repro.params import parameters_from_c
 from repro.simulation import BatchSimulation, StreamingBatchSimulation
+from repro.simulation.batch import _count_dtype
 
 PARAMS = parameters_from_c(c=4.0, n=1_000, delta=3, nu=0.2)
 SEED = 2026
 
 #: The streamed workload: ten million trials in full mode — a point the
-#: dense engine cannot hold (two ``(1e7, 100)`` int64 tensors alone are
-#: 16 GB before any scan scratch).
+#: dense engine cannot hold (two ``(1e7, 100)`` int32 tensors alone are
+#: 8 GB before any scan scratch).
 TRIALS = bench_scale(200_000, 10_000_000)
 ROUNDS = 100
-#: The execution chunk budget (cells); scaled down in quick mode so the
-#: chunking machinery is still exercised by the shrunken workload.
-CHUNK_CELLS = bench_scale(400_000, 4_000_000)
+#: The execution chunk budget (cells): three 100-round seed blocks a chunk
+#: in both modes, so the memory gate would see chunk-sized buffers.
+CHUNK_CELLS = 4_000_000
 #: The dense reference runs at a size the dense engine can actually hold;
 #: its footprint is scaled linearly to ``TRIALS`` for the gate.
 DENSE_TRIALS = bench_scale(20_000, 200_000)
@@ -77,9 +81,10 @@ def test_streamed_point_is_chunk_bounded_and_dense_competitive():
     # Projected dense peak at the streamed trial count: workspace scratch
     # scales linearly with trials, plus the honest/adversary trace tensors
     # the dense path materialises outside the workspace.
+    cell_bytes = np.dtype(_count_dtype(PARAMS)).itemsize
     dense_projected = (
         dense_workspace.high_water_bytes * (TRIALS / DENSE_TRIALS)
-        + 2 * TRIALS * ROUNDS * 8
+        + 2 * TRIALS * ROUNDS * cell_bytes
     )
 
     memory_ratio = streamed_peak / dense_projected

@@ -207,14 +207,17 @@ Dense batch results hold per-trial arrays, so a grid point's memory grows
 linearly with ``trials`` — at ``1e8`` trials the trace tensors alone pass
 100 GB.  :class:`~repro.simulation.StreamingBatchSimulation` (and
 :class:`~repro.simulation.StreamingScenarioSimulation` for attack
-scenarios) drive the *same dense kernels* in bounded chunks: trials are
+scenarios) drive the *same dense kernels* in bounded pieces: trials are
 carved into fixed seed blocks
 (:data:`~repro.simulation.SEED_BLOCK_CELLS` cells each, every block drawn
 from its own spawned :class:`numpy.random.SeedSequence`), each execution
 chunk groups whole consecutive blocks inside the
 ``REPRO_CHUNK_CELLS``/``chunk_cells`` budget, and per-block slices fold
 into online accumulators — exact integer tallies, Chan/Kahan-merged float
-moments, a bounded worst-deficit histogram.  The streamed summary has the
+moments, a bounded worst-deficit histogram.  A streamed batch point
+analyses each block where it was drawn, so its memory is one block's at
+any budget; a streamed scenario point scans a whole chunk at once, which
+its round scan needs to run fast.  The streamed summary has the
 same keys as the dense ``summary()`` (integer-backed entries exact, float
 moments within :data:`~repro.simulation.STREAM_STAT_RTOL`), and because
 draws are per-block — never per-chunk — it is **bit-identical for every

@@ -48,9 +48,12 @@ __all__ = [
 CHUNK_ENV_VAR = "REPRO_CHUNK_CELLS"
 
 #: Default per-chunk cell budget: 16M int32 count cells is 64 MiB per tensor.
-#: It bounds the memory of the chunk-sized buffers (draws, masks), not the
-#: kernels' speed: the mask and drawdown kernels run cache-sized row tiles
-#: at any budget.  Large enough that per-chunk Python overhead disappears.
+#: It bounds the memory of the chunk-sized buffers a streamed scenario scan
+#: and a rare-event chunk draw into, not the kernels' speed: the mask and
+#: drawdown kernels run cache-sized row tiles at any budget.  A streamed
+#: batch point's buffers are one seed block at any budget; for it the
+#: budget only groups blocks into progress chunks.  Large enough that
+#: per-chunk Python overhead disappears.
 DEFAULT_CHUNK_CELLS = 16_000_000
 
 

@@ -64,11 +64,12 @@ Components
     share one chunk loop, one per-block draw and one result codec: each
     fixed ``SEED_BLOCK_CELLS``-cell seed block draws from its own spawned
     :class:`numpy.random.SeedSequence` in the dense engine's order (the
-    mining tensors, then the engine's third draw), and chunks of whole
-    blocks run through the dense batch and scenario kernels into online
-    accumulators (exact integer tallies, Chan/Kahan float moments, a
-    bounded worst-deficit histogram).  The summary-only results match the
-    dense ``summary()`` exactly for integer-backed statistics and within
+    mining tensors, then the engine's third draw); the dense batch
+    kernels analyse one block at a time and the scenario scan a chunk of
+    whole blocks, feeding online accumulators (exact integer tallies,
+    Chan/Kahan float moments, a bounded worst-deficit histogram).  The
+    summary-only results match the dense ``summary()`` exactly for
+    integer-backed statistics and within
     :data:`~repro.simulation.streaming.STREAM_STAT_RTOL` for float moments,
     and one seed produces one bit stream regardless of chunk size or
     serial-versus-sharded execution.

@@ -133,7 +133,8 @@ def draw_mining_traces(
 
     Every path fills two new int32 arrays (int64 past 2^31 - 1 miners), or
     ``out``: a ``(honest, adversary)`` pair of ``(trials, rounds)`` integer
-    arrays the caller owns, such as rows of the streamed chunk buffers.
+    arrays the caller owns, such as a seed block's rows of the streamed
+    count buffers.
     The values do not depend on the dtype.
     """
     trials, rounds = _validate_shape(trials, rounds)
@@ -344,9 +345,13 @@ def worst_window_deficits(
     which adversarial blocks outnumbered convergence opportunities by ``d`` —
     the analytical analogue of a depth-``d`` consistency threat.
 
-    A validating front end to the engines' drawdown kernel.
+    A validating front end to the engines' drawdown kernel.  A bool mask,
+    which the kernel reads directly, passes through uncopied; any other
+    mask follows the engines' integer rule.
     """
-    mask = _integer_tensor(opportunity_mask, "opportunity_mask")
+    mask = opportunity_mask
+    if not (isinstance(mask, np.ndarray) and mask.dtype == np.bool_):
+        mask = _integer_tensor(mask, "opportunity_mask")
     adversary = _integer_tensor(adversary_counts, "adversary_counts")
     if mask.ndim != 2:
         raise SimulationError(
@@ -356,6 +361,10 @@ def worst_window_deficits(
         raise SimulationError(
             f"mask shape {mask.shape} does not match adversary shape {adversary.shape}"
         )
+    if mask.dtype == np.bool_ and adversary.size and adversary.min() < 0:
+        # The kernel subtracts a bool mask in the counts' dtype, which a
+        # negative int32 count can overflow; an int64 mask subtracts in int64.
+        mask = mask.astype(np.int64)
     return _window_drawdown(mask, adversary, workspace)[0]
 
 

@@ -19,10 +19,15 @@ result type:
 * **one chunk loop** — a chunk is a group of whole consecutive blocks, at
   most ``chunk_cells // rounds`` trials (the shared
   :func:`repro.backend.chunking.resolve_chunk_cells` knob, overridable per
-  engine), drawn into reused :class:`~repro.backend.Workspace` buffers
-  (each block's int32 mining counts in place, in its own rows; a third
-  draw copied in) and analysed by one dense ``run_traces`` call, so the
-  per-chunk math is exactly the materialised engine's math;
+  engine), reported as one progress event.  Each block draws its int32
+  mining counts in place into reused :class:`~repro.backend.Workspace`
+  buffers, and dense ``run_traces`` calls analyse them, so the math is
+  exactly the materialised engine's math.  The batch kernels are row-local,
+  so a streamed batch point makes one call per block on block-sized
+  buffers, its delay tensor passed through as drawn: its memory is one
+  block's at any chunk budget.  The scenario scan pays a per-round cost
+  that needs wide vectors, so a streamed scenario point makes one call per
+  chunk on chunk-sized buffers, with a third draw copied in;
 * **online accumulation** — integer tallies (convergence / adversary block
   totals, Lemma 1 satisfaction, violation hits per requested depth) are
   exact; rate means and confidence intervals stream through
@@ -617,12 +622,17 @@ class StreamingScenarioResult(_StreamedResult):
 # ----------------------------------------------------------------------
 # The chunked execution spine
 # ----------------------------------------------------------------------
+_MINING = ("honest_counts", "adversary_counts")
+
+
 class _StreamedSimulation:
     """One block plan, one per-block draw and one chunk loop.
 
     A subclass builds its dense engine as ``self.engine`` (with
     ``run_traces`` and ``_third_draw``) and its accumulator in ``run``, and
-    names its span, progress label and result type.
+    names its span, progress label and result type.  Its ``_chunk_calls``
+    says whether one ``run_traces`` call spans a whole chunk of blocks or
+    one block.
     """
 
     # The repository benchmark (perfbench/stages.py) wraps this module's
@@ -633,6 +643,7 @@ class _StreamedSimulation:
     _span: str
     _progress_label: str
     _result_type: type
+    _chunk_calls: bool
 
     def __init__(
         self,
@@ -664,11 +675,12 @@ class _StreamedSimulation:
 
     def _draw_block(self, index: int, size: int, rounds: int, out=None):
         """Block ``index``'s draws as ``run_traces`` keyword arguments, split
-        into ``(tensors, rest)``: the tensors need chunk buffers, the rest
-        (a delay cap) passes through.
+        into ``(tensors, rest)``: the ``(size, rounds)`` tensors, which a
+        call spanning several blocks gathers into chunk buffers, and the
+        rest (a delay cap), which passes through.
 
         The honest and adversarial tensors (drawn into ``out``, a pair of
-        chunk-buffer row views, when given), then the dense engine's third
+        count-buffer row views, when given), then the dense engine's third
         draw, all from the block's own child generator: the dense ``run``'s
         protocol, so a one-block streamed run draws exactly what the dense
         engine draws from that generator.
@@ -734,48 +746,65 @@ class _StreamedSimulation:
     def _chunk_loop(self, accumulator, trials, rounds, plan, reporter):
         """The chunk loop (a hot path).
 
-        Each block draws its mining tensors in place, into its rows of the
-        two count buffers (int32, taken up front); a third draw (delays, a
-        minority split) is copied into a buffer of its own, taken on first
-        use.  A chunk is then analysed in one dense ``run_traces`` call and
+        A chunk is ``per_chunk`` whole blocks and one progress event.  Each
+        dense ``run_traces`` call spans the whole chunk where the subclass
+        sets ``_chunk_calls``, else one block, and the two int32 count
+        buffers (taken up front) are one call in size.  Each result is
         folded into ``accumulator`` block by block, in block order.
         """
         block, n_blocks, per_chunk = plan
-        engine = self.engine
-        # The first chunk is the largest: ``per_chunk`` whole blocks, or all.
-        shape = (min(per_chunk * block, trials), rounds)
-        mining = ("honest_counts", "adversary_counts")
+        span = per_chunk if self._chunk_calls else 1
+        # The first call is the largest: ``span`` whole blocks, or all.
+        shape = (min(span * block, trials), rounds)
         dtype = _count_dtype(self.params)
         buffers = {
             name: _scratch(self.workspace, f"stream.{name}", shape, dtype)
-            for name in mining
+            for name in _MINING
         }
         clock = time.perf_counter
         for first in range(0, n_blocks, per_chunk):
             started = clock()
-            offset = 0
-            for index in range(first, min(first + per_chunk, n_blocks)):
-                size = min(block, trials - index * block)
-                rows = slice(offset, offset + size)
-                tensors, rest = self._draw_block(
-                    index, size, rounds, [buffers[name][rows] for name in mining]
+            last = min(first + per_chunk, n_blocks)
+            for start in range(first, last, span):
+                tensors, rest = self._draw_call(
+                    start, min(start + span, last), block, trials, rounds, buffers
                 )
-                for name, tensor in tensors.items():
-                    if name in mining:
-                        continue
-                    if name not in buffers:
-                        buffers[name] = _scratch(
-                            self.workspace, f"stream.{name}", shape, tensor.dtype
-                        )
-                    buffers[name][rows] = tensor
-                offset += size
-            result = engine.run_traces(
-                **{name: buffer[:offset] for name, buffer in buffers.items()}, **rest
-            )
-            for lo in range(0, offset, block):
-                accumulator.update(result, lo, min(lo + block, offset))
+                result = self.engine.run_traces(**tensors, **rest)
+                size = result.trials
+                for lo in range(0, size, block):
+                    accumulator.update(result, lo, min(lo + block, size))
             if reporter is not None:
                 reporter.point_done(clock() - started)
+
+    def _draw_call(self, first, stop, block, trials, rounds, buffers):
+        """Blocks ``first .. stop - 1`` drawn for one ``run_traces`` call, as
+        its ``(tensors, rest)`` keyword arguments (a hot path).
+
+        Each block draws its mining counts in place, into its rows of the
+        two count buffers.  A one-block call takes the block's third draw
+        (delays, a minority split) as drawn; a call of several blocks copies
+        it into a buffer of its own, taken on first use.
+        """
+        offset = 0
+        for index in range(first, stop):
+            size = min(block, trials - index * block)
+            rows = slice(offset, offset + size)
+            tensors, rest = self._draw_block(
+                index, size, rounds, [buffers[name][rows] for name in _MINING]
+            )
+            if stop - first == 1:
+                return tensors, rest
+            for name, tensor in tensors.items():
+                if name in _MINING:
+                    continue
+                if name not in buffers:
+                    shape = buffers[_MINING[0]].shape
+                    buffers[name] = _scratch(
+                        self.workspace, f"stream.{name}", shape, tensor.dtype
+                    )
+                buffers[name][rows] = tensor
+            offset += size
+        return {name: buffer[:offset] for name, buffer in buffers.items()}, rest
 
     def materialize_traces(self, trials: int, rounds: int):
         """Full tensors under the *streamed* draw protocol (audit helper).
@@ -815,12 +844,13 @@ class StreamingBatchSimulation(_StreamedSimulation):
     draw_mode / delay_model / power / workspace:
         Forwarded to the underlying dense
         :class:`~repro.simulation.batch.BatchSimulation`, whose kernels
-        analyse each chunk.
+        analyse each seed block.
     chunk_cells:
         Execution chunk budget in cells; ``None`` defers to the shared
         :func:`repro.backend.chunking.resolve_chunk_cells` configuration
-        (``REPRO_CHUNK_CELLS``).  Pure execution policy — results are
-        bit-identical for every setting.
+        (``REPRO_CHUNK_CELLS``).  It only groups seed blocks into progress
+        chunks (``n_chunks``): the buffers are one block in size at every
+        setting, and results are bit-identical for every setting.
 
     Examples
     --------
@@ -839,6 +869,7 @@ class StreamingBatchSimulation(_StreamedSimulation):
     _span = "stream.run"
     _progress_label = "stream.batch"
     _result_type = StreamingBatchResult
+    _chunk_calls = False
 
     def __init__(
         self,
@@ -893,12 +924,17 @@ class StreamingScenarioSimulation(_StreamedSimulation):
     draws the honest tensor, the adversarial tensor, then the dense
     engine's third draw (the minority-split tensor for partial-cut
     scenarios, the delay tensor for non-trivial delay models, nothing
-    otherwise), all from its own spawned child seed.
+    otherwise), all from its own spawned child seed.  Unlike the batch
+    spine it scans a whole chunk of blocks in one ``run_traces`` call: the
+    round scan pays a per-round cost that only wide vectors amortise (at
+    2,000 x 10,000 one block per call took 7.0 s against 2.1 s for whole
+    chunks on a 2-vCPU Intel Xeon).
     """
 
     _span = "stream.scenario_run"
     _progress_label = "stream.scenario"
     _result_type = StreamingScenarioResult
+    _chunk_calls = True
 
     def __init__(
         self,

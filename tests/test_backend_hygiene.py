@@ -76,6 +76,7 @@ HOT_PATHS = [
     (rare_events, "RareEventSimulation._first_crossings"),
     (streaming, "_StreamedSimulation._chunk_loop"),
     (streaming, "_StreamedSimulation._draw_block"),
+    (streaming, "_StreamedSimulation._draw_call"),
     (streaming, "StreamingAccumulator.update"),
     (streaming, "ScenarioStreamingAccumulator.update"),
     (streaming, "OnlineMoments.update"),

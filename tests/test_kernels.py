@@ -15,6 +15,8 @@ they run in, on int32 count tensors (the engines' draws) and on int64 ones
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,36 @@ class TestTiles:
         assert large["mask.out"] == (8 * trials, rounds)
 
 
+class TestDeficitsFrontEnd:
+    """``worst_window_deficits`` hands the drawdown kernel a bool mask as is."""
+
+    def test_a_bool_mask_is_not_copied(self):
+        """The front end's peak stays below one int64 copy of the mask: at
+        1,000 x 1,000 the kernel's tile scratch is about 1 MB, a copy 8 MB."""
+        traces = _traces(1_000, trials=1_000, seed=8)
+        honest, adversary = (trace.astype(np.int32) for trace in traces)
+        mask = _opportunity_mask(honest, 4).copy()
+        worst_window_deficits(mask, adversary)
+        tracemalloc.start()
+        try:
+            worst_window_deficits(mask, adversary)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mask.size * np.dtype(np.int64).itemsize
+
+    @pytest.mark.parametrize("counts", (np.int32, np.int64))
+    @pytest.mark.parametrize("dtype", (np.bool_, np.int8, np.int32, np.int64))
+    def test_values_equal_the_kernels(self, dtype, counts):
+        honest, adversary = _traces(300, trials=40, seed=9)
+        mask = convergence_opportunity_mask(honest, 3).astype(dtype)
+        adversary = adversary.astype(counts)
+        expected = reference_drawdown(mask, adversary).max(axis=1)
+        assert np.array_equal(_window_drawdown(mask, adversary)[0], expected)
+        assert np.array_equal(worst_window_deficits(mask, adversary), expected)
+        assert expected.any()
+
+
 class _Int32Counts:
     """Reruns a class's oracle comparisons on int32 count tensors, the dtype
     the engines draw; the classes above run on :func:`_traces`' int64."""
@@ -255,6 +287,13 @@ class TestResultBoundary:
         """Only a bool mask less a non-negative count surely fits int32; an
         int32 mask less an int32 count of -2^31 is 2^31, which must not wrap."""
         mask = np.zeros((1, 2), dtype=np.int32)
+        adversary = np.array([[-(2**31), 2**31 - 1]], dtype=np.int32)
+        assert worst_window_deficits(mask, adversary).tolist() == [2**31 - 1]
+
+    def test_a_bool_mask_less_a_negative_int32_count_does_not_wrap(self):
+        """The front end passes a bool mask through, but not against a
+        negative count, which the kernel's int32 subtraction could wrap."""
+        mask = np.zeros((1, 2), dtype=bool)
         adversary = np.array([[-(2**31), 2**31 - 1]], dtype=np.int32)
         assert worst_window_deficits(mask, adversary).tolist() == [2**31 - 1]
 

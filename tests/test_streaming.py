@@ -32,6 +32,7 @@ from repro.params import parameters_from_c
 from repro.simulation import streaming
 from repro.simulation.batch import (
     BatchSimulation,
+    _count_dtype,
     proportion_confidence_interval,
 )
 from repro.simulation.dynamics import PartitionScenario
@@ -64,7 +65,7 @@ CUT = PartitionScenario(
     cut_fraction=0.3,
 )
 
-#: One streamed configuration per kind of chunk buffer, as ``(streamed
+#: One streamed configuration per kind of streamed buffer, as ``(streamed
 #: engine, dense engine, engine arguments, streamed run arguments)``: batch
 #: with violation depths, batch with a delay tensor, a scenario scan, a
 #: scenario with a delay tensor and a partial cut with a minority-split tensor.
@@ -293,7 +294,7 @@ class TestChunkInvariance:
     ):
         """Property: chunk=1 cell, chunk>run, anything between — the streamed
         summary is bit-identical to the single-chunk reference, for every
-        kind of chunk buffer (delay and split tensors split across chunks
+        kind of streamed buffer (delay and split tensors split across chunks
         too)."""
         with _seed_block_cells(block_cells):
             reference = _run(
@@ -519,13 +520,15 @@ class TestValidationAndResults:
                 config, seed=1, workspace=workspace, chunk_cells=per_chunk * rounds
             )
             assert _run(config, simulation, trials, rounds).n_chunks == 12
-        dense_trace_bytes = 2 * trials * rounds * 8
+        cell_bytes = np.dtype(_count_dtype(PARAMS)).itemsize
+        dense_trace_bytes = 2 * trials * rounds * cell_bytes
         assert workspace.high_water_bytes < dense_trace_bytes / 2
 
-    def test_blocks_draw_in_place_into_int32_chunk_buffers(self):
+    def test_blocks_draw_in_place_into_int32_block_buffers(self):
         """A warm streamed run allocates less than one seed block's int32
-        tensor: every block draws its mining counts into its rows of the
-        chunk buffers rather than into fresh tensors copied in.  At the
+        tensor, and its count buffers are one block in size whatever the
+        chunk budget: every block draws its mining counts into the block
+        buffers rather than into fresh tensors copied in.  At the
         ``stream_validation`` point (ν = 0.3, c = 1.1 × the neat bound),
         12 blocks × 1,000 rounds in chunks of 4 blocks."""
         from repro.backend import Workspace
@@ -550,7 +553,64 @@ class TestValidationAndResults:
         assert peak < block * rounds * np.dtype(np.int32).itemsize
         for name in ("honest_counts", "adversary_counts"):
             buffer = workspace._buffers[f"stream.{name}"]
-            assert buffer.dtype == np.int32 and buffer.shape == (4 * block, rounds)
+            assert buffer.dtype == np.int32 and buffer.shape == (block, rounds)
+
+    @pytest.mark.parametrize("delay_model", [None, "uniform"])
+    def test_batch_workspace_is_one_block_at_any_chunk_budget(self, delay_model):
+        """A streamed batch point's workspace high-water mark is the same
+        at a chunk budget of one block and of 16 blocks, and equals a
+        one-block run's: each block is analysed on its own, so the budget
+        only groups blocks into progress chunks.  At fixed Δ and with a
+        delay model, over 16 full blocks and a short one, at 4,096-cell
+        seed blocks."""
+        from repro.backend import Workspace
+
+        rounds = 64
+        marks = {}
+        with _seed_block_cells(4096):
+            block = seed_block_trials(rounds)
+            for label, trials, blocks_per_chunk in (
+                ("one_block_run", block, 1),
+                ("chunk_of_one", 16 * block + 5, 1),
+                ("chunk_of_16", 16 * block + 5, 16),
+            ):
+                workspace = Workspace()
+                StreamingBatchSimulation(
+                    PARAMS,
+                    seed=11,
+                    delay_model=delay_model,
+                    workspace=workspace,
+                    chunk_cells=blocks_per_chunk * block * rounds,
+                ).run(trials, rounds, depths=(1,))
+                marks[label] = workspace.high_water_bytes
+        assert marks["chunk_of_one"] == marks["chunk_of_16"] == marks["one_block_run"]
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_run_traces_calls_span_a_chunk_for_scenarios_a_block_for_batches(
+        self, config
+    ):
+        """A streamed scenario point scans each chunk in one ``run_traces``
+        call (its round scan needs wide vectors); a streamed batch point
+        analyses one seed block a call.  7 blocks of 16 trials, the last 4
+        short, in chunks of 3 blocks."""
+        rounds = 16
+        with _seed_block_cells(256):
+            block = seed_block_trials(rounds)
+            simulation = _streamed(config, chunk_cells=3 * block * rounds)
+            original = simulation.engine.run_traces
+            calls = []
+
+            def counted(**arguments):
+                calls.append(len(arguments["honest_counts"]))
+                return original(**arguments)
+
+            simulation.engine.run_traces = counted
+            result = _run(config, simulation, 6 * block + 4, rounds)
+        assert block == 16 and result.n_chunks == 3
+        if isinstance(simulation, StreamingScenarioSimulation):
+            assert calls == [48, 48, 4]
+        else:
+            assert calls == [16] * 6 + [4]
 
 
 class _CaptureSink:
