@@ -92,8 +92,7 @@ def test_streamed_point_is_chunk_bounded_and_dense_competitive():
 
     print(
         f"\nstreamed: {TRIALS:,} trials x {ROUNDS} rounds in {streamed_s:.1f}s "
-        f"({streamed_rate / 1e6:.1f} Mcells/s, {streamed.n_chunks} chunks, "
-        f"peak {streamed_peak / 1e6:.0f} MB)"
+        f"({streamed_rate / 1e6:.1f} Mcells/s, peak {streamed_peak / 1e6:.0f} MB)"
     )
     print(
         f"dense:    {DENSE_TRIALS:,} trials x {ROUNDS} rounds in {dense_s:.1f}s "
@@ -129,7 +128,6 @@ def test_streamed_point_is_chunk_bounded_and_dense_competitive():
             "rounds": ROUNDS,
             "chunk_cells": CHUNK_CELLS,
             "dense_trials": DENSE_TRIALS,
-            "n_chunks": streamed.n_chunks,
             "streamed_s": streamed_s,
             "streamed_cells_per_s": streamed_rate,
             "streamed_peak_bytes": streamed_peak,

@@ -187,7 +187,11 @@ deficit on the violation threshold, and bit-identity with plain MC at zero
 tilt) and *multilevel splitting* on the worst windowed deficit (trajectories
 cloned at their first level crossing, suffixes redrawn).  Plain-MC
 estimates carry Wilson score intervals, so a zero-violation run reports an
-honest strictly positive upper bound rather than false certainty.
+honest strictly positive upper bound rather than false certainty.  The
+estimator takes a seed, not a live generator: plain and tilted runs draw
+the streaming engine's seed blocks (plain MC *is* a streamed batch point),
+the pilot and splitting draw from the seed's own generator, and so no
+chunk budget changes an estimate.
 
 >>> from repro.simulation import RareEventSimulation
 >>> tail = RareEventSimulation(small, depth=8, rng=0).run_tilted(512, 600)
@@ -221,7 +225,7 @@ its round scan needs to run fast.  The streamed summary has the
 same keys as the dense ``summary()`` (integer-backed entries exact, float
 moments within :data:`~repro.simulation.STREAM_STAT_RTOL`), and because
 draws are per-block — never per-chunk — it is **bit-identical for every
-chunk size** and for serial versus sharded execution.
+chunk size**, payload included, and for serial versus sharded execution.
 ``ExperimentRunner.run_streaming_point`` / ``run_streaming_grid`` cache
 the summary-only results by statistical identity (``chunk_cells`` is
 execution policy and deliberately excluded from the key), and

@@ -6,4 +6,4 @@ into every on-disk cache key — can import it without touching the package
 root mid-initialisation.
 """
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"

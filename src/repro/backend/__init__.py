@@ -14,9 +14,9 @@ results, bool for masks, float64 for statistics.  This package holds what they s
   buffers keyed by tag, reused across repeated (trials, rounds) runs so
   sweeps stop re-allocating in the hot kernels.
 * **chunking** (:mod:`repro.backend.chunking`) — the one chunk-size knob
-  (``REPRO_CHUNK_CELLS``, validated) shared by every bounded-memory
-  execution path: the Bernoulli summation fallback, the rare-event
-  estimators and the streaming trial engine.
+  (``REPRO_CHUNK_CELLS``, validated), an execution setting that changes no
+  result: it sizes streamed scenario chunks and the Bernoulli summation
+  fallback's temporaries.
 
 The mask kernel's in-place shifted ``logical_and`` relies on NumPy's ufunc
 overlap guarantee, one reason the engines name NumPy rather than an
@@ -26,7 +26,6 @@ abstract array library.
 from .chunking import (
     CHUNK_ENV_VAR,
     DEFAULT_CHUNK_CELLS,
-    chunk_sizes,
     chunk_trials,
     resolve_chunk_cells,
 )
@@ -40,5 +39,4 @@ __all__ = [
     "DEFAULT_CHUNK_CELLS",
     "resolve_chunk_cells",
     "chunk_trials",
-    "chunk_sizes",
 ]

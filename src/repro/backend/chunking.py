@@ -1,11 +1,12 @@
 """One chunk-size knob for every bounded-memory execution path.
 
-Three engines chunk their work so peak memory stays bounded regardless of
-trial count: the Bernoulli summation fallback in
-:mod:`repro.simulation.batch`, the rare-event estimators in
-:mod:`repro.simulation.rare_events`, and the streaming spine in
-:mod:`repro.simulation.streaming`.  All three read one validated
-configuration point:
+The budget changes no result in any engine: it sizes the chunks a
+streamed scenario point scans in one call and the Bernoulli summation
+fallback's temporaries.  Streamed batch points and the plain and tilted
+rare-event estimators draw one seed block at a time, a streamed chunk
+groups whole blocks, and the Bernoulli sums consume one contiguous uniform
+stream, so no budget enters a draw.  The streaming spine and the
+Bernoulli sums read one validated configuration point:
 
 * :func:`resolve_chunk_cells` — the active chunk budget in *cells*
   (trials x rounds elements): an explicit override if given, else the
@@ -17,22 +18,12 @@ configuration point:
 * :func:`chunk_trials` — the per-chunk trial count that keeps a
   ``(chunk, rounds)`` tensor inside the budget (always >= 1, so tiny
   budgets degrade to one trial at a time rather than zero progress).
-* :func:`chunk_sizes` — the greedy per-chunk trial counts covering a
-  total trial count (sums exactly to ``trials``).
-
-Whether the budget changes results depends on the caller.  The streaming
-engine layers a fixed seed-block protocol on top and only groups whole
-blocks per chunk, so its results are identical at every budget; so are the
-Bernoulli sums, which consume one contiguous uniform stream.  The
-rare-event estimators draw each chunk in one vectorized call, so there the
-budget is part of the draw protocol: estimates at two budgets agree
-statistically, not bit for bit.
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Optional
+from typing import Optional
 
 from ..errors import BackendError
 
@@ -41,19 +32,18 @@ __all__ = [
     "DEFAULT_CHUNK_CELLS",
     "resolve_chunk_cells",
     "chunk_trials",
-    "chunk_sizes",
 ]
 
 #: Environment variable overriding the default chunk budget (in cells).
 CHUNK_ENV_VAR = "REPRO_CHUNK_CELLS"
 
 #: Default per-chunk cell budget: 16M int32 count cells is 64 MiB per tensor.
-#: It bounds the memory of the chunk-sized buffers a streamed scenario scan
-#: and a rare-event chunk draw into, not the kernels' speed: the mask and
-#: drawdown kernels run cache-sized row tiles at any budget.  A streamed
-#: batch point's buffers are one seed block at any budget; for it the
-#: budget only groups blocks into progress chunks.  Large enough that
-#: per-chunk Python overhead disappears.
+#: No result depends on it.  It bounds the chunk-sized buffers a streamed
+#: scenario scan draws into and the Bernoulli sums' temporaries, not the
+#: kernels' speed (they run cache-sized row tiles).  Streamed batch points
+#: and rare-event estimates hold one seed block at any budget, which then
+#: only groups blocks into progress chunks.  Large enough that per-chunk
+#: Python overhead disappears.
 DEFAULT_CHUNK_CELLS = 16_000_000
 
 
@@ -102,17 +92,3 @@ def chunk_trials(rounds: int, cells: Optional[int] = None) -> int:
     """
     budget = resolve_chunk_cells(cells)
     return max(budget // max(int(rounds), 1), 1)
-
-
-def chunk_sizes(
-    trials: int, rounds: int, cells: Optional[int] = None
-) -> List[int]:
-    """Greedy per-chunk trial counts covering ``trials`` exactly."""
-    total = int(trials)
-    if total <= 0:
-        return []
-    per_chunk = chunk_trials(rounds, cells)
-    sizes = [per_chunk] * (total // per_chunk)
-    if total % per_chunk:
-        sizes.append(total % per_chunk)
-    return sizes

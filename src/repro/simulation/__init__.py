@@ -79,7 +79,9 @@ Components
     likelihood ratios and a cross-entropy pilot stage, plus multilevel
     splitting on the worst windowed A-C deficit — reaching violation
     probabilities of ``1e-9`` and below with bounded relative error, where
-    plain Monte Carlo bottoms out around ``1e-6``.
+    plain Monte Carlo bottoms out around ``1e-6``.  Plain and tilted runs
+    draw the streaming engine's seed blocks, so no chunk budget changes an
+    estimate.
 ``runner``
     :class:`ExperimentRunner`: seeded, cached, optionally multiprocess
     experiments over grids of parameter points, (point, scenario) pairs,

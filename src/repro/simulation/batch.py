@@ -145,22 +145,9 @@ def draw_mining_traces(
     generator = resolve_rng(rng)
     honest_miners = max(int(round(params.honest_count)), 1)
     adversary_miners = int(round(params.adversary_count))
-    shape = (trials, rounds)
-    if out is None:
-        dtype = _count_dtype(params)
-        out = (np.empty(shape, dtype), np.empty(shape, dtype))
-    elif len(out) != 2 or not all(
-        isinstance(tensor, np.ndarray)
-        and tensor.shape == shape
-        and tensor.dtype.kind in "iu"
-        and np.iinfo(tensor.dtype).max >= params.n
-        for tensor in out
-    ):
-        raise SimulationError(
-            f"out must be two {shape} integer arrays that hold counts up to "
-            f"n = {params.n}"
-        )
-    honest, adversary = out
+    honest, adversary = _count_tensors(
+        params, (trials, rounds), out, _count_dtype(params)
+    )
 
     if power is not None:
         power.validate_against(params)
@@ -178,6 +165,25 @@ def draw_mining_traces(
         _bernoulli_counts(generator, honest_miners, params.p, honest)
         _bernoulli_counts(generator, adversary_miners, params.p, adversary)
     return honest, adversary
+
+
+def _count_tensors(params: ProtocolParameters, shape, out, dtype):
+    """``out``, checked to be a pair of ``shape`` integer arrays that hold
+    counts up to ``n``, or two new ``dtype`` arrays."""
+    if out is None:
+        return np.empty(shape, dtype), np.empty(shape, dtype)
+    if len(out) != 2 or not all(
+        isinstance(tensor, np.ndarray)
+        and tensor.shape == shape
+        and tensor.dtype.kind in "iu"
+        and np.iinfo(tensor.dtype).max >= params.n
+        for tensor in out
+    ):
+        raise SimulationError(
+            f"out must be two {shape} integer arrays that hold counts up to "
+            f"n = {params.n}"
+        )
+    return out
 
 
 def _bernoulli_counts(

@@ -45,16 +45,15 @@ variance-reduction techniques layered on the batch engine:
   suffixes redrawn, so the product of per-level conditional hit fractions
   estimates the tail.
 
-Draws come from the caller's generator through
-:func:`repro.backend.binomial`: int32 counts from
-:func:`~repro.simulation.batch.draw_mining_traces` for plain MC and
-splitting, int64 ones from :func:`draw_tilted_traces` for the tilted
-estimator, whose stopped totals sum them with ``np.add.reduceat``.  The
-kernels read both and take an optional workspace; trials are processed in
-bounded-memory chunks, so deep tails can be hunted with large budgets
-without materialising a huge ``(trials, rounds)`` tensor.  A zero tilt is
-*bit-identical* to plain MC at the same seed (the draw protocol is
-unchanged and every likelihood ratio is exactly 1), which is how the
+Every estimate is a function of its seed alone, at any chunk budget.  Plain
+MC and the tilted phase draw the streaming engine's seed blocks
+(:mod:`repro.simulation.streaming`), block ``b`` from the seed's ``b``-th
+child: plain MC *is* a streamed batch point, and the tilted phase draws
+each block's int64 counts with :func:`draw_tilted_traces` (summed with
+``np.add.reduceat``) and folds its weight sums in block order, in one
+block's memory.  The pilot and splitting draw from the seed's own
+generator.  A zero tilt is *bit-identical* to plain MC at the same seed
+(the same blocks, every likelihood ratio exactly 1), which is how the
 equivalence tests pin the estimator.  Plain-MC probability estimates carry
 Wilson score intervals
 (:func:`~repro.simulation.batch.proportion_confidence_interval`), so a
@@ -69,20 +68,21 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..backend import Workspace, binomial, resolve_chunk_cells
-from ..backend.chunking import chunk_sizes
+from ..backend import Workspace, binomial
 from ..errors import SimulationError
 from ..observability import METRICS as _METRICS, TRACE as _TRACE
 from ..params import ProtocolParameters
 from .batch import (
     BatchSimulation,
+    _count_tensors,
     _opportunity_mask,
     _validate_shape,
     _window_drawdown,
     draw_mining_traces,
     proportion_confidence_interval,
 )
-from .rng import SeedLike, resolve_rng
+from .rng import SeedLike, derive_seed_sequence, resolve_rng
+from .streaming import StreamingBatchSimulation, _block_seed, seed_block_trials
 
 __all__ = [
     "RARE_EVENT_METHODS",
@@ -224,15 +224,16 @@ def draw_tilted_traces(
     trials: int,
     rounds: int,
     rng: SeedLike = None,
+    out=None,
 ):
     """Draw ``(trials, rounds)`` success-count tensors under a tilted measure.
 
     Mirrors the binomial path of
     :func:`~repro.simulation.batch.draw_mining_traces` — honest tensor first,
-    then adversarial, both on the caller's generator — but at the tilt's
-    per-query probabilities.  With the identity tilt the draws are
-    bit-identical to the plain engine's at the same seed, which is the
-    estimator's ``tilt=0`` equivalence anchor.
+    then adversarial, both on the caller's generator, into two new arrays
+    or ``out`` — but at the tilt's per-query probabilities.  With the
+    identity tilt the draws are bit-identical to the plain engine's at the
+    same seed, which is the estimator's ``tilt=0`` equivalence anchor.
     """
     trials, rounds = _validate_shape(trials, rounds)
     generator = resolve_rng(rng)
@@ -241,13 +242,12 @@ def draw_tilted_traces(
     # these tensors with ``np.add.reduceat``, which NumPy 2.4.6 runs 3-4x
     # slower on int32 (29 against 8 ms over a 10,000 x 1,000 tensor on a
     # 2-vCPU Intel Xeon).
-    honest = np.empty((trials, rounds), np.int64)
+    honest, adversary = _count_tensors(params, (trials, rounds), out, np.int64)
     binomial(generator, honest_miners, tilt.honest_p, honest)
     if adversary_miners > 0:
-        adversary = np.empty((trials, rounds), np.int64)
         binomial(generator, adversary_miners, tilt.adversary_p, adversary)
     else:
-        adversary = np.zeros((trials, rounds), dtype=np.int64)
+        adversary[...] = 0
     return honest, adversary
 
 
@@ -464,21 +464,15 @@ class RareEventSimulation:
         The violation depth whose tail probability is estimated:
         ``P[worst windowed A-C deficit >= depth]``.
     rng:
-        Source of randomness; one generator drives the pilot stages and the
-        main run in order, so a seed fully determines the estimate.
+        The seed: an integer, a :class:`numpy.random.SeedSequence` or
+        ``None`` (seed 0); a live :class:`numpy.random.Generator` raises
+        ``TypeError``.  Block ``b`` of a plain or tilted run draws from the
+        seed's ``b``-th child, the pilot and splitting from
+        ``default_rng(seed)``, so a repeated call repeats its result.
     workspace:
-        Optional :class:`~repro.backend.Workspace` for the batch engine's
-        kernels in the pilot and plain runs.  The first-crossing scan of
-        tilted and splitting runs allocates its chunk-sized mask and its
-        tile-sized drawdown scratch per chunk instead.
-    chunk_cells:
-        Optional per-chunk cell budget override; ``None`` defers to the
-        shared :func:`repro.backend.resolve_chunk_cells` configuration
-        (``REPRO_CHUNK_CELLS``).  An execution knob only for the windowed
-        deficit statistics; for the Binomial draw protocol chunk
-        boundaries are part of the protocol (each chunk is one vectorized
-        draw), so estimates at different budgets agree statistically, not
-        bit-for-bit.
+        Optional :class:`~repro.backend.Workspace` for the pilot's kernels
+        and a plain run's (one seed block's count buffers included).  The
+        first-crossing scans of tilted and splitting runs allocate per call.
 
     Examples
     --------
@@ -496,7 +490,6 @@ class RareEventSimulation:
         depth: int,
         rng: SeedLike = None,
         workspace: Optional[Workspace] = None,
-        chunk_cells: Optional[int] = None,
     ):
         if depth < 1:
             raise SimulationError(f"depth must be >= 1, got {depth!r}")
@@ -505,21 +498,10 @@ class RareEventSimulation:
             raise SimulationError(
                 "rare-event estimation needs a non-empty adversary (nu n >= 1)"
             )
-        if chunk_cells is not None:
-            chunk_cells = resolve_chunk_cells(chunk_cells)
         self.params = params
         self.depth = int(depth)
-        self.chunk_cells = chunk_cells
-        self.rng = resolve_rng(rng)
-        self.engine = BatchSimulation(params, rng=self.rng, workspace=workspace)
-
-    # ------------------------------------------------------------------
-    # Shared plumbing
-    # ------------------------------------------------------------------
-    def _deficits(self, honest, adversary):
-        """Worst windowed deficits plus block totals for pre-drawn tensors."""
-        result = self.engine.run_traces(honest, adversary)
-        return result.worst_deficits, result.honest_blocks, result.adversary_blocks
+        self.seed_sequence = derive_seed_sequence(rng)
+        self.workspace = workspace
 
     # ------------------------------------------------------------------
     # Plain Monte Carlo (the overlap-region reference)
@@ -527,24 +509,22 @@ class RareEventSimulation:
     def run_plain(self, trials: int, rounds: int) -> RareEventResult:
         """Brute-force violation frequency with a Wilson score interval.
 
-        Chunked over trials, so large overlap-region budgets never
-        materialise more than the configured chunk budget at once.  The
-        Wilson interval keeps a zero-violation run honest: its upper bound
-        is strictly positive (``~3.84 / trials``), never the false
-        certainty of a zero-width normal interval.
+        A streamed batch point at this seed read at its one depth (the
+        ``violation_hits[depth]`` of :class:`StreamingBatchSimulation`), in
+        one seed block's memory.  The Wilson interval keeps a zero-violation
+        run honest: its upper bound is strictly positive (``~3.84 /
+        trials``), never the false certainty of a zero-width normal
+        interval.
         """
         trials, rounds = _validate_shape(trials, rounds)
         _METRICS.increment("engine.rare_events.trials", trials)
-        hits = 0
         with _TRACE.span(
             "rare.plain", trials=int(trials), rounds=int(rounds), depth=self.depth
         ):
-            for chunk in chunk_sizes(trials, rounds, self.chunk_cells):
-                honest, adversary = draw_mining_traces(
-                    self.params, chunk, rounds, self.rng
-                )
-                deficits, _, _ = self._deficits(honest, adversary)
-                hits += int((deficits >= self.depth).sum())
+            streamed = StreamingBatchSimulation(
+                self.params, seed=self.seed_sequence, workspace=self.workspace
+            ).run(trials, rounds, depths=(self.depth,), progress=())
+        hits = streamed.violation_hits[self.depth]
         probability = hits / trials
         ci_low, ci_high = proportion_confidence_interval(hits, trials)
         relative_error = (
@@ -582,17 +562,17 @@ class RareEventSimulation:
         """Importance-sampled tail estimate under an exponential tilt.
 
         Without an explicit ``tilt`` the cross-entropy pilot stage runs
-        first (consuming entropy from the estimator's generator *before*
-        the main draws — part of the draw protocol, so a seed fully
-        determines the result).  The estimate ``mean(1{violation} * LR)``
-        uses the *stopped* likelihood ratio: each violating trial is
-        weighted by the exact ratio over its first-crossing prefix only
-        (the honest prefix ``delta`` rounds longer than the adversarial
-        one, matching the opportunity mask's look-ahead).  Because the
-        first crossing is a stopping time and the indicator is
-        prefix-measurable, optional stopping makes this unbiased for any
-        fixed tilt — and far lower-variance than the full-trajectory
-        ratio, whose post-crossing rounds contribute pure weight noise.
+        first, on ``default_rng(seed)``; the main draws then come one seed
+        block at a time, their hits and weight sums folded in block order.
+        The estimate ``mean(1{violation} * LR)`` uses the *stopped*
+        likelihood ratio: each violating trial is weighted by the exact
+        ratio over its first-crossing prefix only (the honest prefix
+        ``delta`` rounds longer than the adversarial one, matching the
+        opportunity mask's look-ahead).  Because the first crossing is a
+        stopping time and the indicator is prefix-measurable, optional
+        stopping makes this unbiased for any fixed tilt — and far
+        lower-variance than the full-trajectory ratio, whose post-crossing
+        rounds contribute pure weight noise.
         With the identity tilt the result is bit-identical to
         :meth:`run_plain` at the same seed (same draws, every weight
         exactly 1).
@@ -610,17 +590,21 @@ class RareEventSimulation:
                     self.params,
                     self.depth,
                     rounds,
-                    self.rng,
+                    self.seed_sequence,
                     pilot_trials=pilot_trials,
                     elite_fraction=elite_fraction,
                     max_iterations=max_iterations,
                     smoothing=smoothing,
-                    workspace=self.engine.workspace,
+                    workspace=self.workspace,
                 )
             _METRICS.increment(
                 "rare_events.pilot_iterations", pilot_iterations
             )
         delta = self.params.delta
+        block = seed_block_trials(rounds)
+        # One pair of block buffers for the whole run, outside the workspace:
+        # fresh tensors would fault their pages in again every block.
+        buffers = [np.empty((min(block, trials), rounds), np.int64) for _ in range(2)]
         hits = 0
         weight_sum = 0.0
         weight_square_sum = 0.0
@@ -630,9 +614,18 @@ class RareEventSimulation:
             rounds=int(rounds),
             depth=self.depth,
         ):
-            for chunk in chunk_sizes(trials, rounds, self.chunk_cells):
+            for first in range(0, trials, block):
+                size = min(block, trials - first)
+                rng = np.random.default_rng(
+                    _block_seed(self.seed_sequence, first // block)
+                )
                 honest, adversary = draw_tilted_traces(
-                    self.params, tilt, chunk, rounds, self.rng
+                    self.params,
+                    tilt,
+                    size,
+                    rounds,
+                    rng,
+                    out=[buffer[:size] for buffer in buffers],
                 )
                 reached, first_crossing = self._first_crossings(
                     honest, adversary, self.depth
@@ -705,22 +698,22 @@ class RareEventSimulation:
         honest counts ``delta`` rounds further (the opportunity mask at the
         crossing looks that far ahead).  The product estimator is the
         standard fixed-effort one — consistent, with O(1/trials) bias,
-        which the tilting path avoids when it applies.
+        which the tilting path avoids when it applies.  Every stage draws
+        from ``default_rng(seed)``, in stage order.
         """
         trials, rounds = _validate_shape(trials, rounds)
         if trials < 2:
             raise SimulationError(f"trials must be >= 2, got {trials!r}")
         _METRICS.increment("engine.rare_events.trials", trials)
         delta = self.params.delta
+        rng = np.random.default_rng(self.seed_sequence)
         with _TRACE.span(
             "rare.splitting",
             trials=int(trials),
             rounds=int(rounds),
             depth=self.depth,
         ):
-            honest, adversary = draw_mining_traces(
-                self.params, trials, rounds, self.rng
-            )
+            honest, adversary = draw_mining_traces(self.params, trials, rounds, rng)
             level_probabilities = np.full(self.depth, np.nan)
             probability = 1.0
             relative_variance = 0.0
@@ -740,11 +733,11 @@ class RareEventSimulation:
                 if level == self.depth:
                     break
                 ancestors = np.nonzero(reached)[0][
-                    self.rng.integers(0, hits, size=trials)
+                    rng.integers(0, hits, size=trials)
                 ]
                 crossings = first_crossing[ancestors]
                 fresh_honest, fresh_adversary = draw_mining_traces(
-                    self.params, trials, rounds, self.rng
+                    self.params, trials, rounds, rng
                 )
                 columns = np.arange(rounds)[None, :]
                 adversary = np.where(
@@ -790,9 +783,10 @@ class RareEventSimulation:
         after round ``r`` equals the worst deficit over windows ending at or
         before ``r``; its first crossing of ``level`` stops the tilted
         likelihood ratio and is the splitting stages' cloning point.  The
-        batch kernels' scan of the whole chunk is the largest cost of a
-        tilted run after the draws.  Their drawdown scratch is one row tile,
-        but the boolean mask spans the chunk, so the scan takes no
+        batch kernels' scan is the largest cost of a tilted run after the
+        draws.  Their drawdown scratch is one row tile, but the boolean mask
+        spans the tensors passed in (one seed block of a tilted run, a
+        splitting stage's whole population), so the scan takes no
         workspace: that mask never stays pinned in the runner's pool.
         """
         mask = _opportunity_mask(honest, self.params.delta)

@@ -178,11 +178,10 @@ class PointSpec:
             return StreamingScenarioSimulation(
                 self.params, self.scenario, **engine
             ).run(*shape, progress=progress)
-        rng = np.random.default_rng(seed)
         if self.rare_event is not None:
             rare = self.rare_event
             estimator = RareEventSimulation(
-                self.params, rare["depth"], rng=rng, workspace=runner.workspace
+                self.params, rare["depth"], rng=seed, workspace=runner.workspace
             )
             if rare["method"] == "plain":
                 return estimator.run_plain(*shape)
@@ -191,7 +190,7 @@ class PointSpec:
             tilt = None if rare["tilt"] is None else ExponentialTilt(**rare["tilt"])
             knobs = {name: rare[name] for name in _PILOT_KNOBS}
             return estimator.run_tilted(*shape, tilt=tilt, **knobs)
-        engine.update(rng=rng, power=self.power)
+        engine.update(rng=np.random.default_rng(seed), power=self.power)
         if self.scenario is None:
             return BatchSimulation(
                 self.params, delay_model=self.delay_model, **engine

@@ -141,16 +141,23 @@ class OnlineMoments:
     combine of Chan, Golub & LeVeque; the running mean carries a Kahan
     compensation term so millions of tiny block updates do not drift.  The
     update order is fixed (seed-block order), which is what makes streamed
-    statistics bit-identical across chunk sizes.
+    statistics bit-identical across chunk sizes.  The payload holds the
+    compensation too, so a fold resumed from it is bit-exact.
     """
 
-    __slots__ = ("count", "mean", "m2", "_compensation")
+    __slots__ = ("count", "mean", "m2", "compensation")
 
-    def __init__(self, count: int = 0, mean: float = 0.0, m2: float = 0.0):
+    def __init__(
+        self,
+        count: int = 0,
+        mean: float = 0.0,
+        m2: float = 0.0,
+        compensation: float = 0.0,
+    ):
         self.count = int(count)
         self.mean = float(mean)
         self.m2 = float(m2)
-        self._compensation = 0.0
+        self.compensation = float(compensation)
 
     def update(self, values) -> None:
         """Fold one block of observations (any array with ``.mean``/``.var``)."""
@@ -170,16 +177,16 @@ class OnlineMoments:
             self.count = count
             self.mean = float(mean)
             self.m2 = float(m2)
-            self._compensation = 0.0
+            self.compensation = 0.0
             return
         total = self.count + count
         delta = float(mean) - self.mean
         weight = count / total
         # Kahan-compensated mean update: the correction term re-captures the
         # low-order bits the running sum would otherwise shed.
-        term = delta * weight - self._compensation
+        term = delta * weight - self.compensation
         updated = self.mean + term
-        self._compensation = (updated - self.mean) - term
+        self.compensation = (updated - self.mean) - term
         self.m2 += float(m2) + delta * delta * self.count * weight
         self.mean = updated
         self.count = total
@@ -196,7 +203,7 @@ class OnlineMoments:
         return (self.mean - half_width, self.mean + half_width)
 
     def payload(self) -> Dict[str, float]:
-        return {"count": self.count, "mean": self.mean, "m2": self.m2}
+        return {name: getattr(self, name) for name in self.__slots__}
 
     @classmethod
     def from_payload(cls, payload: Dict[str, float]) -> "OnlineMoments":
@@ -428,7 +435,6 @@ class StreamingBatchResult(_StreamedResult):
     draw_mode: str
     delay_model: str
     seed_block_trials: int
-    n_chunks: int
     convergence_moments: OnlineMoments
     adversary_moments: OnlineMoments
     convergence_total: int
@@ -538,7 +544,6 @@ class StreamingScenarioResult(_StreamedResult):
     delay_model: Optional[str]
     release_delay: int
     seed_block_trials: int
-    n_chunks: int
     success_hits: int
     fork_moments: OnlineMoments
     max_deepest_fork: int
@@ -736,7 +741,6 @@ class _StreamedSimulation:
             rounds=rounds,
             draw_mode=self.draw_mode,
             seed_block_trials=block,
-            n_chunks=n_chunks,
             **labels,
         )
         return self._result_type(
@@ -849,8 +853,9 @@ class StreamingBatchSimulation(_StreamedSimulation):
         Execution chunk budget in cells; ``None`` defers to the shared
         :func:`repro.backend.chunking.resolve_chunk_cells` configuration
         (``REPRO_CHUNK_CELLS``).  It only groups seed blocks into progress
-        chunks (``n_chunks``): the buffers are one block in size at every
-        setting, and results are bit-identical for every setting.
+        chunks (the ``stream.run`` span's ``chunks``): the buffers are one
+        block in size at every setting, and results, payloads included,
+        are bit-identical for every setting.
 
     Examples
     --------

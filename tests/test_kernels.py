@@ -334,7 +334,7 @@ class TestStoppedTotals:
         adversary[0, 3:7] = 1
         adversary[2, -3:] = 1
 
-        def crafted(params_, tilt_, trials, rounds_, rng):
+        def crafted(params_, tilt_, trials, rounds_, rng, out=None):
             return honest[:trials], adversary[:trials]
 
         monkeypatch.setattr(rare_events, "draw_tilted_traces", crafted)

@@ -37,7 +37,8 @@ TRIALS, ROUNDS = 12, 900
 GRID = [(0.15, 2), (0.25, 3), (0.40, 4)]
 STRATEGIES = ["private_chain", "selfish_mining", "max_delay"]
 
-#: Captured on v1.7.0 (pre-instrumentation) with the exact workloads below.
+#: Captured on v1.7.0 (pre-instrumentation) with the exact workloads below,
+#: but for the two rare-event entries (see there).
 GOLDEN_DIGESTS = {
     "batch:nu=0.15:delta=2": "a1039641e123d9a158a5a705c66b023ef222b551fbc0d7e93c203b517a4e2376",
     "scenario:private_chain:nu=0.15:delta=2": "e921bb0c9ab015e7a633f4c1e4db1465d239698d3aada6b9a8510f73cbe71387",
@@ -53,8 +54,9 @@ GOLDEN_DIGESTS = {
     "scenario:max_delay:nu=0.4:delta=4": "2296b757554806482f822184ecad6c8d79c11c7e0fc63db33162882655a91428",
     "dynamics:partition_batch": "5a705b22eff84624600b0214580c7a1beb78f5e00f66d6937d2614e80a9f3dd0",
     "dynamics:eclipse_scenario": "acb524c1aa576250eb274e1e815702ca57d98454a88208aff66e9fb6043ad2bf",
-    "rare:plain_depth6": "fa80fa7fddc6fb2b31bc48eec7a00b99a565a4b44750300de953cbdc9dde5bdd",
-    "rare:tilted_depth8": "0810a7f78e3a6b9110919b21b64fdd8f235fafcafc34094e6bbf44ce30f5fa8f",
+    # Re-captured on v1.12.0, whose plain and tilted draws come in seed blocks.
+    "rare:plain_depth6": "7ec3d5776c70682d6eeb3b2badb19c212f48bab30644902505ef9b3bc6874b06",
+    "rare:tilted_depth8": "c05171349cc81a1b38c171a20e47393ce7288a03c7c594735a4887e2dce5c6cd",
 }
 
 

@@ -1,11 +1,15 @@
 """Tests for the rare-event estimator and the honest-CI bugfixes.
 
-Three layers:
+Four layers:
 
 * correctness anchors — the identity tilt is *bit-identical* to plain MC at
   the same seed (same draws, every likelihood ratio exactly 1), and the
   linear-in-totals log-likelihood ratio matches the exact Binomial pmf
   ratio;
+* the seed-block draw protocol — plain and tilted estimates are
+  bit-identical at every chunk budget, plain MC is the streamed batch point
+  at the same seed, a tilted run is the fold of its blocks, and the pilot
+  and splitting draw as they did before the protocol moved to blocks;
 * statistical properties — tilted and splitting estimates agree with a
   plain-MC reference within joint 95% CIs on a small (nu, Delta) grid, the
   tilted estimator reaches <= 1e-8 probabilities with bounded relative
@@ -17,10 +21,15 @@ Three layers:
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from repro.analysis.tables import format_value
@@ -33,8 +42,10 @@ from repro.core.kiffer import (
     corrected_convergence_rate,
     kiffer_convergence_rate_incorrect,
 )
+from repro.backend import CHUNK_ENV_VAR
 from repro.errors import AnalysisError, SimulationError
 from repro.params import parameters_from_c
+from repro.simulation import streaming
 from repro.simulation.batch import (
     BatchSimulation,
     _confidence_interval,
@@ -50,8 +61,27 @@ from repro.simulation.rare_events import (
     log_likelihood_ratios,
 )
 from repro.simulation.runner import ExperimentRunner
+from repro.simulation.streaming import (
+    StreamingBatchSimulation,
+    _block_seed,
+    seed_block_trials,
+)
 
 GOLDEN_TOL = dict(rel=1e-9, abs=1e-12)
+
+
+@contextlib.contextmanager
+def _seed_block_cells(cells: int):
+    """Shrink the seed-block protocol constant, so that runs of a few
+    hundred cells span several blocks."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(streaming, "SEED_BLOCK_CELLS", int(cells))
+        yield
+
+
+def _assert_same(first, second) -> None:
+    """Field-by-field equality of two results, NaN equal to NaN."""
+    np.testing.assert_equal(dataclasses.astuple(first), dataclasses.astuple(second))
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +220,18 @@ class TestDrawTiltedTraces:
         )
         assert np.asarray(tilted_adv).sum() > np.asarray(plain_adv).sum()
 
+    def test_out_receives_the_same_draws(self, params):
+        tilt = ExponentialTilt.from_theta(params, 0.5)
+        fresh = draw_tilted_traces(params, tilt, 20, 30, np.random.default_rng(3))
+        out = (np.empty((20, 30), np.int64), np.empty((20, 30), np.int64))
+        drawn = draw_tilted_traces(
+            params, tilt, 20, 30, np.random.default_rng(3), out=out
+        )
+        assert all(tensor is buffer for tensor, buffer in zip(drawn, out))
+        assert all(np.array_equal(a, b) for a, b in zip(drawn, fresh))
+        with pytest.raises(SimulationError, match="out must be"):
+            draw_tilted_traces(params, tilt, 20, 30, 0, out=(out[0], out[1][:10]))
+
     @pytest.mark.parametrize("trials, rounds", [(0, 10), (10, 0)])
     def test_degenerate_shapes_rejected(self, params, trials, rounds):
         with pytest.raises(SimulationError):
@@ -250,18 +292,161 @@ class TestIdentityTiltEquivalence:
             float(plain.hits)
         )
 
-    def test_chunked_accumulation_is_part_of_the_draw_protocol(self, params):
-        """Chunk boundaries are seed-stable: two budgets share a prefix."""
-        chunked = RareEventSimulation(
-            params, depth=2, rng=11, chunk_cells=300 * 100  # 100-trial chunks
-        ).run_plain(trials=1_000, rounds=300)
-        whole = RareEventSimulation(params, depth=2, rng=11).run_plain(
-            trials=1_000, rounds=300
+
+#: A point where a depth-3 deficit is common within a few rounds.
+FAST_POINT = parameters_from_c(c=1.0, n=1_000, delta=2, nu=0.3)
+
+
+def _estimates(estimator, trials: int, rounds: int, budget: int):
+    """Plain, explicitly tilted and piloted estimates under a chunk budget."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(CHUNK_ENV_VAR, str(budget))
+        tilt = ExponentialTilt.from_theta(estimator.params, 0.5)
+        return (
+            estimator.run_plain(trials, rounds),
+            estimator.run_tilted(trials, rounds, tilt=tilt),
+            estimator.run_tilted(trials, rounds, pilot_trials=16, max_iterations=2),
         )
-        # Chunking changes how many rounds each generator call spans, so the
-        # two runs are *different* draw protocols on purpose — both valid,
-        # each deterministic.  The estimates must still agree statistically.
-        assert abs(chunked.probability - whole.probability) < 0.1
+
+
+class TestSeedBlockProtocol:
+    """Plain and tilted runs draw seed block ``b`` from the seed's ``b``-th
+    child, so the chunk budget changes no estimate."""
+
+    @given(
+        trials=st.integers(min_value=2, max_value=50),
+        rounds=st.integers(min_value=1, max_value=24),
+        budget=st.one_of(
+            st.just(1),
+            st.integers(min_value=2, max_value=400),
+            st.just(10**9),
+        ),
+        block_cells=st.sampled_from([16, 64, 256]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_arbitrary_chunk_budgets_are_bit_identical(
+        self, trials, rounds, budget, block_cells
+    ):
+        """Property: a budget of one cell, of more than the run, or anything
+        between gives the same plain and tilted results (an explicit tilt
+        and the pilot's), and plain MC's hits are the streamed batch
+        point's."""
+        depth, seed = 3, 2026
+        with _seed_block_cells(block_cells):
+            reference = _estimates(
+                RareEventSimulation(FAST_POINT, depth, rng=seed), trials, rounds, 10**9
+            )
+            estimator = RareEventSimulation(FAST_POINT, depth, rng=seed)
+            for result, expected in zip(
+                _estimates(estimator, trials, rounds, budget), reference
+            ):
+                _assert_same(result, expected)
+            streamed = StreamingBatchSimulation(
+                FAST_POINT, seed=np.random.SeedSequence(seed)
+            ).run(trials, rounds, depths=(depth,))
+        assert reference[0].hits == streamed.violation_hits[depth]
+
+    def test_a_multi_block_tilted_run_is_the_fold_of_its_blocks(self, params):
+        """Blocks of 4, 4 and 2 trials (400-cell seed blocks at 100 rounds),
+        each drawn by ``draw_tilted_traces`` from
+        ``default_rng(_block_seed(seed, b))``, their stopped weights summed
+        block by block."""
+        tilt = ExponentialTilt.from_theta(params, 1.5)
+        depth, rounds = 2, 100
+        estimator = RareEventSimulation(params, depth=depth, rng=2026)
+        with _seed_block_cells(400):
+            result = estimator.run_tilted(10, rounds, tilt=tilt)
+        hits, weight_sum, weight_square_sum, blocks_hit = 0, 0.0, 0.0, 0
+        for index, size in enumerate((4, 4, 2)):
+            rng = np.random.default_rng(_block_seed(estimator.seed_sequence, index))
+            honest, adversary = draw_tilted_traces(params, tilt, size, rounds, rng)
+            reached, first = estimator._first_crossings(honest, adversary, depth)
+            hits += int(reached.sum())
+            blocks_hit += bool(reached.any())
+            cut = first[reached]
+            honest_cut = np.minimum(cut + params.delta, rounds)
+            rows = np.arange(cut.size)
+            honest_blocks = np.cumsum(honest[reached], axis=1)[rows, honest_cut - 1]
+            adversary_blocks = np.cumsum(adversary[reached], axis=1)[rows, cut - 1]
+            weights = np.exp(
+                np.minimum(
+                    log_likelihood_ratios(
+                        params, tilt, honest_blocks, adversary_blocks, honest_cut, cut
+                    ),
+                    700.0,
+                )
+            )
+            weight_sum += float(weights.sum())
+            weight_square_sum += float((weights * weights).sum())
+        assert blocks_hit >= 2
+        assert result.hits == hits
+        assert result.probability == weight_sum / 10
+        assert result.effective_sample_size == (
+            weight_sum * weight_sum / weight_square_sum
+        )
+
+    def test_a_tilted_run_holds_one_seed_block(self, params):
+        """A four-block tilted run allocates at its peak less than one and a
+        half blocks' int64 draws: each block is released before the next
+        is drawn."""
+        rounds = 400
+        block = seed_block_trials(rounds)
+        tilt = ExponentialTilt.from_theta(params, 0.5)
+        tracemalloc.start()
+        try:
+            RareEventSimulation(params, depth=10, rng=7).run_tilted(
+                4 * block, rounds, tilt=tilt
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2 * block * rounds * np.dtype(np.int64).itemsize
+
+    def test_the_pilot_and_splitting_draw_as_before(self, params):
+        """Values read at v1.11.0, before plain and tilted runs moved to seed
+        blocks: the pilot's tilt and iteration count, through the runner's
+        seed, and a splitting estimate."""
+        runner = ExperimentRunner(base_seed=2026)
+        for depth, honest_p, adversary_p, iterations in (
+            (4, 7.596331890677969e-05, 0.00014494204586470197, 2),
+            (8, 5.2755597077232036e-05, 0.0002717887142352119, 5),
+        ):
+            result = runner.run_rare_event_point(
+                params, 2_000, 200, depth, pilot_trials=256, max_iterations=8
+            )
+            assert result.tilt == ExponentialTilt(honest_p, adversary_p)
+            assert result.pilot_iterations == iterations
+        splitting = RareEventSimulation(params, depth=5, rng=3).run_splitting(
+            2_000, 200
+        )
+        assert splitting.probability == 0.014177296876627497
+        assert splitting.level_probabilities.tolist() == [
+            0.959, 0.4975, 0.332, 0.3135, 0.2855
+        ]
+        assert splitting.hits == 571
+
+    def test_one_cache_slot_holds_one_result_at_any_budget(
+        self, params, tmp_path, monkeypatch
+    ):
+        """A point computed at the default budget and cached equals the same
+        point computed afresh at 100,000 cells.  At v1.11.0 the plain point
+        read 4,368 hits against 4,378."""
+        runner = ExperimentRunner(base_seed=2026, cache_dir=str(tmp_path))
+        points = (
+            dict(trials=40_000, rounds=400, depth=4, method="plain"),
+            dict(trials=2_000, rounds=400, depth=6, method="tilted"),
+        )
+        cached = [runner.run_rare_event_point(params, **point) for point in points]
+        monkeypatch.setenv(CHUNK_ENV_VAR, "100000")
+        fresh = ExperimentRunner(base_seed=2026)
+        for point, first in zip(points, cached):
+            _assert_same(fresh.run_rare_event_point(params, **point), first)
+            _assert_same(runner.run_rare_event_point(params, **point), first)
+        assert runner.cache_hits == 2
+
+    def test_a_live_generator_is_rejected(self, params):
+        with pytest.raises(TypeError, match="Generator"):
+            RareEventSimulation(params, depth=2, rng=np.random.default_rng(0))
 
 
 class TestOverlapRegionAgreement:
@@ -486,10 +671,10 @@ class TestTailSweepGoldens:
         )
         assert [row["depth"] for row in rows] == [4, 8]
         assert rows[0]["probability"] == pytest.approx(
-            0.04674836069023866, **GOLDEN_TOL
+            0.048548116500310455, **GOLDEN_TOL
         )
         assert rows[1]["probability"] == pytest.approx(
-            0.00021946915739655843, **GOLDEN_TOL
+            0.0002166846732088889, **GOLDEN_TOL
         )
         for row in rows:
             assert row["lundberg_exponent"] == pytest.approx(
@@ -510,7 +695,7 @@ class TestTailSweepGoldens:
         row = rows[0]
         assert row["plain_probability"] == pytest.approx(0.0123, **GOLDEN_TOL)
         assert row["tilted_probability"] == pytest.approx(
-            0.013431021513768172, **GOLDEN_TOL
+            0.012852690243019545, **GOLDEN_TOL
         )
         assert row["splitting_probability"] == pytest.approx(
             0.012186086488301249, **GOLDEN_TOL

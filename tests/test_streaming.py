@@ -17,6 +17,7 @@ The contract under test (see :mod:`repro.simulation.streaming`):
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 import os
 import tracemalloc
@@ -28,6 +29,7 @@ from hypothesis import strategies as st
 
 from repro.core.bounds import neat_bound
 from repro.errors import SimulationError
+from repro.observability import use_tracer
 from repro.params import parameters_from_c
 from repro.simulation import streaming
 from repro.simulation.batch import (
@@ -109,11 +111,14 @@ def _run(config: str, simulation, trials: int, rounds: int):
     return simulation.run(trials, rounds, **CONFIGS[config][3])
 
 
-def _state(result) -> dict:
-    """The statistical payload, minus execution metadata (``n_chunks``)."""
-    payload = result.payload()
-    payload.pop("n_chunks")
-    return payload
+def _chunks(run) -> tuple:
+    """``run()``'s result and the ``chunks`` attribute of its ``stream.*``
+    span: the progress chunks, which no result records."""
+    with use_tracer() as tracer:
+        result = run()
+    (root,) = tracer.roots
+    assert root.name.startswith("stream.")
+    return result, root.attributes["chunks"]
 
 
 @contextlib.contextmanager
@@ -188,6 +193,30 @@ class TestOnlineMoments:
         restored = OnlineMoments.from_payload(moments.payload())
         assert restored.payload() == moments.payload()
         assert restored.ci95() == moments.ci95()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_fold_resumed_from_its_payload_is_bit_identical(self, seed):
+        """A fold of 20 blocks, stopped after any block, sent through a JSON
+        payload and resumed, ends bit-identical to the uninterrupted fold:
+        the payload carries the Kahan compensation with the moments."""
+        rng = np.random.default_rng(seed)
+        blocks = [
+            rng.lognormal(sigma=2.0, size=size)
+            for size in rng.integers(1, 60, size=20)
+        ]
+        whole = OnlineMoments()
+        for block in blocks:
+            whole.update(block)
+        for stop in range(1, len(blocks)):
+            resumed = OnlineMoments()
+            for block in blocks[:stop]:
+                resumed.update(block)
+            resumed = OnlineMoments.from_payload(
+                json.loads(json.dumps(resumed.payload()))
+            )
+            for block in blocks[stop:]:
+                resumed.update(block)
+            assert resumed.payload() == whole.payload()
 
 
 class TestDeficitHistogram:
@@ -303,23 +332,26 @@ class TestChunkInvariance:
             streamed = _run(
                 config, _streamed(config, chunk_cells=chunk_cells), trials, rounds
             )
-        assert _state(streamed) == _state(reference)
+        assert streamed.payload() == reference.payload()
         assert streamed.summary() == reference.summary()
 
     def test_real_protocol_multi_block_invariance(self):
         """Unpatched protocol constant: rounds > 2^19 makes every trial its
         own seed block, so chunked and single-chunk runs genuinely split."""
         rounds = SEED_BLOCK_CELLS // 2 + 1
-        chunked = StreamingBatchSimulation(
-            PARAMS, seed=BASE_SEED, chunk_cells=rounds
-        ).run(6, rounds, depths=(1,))
-        monolithic = StreamingBatchSimulation(PARAMS, seed=BASE_SEED).run(
-            6, rounds, depths=(1,)
+        chunked, chunks = _chunks(
+            lambda: StreamingBatchSimulation(
+                PARAMS, seed=BASE_SEED, chunk_cells=rounds
+            ).run(6, rounds, depths=(1,))
+        )
+        monolithic, single = _chunks(
+            lambda: StreamingBatchSimulation(
+                PARAMS, seed=BASE_SEED, chunk_cells=10**9
+            ).run(6, rounds, depths=(1,))
         )
         assert chunked.seed_block_trials == 1
-        assert chunked.n_chunks == 6
-        assert monolithic.n_chunks == 1
-        assert _state(chunked) == _state(monolithic)
+        assert (chunks, single) == (6, 1)
+        assert chunked.payload() == monolithic.payload()
         assert chunked.summary() == monolithic.summary()
 
     def test_repeat_runs_and_audits_do_not_reroll(self):
@@ -361,9 +393,12 @@ class TestDenseEquivalence:
             yield
 
     @staticmethod
-    def _assert_multi_block(streamed) -> None:
+    def _multi_block(run):
+        """``run()``'s result, checked to span several blocks and chunks."""
+        streamed, chunks = _chunks(run)
         assert streamed.seed_block_trials < streamed.trials
-        assert streamed.n_chunks > 1
+        assert chunks > 1
+        return streamed
 
     @pytest.mark.parametrize("nu", [0.1, 0.25])
     @pytest.mark.parametrize("delta", [2, 4])
@@ -372,8 +407,7 @@ class TestDenseEquivalence:
         simulation = StreamingBatchSimulation(
             params, seed=BASE_SEED, chunk_cells=20_000
         )
-        streamed = simulation.run(400, 250, depths=(1, 2))
-        self._assert_multi_block(streamed)
+        streamed = self._multi_block(lambda: simulation.run(400, 250, depths=(1, 2)))
         honest, adversary, delays = simulation.materialize_traces(400, 250)
         assert delays is None
         dense = BatchSimulation(params, rng=0).run_traces(honest, adversary)
@@ -395,8 +429,7 @@ class TestDenseEquivalence:
         simulation = StreamingScenarioSimulation(
             params, strategy, seed=BASE_SEED, chunk_cells=15_000
         )
-        streamed = simulation.run(300, 200)
-        self._assert_multi_block(streamed)
+        streamed = self._multi_block(lambda: simulation.run(300, 200))
         honest, adversary, third = simulation.materialize_traces(300, 200)
         assert third is None
         dense = ScenarioSimulation(params, strategy, rng=0).run_traces(
@@ -408,8 +441,7 @@ class TestDenseEquivalence:
         simulation = StreamingBatchSimulation(
             PARAMS, seed=9, delay_model="uniform", chunk_cells=3_000
         )
-        streamed = simulation.run(300, 200)
-        self._assert_multi_block(streamed)
+        streamed = self._multi_block(lambda: simulation.run(300, 200))
         honest, adversary, delays = simulation.materialize_traces(300, 200)
         assert delays is not None
         dense = BatchSimulation(PARAMS, rng=0, delay_model="uniform").run_traces(
@@ -429,8 +461,7 @@ class TestDenseEquivalence:
         simulation = StreamingScenarioSimulation(
             PARAMS, cut, seed=BASE_SEED, chunk_cells=8_000
         )
-        streamed = simulation.run(300, 200)
-        self._assert_multi_block(streamed)
+        streamed = self._multi_block(lambda: simulation.run(300, 200))
         honest, adversary, split = simulation.materialize_traces(300, 200)
         assert split is not None
         dense = ScenarioSimulation(PARAMS, cut, rng=0).run_traces(
@@ -519,7 +550,8 @@ class TestValidationAndResults:
             simulation = _streamed(
                 config, seed=1, workspace=workspace, chunk_cells=per_chunk * rounds
             )
-            assert _run(config, simulation, trials, rounds).n_chunks == 12
+            _, chunks = _chunks(lambda: _run(config, simulation, trials, rounds))
+            assert chunks == 12
         cell_bytes = np.dtype(_count_dtype(PARAMS)).itemsize
         dense_trace_bytes = 2 * trials * rounds * cell_bytes
         assert workspace.high_water_bytes < dense_trace_bytes / 2
@@ -542,14 +574,16 @@ class TestValidationAndResults:
         simulation = StreamingBatchSimulation(
             params, seed=3, workspace=workspace, chunk_cells=4 * block * rounds
         )
-        warm = simulation.run(12 * block, rounds, depths=(2, 4, 8))
+        warm, chunks = _chunks(
+            lambda: simulation.run(12 * block, rounds, depths=(2, 4, 8))
+        )
         tracemalloc.start()
         try:
             traced = simulation.run(12 * block, rounds, depths=(2, 4, 8))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert traced.n_chunks == 3 and traced.payload() == warm.payload()
+        assert chunks == 3 and traced.payload() == warm.payload()
         assert peak < block * rounds * np.dtype(np.int32).itemsize
         for name in ("honest_counts", "adversary_counts"):
             buffer = workspace._buffers[f"stream.{name}"]
@@ -605,8 +639,10 @@ class TestValidationAndResults:
                 return original(**arguments)
 
             simulation.engine.run_traces = counted
-            result = _run(config, simulation, 6 * block + 4, rounds)
-        assert block == 16 and result.n_chunks == 3
+            _, chunks = _chunks(
+                lambda: _run(config, simulation, 6 * block + 4, rounds)
+            )
+        assert block == 16 and chunks == 3
         if isinstance(simulation, StreamingScenarioSimulation):
             assert calls == [48, 48, 4]
         else:
@@ -678,7 +714,7 @@ class TestRunnerIntegration:
         )
         assert len(serial) == len(sharded) == 3
         for a, b in zip(serial, sharded):
-            assert _state(a) == _state(b)
+            assert a.payload() == b.payload()
             assert a.summary() == b.summary()
 
     def test_streamed_point_is_independent_of_dense_point(self, tmp_path):
