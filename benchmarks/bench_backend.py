@@ -1,6 +1,6 @@
-"""Benchmark: the batch engine's kernels and binomial draws, and the scan.
+"""Benchmark: the engines' kernels and binomial draws, and the scan.
 
-Three claims are measured:
+Four claims are measured:
 
 * **kernel speed** — the batch engine's deterministic analysis half
   (`run_traces`: the opportunity-mask kernel plus the drawdown kernel, with
@@ -9,7 +9,12 @@ Three claims are measured:
   core's cumulative-sum window mask followed by a ``cumsum`` /
   ``maximum.accumulate`` drawdown, allocating every intermediate on each
   call.  Both produce bit-identical results (asserted here and pinned by
-  ``tests/test_kernels.py``).
+  ``tests/test_kernels.py``).  At 128 x 4,000 cells this runs in cache.
+* **delay-mask kernel speed, out of cache** — the delay-mask kernel must
+  beat ``reference_delay_mask`` from ``tests/oracles.py``, the allocating
+  body it replaced, by >= 3x on 2,000 x 1,000 traces with uniform delays
+  in ``[0, Δ]``, in quick mode too: at that size whole-tensor scratch
+  spills out of cache, which the kernel's row tiles do not.
 * **sampler speed** — :func:`repro.backend.binomial` must draw one
   streamed seed block (``seed_block_trials(1000)`` trials x 1,000 rounds,
   ``n`` = 700 honest and 300 adversarial miners at the near-bound
@@ -25,6 +30,8 @@ Three claims are measured:
 
 from __future__ import annotations
 
+import pathlib
+import sys
 import time
 
 import numpy as np
@@ -41,6 +48,10 @@ from repro.simulation import (
     draw_mining_traces,
     seed_block_trials,
 )
+from repro.simulation.topology import _delay_opportunity_mask
+
+sys.path.append(str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+from oracles import reference_delay_mask  # noqa: E402
 
 TRIALS = bench_scale(128, 256)
 ROUNDS = bench_scale(4_000, 8_000)
@@ -49,6 +60,10 @@ PARAMS = parameters_from_c(c=4.0, n=1_000, delta=3, nu=0.2)
 
 #: Required speedup of the engine's kernels over the allocating reference.
 KERNEL_SPEEDUP_GATE = 3.0
+#: Required speedup of the delay-mask kernel over its allocating oracle,
+#: and the (trials, rounds) it is timed at in both modes.
+DELAY_KERNEL_SPEEDUP_GATE = 3.0
+DELAY_KERNEL_SHAPE = (2_000, 1_000)
 #: Required speedup of ``repro.backend.binomial`` over ``Generator.binomial``.
 SAMPLER_SPEEDUP_GATE = 1.5
 SAMPLER_REPEATS = bench_scale(7, 20)
@@ -115,6 +130,60 @@ def test_kernels_beat_the_allocating_reference():
             "speedup": speedup,
             "workspace_nbytes": workspace.nbytes,
             "gate": KERNEL_SPEEDUP_GATE,
+        },
+    )
+
+
+def test_delay_kernel_beats_its_oracle_out_of_cache():
+    """The delay-mask kernel must be >= 3x faster than the allocating
+    oracle on the same 2,000 x 1,000 traces, with the same mask."""
+    rng = np.random.default_rng(0)
+    honest, _ = draw_mining_traces(NEAR_BOUND, *DELAY_KERNEL_SHAPE, rng)
+    delta = NEAR_BOUND.delta
+    delays = rng.integers(0, delta + 1, size=DELAY_KERNEL_SHAPE)
+    workspace = Workspace()
+    expected = reference_delay_mask(honest, delays, delta)
+    got = _delay_opportunity_mask(honest, delays, delta, delta, workspace)
+    assert np.array_equal(got, expected) and expected.any()
+
+    # The two sides alternate on every repeat, so noise hits both alike.
+    reference_seconds = kernel_seconds = float("inf")
+    for _ in range(REPEATS):
+        reference_seconds = min(
+            reference_seconds,
+            _best_of(1, lambda: reference_delay_mask(honest, delays, delta)),
+        )
+        kernel_seconds = min(
+            kernel_seconds,
+            _best_of(
+                1,
+                lambda: _delay_opportunity_mask(
+                    honest, delays, delta, delta, workspace
+                ),
+            ),
+        )
+    speedup = reference_seconds / kernel_seconds
+    trials, rounds = DELAY_KERNEL_SHAPE
+    print(
+        f"\nDelay mask at {trials} trials x {rounds} rounds, uniform delays in "
+        f"[0, {delta}]: oracle {reference_seconds * 1e3:.2f}ms, kernel "
+        f"{kernel_seconds * 1e3:.2f}ms, {speedup:.2f}x"
+    )
+    assert speedup >= DELAY_KERNEL_SPEEDUP_GATE, (
+        f"the delay-mask kernel only {speedup:.2f}x faster than its oracle"
+    )
+
+    record_trajectory(
+        "backend_delay_mask",
+        {
+            "trials": trials,
+            "rounds": rounds,
+            "delta": delta,
+            "repeats": REPEATS,
+            "reference_seconds": reference_seconds,
+            "kernel_seconds": kernel_seconds,
+            "speedup": speedup,
+            "gate": DELAY_KERNEL_SPEEDUP_GATE,
         },
     )
 

@@ -11,6 +11,8 @@ prints the Δ-tightness table the topology subsystem unlocks.
 
 from __future__ import annotations
 
+import pathlib
+import sys
 import time
 
 import numpy as np
@@ -24,8 +26,10 @@ from repro.simulation import (
     BatchSimulation,
     PeerGraphDelayModel,
     PeerGraphTopology,
-    reference_draw_delays,
 )
+
+sys.path.append(str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
+from oracles import reference_draw_delays  # noqa: E402
 
 TRIALS = bench_scale(8, 16)
 ROUNDS = bench_scale(300, 2_000)

@@ -90,7 +90,8 @@ def binomial(rng: np.random.Generator, n, p, out) -> np.ndarray:
     then draws afresh, ~1e-19 a cell), the generator is rewound and NumPy
     draws the array.  Anything else (array ``n``, ``p > 0.5``,
     ``p * n > 30``, ``n`` or ``p`` zero, an invalid ``p``, a legacy
-    generator) goes to ``rng.binomial``.
+    generator) goes to ``rng.binomial``, about :data:`_BLOCK_CELLS` cells a
+    call, with the values and final state of one call (it draws in C order).
     """
     if out is None:
         return rng.binomial(n, p)
@@ -101,16 +102,15 @@ def binomial(rng: np.random.Generator, n, p, out) -> np.ndarray:
         raise BackendError(
             f"out of dtype {out.dtype} cannot hold Binomial counts up to n = {most}"
         )
-    if not out.flags.c_contiguous:
-        out[...] = binomial(rng, n, p, np.empty(out.shape, out.dtype))
-        return out
     if not (
         isinstance(rng, np.random.Generator)
         and isinstance(n, (int, np.integer)) and 0 < n < 1 << 63
         and isinstance(p, (float, np.floating)) and 0.0 < p <= 0.5
         and float(p) * int(n) <= 30.0
     ):
-        out[...] = rng.binomial(n, p, size=out.shape)
+        return _numpy_blocks(rng, n, p, out)
+    if not out.flags.c_contiguous:
+        out[...] = binomial(rng, n, p, np.empty(out.shape, out.dtype))
         return out
     n, p = int(n), float(p)
     q, qn, bound, t1 = _inversion_constants(n, p)
@@ -127,7 +127,20 @@ def binomial(rng: np.random.Generator, n, p, out) -> np.ndarray:
             counts = _inversion_loop(u[tail], n, p, q, qn, bound)
             if counts is None:
                 rng.bit_generator.state = state
-                out[...] = rng.binomial(n, p, size=out.shape)
-                return out
+                return _numpy_blocks(rng, n, p, out)
             x[tail] = counts
+    return out
+
+
+def _numpy_blocks(rng, n, p, out) -> np.ndarray:
+    """``rng.binomial(n, p, size=out.shape)`` into ``out``, whole rows of
+    about :data:`_BLOCK_CELLS` cells a call."""
+    grid = out.reshape(1) if out.ndim == 0 else out
+    if np.ndim(n):
+        n = np.broadcast_to(n, out.shape).reshape(grid.shape)
+    rows = max(_BLOCK_CELLS // max(grid[:1].size, 1), 1)
+    for start in range(0, max(len(grid), 1), rows):
+        block = grid[start : start + rows]
+        counts = n[start : start + rows] if np.ndim(n) else n
+        block[...] = rng.binomial(counts, p, size=block.shape)
     return out

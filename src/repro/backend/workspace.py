@@ -10,6 +10,10 @@ request with a matching shape and dtype, so the steady state of a sweep
 performs no allocation at all in the hot kernels.  Without one the kernels
 run the same arithmetic and allocate their scratch per call.
 
+The kernels share one row tile, :data:`TILE_CELLS` cells.  Per-call scratch
+(the delay-mask kernel's panels, the scan's round tiles) stays out of the
+workspace, so a delay-model point holds no more of it than a fixed-Δ one.
+
 Contracts:
 
 * a tag is used by at most one logical buffer per engine invocation —
@@ -24,13 +28,35 @@ Contracts:
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..observability import METRICS as _METRICS
 
 __all__ = ["Workspace"]
+
+#: Cells per kernel row tile.  One tile's int64 running sums plus drawdown
+#: take 2 x 8 x TILE_CELLS bytes (1 MiB), inside a core's 2 MiB L2 cache.
+#: Drawdown ns/cell at 1,000 rounds for 2^15 / 2^16 / 2^17 cells (untiled),
+#: medians of 4 alternating runs on a 2-vCPU Intel Xeon: 10,000 trials, no
+#: workspace, level 10: 10.5 / 10.4 / 10.8 (16.6); 15,720 trials: 9.9 / 9.8
+#: / 9.9 (12.4); 2,000: 9.7 / 9.5 / 9.8 (10.9); 1,000: 9.2 / 9.5 / 9.6
+#: (10.1); 512: 8.7 / 8.9 / 8.8 (9.4).  The mask kernel reads 2-3 at each.
+TILE_CELLS = 1 << 16
+
+
+def _tile_rows(trials: int, width: int) -> int:
+    """Rows per kernel tile: at most :data:`TILE_CELLS` cells in rows of
+    ``width + 1`` (a drawdown row of ``width`` rounds), >= 1 row."""
+    return max(min(TILE_CELLS // (width + 1), trials), 1)
+
+
+def _scratch(workspace: Optional[Workspace], tag: str, shape, dtype):
+    """The workspace's ``tag`` buffer, or a fresh one without a workspace."""
+    if workspace is None:
+        return np.empty(shape, dtype=dtype)
+    return workspace.empty(tag, shape, dtype)
 
 
 class Workspace:

@@ -146,7 +146,6 @@ from .topology import (
     delay_model_specs,
     get_delay_model,
     list_delay_models,
-    reference_draw_delays,
     register_delay_model,
     resolve_delay_model,
 )
@@ -256,7 +255,6 @@ __all__ = [
     "list_delay_models",
     "delay_model_specs",
     "resolve_delay_model",
-    "reference_draw_delays",
     "convergence_opportunity_mask_with_delays",
     "ChurnEvent",
     "LatencyDriftEvent",

@@ -33,7 +33,8 @@ historical one bit for bit.  Every draw comes from the caller's
 exceeds its miner count), masks bool; the kernels read int32 or int64
 counts, keep their running sums in int64 and every per-trial result is
 summed in int64, so the narrow draws change no result.  Both
-kernels run one row tile of at most :data:`TILE_CELLS` cells at a time, so
+kernels run one row tile of at most
+:data:`~repro.backend.workspace.TILE_CELLS` cells at a time, so
 their scratch stays in cache and does not grow with the trial count; rows
 never interact, so the tiles change no bit.  A kernel takes that scratch
 from a :class:`~repro.backend.Workspace` when given one (as
@@ -59,6 +60,7 @@ from typing import Dict, Optional, Tuple, Union
 import numpy as np
 
 from ..backend import Workspace, binomial, resolve_chunk_cells
+from ..backend.workspace import _scratch, _tile_rows
 from ..core.concat_chain import convergence_opportunity_mask
 from ..errors import ParameterError, SimulationError
 from ..observability import METRICS as _METRICS, TRACE as _TRACE
@@ -67,8 +69,9 @@ from .rng import SeedLike, resolve_rng
 from .topology import (
     DelayModel,
     MiningPowerProfile,
+    _checked_delays,
+    _delay_opportunity_mask,
     _integer_tensor,
-    convergence_opportunity_mask_with_delays,
     resolve_delay_model,
 )
 
@@ -229,28 +232,6 @@ def _delay_draw(delay_model: Optional[DelayModel], delta: int, honest, rng) -> d
         "delays": delay_model.draw_delays(trials, rounds, delta, rng),
         "max_delay": delay_model.delay_cap(delta, rounds),
     }
-
-
-def _scratch(workspace: Optional[Workspace], tag: str, shape, dtype):
-    """The workspace's ``tag`` buffer, or a fresh one without a workspace."""
-    if workspace is None:
-        return np.empty(shape, dtype=dtype)
-    return workspace.empty(tag, shape, dtype)
-
-
-#: Cells per kernel row tile.  One tile's int64 running sums plus drawdown
-#: take 2 x 8 x TILE_CELLS bytes (1 MiB), inside a core's 2 MiB L2 cache.
-#: Drawdown ns/cell at 1,000 rounds for 2^15 / 2^16 / 2^17 cells (untiled),
-#: medians of 4 alternating runs on a 2-vCPU Intel Xeon: 10,000 trials, no
-#: workspace, level 10: 10.5 / 10.4 / 10.8 (16.6); 15,720 trials: 9.9 / 9.8
-#: / 9.9 (12.4); 2,000: 9.7 / 9.5 / 9.8 (10.9); 1,000: 9.2 / 9.5 / 9.6
-#: (10.1); 512: 8.7 / 8.9 / 8.8 (9.4).  The mask kernel reads 2-3 at each.
-TILE_CELLS = 1 << 16
-
-
-def _tile_rows(trials: int, rounds: int) -> int:
-    """Rows per kernel tile: at most :data:`TILE_CELLS` drawdown cells, >= 1 row."""
-    return max(min(TILE_CELLS // (rounds + 1), trials), 1)
 
 
 def _opportunity_mask(counts, delta: int, workspace: Optional[Workspace] = None):
@@ -583,8 +564,8 @@ class BatchSimulation:
     workspace:
         Optional :class:`~repro.backend.Workspace` the mask and drawdown
         kernels take their scratch buffers from: the ``(trials, rounds)``
-        mask plus one row tile each of mask and drawdown scratch.  Pass one
-        workspace across repeated runs (as
+        mask (the delay-mask kernel's too) plus one row tile each of mask
+        and drawdown scratch.  Pass one workspace across repeated runs (as
         :class:`~repro.simulation.runner.ExperimentRunner` does) and they
         stop allocating.  Without one they allocate per call and run the
         same arithmetic.  Results never alias the workspace.
@@ -698,18 +679,16 @@ class BatchSimulation:
             )
         if honest.min() < 0 or adversary.min() < 0:
             raise SimulationError("success counts must be non-negative")
-        if max_delay is not None:
-            max_delay = coerce_positive_int(
-                max_delay, "max_delay", error_type=SimulationError
-            )
+        delta = self.params.delta
+        delays, cap = _checked_delays(delays, honest.shape, delta, max_delay)
         _METRICS.increment("engine.batch.trials", trials)
         _METRICS.increment("engine.batch.rounds", trials * rounds)
         with _TRACE.span("batch.mask", trials=trials, rounds=rounds):
             if delays is None:
-                mask = _opportunity_mask(honest, self.params.delta, self.workspace)
+                mask = _opportunity_mask(honest, delta, self.workspace)
             else:
-                mask = convergence_opportunity_mask_with_delays(
-                    honest, delays, self.params.delta, max_delay=max_delay
+                mask = _delay_opportunity_mask(
+                    honest, delays, delta, cap, self.workspace
                 )
         with _TRACE.span("batch.deficits", trials=trials, rounds=rounds):
             deficits, _ = _window_drawdown(mask, adversary, self.workspace)

@@ -835,13 +835,14 @@ class TimeVaryingDelayModel(DelayModel):
     def draw_delays(
         self, trials: int, rounds: int, delta: int, rng: np.random.Generator
     ):
+        """``(trials, rounds)`` int64 offsets.  Without a topology they depend
+        only on the round and draw no entropy (the static engines' stream),
+        and the tensor is a **read-only** broadcast view of one row."""
         self._check_shape(trials, rounds, delta)
         compiled = self.compiled(rounds, delta)
         offsets = np.asarray(compiled.offsets, dtype=np.int64)
         if self.topology is None:
-            # Offsets are deterministic per round; no entropy is consumed,
-            # so the mining-trace stream matches the static engines exactly.
-            return np.tile(offsets, (trials, 1))
+            return np.broadcast_to(offsets, (trials, rounds))
         nodes = self.topology.n_nodes
         row_index = np.arange(rounds, dtype=np.int64)[None, :]
         if compiled.uniform_origins:

@@ -87,7 +87,7 @@ import numpy as np
 from ..backend import Workspace, binomial
 from ..errors import SimulationError
 from ..observability import METRICS as _METRICS, TRACE as _TRACE
-from ..params import ProtocolParameters, coerce_positive_int
+from ..params import ProtocolParameters
 from .adversary import (
     AdversaryStrategy,
     EquivocationAdversary,
@@ -110,8 +110,9 @@ from .rng import SeedLike, resolve_rng
 from .topology import (
     DelayModel,
     MiningPowerProfile,
+    _checked_delays,
+    _delay_opportunity_mask,
     _integer_tensor,
-    convergence_opportunity_mask_with_delays,
     resolve_delay_model,
 )
 
@@ -133,6 +134,10 @@ SCENARIO_KINDS = ("publish", "private_chain", "selfish_mining", "equivocation")
 #: Kinds a partial cut can price (the withholding state machines;
 #: ``publish`` scenarios have no private chain to race per side).
 PARTITION_KINDS = ("private_chain", "selfish_mining", "equivocation")
+
+#: Rounds per tile of the scan's round-major inputs (128 KB an int32 input
+#: at 2,000 trials, where whole int64 copies took 16 MB).
+SCAN_TILE_ROUNDS = 16
 
 
 @dataclass(frozen=True)
@@ -885,7 +890,8 @@ class ScenarioSimulation:
         Optional :class:`~repro.backend.Workspace` of preallocated scratch
         buffers for the scan state and window kernels; pass one workspace
         across repeated runs (as the runner does) and the hot loops stop
-        allocating.  Results never alias the workspace.
+        allocating (per-call round tiles and delay-mask panels stay out of
+        it).  Results never alias the workspace.
     placement:
         Optional :class:`~repro.simulation.dynamics.AdversaryPlacement`
         (any object with a ``release_delay(topology, delta)`` method and a
@@ -1127,25 +1133,9 @@ class ScenarioSimulation:
             raise SimulationError("success counts must be non-negative")
         _METRICS.increment("engine.scenario.trials", trials)
         _METRICS.increment("engine.scenario.rounds", trials * rounds)
-        cap = (
-            self.params.delta
-            if max_delay is None
-            else coerce_positive_int(max_delay, "max_delay", error_type=SimulationError)
+        delays, cap = _checked_delays(
+            delays, honest.shape, self.params.delta, max_delay
         )
-        if cap < self.params.delta:
-            raise SimulationError(
-                f"max_delay must be >= delta ({self.params.delta}), got "
-                f"{max_delay!r}"
-            )
-        if delays is not None:
-            delays = _integer_tensor(delays, "delays")
-            if delays.shape != honest.shape:
-                raise SimulationError(
-                    f"delays shape {delays.shape} does not match honest shape "
-                    f"{honest.shape}"
-                )
-            if (delays < 0).any() or (delays > cap).any():
-                raise SimulationError(f"delays must lie in [0, {cap}]")
         window = cap if delays is not None else self.honest_delay
         _require_attribution_feasible(honest, self.honest_miners, window)
 
@@ -1190,8 +1180,8 @@ class ScenarioSimulation:
             if delays is None:
                 mask = _opportunity_mask(honest, self.params.delta, self.workspace)
             else:
-                mask = convergence_opportunity_mask_with_delays(
-                    honest, delays, self.params.delta, max_delay=cap
+                mask = _delay_opportunity_mask(
+                    honest, delays, self.params.delta, cap, self.workspace
                 )
             # During a cut no round is a convergence opportunity — the honest
             # miners cannot all hear a unique block while the network is split
@@ -1265,8 +1255,10 @@ class ScenarioSimulation:
         the engine was built without one), so repeated runs at one
         (trials, rounds) shape reuse their vectors and delivery rings;
         every array that escapes into the result is copied out first.  The
-        decision flags are boolean: the scan's ``~`` / ``&`` logic needs
-        logical, not bitwise, semantics.
+        inputs are read through per-call round tiles of
+        :data:`SCAN_TILE_ROUNDS` rounds in their own dtypes, so the scan
+        holds O(trials) beside them.  The decision flags are boolean: the
+        scan's ``~`` / ``&`` logic needs logical, not bitwise, semantics.
         """
         workspace = self.workspace if self.workspace is not None else Workspace()
         trials, rounds = honest.shape
@@ -1281,13 +1273,17 @@ class ScenarioSimulation:
         equivocating = kind == "equivocation"
         starts = dict(windows)
 
-        # Round-major copies make each round's column contiguous in the scan,
-        # and widen int32 counts to the scan's int64 state on the way.
-        honest_rows = honest.T.astype(np.int64, order="C")
-        adversary_rows = adversary.T.astype(np.int64, order="C")
-        delay_rows = (
-            None if delays is None else delays.T.astype(np.int64, order="C")
-        )
+        # Each round reads one contiguous tile row; int32 counts added to the
+        # int64 state give the values int64 counts do.
+        sources = [honest, adversary]
+        sources += [tensor for tensor in (delays, split) if tensor is not None]
+        tiles = [
+            np.empty((min(SCAN_TILE_ROUNDS, rounds), trials), tensor.dtype)
+            for tensor in sources
+        ]
+        honest_rows, adversary_rows = tiles[:2]
+        delay_rows = None if delays is None else tiles[2]
+        split_rows = tiles[-1] if partial else None
 
         public = workspace.zeros("scan.public", (trials,), np.int64)
         private = workspace.zeros("scan.private", (trials,), np.int64)
@@ -1342,7 +1338,6 @@ class ScenarioSimulation:
         chain = (private, fork, active, withheld)
         sides = [(public, chain, release_heights, release_forks)]
         if partial:
-            split_rows = split.T.astype(np.int64, order="C")
             public1 = workspace.zeros("scan.public1", (trials,), np.int64)
             ring1 = workspace.zeros("scan.ring1", (trials, delay), np.int64)
             best = workspace.empty("scan.best", (trials,), np.int64)
@@ -1380,8 +1375,13 @@ class ScenarioSimulation:
 
         cut = False
         for index in range(rounds):
-            mined_honest = honest_rows[index]
-            mined_adversary = adversary_rows[index]
+            row = index % SCAN_TILE_ROUNDS
+            if not row:
+                for tile, tensor in zip(tiles, sources):
+                    columns = tensor[:, index : index + SCAN_TILE_ROUNDS]
+                    np.copyto(tile[: columns.shape[1]], columns.T)
+            mined_honest = honest_rows[row]
+            mined_adversary = adversary_rows[row]
 
             # 0a. Merge-on-heal: max height wins; the losing component's
             #     suffix above the frozen common prefix is displaced.
@@ -1481,7 +1481,7 @@ class ScenarioSimulation:
             #    During a cut the minority mines the split share on its own
             #    tip and component 0 keeps the rest.
             if cut:
-                minority = split_rows[index]
+                minority = split_rows[row]
                 np.multiply(public1 + 1, minority > 0, out=ring1[:, slot])
                 mined_honest = mined_honest - minority
             np.greater(mined_honest, 0, out=some_honest)
@@ -1489,7 +1489,7 @@ class ScenarioSimulation:
             if ring is not None:
                 np.multiply(mined_height, some_honest, out=ring[:, slot])
             elif schedule is not None:
-                round_delays = delay_rows[index]
+                round_delays = delay_rows[row]
                 np.greater(round_delays, 0, out=flag)
                 np.logical_and(some_honest, flag, out=flag)
                 pipelined = np.nonzero(flag)[0]

@@ -66,6 +66,7 @@ import numpy as np
 
 from ..backend import Workspace, resolve_chunk_cells
 from ..backend.chunking import chunk_trials
+from ..backend.workspace import _scratch
 from ..errors import SimulationError
 from ..observability import (
     METRICS as _METRICS,
@@ -78,7 +79,6 @@ from .batch import (
     BatchResult,
     BatchSimulation,
     _count_dtype,
-    _scratch,
     _validate_shape,
     draw_mining_traces,
     proportion_confidence_interval,

@@ -23,9 +23,8 @@ special case:
   propagation is computed with a vectorized min-plus relaxation (a
   Floyd–Warshall front sweep): each node's *delivery radius* — the rounds
   until a block originating there has flooded the whole graph — is the row
-  maximum of the all-pairs latency-weighted distance matrix.  A pure-Python
-  per-source Dijkstra (:meth:`PeerGraphTopology.distances_reference`) stays
-  as the correctness oracle and the baseline for the ≥5x benchmark gate.
+  maximum of the all-pairs latency-weighted distance matrix, checked
+  against a pure-Python per-source Dijkstra in the tests.
   :meth:`PeerGraphTopology.effective_delta` maps the topology back into the
   analytical world: the empirical ``q``-quantile of the delivery radii is
   the Δ a fixed-delay analysis would need to cover the topology, so
@@ -45,12 +44,12 @@ special case:
 from __future__ import annotations
 
 import hashlib
-import heapq
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from ..backend.workspace import Workspace, _scratch, _tile_rows
 from ..errors import SimulationError
 from ..observability import METRICS as _METRICS, TRACE as _TRACE
 from ..params import ProtocolParameters, coerce_positive_int
@@ -68,7 +67,6 @@ __all__ = [
     "delay_model_specs",
     "resolve_delay_model",
     "PeerGraphTopology",
-    "reference_draw_delays",
     "MiningPowerProfile",
     "convergence_opportunity_mask_with_delays",
 ]
@@ -123,6 +121,30 @@ def _integer_tensor(values, name: str, error_type: type = SimulationError):
 # ----------------------------------------------------------------------
 # Generalized convergence-opportunity detection
 # ----------------------------------------------------------------------
+def _checked_delays(delays, shape, delta: int, max_delay):
+    """``(delays, cap)``: ``cap`` is ``max_delay`` (default Δ), a positive
+    integer >= Δ; ``delays`` (or ``None``) an int32 or int64 ``shape``
+    tensor with values in ``[0, cap]``, checked without temporaries."""
+    cap = delta
+    if max_delay is not None:
+        cap = coerce_positive_int(max_delay, "max_delay", error_type=SimulationError)
+    if cap < delta:
+        raise SimulationError(
+            f"max_delay must be >= delta ({delta}), got {max_delay!r}"
+        )
+    if delays is None:
+        return None, cap
+    offsets = _integer_tensor(delays, "delays")
+    if offsets.shape != shape:
+        raise SimulationError(
+            f"delays shape {offsets.shape} does not match honest_counts shape "
+            f"{shape}"
+        )
+    if offsets.min(initial=0) < 0 or offsets.max(initial=0) > cap:
+        raise SimulationError(f"delays must lie in [0, {cap}]")
+    return offsets, cap
+
+
 def convergence_opportunity_mask_with_delays(
     honest_counts,
     delays,
@@ -156,68 +178,98 @@ def convergence_opportunity_mask_with_delays(
     blocks with huge delays simply never complete an opportunity inside
     the obstructed span, which is exactly the consistency threat being
     measured.
+
+    The validating front end to the engines' tiled kernel,
+    :func:`_delay_opportunity_mask`; int32 and int64 tensors pass uncopied.
     """
     counts = _integer_tensor(honest_counts, "honest_counts")
-    offsets = _integer_tensor(delays, "delays")
     if counts.ndim != 2:
         raise SimulationError(
             f"honest_counts must have shape (trials, rounds), got {counts.shape}"
         )
-    if offsets.shape != counts.shape:
-        raise SimulationError(
-            f"delays shape {offsets.shape} does not match honest_counts shape "
-            f"{counts.shape}"
-        )
     delta = coerce_positive_int(delta, "delta", error_type=SimulationError)
-    cap = (
-        delta
-        if max_delay is None
-        else coerce_positive_int(max_delay, "max_delay", error_type=SimulationError)
-    )
-    if cap < delta:
-        raise SimulationError(
-            f"max_delay must be >= delta ({delta}), got {max_delay!r}"
-        )
-    if (offsets < 0).any() or (offsets > cap).any():
-        raise SimulationError(f"delays must lie in [0, {cap}]")
-    trials, rounds = counts.shape
-    mask = np.zeros((trials, rounds), dtype=np.bool_)
-    # No early exit for short traces: with realized delays below delta an
-    # opportunity can complete even when rounds < 2*delta + 1 (the warm-up
-    # and completion conditions below make the constant-delta case return
-    # all-false there, exactly like the classic mask).
-    index = np.arange(rounds, dtype=np.int64)
-    success = counts > 0
-    # Delivery round of each mined block; -1 sentinels keep the running
-    # maximum below any real round for silent cells.
-    arrival = np.where(success, index + offsets, -1)
-    previous_arrival = np.maximum.accumulate(arrival, axis=1)
-    previous_arrival = np.concatenate(
-        [np.full((trials, 1), -1, dtype=np.int64), previous_arrival[:, :-1]],
-        axis=1,
-    )
-    # First success strictly after each round, via a reversed running minimum.
-    next_success = np.where(success, index, rounds)
-    next_success = np.minimum.accumulate(next_success[:, ::-1], axis=1)[:, ::-1]
-    next_success = np.concatenate(
-        [next_success[:, 1:], np.full((trials, 1), rounds, dtype=np.int64)],
-        axis=1,
-    )
+    offsets, cap = _checked_delays(delays, counts.shape, delta, max_delay)
+    return _delay_opportunity_mask(counts, offsets, delta, cap)
 
-    completion = index + offsets
-    centre = (
-        (counts == 1)
-        & (previous_arrival < index)
-        & (next_success > completion)
-        & (index >= delta)
-        & (completion <= rounds - 1)
-    )
-    # Valid centres in one trial complete at distinct rounds (a later centre
-    # requires the earlier one's block to have been delivered first), so a
-    # plain scatter cannot collide.
-    rows, cols = np.nonzero(centre)
-    mask[rows, completion[rows, cols]] = True
+
+def _delay_opportunity_mask(
+    counts, delays, delta: int, cap: int, workspace: Optional[Workspace] = None
+):
+    """The delay-mask kernel: the mask of
+    :func:`convergence_opportunity_mask_with_delays` on checked int32 or
+    int64 ``counts`` and ``delays`` in ``[0, cap]``, ``cap >= delta``.
+
+    Windows reach ``span = min(cap, rounds)`` rounds: no block is later
+    than ``cap``, no run longer than ``rounds``.  Each row tile is laid into
+    a flat panel with ``span`` zero pad cells before every row and after
+    the last, filled twice; :func:`_window_max` leaves in each cell the max
+    of the ``span`` cells from it:
+
+    * a mined round ``s`` holds ``s + d_s + 1`` (else 0); read ``span``
+      cells before round ``r``, the max is at most ``r`` when every earlier
+      block was delivered before ``r``;
+    * round ``r`` holds ``rounds - r - 1`` if round ``r + 1`` mined (else
+      0); read at ``r``, the max is at most ``rounds - r - d_r - 1`` when
+      the next block comes after ``r + d_r`` and ``r + d_r < rounds``.
+
+    A centre (``counts == 1``, both hold, ``r >= delta``) sets
+    ``mask[r + d_r]`` in the fixed kernel's ``"mask.out"`` (fresh without
+    a ``workspace``); the panels live for this call only, outside it.
+    """
+    trials, rounds = counts.shape
+    mask = _scratch(workspace, "mask.out", (trials, rounds), np.bool_)
+    mask[...] = 0
+    span = min(cap, rounds)
+    width = rounds + span
+    rows = _tile_rows(trials, width)
+    index = np.int32 if rounds + cap < np.iinfo(np.int32).max else np.int64
+    panels = np.empty((2, span + rows * width), index)
+    after, mined = np.empty((2, rows, rounds), index)
+    early, centres = np.empty((2, rows, rounds), np.bool_)
+    column = np.arange(rounds, dtype=index)
+    for start in range(0, trials, rows):
+        stop = min(start + rows, trials)
+        size = stop - start
+        panel, spare = panels[:, : span + size * width]
+        tile = panel[span:].reshape(size, width)
+        tile_counts = counts[start:stop]
+        done = np.add(delays[start:stop], column + 1, out=after[:size])
+        ones = np.minimum(tile_counts, 1, out=mined[:size])
+
+        panel[:span] = 0
+        tile[:, rounds:] = 0
+        np.multiply(done, ones, out=tile[:, :rounds])
+        late = _window_max(panel, spare, span)[: size * width].reshape(size, width)
+        delivered = np.less_equal(late[:, :rounds], column, out=early[:size])
+
+        tile[:, rounds - 1 :] = 0
+        np.multiply(ones[:, 1:], rounds - column[1:], out=tile[:, : rounds - 1])
+        gap = _window_max(panel, spare, span)[span:].reshape(size, width)
+        room = np.subtract(rounds, done, out=ones)
+        centre = np.less_equal(gap[:, :rounds], room, out=centres[:size])
+
+        np.logical_and(centre, delivered, out=centre)
+        np.equal(tile_counts, 1, out=delivered)
+        np.logical_and(centre, delivered, out=centre)
+        centre[:, :delta] = False
+        hits = np.flatnonzero(centre)
+        landing = hits + done.reshape(-1)[hits] - 1 - hits % rounds
+        mask[start:stop].reshape(-1)[landing] = True
     return mask
+
+
+def _window_max(panel, spare, span: int):
+    """The buffer holding, at each cell of the flat ``panel``, the max of the
+    ``span`` cells from it: ⌈log₂ span⌉ shifted passes, each writing the
+    other of ``panel`` and ``spare`` (NumPy copies an overlapping operand)."""
+    reach = 1
+    while reach < span:
+        step = min(reach, span - reach)
+        np.maximum(panel[:-step], panel[step:], out=spare[:-step])
+        spare[-step:] = panel[-step:]
+        panel, spare = spare, panel
+        reach += step
+    return panel
 
 
 # ----------------------------------------------------------------------
@@ -490,29 +542,6 @@ class PeerGraphTopology:
                 self._distances = distance
         return self._distances
 
-    def distances_reference(self) -> np.ndarray:
-        """Per-source Dijkstra in pure Python — correctness/benchmark baseline."""
-        nodes = self.n_nodes
-        neighbours: List[List[Tuple[int, int]]] = [[] for _ in range(nodes)]
-        rows, cols = np.nonzero(self.latencies)
-        for a, b in zip(rows, cols):
-            neighbours[int(a)].append((int(b), int(self.latencies[a, b])))
-        distance = np.full((nodes, nodes), _UNREACHED, dtype=np.int64)
-        for source in range(nodes):
-            best = distance[source]
-            best[source] = 0
-            frontier = [(0, source)]
-            while frontier:
-                reached_at, node = heapq.heappop(frontier)
-                if reached_at > best[node]:
-                    continue
-                for neighbour, weight in neighbours[node]:
-                    candidate = reached_at + weight
-                    if candidate < best[neighbour]:
-                        best[neighbour] = candidate
-                        heapq.heappush(frontier, (candidate, neighbour))
-        return distance
-
     @property
     def is_connected(self) -> bool:
         """Whether gossip from any node eventually reaches every node."""
@@ -724,7 +753,7 @@ class PeerGraphDelayModel(DelayModel):
     that origin's delivery radius (the gossip flood time to the whole
     graph), capped at Δ.  The radii are computed once with the vectorized
     kernel and sampled by fancy indexing — the path the benchmark gate
-    holds to ≥5x over :func:`reference_draw_delays`.
+    holds to ≥5x over a per-block Dijkstra reference.
     """
 
     name = "peer_graph"
@@ -751,52 +780,6 @@ class PeerGraphDelayModel(DelayModel):
 
     def describe(self) -> str:
         return f"{self.name}({self.topology!r})"
-
-
-def reference_draw_delays(
-    topology: PeerGraphTopology,
-    trials: int,
-    rounds: int,
-    delta: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Per-block reference implementation of :class:`PeerGraphDelayModel`.
-
-    Samples the same origin stream, then recomputes each block's delivery
-    radius with a fresh per-source Dijkstra — the honest scalar baseline
-    for the vectorized kernel's benchmark gate, and (given the same
-    generator state) exactly equal to the vectorized draw.
-    """
-    sources = rng.integers(0, topology.n_nodes, size=(trials, rounds))
-    nodes = topology.n_nodes
-    neighbours: List[List[Tuple[int, int]]] = [[] for _ in range(nodes)]
-    rows, cols = np.nonzero(topology.latencies)
-    for a, b in zip(rows, cols):
-        neighbours[int(a)].append((int(b), int(topology.latencies[a, b])))
-    delays = np.empty((trials, rounds), dtype=np.int64)
-    for trial in range(trials):
-        for round_index in range(rounds):
-            source = int(sources[trial, round_index])
-            best = {source: 0}
-            frontier = [(0, source)]
-            radius = 0
-            while frontier:
-                reached_at, node = heapq.heappop(frontier)
-                if reached_at > best.get(node, int(_UNREACHED)):
-                    continue
-                radius = max(radius, reached_at)
-                for neighbour, weight in neighbours[node]:
-                    candidate = reached_at + weight
-                    if candidate < best.get(neighbour, int(_UNREACHED)):
-                        best[neighbour] = candidate
-                        heapq.heappush(frontier, (candidate, neighbour))
-            if len(best) < nodes:
-                raise SimulationError(
-                    "the peer graph is disconnected; gossip cannot deliver "
-                    "every block to every honest miner"
-                )
-            delays[trial, round_index] = min(radius, delta)
-    return delays
 
 
 # ----------------------------------------------------------------------

@@ -57,6 +57,8 @@ HOT_PATHS = [
     (scenarios, "ScenarioSimulation.run_traces"),
     (scenarios, "ScenarioSimulation._scan"),
     (topology, "convergence_opportunity_mask_with_delays"),
+    (topology, "_delay_opportunity_mask"),
+    (topology, "_window_max"),
     (topology, "PeerGraphTopology.distances"),
     (topology, "FixedDeltaDelayModel.draw_delays"),
     (topology, "UniformDelayModel.draw_delays"),
@@ -95,8 +97,6 @@ NOT_HOT = [
     (topology, "PeerGraphTopology._from_edges"),
     (topology, "PeerGraphTopology.random_regular"),
     (topology, "PeerGraphTopology.erdos_renyi"),
-    (topology, "PeerGraphTopology.distances_reference"),
-    (topology, "reference_draw_delays"),
     (topology, "MiningPowerProfile.__init__"),
     (dynamics, "DynamicsSchedule.__init__"),
     (dynamics, "_epoch_states"),

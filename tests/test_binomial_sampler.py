@@ -11,12 +11,15 @@ in the same state.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.backend import binomial, sampler
 from repro.errors import BackendError
+from repro.params import parameters_from_c
+from repro.simulation import PartitionScenario, ScenarioSimulation, draw_mining_traces
 
 BIT_GENERATORS = (
     np.random.PCG64,
@@ -214,6 +217,71 @@ def test_outside_the_regime_numpy_draws(monkeypatch, n, p):
     monkeypatch.setattr(sampler, "_inversion_constants", unreachable)
     size = np.shape(n) or (4, 9)
     assert_same_draws(np.random.PCG64, 5, n, p, size)
+
+
+class BlockCounting(np.random.Generator):
+    """A PCG64 generator that records the cells of each ``binomial`` call."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.cells = []
+
+    def binomial(self, n, p, size=None):
+        self.cells.append(int(np.prod(size)))
+        return super().binomial(n, p, size)
+
+
+@pytest.mark.parametrize(
+    "n,p,size",
+    [
+        (np.random.default_rng(9).integers(0, 4, size=(300, 1000)), 0.4, None),
+        (700, 0.6, (300, 1000)),
+        (7, float(np.nextafter(0.5, 1.0)), (2, 65537)),
+        (np.array([[700], [3]]), 1e-3, (2, 70000)),
+    ],
+    ids=["array_n", "p_above_half", "rows_past_a_block", "broadcast_n"],
+)
+def test_numpy_draws_are_handed_over_a_block_at_a_time(n, p, size):
+    """Outside the inversion regime NumPy draws at most one block of rows
+    (or one row) a call, into ``out``: the values and the next three
+    uniforms are one whole-array draw's."""
+    size = size or np.shape(n)
+    ours = BlockCounting(4)
+    theirs = np.random.Generator(np.random.PCG64(4))
+    out = np.empty(size, np.int32)
+    assert binomial(ours, n, p, out) is out
+    assert np.array_equal(out, theirs.binomial(n, p, size=size))
+    assert np.array_equal(ours.random(3), theirs.random(3))
+    assert sum(ours.cells) == out.size and len(ours.cells) > 1
+    assert max(ours.cells) <= max(sampler._BLOCK_CELLS, size[-1])
+
+
+def test_a_partial_cut_split_peaks_near_its_own_tensor():
+    """A seed block's minority split (``ScenarioSimulation._third_draw``,
+    array ``n``) holds the int32 split and a few int64 blocks at its peak,
+    not a whole int64 array and NumPy's int64 copy of ``n``."""
+    params = parameters_from_c(c=2.0, n=1_000, delta=4, nu=0.3)
+    cut = PartitionScenario(
+        name="split_memory",
+        kind="private_chain",
+        target_depth=6,
+        give_up_deficit=None,
+        partition_start=300,
+        partition_duration=200,
+        cut_fraction=0.4,
+    )
+    engine = ScenarioSimulation(params, cut)
+    honest, _ = draw_mining_traces(params, 1048, 1000, np.random.default_rng(1))
+    rng = np.random.default_rng(2)
+    engine._third_draw(honest, rng)
+    tracemalloc.start()
+    try:
+        split = engine._third_draw(honest, rng)["split_counts"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert split.dtype == np.int32 and split.shape == honest.shape
+    assert peak < split.nbytes + 4 * 8 * sampler._BLOCK_CELLS
 
 
 def test_legacy_generators_and_scalar_draws_go_to_numpy():

@@ -11,6 +11,9 @@ partition/eclipse scenarios in the registry.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +33,7 @@ from repro.simulation import (
     PeerGraphTopology,
     Scenario,
     ScenarioSimulation,
+    StreamingScenarioSimulation,
     TimeVaryingDelayModel,
     compile_eclipse_offsets,
     compile_schedule,
@@ -235,6 +239,39 @@ class TestDurationZeroProperty:
         assert model.delay_cap(3, rounds=100) == 15 + 3
         with pytest.raises(SimulationError, match="round count"):
             model.delay_cap(3)
+
+
+class TestEclipseDelays:
+    """Without a topology the delays are a read-only view of one row."""
+
+    def test_a_broadcast_view_of_the_compiled_offsets(self):
+        model = TimeVaryingDelayModel(DynamicsSchedule([PartitionEvent(20, 15)]))
+        delays = model.draw_delays(4_000, 100, 3, np.random.default_rng(0))
+        offsets = model.compiled(100, 3).offsets
+        assert np.array_equal(delays, np.tile(offsets, (4_000, 1)))
+        assert delays.dtype == np.int64
+        assert not delays.flags.writeable
+        assert delays.strides[0] == 0
+        with pytest.raises(ValueError):
+            delays[0, 0] = 0
+
+    @pytest.mark.parametrize("chunk_cells", [None, 100_000])
+    def test_a_streamed_eclipse_payload_is_unchanged(self, chunk_cells):
+        """``partition_attack`` at 1,300 rounds enters its eclipse.  The
+        default budget scans both seed blocks in one call (their delays
+        copied into a chunk buffer), 100,000 cells one block a call (the
+        view itself); both payloads are the ones ``np.tile``'d delays
+        gave."""
+        params = parameters_from_c(c=2.0, n=400, delta=3, nu=0.3)
+        streamed = StreamingScenarioSimulation(
+            params, "partition_attack", seed=2026, chunk_cells=chunk_cells
+        )
+        payload = streamed.run(1_000, 1_300).payload()
+        digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode())
+        assert payload["success_hits"] == 275
+        assert digest.hexdigest() == (
+            "c67d12f1f8588c8958e900bd2149a10b257af6705f464d428da4d6056dc49413"
+        )
 
 
 # ----------------------------------------------------------------------

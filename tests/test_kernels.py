@@ -1,15 +1,17 @@
-"""Oracle tests for the batch engine's mask and drawdown kernels.
+"""Oracle tests for the engines' mask and drawdown kernels.
 
 Every engine checks Lemma 1 through two kernels in
 :mod:`repro.simulation.batch`: the opportunity mask of Eq. (42) and the
 windowed A - C drawdown, which can also report each trial's first crossing
-of a level.  The oracles are the allocating implementations the kernels
-replaced: core's
+of a level.  Under a delay model the mask comes from the delay-mask kernel
+in :mod:`repro.simulation.topology`.  The oracles are the allocating
+implementations the kernels replaced: core's
 :func:`~repro.core.concat_chain.convergence_opportunity_mask` for the mask,
-a ``cumsum`` / ``maximum.accumulate`` drawdown, and the first-crossing scan
-the rare-event estimator used to run on its own.  The kernels must match
-them bit for bit, with and without a workspace, and whatever row tiles
-they run in, on int32 count tensors (the engines' draws) and on int64 ones
+``oracles.reference_delay_mask`` for the delay mask, a ``cumsum`` /
+``maximum.accumulate`` drawdown, and the first-crossing scan the rare-event
+estimator used to run on its own.  The kernels must match them bit for
+bit, with and without a workspace, and whatever row tiles they run in, on
+int32 count tensors (the engines' draws) and on int64 ones
 (``draw_tilted_traces`` and callers' own arrays).
 """
 
@@ -20,17 +22,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import repro.simulation.batch as batch
+import repro.backend.workspace as tiles
 import repro.simulation.rare_events as rare_events
+from oracles import reference_delay_mask
 from repro.backend import Workspace
 from repro.core.concat_chain import convergence_opportunity_mask
 from repro.params import parameters_from_c
+from repro.simulation import ScenarioSimulation, draw_mining_traces, get_scenario
 from repro.simulation.batch import (
     BatchSimulation,
     _opportunity_mask,
     _window_drawdown,
     count_convergence_opportunities_batch,
     worst_window_deficits,
+)
+from repro.simulation.topology import (
+    _delay_opportunity_mask,
+    convergence_opportunity_mask_with_delays,
 )
 from repro.simulation.rare_events import (
     ExponentialTilt,
@@ -160,8 +168,8 @@ class TestTiles:
     def test_tiled_kernels_match_oracles(
         self, trials, rounds, tile_cells, rows, monkeypatch
     ):
-        monkeypatch.setattr(batch, "TILE_CELLS", tile_cells)
-        assert batch._tile_rows(trials, rounds) == min(rows, trials)
+        monkeypatch.setattr(tiles, "TILE_CELLS", tile_cells)
+        assert tiles._tile_rows(trials, rounds) == min(rows, trials)
         delta = 3
         honest, adversary = _traces(rounds, trials=trials, seed=trials + rounds)
         expected_mask = convergence_opportunity_mask(honest, delta)
@@ -178,7 +186,7 @@ class TestTiles:
     def test_first_crossings_at_both_ends_of_a_tile(self, monkeypatch):
         """Crossings in a tile's first and last rows, and rows that never cross."""
         rounds, level = 50, 2
-        monkeypatch.setattr(batch, "TILE_CELLS", 3 * (rounds + 1))
+        monkeypatch.setattr(tiles, "TILE_CELLS", 3 * (rounds + 1))
         params = parameters_from_c(c=4.0, n=1_000, delta=2, nu=0.2)
         estimator = RareEventSimulation(params, depth=level, rng=0)
         honest, adversary = _traces(rounds, trials=10, seed=3)
@@ -242,6 +250,120 @@ class TestDeficitsFrontEnd:
         assert expected.any()
 
 
+class TestDelayMaskKernel:
+    """The delay-mask kernel against the allocating oracle."""
+
+    @pytest.mark.parametrize("delta", range(1, 7))
+    def test_matches_the_oracle(self, delta, monkeypatch):
+        """Caps from Δ to Δ + 40; zero, constant, narrow and wide delays;
+        runs shorter than 2Δ + 1; one trial, and 7 trials in tiles of 3
+        rows; int32 and int64 delays; with and without a workspace."""
+        rng = np.random.default_rng(delta)
+        workspace = Workspace()
+        opportunities = 0
+        for cap in (delta, delta + 1, delta + 7, delta + 40):
+            for rounds in (1, 2 * delta, 2 * delta + 1, 97):
+                span = min(cap, rounds)
+                for trials, rows in ((1, 1), (7, 3)):
+                    monkeypatch.setattr(
+                        tiles, "TILE_CELLS", rows * (rounds + span + 1)
+                    )
+                    honest, _ = _traces(rounds, trials=trials, seed=cap + rounds)
+                    shape = honest.shape
+                    for delays in (
+                        np.zeros(shape, np.int64),
+                        np.full(shape, delta, np.int32),
+                        rng.integers(0, delta + 1, size=shape),
+                        rng.integers(0, cap + 1, size=shape).astype(np.int32),
+                    ):
+                        expected = reference_delay_mask(honest, delays, delta)
+                        for pool in (None, workspace):
+                            got = _delay_opportunity_mask(
+                                honest, delays, delta, cap, pool
+                            )
+                            assert got.dtype == np.bool_
+                            assert np.array_equal(got, expected), (cap, rounds)
+                        opportunities += int(expected.sum())
+        assert opportunities > 0
+
+    def test_partition_attack_offsets_inside_the_run(self):
+        """At 1,300 rounds ``partition_attack``'s eclipse (rounds 1,000 to
+        1,300) falls inside the run: offsets pass Δ, and the read-only
+        broadcast delays reach the kernel as they are."""
+        params = parameters_from_c(c=2.0, n=400, delta=3, nu=0.3)
+        model = get_scenario("partition_attack").build_delay_model()
+        rounds = 1_300
+        delays = model.draw_delays(300, rounds, params.delta, None)
+        cap = model.delay_cap(params.delta, rounds)
+        assert cap > params.delta and not delays.flags.writeable
+        honest = _traces(rounds, trials=300, seed=12)[0]
+        expected = reference_delay_mask(honest, delays, params.delta)
+        got = convergence_opportunity_mask_with_delays(
+            honest, delays, params.delta, max_delay=cap
+        )
+        assert np.array_equal(got, expected)
+        assert expected[:, :1_000].any() and not expected[:, 1_100:].any()
+
+
+class TestDelayPathMemory:
+    """A warm delay-model point costs tile scratch, not whole tensors, and
+    no workspace beyond a fixed-Δ point's."""
+
+    PARAMS = parameters_from_c(c=2.0, n=1_000, delta=4, nu=0.3)
+    SHAPE = (2_000, 1_000)
+
+    def _point(self):
+        rng = np.random.default_rng(5)
+        honest, adversary = draw_mining_traces(self.PARAMS, *self.SHAPE, rng)
+        return honest, adversary, rng.integers(0, 5, size=self.SHAPE)
+
+    @staticmethod
+    def _peak(call):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_batch_run_traces_peaks_under_one_count_tensor(self):
+        honest, adversary, delays = self._point()
+        engine = BatchSimulation(
+            self.PARAMS, delay_model="uniform", workspace=Workspace()
+        )
+        peak = self._peak(lambda: engine.run_traces(honest, adversary, delays=delays))
+        assert peak < honest.nbytes
+
+    def test_scenario_run_traces_peaks_under_one_count_tensor(self):
+        honest, adversary, _ = self._point()
+        engine = ScenarioSimulation(
+            self.PARAMS, "partition_attack", workspace=Workspace()
+        )
+        third = engine._third_draw(honest, None)
+        peak = self._peak(lambda: engine.run_traces(honest, adversary, **third))
+        assert peak < honest.nbytes
+
+    def test_no_workspace_beyond_a_fixed_delta_run(self):
+        """The runner shares one workspace across points: a delay-model
+        point leaves a fixed-Δ point's high-water mark where it was."""
+        honest, adversary, delays = self._point()
+        fixed = Workspace()
+        BatchSimulation(self.PARAMS, workspace=fixed).run_traces(honest, adversary)
+        alone, shared = Workspace(), Workspace()
+        BatchSimulation(self.PARAMS, workspace=shared).run_traces(honest, adversary)
+        for workspace in (alone, shared):
+            engine = BatchSimulation(
+                self.PARAMS, delay_model="uniform", workspace=workspace
+            )
+            for _ in range(2):
+                engine.run_traces(honest, adversary, delays=delays)
+        assert shared.high_water_bytes == fixed.high_water_bytes
+        assert set(alone.tags) < set(fixed.tags)
+        for tag in alone.tags:
+            assert alone._buffers[tag].shape == fixed._buffers[tag].shape
+
+
 class _Int32Counts:
     """Reruns a class's oracle comparisons on int32 count tensors, the dtype
     the engines draw; the classes above run on :func:`_traces`' int64."""
@@ -265,6 +387,10 @@ class TestFirstCrossingsOnInt32Counts(_Int32Counts, TestFirstCrossings):
 
 
 class TestTilesOnInt32Counts(_Int32Counts, TestTiles):
+    pass
+
+
+class TestDelayMaskKernelOnInt32Counts(_Int32Counts, TestDelayMaskKernel):
     pass
 
 

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import repro.simulation.scenarios as scenarios
+from repro.backend import Workspace
 from repro.errors import SimulationError
 from repro.params import parameters_from_c
 from repro.simulation import (
     BatchSimulation,
     ExperimentRunner,
     MaxDelayAdversary,
+    PartitionScenario,
     PassiveAdversary,
     PrivateChainAdversary,
     Scenario,
@@ -372,6 +376,51 @@ class TestScenarioSimulation:
         passive = ScenarioSimulation(ATTACK_PARAMS, "passive", rng=2).run(8, 2_000)
         delayed = ScenarioSimulation(ATTACK_PARAMS, "max_delay", rng=2).run(8, 2_000)
         assert delayed.growth_rates.mean() < passive.growth_rates.mean()
+
+
+class TestScanMemory:
+    """The scan reads its inputs through round tiles in their own dtypes:
+    a warm scan holds less than one int32 input tensor beside them, where
+    the round-major int64 copies it replaced took four (32 MB at 2,000 x
+    1,000)."""
+
+    PARAMS = parameters_from_c(c=2.0, n=1_000, delta=4, nu=0.3)
+    CUT = PartitionScenario(
+        name="memory_cut",
+        kind="private_chain",
+        target_depth=6,
+        give_up_deficit=None,
+        partition_start=300,
+        partition_duration=200,
+        cut_fraction=0.4,
+    )
+
+    @pytest.mark.parametrize(
+        "scenario", ["selfish_mining", "private_chain", "partition_attack", CUT],
+        ids=["selfish_mining", "private_chain", "partition_attack", "partial_cut"],
+    )
+    def test_a_warm_scan_peaks_under_one_input_tensor(self, scenario):
+        rng = np.random.default_rng(3)
+        honest, adversary = draw_mining_traces(self.PARAMS, 2_000, 1_000, rng)
+        engine = ScenarioSimulation(self.PARAMS, scenario, workspace=Workspace())
+        third = engine._third_draw(honest, rng)
+        split = third.get("split_counts")
+        arguments = dict(
+            delays=third.get("delays"),
+            cap=third.get("max_delay"),
+            split=split,
+            windows=() if split is None else engine.scenario.partition_windows(1_000),
+        )
+        assert honest.dtype == np.int32
+        engine._scan(honest, adversary, False, **arguments)
+        tracemalloc.start()
+        try:
+            state = engine._scan(honest, adversary, False, **arguments)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < honest.nbytes
+        assert state["releases"].sum() > 0
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_distances, reference_draw_delays
 from repro.core.concat_chain import convergence_opportunity_mask
 from repro.errors import ParameterError, SimulationError
 from repro.params import ProtocolParameters, coerce_positive_int, parameters_from_c
@@ -30,7 +31,6 @@ from repro.simulation import (
     convergence_opportunity_mask_with_delays,
     get_delay_model,
     list_delay_models,
-    reference_draw_delays,
     register_delay_model,
     resolve_delay_model,
 )
@@ -116,7 +116,7 @@ class TestPeerGraphTopology:
             topology = PeerGraphTopology.random_regular(
                 20, 3, latency_spread=spread, rng=seed
             )
-            assert np.array_equal(topology.distances(), topology.distances_reference())
+            assert np.array_equal(topology.distances(), reference_distances(topology))
 
     def test_rejects_malformed_latency_matrices(self):
         with pytest.raises(SimulationError):
