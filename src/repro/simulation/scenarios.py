@@ -10,10 +10,19 @@ simultaneously, scanning over rounds once while every piece of attack state
 lives in ``(trials,)`` NumPy vectors —
 
 * the public longest-chain height (with the Δ-capped honest delivery
-  pipeline kept as a ring buffer of scheduled arrival heights),
-* the adversary's private-fork height, fork-point height and pending-release
-  (withheld) block counts,
+  pipeline kept as slot-major rows of scheduled arrival heights, one
+  contiguous ``(trials,)`` row per delivery round in flight),
+* the adversary's private-fork height and fork-point height, one
+  ``(fork, private)`` row pair (the withheld block count is their
+  difference),
 * cumulative release / abandon / fork-depth / orphaned-block tallies.
+
+Heights, fork points, leads and depths are int32 while every trial's block
+total fits int32 (else int64); tallies and every array in the result are
+int64.  The inputs are read through tiles of :data:`SCAN_TILE_ROUNDS`
+rounds, whose "some honest block" and "some adversarial block" flags are
+computed once a tile, and each round writes its release and abandon flags
+and displaced depth into tile rows that fold into the tallies once a tile.
 
 The scan reproduces the legacy round phases *exactly*: start-of-round
 deliveries, honest mining on the delivered public chain, sequential
@@ -85,6 +94,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..backend import Workspace, binomial
+from ..backend.workspace import _tile_rows
 from ..errors import SimulationError
 from ..observability import METRICS as _METRICS, TRACE as _TRACE
 from ..params import ProtocolParameters
@@ -138,6 +148,9 @@ PARTITION_KINDS = ("private_chain", "selfish_mining", "equivocation")
 #: Rounds per tile of the scan's round-major inputs (128 KB an int32 input
 #: at 2,000 trials, where whole int64 copies took 16 MB).
 SCAN_TILE_ROUNDS = 16
+
+#: Trials per block of a tile's transposed copy (:func:`_transpose_into`).
+TRANSPOSE_TRIALS = 512
 
 
 @dataclass(frozen=True)
@@ -301,6 +314,15 @@ register_scenario(Scenario(name="passive", kind="publish", honest_delay=0))
 register_scenario(Scenario(name="max_delay", kind="publish"))
 register_scenario(Scenario(name="private_chain", kind="private_chain"))
 register_scenario(Scenario(name="selfish_mining", kind="selfish_mining"))
+
+
+def _transpose_into(rows, tensor, start: int, stop: int) -> None:
+    """Copy ``tensor[:, start:stop]`` into ``rows`` (round-major), a block
+    of trials at a time: a narrow block keeps the strided reads on few pages,
+    which makes the copy about twice as fast as one whole-column transpose."""
+    for first in range(0, tensor.shape[0], TRANSPOSE_TRIALS):
+        last = first + TRANSPOSE_TRIALS
+        np.copyto(rows[:, first:last], tensor[first:last, start:stop].T)
 
 
 # ----------------------------------------------------------------------
@@ -1074,17 +1096,19 @@ class ScenarioSimulation:
                 **third,
             )
 
-    def _third_draw(self, honest, rng) -> dict:
+    def _third_draw(self, honest, rng, out=None) -> dict:
         """The draw after the two mining tensors, as ``run_traces`` keyword
         arguments.  A partial cut has no delay model and draws its
         minority split: per round, ``Binomial(honest, cut_fraction)`` of the
-        honest successes land in the minority component (drawn in the
-        honest tensor's dtype, which holds any share of it).  Otherwise it is a
-        non-trivial delay model's delay tensor and cap, else nothing.  The
-        streamed engine draws each seed block through it too."""
+        honest successes land in the minority component, drawn into ``out``
+        when given (the streamed engine's chunk-buffer rows), else into a
+        fresh tensor in the honest tensor's dtype, which holds any share of
+        it.  Otherwise it is a non-trivial delay model's delay tensor and
+        cap, else nothing.  The streamed engine draws each seed block
+        through it too."""
         if self._cut_fraction is None:
             return _delay_draw(self.delay_model, self.params.delta, honest, rng)
-        split = np.empty(honest.shape, honest.dtype)
+        split = np.empty(honest.shape, honest.dtype) if out is None else out
         binomial(rng, honest, float(self._cut_fraction), split)
         return {"split_counts": split}
 
@@ -1157,15 +1181,24 @@ class ScenarioSimulation:
                         f"split_counts shape {split.shape} does not match "
                         f"honest shape {honest.shape}"
                     )
-                if (split < 0).any() or (split > honest).any():
-                    raise SimulationError(
-                        "split_counts must lie in [0, honest_counts]"
-                    )
+                # Checked a row tile at a time: a whole-tensor comparison
+                # would hold a trials x rounds temporary.
+                rows = _tile_rows(trials, rounds)
+                for start in range(0, trials, rows):
+                    stop = start + rows
+                    if split[start:stop].min() < 0 or (
+                        split[start:stop] > honest[start:stop]
+                    ).any():
+                        raise SimulationError(
+                            "split_counts must lie in [0, honest_counts]"
+                        )
         elif split_counts is not None:
             raise SimulationError(
                 "split_counts applies only to partial-cut scenarios "
                 "(PartitionScenario with cut_fraction set)"
             )
+        honest_blocks = honest.sum(axis=1, dtype=np.int64)
+        adversary_blocks = adversary.sum(axis=1, dtype=np.int64)
         with _TRACE.span("scenario.scan", trials=trials, rounds=rounds):
             state = self._scan(
                 honest,
@@ -1175,6 +1208,7 @@ class ScenarioSimulation:
                 cap=cap,
                 split=split,
                 windows=cut_windows,
+                totals=honest_blocks + adversary_blocks,
             )
         with _TRACE.span("scenario.mask", trials=trials, rounds=rounds):
             if delays is None:
@@ -1197,8 +1231,8 @@ class ScenarioSimulation:
             rounds=rounds,
             draw_mode=self.draw_mode,
             honest_delay=self.honest_delay,
-            honest_blocks=honest.sum(axis=1, dtype=np.int64),
-            adversary_blocks=adversary.sum(axis=1, dtype=np.int64),
+            honest_blocks=honest_blocks,
+            adversary_blocks=adversary_blocks,
             convergence_opportunities=mask.sum(axis=1, dtype=np.int64),
             worst_deficits=deficits,
             honest_counts=honest if keep_traces else None,
@@ -1222,28 +1256,49 @@ class ScenarioSimulation:
         cap: Optional[int] = None,
         split=None,
         windows: Sequence[Tuple[int, int]] = (),
+        totals=None,
     ) -> Dict[str, Optional[np.ndarray]]:
         """One pass over rounds with all per-trial state as vectors.
 
         Mirrors :meth:`NakamotoSimulation.run` phase by phase; see the
-        module docstring for the correspondence argument.  With ``delays``
-        the constant-delay ring buffer is replaced by a ``(trials, cap+1)``
-        schedule of arrival heights indexed by delivery round modulo
-        ``cap+1`` (``cap`` is the model's delay cap, Δ for static models) —
-        every pending delivery lies within ``cap`` rounds, so distinct
-        pending delivery rounds always occupy distinct slots.
+        module docstring for the correspondence argument.
+
+        **State dtype.**  Heights, fork points, leads and depths are int32
+        when every trial's block total (``totals``, honest plus adversarial
+        blocks; summed here when not given) stays below ``2**31 - 1``, so no
+        height, not even the next mined one, can leave int32; otherwise
+        int64.  Tallies are int64, and so is every array that escapes into
+        the result.  The withheld count is not kept: it always equals
+        ``private - fork``, and is read off at the end.
+
+        **Slot-major rows.**  Every ring is ``(slots, trials)``, so a round
+        reads and writes contiguous rows.  A delivery schedule row holds the
+        heights due at the start of one round; a delivered row keeps its
+        values, which are never above the public height, so it needs no
+        reset.  With one offset per round, the constant ``honest_delay`` or
+        a zero-row-stride ``delays`` tensor, the schedule has as many slots
+        as the largest offset: a block due ``slots`` rounds on overwrites
+        the row just delivered, a shorter offset takes the maximum into its
+        row, and a zero offset lands at the end of the round.  Per-trial
+        ``delays`` (``cap`` is the model's delay cap, Δ for static models)
+        use a power-of-two slot count of at least ``cap`` behind a spill
+        row: each tile precomputes every block's flat schedule index (a bit
+        mask wraps the slot), aiming the blocks that pipeline nothing at the
+        spill row, and a round is one flat assignment.  Same-round collisions only ever replace an older
+        height by a larger one, since the public chain is monotone.
 
         A non-zero ``release_delay`` (placement-aware adversary) routes
-        releases through a second ring: the released height and fork point
-        travel ``release_delay`` rounds before merging into the public
-        chain, and the displaced suffix is measured at landing — against
-        the public height the honest miners actually reached by then.
+        releases through a second ring of ``(fork, height)`` row pairs: the
+        released chain travels ``release_delay`` rounds before merging into
+        the public chain, and the displaced suffix is measured at landing,
+        against the public height the honest miners actually reached by
+        then.  Every round rewrites the row it landed from.
 
         A partial-cut scenario passes ``split``, each round's minority share
         of the honest successes, and ``windows``, the disjoint sorted
         ``[start, end)`` cut rounds.  Inside a window a second component
         runs beside component 0 (the majority): its own public height and
-        delivery ring, plus a second private chain and release ring for
+        delivery schedule, plus a second private chain and release ring for
         ``equivocation``.  The windows are global, not per trial, so cut
         entry and merge-on-heal are static branches over vector state, and
         outside every window the round body is the one every other scenario
@@ -1251,115 +1306,162 @@ class ScenarioSimulation:
         without a cut.  :func:`reference_partition_scan` is the executable
         specification of the cut rounds.
 
+        **Per-tile flags and tallies.**  The inputs are read through
+        per-call tiles of :data:`SCAN_TILE_ROUNDS` rounds: the adversarial
+        counts in the state dtype, and ``honest > 0`` (per component during
+        a cut) and ``adversary > 0`` computed once a tile.  Each round writes
+        its release and abandon counts and its displaced depth into tile
+        rows; a tile folds them into the int64 tallies once, by a uint8 row
+        sum (at most two counts a round) and a row max or sum.
+
         All scan state lives in workspace buffers (a private workspace when
-        the engine was built without one), so repeated runs at one
-        (trials, rounds) shape reuse their vectors and delivery rings;
-        every array that escapes into the result is copied out first.  The
-        inputs are read through per-call round tiles of
-        :data:`SCAN_TILE_ROUNDS` rounds in their own dtypes, so the scan
-        holds O(trials) beside them.  The decision flags are boolean: the
-        scan's ``~`` / ``&`` logic needs logical, not bitwise, semantics.
+        the engine was built without one), so repeated runs at one shape
+        reuse their vectors and rings; a chain is one ``(fork, private)``
+        row pair, started by adding the racing height (an inactive chain is
+        all zeros) and reset by a multiply.  The decision flags are boolean:
+        the scan's ``~`` / ``&`` logic needs logical, not bitwise, semantics.
+        Every NumPy call in the round loop writes through ``out=``.
         """
         workspace = self.workspace if self.workspace is not None else Workspace()
         trials, rounds = honest.shape
         kind = self.scenario.kind
-        delay = self.honest_delay
-        delta = self.params.delta
-        cap = delta if cap is None else int(cap)
-        release_delay = self.release_delay if kind != "publish" else 0
+        cap = self.params.delta if cap is None else int(cap)
+        withholding = kind != "publish"
+        selfish = kind == "selfish_mining"
+        landings = self.release_delay if withholding else 0
         target_depth = self.scenario.target_depth
         give_up = self.scenario.give_up_deficit
+        quits = selfish or give_up is not None
         partial = split is not None
         equivocating = kind == "equivocation"
         starts = dict(windows)
+        if totals is None:
+            totals = honest.sum(axis=1, dtype=np.int64)
+            totals += adversary.sum(axis=1, dtype=np.int64)
+        dtype = np.int32 if totals.max() < np.iinfo(np.int32).max else np.int64
+        unsigned = np.uint32 if dtype is np.int32 else np.uint64
 
-        # Each round reads one contiguous tile row; int32 counts added to the
-        # int64 state give the values int64 counts do.
-        sources = [honest, adversary]
-        sources += [tensor for tensor in (delays, split) if tensor is not None]
-        tiles = [
-            np.empty((min(SCAN_TILE_ROUNDS, rounds), trials), tensor.dtype)
-            for tensor in sources
-        ]
-        honest_rows, adversary_rows = tiles[:2]
-        delay_rows = None if delays is None else tiles[2]
-        split_rows = tiles[-1] if partial else None
+        # Delivery offsets: one per round (row operations), else per trial.
+        shared = delays is None or delays.strides[0] == 0
+        if shared:
+            offsets = (
+                [self.honest_delay] * rounds if delays is None else delays[0].tolist()
+            )
+            slots = max(max(offsets), 1)
+        else:
+            slots = 1 << (cap - 1).bit_length()
+        # Per-trial delays aim the blocks that pipeline nothing at spill
+        # row 0, ahead of the slot rows.
+        schedule = workspace.zeros(
+            "scan.schedule", (slots + (not shared), trials), dtype
+        )
+        slot_rows = schedule[(not shared) :]
+        schedule_rows = list(slot_rows)
+        schedule_flat = schedule.reshape(-1)
 
-        public = workspace.zeros("scan.public", (trials,), np.int64)
-        private = workspace.zeros("scan.private", (trials,), np.int64)
-        fork = workspace.zeros("scan.fork", (trials,), np.int64)
+        public = workspace.zeros("scan.public", (trials,), dtype)
+        chain = workspace.zeros("scan.chain", (2, trials), dtype)
+        fork, private = chain
         active = workspace.zeros("scan.active", (trials,), np.bool_)
-        withheld = workspace.zeros("scan.withheld", (trials,), np.int64)
         releases = workspace.zeros("scan.releases", (trials,), np.int64)
         abandons = workspace.zeros("scan.abandons", (trials,), np.int64)
         deepest = workspace.zeros("scan.deepest", (trials,), np.int64)
         orphaned = workspace.zeros("scan.orphaned", (trials,), np.int64)
-        no_release = workspace.zeros("scan.no_release", (trials,), np.bool_)
         # Per-round temporaries live in the workspace too, so the steady
         # state of the round loop performs no allocation at all.
-        some_honest = workspace.empty("scan.some_honest", (trials,), np.bool_)
-        mined_height = workspace.empty("scan.mined_height", (trials,), np.int64)
-        flag = workspace.empty("scan.flag", (trials,), np.bool_)
-        scratch = workspace.empty("scan.scratch", (trials,), np.int64)
-        some_adversary = workspace.empty("scan.some_adversary", (trials,), np.bool_)
+        height = workspace.empty("scan.height", (trials,), dtype)
+        pending = workspace.empty("scan.pending", (trials,), dtype)
+        scratch = workspace.empty("scan.scratch", (trials,), dtype)
+        lead = workspace.zeros("scan.lead", (trials,), dtype)
+        lead_bits = lead.view(unsigned)
+        depth = workspace.zeros("scan.depth", (trials,), dtype)
         starting = workspace.empty("scan.starting", (trials,), np.bool_)
-        lead = workspace.empty("scan.lead", (trials,), np.int64)
-        depth = workspace.empty("scan.depth", (trials,), np.int64)
-        released_flags = workspace.empty("scan.released", (trials,), np.bool_)
-        abandoned_flags = workspace.empty("scan.abandoned", (trials,), np.bool_)
-        keep = workspace.empty("scan.keep", (trials,), np.bool_)
-        # Scheduled arrival heights for in-flight honest blocks: slot r % delay
-        # holds the height mined at round r, due at the start of round r+delay.
-        ring = None
-        schedule = None
-        if delay_rows is not None:
-            schedule = workspace.zeros(
-                "scan.schedule", (trials, cap + 1), np.int64
-            )
-        elif delay >= 1:
-            ring = workspace.zeros("scan.ring", (trials, delay), np.int64)
+        flag = workspace.empty("scan.flag", (trials,), np.bool_)
+        reset = workspace.empty("scan.reset", (trials,), np.bool_)
         # In-flight adversarial releases (placement-aware adversaries): the
-        # slot being delivered this round is the one refilled afterwards, so
-        # at most one pending release ever occupies a slot.
-        release_heights = None
-        release_forks = None
-        if release_delay >= 1:
-            release_heights = workspace.zeros(
-                "scan.release_heights", (trials, release_delay), np.int64
-            )
-            release_forks = workspace.zeros(
-                "scan.release_forks", (trials, release_delay), np.int64
-            )
+        # row landing this round is the one the round's release rewrites.
+        release_rows = None
+        if landings:
+            release = workspace.zeros("scan.release", (landings, 2, trials), dtype)
+            release_rows = list(release)
+        sides = [(public, chain, active, release_rows)]
+        own = sides[:1]
         # Component 1 (the minority), allocated for partial cuts only.  A
-        # withholding kind's honest delay is Δ >= 1, so its ring exists.  A
         # single private chain releases to both components alike, through
         # one release ring; only equivocation keeps a second private chain
         # and a second release ring.
-        chain = (private, fork, active, withheld)
-        sides = [(public, chain, release_heights, release_forks)]
         if partial:
-            public1 = workspace.zeros("scan.public1", (trials,), np.int64)
-            ring1 = workspace.zeros("scan.ring1", (trials, delay), np.int64)
-            best = workspace.empty("scan.best", (trials,), np.int64)
+            public1 = workspace.zeros("scan.public1", (trials,), dtype)
+            schedule1 = workspace.zeros("scan.schedule1", schedule.shape, dtype)
+            schedule1_rows = list(schedule1)
+            height1 = workspace.empty("scan.height1", (trials,), dtype)
+            best = workspace.empty("scan.best", (trials,), dtype)
+            scratch1 = workspace.empty("scan.scratch1", (trials,), dtype)
+            flag1 = workspace.empty("scan.flag1", (trials,), np.bool_)
             # The common prefix frozen at the cut round, and the deepest
             # suffix a heal displaced.
-            common = workspace.zeros("scan.common", (trials,), np.int64)
+            common = workspace.zeros("scan.common", (trials,), dtype)
             merge_depth = workspace.zeros("scan.merge_depth", (trials,), np.int64)
         if equivocating:
-            private1 = workspace.zeros("scan.private1", (trials,), np.int64)
-            fork1 = workspace.zeros("scan.fork1", (trials,), np.int64)
+            chain1 = workspace.zeros("scan.chain1", (2, trials), dtype)
+            fork1, private1 = chain1
             active1 = workspace.zeros("scan.active1", (trials,), np.bool_)
-            withheld1 = workspace.zeros("scan.withheld1", (trials,), np.int64)
-            chain1 = (private1, fork1, active1, withheld1)
-            release_heights1 = release_forks1 = None
-            if release_delay >= 1:
-                release_heights1 = workspace.zeros(
-                    "scan.release_heights1", (trials, release_delay), np.int64
+            choose1 = workspace.empty("scan.choose1", (trials,), np.bool_)
+            lead1 = workspace.empty("scan.lead1", (trials,), dtype)
+            depth1 = workspace.empty("scan.depth1", (trials,), dtype)
+            mined = workspace.empty("scan.mined", (2, trials), dtype)
+            some = workspace.empty("scan.some", (trials,), np.bool_)
+            decided = workspace.empty("scan.decided", (2, 2, trials), np.bool_)
+            # Chain c's (released, abandoned) flags are decided[c]; read as
+            # uint8, the two chains' flags add up to the round's counts.
+            counts = decided.view(np.uint8)
+            released_by = (counts[0, 0], counts[1, 0])
+            abandoned_by = (counts[0, 1], counts[1, 1])
+            if landings:
+                release1 = workspace.zeros(
+                    "scan.release1", (landings, 2, trials), dtype
                 )
-                release_forks1 = workspace.zeros(
-                    "scan.release_forks1", (trials, release_delay), np.int64
-                )
-            sides.append((public1, chain1, release_heights1, release_forks1))
+                higher = workspace.empty("scan.higher", (landings, 1, trials), np.bool_)
+            sides.append(
+                (public1, chain1, active1, list(release1) if landings else None)
+            )
+
+        # Per-call round tiles (outside the workspace, like the mask
+        # kernel's panels): inputs, per-tile flags and per-round tallies.
+        tile_rounds = min(SCAN_TILE_ROUNDS, rounds)
+        tile = (tile_rounds, trials)
+        adversary_tile = np.empty(tile, dtype)
+        some_adversary = np.empty(tile, np.bool_)
+        some_honest = np.empty(tile, dtype)
+        released_tile = np.zeros(tile, np.uint8)
+        abandoned_tile = np.zeros(tile, np.uint8)
+        depth_tile = np.zeros(tile, dtype)
+        counted = np.empty((trials,), np.uint8)
+        deepest_row = np.empty((trials,), dtype)
+        adversary_rows = list(adversary_tile)
+        some_adversary_rows = list(some_adversary)
+        some_honest_rows = list(some_honest)
+        released_rows = list(released_tile.view(np.bool_))
+        abandoned_rows = list(abandoned_tile.view(np.bool_))
+        counted_rows = list(zip(released_tile, abandoned_tile))
+        depth_rows = list(depth_tile)
+        if selfish:
+            orphan_row = np.empty((trials,), np.int64)
+        if partial:
+            # During a cut the minority mines the split share, component 0
+            # the rest: one 0/1 flag tile per component.
+            majority = np.empty(tile, dtype)
+            minority = np.empty(tile, dtype)
+            majority_rows = list(majority)
+            minority_rows = list(minority)
+        if not shared:
+            round_ids = np.arange(rounds, dtype=np.intp)[:, None]
+            columns = np.arange(trials, dtype=np.intp)
+            delay_tile = np.empty(tile, dtype)
+            target_tile = np.empty(tile, np.intp)
+            immediate = np.empty(tile, dtype)
+            target_rows = list(target_tile)
+            immediate_rows = list(immediate)
 
         if record_rounds:
             # Record tensors escape into the result, so they are allocated
@@ -1373,307 +1475,332 @@ class ScenarioSimulation:
             if partial:
                 component_record = np.zeros((trials, rounds, 2), dtype=np.int64)
 
+        add, subtract, multiply = np.add, np.subtract, np.multiply
+        maximum, minimum, copyto = np.maximum, np.minimum, np.copyto
+        greater, greater_equal, less = np.greater, np.greater_equal, np.less
+        less_equal, equal = np.less_equal, np.equal
+        logical_and, logical_or = np.logical_and, np.logical_or
         cut = False
-        for index in range(rounds):
-            row = index % SCAN_TILE_ROUNDS
-            if not row:
-                for tile, tensor in zip(tiles, sources):
-                    columns = tensor[:, index : index + SCAN_TILE_ROUNDS]
-                    np.copyto(tile[: columns.shape[1]], columns.T)
-            mined_honest = honest_rows[row]
-            mined_adversary = adversary_rows[row]
+        for base in range(0, rounds, tile_rounds):
+            stop = min(base + tile_rounds, rounds)
+            n = stop - base
+            _transpose_into(adversary_tile[:n], adversary, base, stop)
+            greater(adversary_tile[:n], 0, out=some_adversary[:n])
+            _transpose_into(some_honest[:n], honest, base, stop)
+            if partial:
+                _transpose_into(minority[:n], split, base, stop)
+                subtract(some_honest[:n], minority[:n], out=majority[:n])
+                minimum(majority[:n], 1, out=majority[:n])
+                minimum(minority[:n], 1, out=minority[:n])
+            minimum(some_honest[:n], 1, out=some_honest[:n])
+            if not shared:
+                # Flat schedule targets: slot row 1 + (round + delay) &
+                # (slots - 1) for a block in flight, the spill row 0 for none
+                # or a zero delay (which lands at the end of the round).
+                offsets_tile, target = delay_tile[:n], target_tile[:n]
+                _transpose_into(offsets_tile, delays, base, stop)
+                add(offsets_tile, round_ids[base:stop], out=target)
+                np.bitwise_and(target, slots - 1, out=target)
+                add(target, 1, out=target)
+                # 0/1 flags: a block in flight, and one landing now.
+                minimum(offsets_tile, 1, out=offsets_tile)
+                multiply(offsets_tile, some_honest[:n], out=offsets_tile)
+                subtract(some_honest[:n], offsets_tile, out=immediate[:n])
+                multiply(target, offsets_tile, out=target)
+                multiply(target, trials, out=target)
+                add(target, columns, out=target)
+                lands_now = immediate[:n].any(axis=1).tolist()
+            if landings:
+                depth_tile[:n] = 0
+            for row in range(n):
+                index = base + row
+                adversary_row = adversary_rows[row]
+                depth_row = depth_rows[row]
 
-            # 0a. Merge-on-heal: max height wins; the losing component's
-            #     suffix above the frozen common prefix is displaced.
-            if cut and index == cut_end:
-                # The winner mask must be read before `public` absorbs the max.
-                won1 = public1 > public
-                displaced = np.minimum(public, public1) - common
-                np.maximum(merge_depth, displaced, out=merge_depth)
-                np.maximum(deepest, displaced, out=deepest)
-                np.maximum(public, public1, out=public)
-                np.maximum(ring, ring1, out=ring)
-                if equivocating:
-                    if release_heights is not None:
-                        higher = release_heights1 > release_heights
-                        np.copyto(release_heights, release_heights1, where=higher)
-                        np.copyto(release_forks, release_forks1, where=higher)
-                    # The chain racing the winning component survives; the
-                    # loser's chain forked from a displaced branch and is
-                    # dropped without an abandon tally.
-                    for mine, theirs in zip(chain, chain1):
-                        np.copyto(mine, theirs, where=won1)
-                        theirs[...] = 0
-                cut = False
-            # 0b. Cut entry: both components start from the merged state and
-            #     the common prefix freezes at the pre-cut public height.
-            if not cut and index in starts:
-                cut = True
-                cut_end = starts[index]
-                public1[...] = public
-                ring1[...] = ring
-                common[...] = public
-                if equivocating:
-                    for mine, theirs in zip(chain, chain1):
-                        theirs[...] = mine
-                    if release_heights is not None:
-                        release_heights1[...] = release_heights
-                        release_forks1[...] = release_forks
+                # 0a. Merge-on-heal: max height wins; the losing component's
+                #     suffix above the frozen common prefix is displaced.
+                if cut and index == cut_end:
+                    # The winner mask must be read before `public` absorbs
+                    # the max.
+                    greater(public1, public, out=flag1)
+                    minimum(public, public1, out=scratch)
+                    subtract(scratch, common, out=scratch)
+                    maximum(merge_depth, scratch, out=merge_depth)
+                    maximum(deepest, scratch, out=deepest)
+                    maximum(public, public1, out=public)
+                    maximum(schedule, schedule1, out=schedule)
+                    if equivocating:
+                        if landings:
+                            greater(release1[:, 1:], release[:, 1:], out=higher)
+                            copyto(release, release1, where=higher)
+                        # The chain racing the winning component survives;
+                        # the loser's chain forked from a displaced branch and
+                        # is dropped without an abandon tally.
+                        copyto(chain, chain1, where=flag1)
+                        copyto(active, active1, where=flag1)
+                        chain1[...] = 0
+                        active1[...] = 0
+                    cut = False
+                # 0b. Cut entry: both components start from the merged state
+                #     and the common prefix freezes at the pre-cut height.
+                if not cut and index in starts:
+                    cut = True
+                    cut_end = starts[index]
+                    copyto(public1, public)
+                    copyto(schedule1, schedule)
+                    copyto(common, public)
+                    if equivocating:
+                        copyto(chain1, chain)
+                        copyto(active1, active)
+                        if landings:
+                            copyto(release1, release)
 
-            # 1. Start-of-round deliveries: blocks mined `delay` rounds ago
-            #    (constant path), or whatever the schedule holds for this
-            #    delivery round (delay-model path).
-            if ring is not None:
-                slot = index % delay
-                np.maximum(public, ring[:, slot], out=public)
-                if cut:
-                    np.maximum(public1, ring1[:, slot], out=public1)
-            elif schedule is not None:
-                slot = index % (cap + 1)
-                np.maximum(public, schedule[:, slot], out=public)
-                schedule[:, slot] = 0
-
-            # 1b. Landing of in-flight adversarial releases: the displaced
-            #     suffix is measured against the public height the honest
-            #     miners actually reached while the release gossiped.
-            if release_heights is not None:
-                release_slot = index % release_delay
-                if cut and not equivocating:
-                    # One chain spans the cut and lands on both sides at
-                    # once; displacing both re-converges them on it.
-                    landing = release_heights[:, release_slot]
-                    if landing.any():
-                        forks = release_forks[:, release_slot]
-                        over = landing > public
-                        over1 = landing > public1
-                        landed_depth = np.maximum(
-                            np.where(over, public - forks, 0),
-                            np.where(over1, public1 - forks, 0),
-                        )
-                        np.maximum(landed_depth, 0, out=landed_depth)
-                        if kind == "selfish_mining":
-                            orphaned += landed_depth
-                        np.maximum(deepest, landed_depth, out=deepest)
-                        np.copyto(common, landing, where=over & over1)
-                        np.maximum(public, landing, out=public)
-                        np.maximum(public1, landing, out=public1)
-                        landing[...] = 0
-                        forks[...] = 0
+                # 1. Start-of-round deliveries.
+                if shared:
+                    offset = offsets[index]
+                    slot = index % slots
                 else:
-                    # Otherwise each component's releases (during a cut, the
-                    # equivocating chains' conflicting ones) land on it alone.
-                    for public_c, _, heights, forks in sides if cut else sides[:1]:
-                        landing = heights[:, release_slot]
+                    slot = index & (slots - 1)
+                maximum(public, schedule_rows[slot], out=public)
+                if cut:
+                    maximum(public1, schedule1_rows[slot], out=public1)
+
+                # 1b. Landing of in-flight adversarial releases: the displaced
+                #     suffix is measured against the public height the honest
+                #     miners actually reached while the release gossiped.
+                if landings:
+                    release_slot = index % landings
+                    if cut and not equivocating:
+                        # One chain spans the cut and lands on both sides at
+                        # once; displacing both re-converges them on it.
+                        forks, landing = release_rows[release_slot]
                         if landing.any():
-                            displaced = landing > public_c
-                            landed_depth = np.where(
-                                displaced, public_c - forks[:, release_slot], 0
-                            )
-                            if kind == "selfish_mining":
-                                orphaned += landed_depth
-                            np.maximum(deepest, landed_depth, out=deepest)
-                            np.maximum(public_c, landing, out=public_c)
-                            heights[:, release_slot] = 0
-                            forks[:, release_slot] = 0
-
-            # 2. Honest mining on the delivered public chain; delayed blocks
-            #    enter the pipeline, zero-delay blocks land at end of round.
-            #    During a cut the minority mines the split share on its own
-            #    tip and component 0 keeps the rest.
-            if cut:
-                minority = split_rows[row]
-                np.multiply(public1 + 1, minority > 0, out=ring1[:, slot])
-                mined_honest = mined_honest - minority
-            np.greater(mined_honest, 0, out=some_honest)
-            np.add(public, 1, out=mined_height)
-            if ring is not None:
-                np.multiply(mined_height, some_honest, out=ring[:, slot])
-            elif schedule is not None:
-                round_delays = delay_rows[row]
-                np.greater(round_delays, 0, out=flag)
-                np.logical_and(some_honest, flag, out=flag)
-                pipelined = np.nonzero(flag)[0]
-                if pipelined.size:
-                    # Same-delivery-round collisions overwrite an older,
-                    # never-larger height (public is monotone), so plain
-                    # scatter assignment keeps the schedule's maximum.
-                    schedule[
-                        pipelined, (index + round_delays[pipelined]) % (cap + 1)
-                    ] = mined_height[pipelined]
-
-            # 3. Adversarial mining: extend the private tip, or fork from the
-            #    public tip if no private chain exists.
-            if kind == "publish":
-                # Freshly mined blocks are published at end of round: the
-                # public chain absorbs the whole sequential run of successes.
-                released = no_release
-                abandoned = no_release
-                public += mined_adversary
-            elif cut and equivocating:
-                # Feed the weaker race: the whole round's successes extend
-                # the chain with the smaller lead (minority on a full tie);
-                # each chain then decides against its own component.
-                lead0 = private - public
-                lead1 = private1 - public1
-                choose1 = (lead1 < lead0) | ((lead1 == lead0) & (public1 < public))
-                released = abandoned = no_release
-                for (public_c, chain_c, heights, forks), mined in zip(
-                    sides, (mined_adversary * ~choose1, mined_adversary * choose1)
-                ):
-                    private_c, fork_c, active_c, withheld_c = chain_c
-                    some = mined > 0
-                    fresh = some & ~active_c
-                    np.copyto(fork_c, public_c, where=fresh)
-                    np.copyto(private_c, public_c, where=fresh)
-                    private_c += mined
-                    withheld_c += mined
-                    active_c |= some
-                    lead_c = private_c - public_c
-                    depth_c = public_c - fork_c
-                    released_c = (lead_c > 0) & (depth_c >= target_depth)
-                    abandoned_c = (
-                        no_release
-                        if give_up is None
-                        else (lead_c <= -give_up) & active_c
-                    )
-                    releases += released_c
-                    abandons += abandoned_c
-                    if heights is None:
-                        np.maximum(deepest, depth_c * released_c, out=deepest)
-                        np.copyto(public_c, private_c, where=released_c)
+                            greater(landing, public, out=flag)
+                            greater(landing, public1, out=flag1)
+                            subtract(public, forks, out=scratch)
+                            multiply(scratch, flag, out=scratch)
+                            subtract(public1, forks, out=scratch1)
+                            multiply(scratch1, flag1, out=scratch1)
+                            maximum(scratch, scratch1, out=scratch)
+                            maximum(scratch, 0, out=scratch)
+                            maximum(depth_row, scratch, out=depth_row)
+                            logical_and(flag, flag1, out=flag)
+                            copyto(common, landing, where=flag)
+                            maximum(public, landing, out=public)
+                            maximum(public1, landing, out=public1)
                     else:
-                        np.copyto(
-                            heights[:, release_slot], private_c, where=released_c
-                        )
-                        np.copyto(forks[:, release_slot], fork_c, where=released_c)
-                    kept = ~(released_c | abandoned_c)
-                    for buffer in chain_c:
-                        buffer *= kept
-                    released = released | released_c
-                    abandoned = abandoned | abandoned_c
-                np.maximum(private - public, private1 - public1, out=lead)
-                np.maximum(public - fork, public1 - fork1, out=depth)
-            else:
-                # A single private chain races the best public chain in view.
-                racing = np.maximum(public, public1, out=best) if cut else public
-                np.greater(mined_adversary, 0, out=some_adversary)
-                np.logical_not(active, out=starting)
-                np.logical_and(some_adversary, starting, out=starting)
-                np.copyto(fork, racing, where=starting)
-                np.copyto(private, racing, where=starting)
-                private += mined_adversary
-                withheld += mined_adversary
-                active |= some_adversary
+                        # Otherwise each component's releases (during a cut,
+                        # the equivocating chains' conflicting ones) land on
+                        # it alone.
+                        for public_c, _, _, rows_c in sides if cut else own:
+                            forks, landing = rows_c[release_slot]
+                            if landing.any():
+                                greater(landing, public_c, out=flag)
+                                subtract(public_c, forks, out=scratch)
+                                multiply(scratch, flag, out=scratch)
+                                maximum(depth_row, scratch, out=depth_row)
+                                maximum(public_c, landing, out=public_c)
 
-                # 4. Release decision against the pre-release public height.
-                # Note an inactive trial has private = fork = 0, so lead > 0
-                # (and lead in {0, 1} with public > 0) already implies active.
-                np.subtract(private, racing, out=lead)
-                np.subtract(racing, fork, out=depth)
-                if kind == "selfish_mining":
-                    np.less_equal(lead, -1, out=abandoned_flags)
-                    np.logical_and(abandoned_flags, active, out=abandoned_flags)
-                    abandoned = abandoned_flags
-                    np.greater_equal(lead, 0, out=released_flags)
-                    np.less_equal(lead, 1, out=flag)
-                    np.logical_and(released_flags, flag, out=released_flags)
-                    np.logical_and(released_flags, active, out=released_flags)
-                    released = released_flags
-                    if release_heights is None:
-                        orphan = np.multiply(depth, released, out=scratch)
-                        orphaned += orphan
-                        np.maximum(deepest, orphan, out=deepest)
-                else:  # private_chain, and equivocation outside a cut
-                    if give_up is not None:
-                        np.less_equal(lead, -give_up, out=abandoned_flags)
-                        np.logical_and(abandoned_flags, active, out=abandoned_flags)
-                        abandoned = abandoned_flags
-                    else:
-                        abandoned = no_release
-                    # Released and abandoned are mutually exclusive: release
-                    # needs lead > 0, abandonment needs lead <= -give_up.
-                    np.greater(lead, 0, out=released_flags)
-                    np.greater_equal(depth, target_depth, out=flag)
-                    np.logical_and(released_flags, flag, out=released_flags)
-                    released = released_flags
-                    if release_heights is None:
-                        np.multiply(depth, released, out=scratch)
-                        np.maximum(deepest, scratch, out=deepest)
-                releases += released
-                abandons += abandoned
-                if release_heights is None:
-                    # A release always publishes a chain at least as high as
-                    # the public one, displacing (or tying) the public suffix.
-                    np.copyto(public, private, where=released)
-                    if cut:
-                        # Both components adopt it and re-converge on it.
-                        np.copyto(public1, private, where=released)
-                        np.copyto(common, private, where=released)
+                # 2. Honest mining on the delivered public chain: a block
+                #    takes the slot it is due in, and a zero-delay one waits
+                #    in `pending` for the end of the round.  During a cut the
+                #    minority mines its share on its own tip; a cut's delay is
+                #    the constant Δ, so its block fills the row just delivered.
+                mined_honest = majority_rows[row] if cut else some_honest_rows[row]
+                add(public, 1, out=height)
+                if not shared:
+                    schedule_flat[target_rows[row]] = height
+                elif offset == slots:
+                    multiply(height, mined_honest, out=schedule_rows[slot])
                 else:
-                    # The release gossips from the adversary's graph position;
-                    # its displacement is accounted when it lands.
-                    np.copyto(
-                        release_heights[:, release_slot], private, where=released
-                    )
-                    np.copyto(
-                        release_forks[:, release_slot], fork, where=released
-                    )
-                np.logical_or(released, abandoned, out=keep)
-                np.logical_not(keep, out=keep)
-                private *= keep
-                fork *= keep
-                withheld *= keep
-                active &= keep
-
-            # 5. End-of-round delivery of zero-delay honest broadcasts.
-            if delay_rows is not None:
-                np.equal(round_delays, 0, out=flag)
-                immediate = np.logical_and(some_honest, flag, out=flag)
-                if immediate.any():
-                    np.multiply(mined_height, immediate, out=scratch)
-                    np.maximum(public, scratch, out=public)
-            elif delay == 0:
-                np.multiply(mined_height, some_honest, out=scratch)
-                np.maximum(public, scratch, out=public)
-
-            if record_rounds:
+                    multiply(height, mined_honest, out=pending)
+                    if offset:
+                        due = schedule_rows[(index + offset) % slots]
+                        maximum(due, pending, out=due)
                 if cut:
-                    np.maximum(public, public1, out=public_record[:, index])
+                    add(public1, 1, out=height1)
+                    multiply(height1, minority_rows[row], out=schedule1_rows[slot])
+
+                # 3. Adversarial mining: extend the private tip, or fork from
+                #    the public tip if no private chain exists.
+                if not withholding:
+                    # Freshly mined blocks are published at end of round: the
+                    # public chain absorbs the whole sequential run.
+                    add(public, adversary_row, out=public)
+                elif cut and equivocating:
+                    # Feed the weaker race: the whole round's successes
+                    # extend the chain with the smaller lead (minority on a
+                    # full tie); each chain then decides against its own
+                    # component.
+                    subtract(private, public, out=lead)
+                    subtract(private1, public1, out=lead1)
+                    less(lead1, lead, out=choose1)
+                    equal(lead1, lead, out=flag)
+                    less(public1, public, out=flag1)
+                    logical_and(flag, flag1, out=flag)
+                    logical_or(choose1, flag, out=choose1)
+                    multiply(adversary_row, choose1, out=mined[1])
+                    subtract(adversary_row, mined[1], out=mined[0])
+                    for c, (public_c, chain_c, active_c, rows_c) in enumerate(sides):
+                        fork_c, private_c = chain_c
+                        released_c, abandoned_c = decided[c]
+                        greater(mined[c], 0, out=some)
+                        greater(some, active_c, out=starting)
+                        multiply(public_c, starting, out=scratch)
+                        add(chain_c, scratch, out=chain_c)
+                        add(private_c, mined[c], out=private_c)
+                        logical_or(active_c, some, out=active_c)
+                        subtract(private_c, public_c, out=lead)
+                        subtract(public_c, fork_c, out=depth)
+                        greater(lead, 0, out=released_c)
+                        greater_equal(depth, target_depth, out=flag)
+                        logical_and(released_c, flag, out=released_c)
+                        if quits:
+                            less_equal(lead, -give_up, out=abandoned_c)
+                            logical_and(abandoned_c, active_c, out=abandoned_c)
+                            logical_or(released_c, abandoned_c, out=reset)
+                        if landings:
+                            multiply(chain_c, released_c, out=rows_c[release_slot])
+                        else:
+                            if c:
+                                multiply(depth, released_c, out=scratch)
+                                maximum(depth_row, scratch, out=depth_row)
+                            else:
+                                multiply(depth, released_c, out=depth_row)
+                            copyto(public_c, private_c, where=released_c)
+                        greater(active_c, reset if quits else released_c, out=active_c)
+                        multiply(chain_c, active_c, out=chain_c)
+                    released_counts, abandoned_counts = counted_rows[row]
+                    add(*released_by, out=released_counts)
+                    if quits:
+                        add(*abandoned_by, out=abandoned_counts)
+                    if record_rounds:
+                        subtract(private, public, out=lead)
+                        subtract(private1, public1, out=lead1)
+                        maximum(lead, lead1, out=lead)
+                        subtract(public, fork, out=depth)
+                        subtract(public1, fork1, out=depth1)
+                        maximum(depth, depth1, out=depth)
                 else:
-                    public_record[:, index] = public
-                if cut and equivocating:
-                    np.maximum(private, private1, out=private_record[:, index])
-                else:
-                    private_record[:, index] = private
-                release_record[:, index] = released
-                abandon_record[:, index] = abandoned
-                if kind != "publish":
-                    lead_record[:, index] = lead
-                    depth_record[:, index] = depth
-                if partial:
-                    component_record[:, index, 0] = public
-                    component_record[:, index, 1] = public1 if cut else public
+                    # A single private chain races the best public chain in
+                    # view; an inactive chain is all zeros, so starting one
+                    # is one add of the racing height.
+                    racing = maximum(public, public1, out=best) if cut else public
+                    some_row = some_adversary_rows[row]
+                    greater(some_row, active, out=starting)
+                    multiply(racing, starting, out=scratch)
+                    add(chain, scratch, out=chain)
+                    add(private, adversary_row, out=private)
+                    logical_or(active, some_row, out=active)
+
+                    # 4. Release decision against the pre-release public
+                    # height.  An inactive trial has private = fork = 0, so
+                    # lead > 0 (and selfish mining's 0 <= lead <= 1 with
+                    # public > 0) already implies active.
+                    subtract(private, racing, out=lead)
+                    subtract(racing, fork, out=depth)
+                    released = released_rows[row]
+                    abandoned = abandoned_rows[row]
+                    if selfish:
+                        less(lead, 0, out=abandoned)
+                        logical_and(abandoned, active, out=abandoned)
+                        less_equal(lead_bits, 1, out=released)
+                        logical_and(released, active, out=released)
+                    else:  # private_chain, and equivocation outside a cut
+                        if give_up is not None:
+                            less_equal(lead, -give_up, out=abandoned)
+                            logical_and(abandoned, active, out=abandoned)
+                        # Released and abandoned are mutually exclusive:
+                        # release needs lead > 0, abandonment lead <= -give_up.
+                        greater(lead, 0, out=released)
+                        greater_equal(depth, target_depth, out=flag)
+                        logical_and(released, flag, out=released)
+                    if landings:
+                        # The release gossips from the adversary's graph
+                        # position; its displacement is accounted when it
+                        # lands.
+                        multiply(chain, released, out=release_rows[release_slot])
+                    else:
+                        # A release always publishes a chain at least as
+                        # high as the public one, displacing (or tying) the
+                        # public suffix.
+                        multiply(depth, released, out=depth_row)
+                        copyto(public, private, where=released)
+                        if cut:
+                            # Both components adopt it and re-converge on it.
+                            copyto(public1, private, where=released)
+                            copyto(common, private, where=released)
+                    if quits:
+                        logical_or(released, abandoned, out=reset)
+                    greater(active, reset if quits else released, out=active)
+                    multiply(chain, active, out=chain)
+
+                # 5. End-of-round delivery of zero-delay honest broadcasts.
+                if shared:
+                    if not offset:
+                        maximum(public, pending, out=public)
+                elif lands_now[row]:
+                    multiply(height, immediate_rows[row], out=pending)
+                    maximum(public, pending, out=public)
+
+                if record_rounds:
+                    if cut:
+                        maximum(public, public1, out=public_record[:, index])
+                    else:
+                        copyto(public_record[:, index], public)
+                    if cut and equivocating:
+                        maximum(private, private1, out=private_record[:, index])
+                    else:
+                        copyto(private_record[:, index], private)
+                    if withholding:
+                        copyto(lead_record[:, index], lead)
+                        copyto(depth_record[:, index], depth)
+                    if partial:
+                        copyto(component_record[:, index, 0], public)
+                        copyto(
+                            component_record[:, index, 1], public1 if cut else public
+                        )
+
+            # Fold the tile's per-round tallies.
+            if withholding:
+                for tally, counts in (
+                    (releases, released_tile), (abandons, abandoned_tile)
+                ):
+                    add.reduce(counts[:n], axis=0, out=counted)
+                    add(tally, counted, out=tally)
+                maximum.reduce(depth_tile[:n], axis=0, out=deepest_row)
+                maximum(deepest, deepest_row, out=deepest)
+                if selfish:
+                    add.reduce(depth_tile[:n], axis=0, out=orphan_row)
+                    add(orphaned, orphan_row, out=orphaned)
+                if record_rounds:
+                    for record, flags in (
+                        (release_record, released_tile),
+                        (abandon_record, abandoned_tile),
+                    ):
+                        copyto(record[:, base:stop], flags[:n].T, casting="unsafe")
 
         # Network flush: every in-flight honest block eventually arrives, as
         # does every in-flight adversarial release (its displaced depth is
         # not tallied — the run ended before the network saw it land).  A
         # window still open at the end of the run never merges, so it tallies
         # no merge depth either.
-        final = np.copy(public)
-        withheld_final = np.copy(withheld)
-        if ring is not None:
-            np.maximum(final, ring.max(axis=1), out=final)
-        elif schedule is not None:
-            np.maximum(final, schedule.max(axis=1), out=final)
-        if release_heights is not None:
-            np.maximum(final, release_heights.max(axis=1), out=final)
+        final = public.astype(np.int64)
+        withheld_final = np.subtract(private, fork, dtype=np.int64)
+        np.maximum(final, slot_rows.max(axis=0), out=final)
+        if landings:
+            np.maximum(final, release[:, 1].max(axis=0), out=final)
         if cut:
             np.maximum(final, public1, out=final)
-            np.maximum(final, ring1.max(axis=1), out=final)
+            np.maximum(final, schedule1.max(axis=0), out=final)
             if equivocating:
-                np.maximum(withheld_final, withheld1, out=withheld_final)
-                if release_heights1 is not None:
-                    np.maximum(final, release_heights1.max(axis=1), out=final)
+                np.maximum(
+                    withheld_final,
+                    np.subtract(private1, fork1, dtype=np.int64),
+                    out=withheld_final,
+                )
+                if landings:
+                    np.maximum(final, release1[:, 1].max(axis=0), out=final)
 
         # Escaping per-trial vectors are copied out of the workspace; the
         # per-round record tensors are already freshly owned.
@@ -1692,7 +1819,7 @@ class ScenarioSimulation:
             "decision_fork_depths": depth_record if record_rounds else None,
             # Only a heal merges, so only a partial cut tallies merge depths.
             "merge_depths": (
-                np.copy(merge_depth)
+                merge_depth.astype(np.int64)
                 if partial
                 else np.zeros((trials,), dtype=np.int64)
             ),

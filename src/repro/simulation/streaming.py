@@ -27,7 +27,9 @@ result type:
   buffers, its delay tensor passed through as drawn: its memory is one
   block's at any chunk budget.  The scenario scan pays a per-round cost
   that needs wide vectors, so a streamed scenario point makes one call per
-  chunk on chunk-sized buffers, with a third draw copied in;
+  chunk on chunk-sized buffers: a partial cut's minority split is drawn in
+  place too, and delays are copied in, or passed as one broadcast row when
+  every block's delays are that row;
 * **online accumulation** — integer tallies (convergence / adversary block
   totals, Lemma 1 satisfaction, violation hits per requested depth) are
   exact; rate means and confidence intervals stream through
@@ -628,6 +630,7 @@ class StreamingScenarioResult(_StreamedResult):
 # The chunked execution spine
 # ----------------------------------------------------------------------
 _MINING = ("honest_counts", "adversary_counts")
+_SPLIT = "split_counts"
 
 
 class _StreamedSimulation:
@@ -649,6 +652,8 @@ class _StreamedSimulation:
     _progress_label: str
     _result_type: type
     _chunk_calls: bool
+    #: The tensors each block draws in place into chunk buffers.
+    _in_place: Tuple[str, ...] = _MINING
 
     def __init__(
         self,
@@ -684,11 +689,11 @@ class _StreamedSimulation:
         call spanning several blocks gathers into chunk buffers, and the
         rest (a delay cap), which passes through.
 
-        The honest and adversarial tensors (drawn into ``out``, a pair of
-        count-buffer row views, when given), then the dense engine's third
+        The honest and adversarial tensors, then the dense engine's third
         draw, all from the block's own child generator: the dense ``run``'s
         protocol, so a one-block streamed run draws exactly what the dense
-        engine draws from that generator.
+        engine draws from that generator.  ``out``, when given, maps each
+        name in :attr:`_in_place` to the buffer rows the block draws into.
         """
         rng = np.random.default_rng(_block_seed(self.seed_sequence, index))
         engine = self.engine
@@ -699,11 +704,12 @@ class _StreamedSimulation:
             rng,
             engine.draw_mode,
             power=engine.power,
-            out=out,
+            out=None if out is None else [out[name] for name in _MINING],
         )
         tensors = {"honest_counts": honest, "adversary_counts": adversary}
         rest = {}
-        for name, value in engine._third_draw(honest, rng).items():
+        split = {} if out is None or _SPLIT not in out else {"out": out[_SPLIT]}
+        for name, value in engine._third_draw(honest, rng, **split).items():
             (tensors if isinstance(value, np.ndarray) else rest)[name] = value
         return tensors, rest
 
@@ -752,9 +758,11 @@ class _StreamedSimulation:
 
         A chunk is ``per_chunk`` whole blocks and one progress event.  Each
         dense ``run_traces`` call spans the whole chunk where the subclass
-        sets ``_chunk_calls``, else one block, and the two int32 count
-        buffers (taken up front) are one call in size.  Each result is
-        folded into ``accumulator`` block by block, in block order.
+        sets ``_chunk_calls``, else one block, and the int32 buffers drawn
+        in place (taken up front) are one call in size.  Each result is
+        folded into ``accumulator`` block by block, in block order, and the
+        call's arrays are dropped before the next call draws, so no two
+        calls' delays are ever alive at once.
         """
         block, n_blocks, per_chunk = plan
         span = per_chunk if self._chunk_calls else 1
@@ -763,52 +771,72 @@ class _StreamedSimulation:
         dtype = _count_dtype(self.params)
         buffers = {
             name: _scratch(self.workspace, f"stream.{name}", shape, dtype)
-            for name in _MINING
+            for name in self._in_place
         }
         clock = time.perf_counter
         for first in range(0, n_blocks, per_chunk):
             started = clock()
             last = min(first + per_chunk, n_blocks)
             for start in range(first, last, span):
-                tensors, rest = self._draw_call(
+                arguments = self._draw_call(
                     start, min(start + span, last), block, trials, rounds, buffers
                 )
-                result = self.engine.run_traces(**tensors, **rest)
+                result = self.engine.run_traces(**arguments)
                 size = result.trials
                 for lo in range(0, size, block):
                     accumulator.update(result, lo, min(lo + block, size))
+                del arguments, result
             if reporter is not None:
                 reporter.point_done(clock() - started)
 
     def _draw_call(self, first, stop, block, trials, rounds, buffers):
         """Blocks ``first .. stop - 1`` drawn for one ``run_traces`` call, as
-        its ``(tensors, rest)`` keyword arguments (a hot path).
+        its keyword arguments (a hot path).
 
-        Each block draws its mining counts in place, into its rows of the
-        two count buffers.  A one-block call takes the block's third draw
-        (delays, a minority split) as drawn; a call of several blocks copies
-        it into a buffer of its own, taken on first use.
+        Each block draws its mining counts (and a partial cut's minority
+        split) in place, into its rows of the buffers.  A one-block call
+        takes the block's delays as drawn.  A call of several blocks passes
+        a broadcast view of one row while every block's delays are that same
+        row (an eclipse without a topology, whose offsets depend on the
+        round alone), and otherwise copies them into a buffer of its own,
+        taken on first use.
         """
         offset = 0
+        shared = {}
         for index in range(first, stop):
             size = min(block, trials - index * block)
             rows = slice(offset, offset + size)
-            tensors, rest = self._draw_block(
-                index, size, rounds, [buffers[name][rows] for name in _MINING]
-            )
+            out = {name: buffers[name][rows] for name in self._in_place}
+            tensors, rest = self._draw_block(index, size, rounds, out)
             if stop - first == 1:
-                return tensors, rest
+                return {**tensors, **rest}
             for name, tensor in tensors.items():
-                if name in _MINING:
+                if name in self._in_place:
+                    continue
+                row = shared.pop(name, None)
+                if tensor.strides[0] == 0 and (
+                    offset == 0 or row is not None and np.array_equal(row, tensor[0])
+                ):
+                    shared[name] = tensor[0]
                     continue
                 if name not in buffers:
                     shape = buffers[_MINING[0]].shape
                     buffers[name] = _scratch(
                         self.workspace, f"stream.{name}", shape, tensor.dtype
                     )
+                if row is not None:
+                    buffers[name][:offset] = row
                 buffers[name][rows] = tensor
             offset += size
-        return {name: buffer[:offset] for name, buffer in buffers.items()}, rest
+        arguments = {
+            name: (
+                np.broadcast_to(shared[name], (offset, rounds))
+                if name in shared
+                else buffers[name][:offset]
+            )
+            for name in tensors
+        }
+        return {**arguments, **rest}
 
     def materialize_traces(self, trials: int, rounds: int):
         """Full tensors under the *streamed* draw protocol (audit helper).
@@ -965,6 +993,8 @@ class StreamingScenarioSimulation(_StreamedSimulation):
             workspace=workspace,
         )
         self.scenario = self.engine.scenario
+        if self.engine._cut_fraction is not None:
+            self._in_place = _MINING + (_SPLIT,)
 
     def run(
         self, trials: int, rounds: int, progress=None

@@ -1,4 +1,5 @@
-"""Lint-style guards: hot-path Binomial draws and instrumentation, and knobs.
+"""Lint-style guards: hot-path Binomial draws, instrumentation, the scan's
+``out=`` writes, and knobs.
 
 Every Binomial count a hot path draws must come from
 :func:`repro.backend.binomial`, the exact inversion sampler.  It returns
@@ -17,6 +18,10 @@ through the public names or a live tracer object, and never from inside a
 per iteration even when tracing is on.  Every function of the engine
 modules that holds a ``for``/``while`` loop is either one of those hot paths
 or declared not hot, so a new loop cannot slip past both guards.
+
+The round scan's loops must not allocate: every NumPy call inside them
+passes ``out=`` (``np.copyto`` aside), whether it spells ``np.f``, a local
+alias of it or a ufunc method.
 
 A last guard pins the package's environment knobs: every ``REPRO_*`` name
 in a string constant of ``src/repro`` (docstrings aside) must be on one
@@ -54,6 +59,7 @@ HOT_PATHS = [
     (batch, "_window_drawdown"),
     (batch, "BatchSimulation.run_traces"),
     (scenarios, "_max_window_successes"),
+    (scenarios, "_transpose_into"),
     (scenarios, "ScenarioSimulation.run_traces"),
     (scenarios, "ScenarioSimulation._scan"),
     (topology, "convergence_opportunity_mask_with_delays"),
@@ -249,6 +255,124 @@ def test_draw_guard_actually_detects_violations():
         "    return honest, rng.random(shape), block.integers(0, 3, shape)\n"
     )
     assert not _draw_violations(ast.parse(clean).body[0])
+
+
+# ----------------------------------------------------------------------
+# The scan's round loop writes through ``out=``
+# ----------------------------------------------------------------------
+
+#: Functions whose loops may call NumPy only with ``out=``: the round scan
+#: holds its state in workspace buffers and per-call tiles, so a call that
+#: allocates is a fresh vector every round.
+OUT_PATHS = [
+    (scenarios, "ScenarioSimulation._scan"),
+    (scenarios, "_transpose_into"),
+]
+
+#: NumPy functions that write into their first argument, so need no ``out=``.
+OUT_FREE = {"copyto"}
+
+
+def _numpy_name(node):
+    """``"add"`` for ``np.add`` (any NumPy alias), else ``None``."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in NUMPY_ALIASES
+    ):
+        return node.attr
+    return None
+
+
+def _numpy_locals(node: ast.FunctionDef) -> dict:
+    """Local names bound to NumPy functions in ``node`` (``add = np.add`` or
+    ``add, subtract = np.add, np.subtract``), mapped to the NumPy name."""
+    aliases = {}
+    for child in ast.walk(node):
+        if not isinstance(child, ast.Assign):
+            continue
+        for target in child.targets:
+            if isinstance(target, ast.Tuple) and isinstance(child.value, ast.Tuple):
+                pairs = zip(target.elts, child.value.elts)
+            else:
+                pairs = [(target, child.value)]
+            for name, value in pairs:
+                if isinstance(name, ast.Name) and _numpy_name(value) is not None:
+                    aliases[name.id] = _numpy_name(value)
+    return aliases
+
+
+def _out_violations(node: ast.FunctionDef) -> list:
+    """NumPy calls inside a loop of ``node`` that pass no ``out=``.
+
+    A call counts as NumPy's when it spells ``np.f(...)``, calls a local
+    bound to ``np.f``, or calls a ufunc method on either (``add.reduce``);
+    ``np.copyto`` is allowed, and array methods are not NumPy calls."""
+    aliases = _numpy_locals(node)
+
+    def numpy_name(function):
+        if isinstance(function, ast.Name):
+            return aliases.get(function.id)
+        return _numpy_name(function)
+
+    calls = {
+        id(child): child
+        for loop in ast.walk(node)
+        if isinstance(loop, (ast.For, ast.While, ast.AsyncFor))
+        for child in ast.walk(loop)
+        if isinstance(child, ast.Call)
+    }
+    violations = []
+    for call in sorted(calls.values(), key=lambda call: call.lineno):
+        name = numpy_name(call.func)
+        if name is None and isinstance(call.func, ast.Attribute):
+            owner = numpy_name(call.func.value)
+            name = None if owner is None else f"{owner}.{call.func.attr}"
+        if name is None or name in OUT_FREE:
+            continue
+        if not any(keyword.arg == "out" for keyword in call.keywords):
+            violations.append(f"{name}() at line {call.lineno}")
+    return violations
+
+
+@pytest.mark.parametrize(
+    "module,qualname",
+    OUT_PATHS,
+    ids=[f"{module.__name__.split('.')[-1]}:{name}" for module, name in OUT_PATHS],
+)
+def test_scan_loop_numpy_calls_write_through_out(module, qualname):
+    violations = _out_violations(_resolve_function_node(module, qualname))
+    assert not violations, (
+        f"{module.__name__}.{qualname} allocates inside its loop: "
+        + ", ".join(violations)
+    )
+
+
+def test_out_guard_actually_detects_violations():
+    """Meta-test: the guard flags allocating NumPy calls in a loop, through
+    ``np.``, a local alias or a ufunc method, and passes ``out=``, ``copyto``,
+    array methods and calls outside every loop."""
+    source = (
+        "def bad(rows, out):\n"
+        "    add = np.add\n"
+        "    maximum, copyto = np.maximum, numpy.copyto\n"
+        "    total = np.zeros(3)\n"
+        "    for row in rows:\n"
+        "        np.add(row, 1)\n"
+        "        add(row, 1)\n"
+        "        while maximum.reduce(row, axis=0).any():\n"
+        "            np.maximum(row, 0, out=out)\n"
+        "            add.reduce(row, axis=0, out=out)\n"
+        "            copyto(out, row)\n"
+        "            row.any()\n"
+        "    return total\n"
+    )
+    found = _out_violations(ast.parse(source).body[0])
+    assert found == [
+        "add() at line 6",
+        "add() at line 7",
+        "maximum.reduce() at line 8",
+    ]
 
 
 # ----------------------------------------------------------------------

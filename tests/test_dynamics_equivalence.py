@@ -32,6 +32,7 @@ from repro.simulation import (
     PeerGraphTopology,
     ScenarioSimulation,
     TimeVaryingDelayModel,
+    draw_mining_traces,
 )
 
 TRIALS = 4
@@ -242,3 +243,78 @@ class TestRunnerDynamics:
                 self.SCHEDULE,
                 placement=AdversaryPlacement("leaf"),
             )
+
+
+class TestBroadcastDelayRows:
+    """A zero-row-stride delays tensor (one offset a round, as an eclipse
+    without a topology draws) takes the scan's row path; its contiguous copy
+    takes the per-trial path.  Every ``ScenarioResult`` field, per-round
+    records included, must be the same on both."""
+
+    TRIALS = 48
+
+    def _assert_paths_agree(self, engine, honest, adversary, delays, cap=None):
+        assert delays.strides[0] == 0
+        results = [
+            engine.run_traces(
+                honest,
+                adversary,
+                record_rounds=True,
+                delays=tensor,
+                max_delay=cap,
+            )
+            for tensor in (delays, np.ascontiguousarray(delays))
+        ]
+        _assert_same_results(*results)
+        return results[0]
+
+    @pytest.mark.parametrize("placement", [None, AdversaryPlacement("leaf")])
+    def test_partition_attack_inside_its_eclipse(self, placement):
+        """At 1,300 rounds ``partition_attack`` enters its eclipse (rounds
+        1,000 to 1,300), where offsets reach its cap of 304."""
+        params = parameters_from_c(c=2.0, n=1_000, delta=4, nu=0.3)
+        engine = ScenarioSimulation(params, "partition_attack", placement=placement)
+        rng = np.random.default_rng(31)
+        honest, adversary = draw_mining_traces(params, self.TRIALS, 1_300, rng)
+        third = engine._third_draw(honest, rng)
+        assert third["max_delay"] == 304
+        assert int(third["delays"].max()) == 304
+        result = self._assert_paths_agree(
+            engine, honest, adversary, third["delays"], third["max_delay"]
+        )
+        assert int(result.releases.sum()) > 0
+
+    def test_constant_delta_rows_equal_the_run_without_delays(self):
+        params = parameters_from_c(c=2.0, n=1_000, delta=3, nu=0.3)
+        engine = ScenarioSimulation(params, "private_chain")
+        rng = np.random.default_rng(32)
+        honest, adversary = draw_mining_traces(params, self.TRIALS, 600, rng)
+        delays = np.broadcast_to(np.full(600, params.delta), honest.shape)
+        result = self._assert_paths_agree(engine, honest, adversary, delays)
+        plain = engine.run_traces(honest, adversary, record_rounds=True)
+        _assert_same_results(result, plain)
+        assert int(plain.releases.sum()) > 0
+
+    @pytest.mark.parametrize(
+        "scenario", ["max_delay", "private_chain", "selfish_mining"]
+    )
+    def test_rows_of_zero_and_short_offsets(self, scenario):
+        """Offsets of 0 land at the end of their round, and shorter ones
+        share a slot row with longer offsets due the same round."""
+        params = parameters_from_c(c=2.0, n=1_000, delta=4, nu=0.3)
+        engine = ScenarioSimulation(params, scenario)
+        rng = np.random.default_rng(33)
+        honest, adversary = draw_mining_traces(params, self.TRIALS, 600, rng)
+        row = rng.integers(0, params.delta + 1, size=600)
+        assert set(row.tolist()) == set(range(params.delta + 1))
+        delays = np.broadcast_to(row, honest.shape)
+        self._assert_paths_agree(engine, honest, adversary, delays)
+
+
+def _assert_same_results(first, second) -> None:
+    """Every array field of two ``ScenarioResult``s, dtype and values."""
+    for name, value in vars(first).items():
+        if isinstance(value, np.ndarray):
+            other = getattr(second, name)
+            assert value.dtype == other.dtype, name
+            assert np.array_equal(value, other), name

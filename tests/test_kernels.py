@@ -17,6 +17,7 @@ int32 count tensors (the engines' draws) and on int64 ones
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.backend import Workspace
 from repro.core.concat_chain import convergence_opportunity_mask
 from repro.params import parameters_from_c
 from repro.simulation import ScenarioSimulation, draw_mining_traces, get_scenario
+from repro.simulation.dynamics import PartitionScenario
 from repro.simulation.batch import (
     BatchSimulation,
     _opportunity_mask,
@@ -422,6 +424,117 @@ class TestResultBoundary:
         mask = np.zeros((1, 2), dtype=bool)
         adversary = np.array([[-(2**31), 2**31 - 1]], dtype=np.int32)
         assert worst_window_deficits(mask, adversary).tolist() == [2**31 - 1]
+
+    # The scan keeps heights, forks, leads and depths in int32 while every
+    # trial's block total fits int32, else in int64.
+    SCAN_PARAMS = parameters_from_c(c=2.0, n=1_000, delta=3, nu=0.3)
+
+    #: Withholding scans: both single-chain kinds and a partial cut whose
+    #: equivocating chains race inside the run.
+    SCAN_SCENARIOS = {
+        "private_chain": "private_chain",
+        "selfish_mining": "selfish_mining",
+        "equivocation": PartitionScenario(
+            name="equivocation_boundary",
+            kind="equivocation",
+            target_depth=2,
+            give_up_deficit=3,
+            partition_start=60,
+            partition_duration=150,
+            cut_fraction=0.5,
+        ),
+    }
+
+    @staticmethod
+    def _state_dtype(workspace):
+        return workspace._buffers["scan.public"].dtype
+
+    @pytest.mark.parametrize("scenario", ["private_chain", "selfish_mining"])
+    def test_block_totals_past_int32_run_on_int64_state(self, scenario):
+        """Three rounds of 2^30 adversarial blocks total 3 * 2^30, past
+        2^31 - 1: the private chain outgrows int32, so the scan runs on
+        int64 state and the withheld count stays exact."""
+        adversary = np.full((1, 3), 2**30, dtype=np.int32)
+        workspace = Workspace()
+        result = ScenarioSimulation(
+            self.SCAN_PARAMS, scenario, workspace=workspace
+        ).run_traces(np.zeros_like(adversary), adversary)
+        assert self._state_dtype(workspace) == np.int64
+        assert result.withheld_final.dtype == np.int64
+        assert result.withheld_final.tolist() == [3 * 2**30]
+        assert result.releases.tolist() == [0]
+        assert result.final_public_heights.tolist() == [0]
+
+    def _scan_traces(self, scenario, trials=48, rounds=400):
+        engine = ScenarioSimulation(
+            self.SCAN_PARAMS, self.SCAN_SCENARIOS[scenario], workspace=Workspace()
+        )
+        rng = np.random.default_rng(17)
+        honest, adversary = draw_mining_traces(self.SCAN_PARAMS, trials, rounds, rng)
+        return engine, honest, adversary, engine._third_draw(honest, rng)
+
+    @staticmethod
+    def _assert_same_results(first, second, trials=slice(None)):
+        for name, value in vars(first).items():
+            if isinstance(value, np.ndarray):
+                other = getattr(second, name)[trials]
+                assert value.dtype == other.dtype, name
+                assert np.array_equal(value, other), name
+
+    @pytest.mark.parametrize("scenario", sorted(SCAN_SCENARIOS))
+    def test_int64_state_runs_each_trial_as_int32_state_does(self, scenario):
+        """One trial whose block total passes int32 moves the whole scan to
+        int64 state; the other trials' results, per-round records included,
+        are the int32 run's.  Selfish mining's ``0 <= lead <= 1`` test reads
+        the state dtype's unsigned view, so it holds on int64 leads too."""
+        engine, honest, adversary, third = self._scan_traces(scenario)
+        narrow = engine.run_traces(honest, adversary, record_rounds=True, **third)
+        assert self._state_dtype(engine.workspace) == np.int32
+        assert int(narrow.releases.sum()) > 0
+        heavy = np.zeros((1, honest.shape[1]), dtype=adversary.dtype)
+        heavy[0, :3] = 2**30
+        # A partial cut's heavy trial sends no honest block to the minority.
+        split = {
+            name: np.vstack([tensor, np.zeros_like(heavy)])
+            for name, tensor in third.items()
+        }
+        wide = engine.run_traces(
+            np.vstack([honest, np.zeros_like(heavy)]),
+            np.vstack([adversary, heavy]),
+            record_rounds=True,
+            **split,
+        )
+        assert self._state_dtype(engine.workspace) == np.int64
+        self._assert_same_results(narrow, wide, slice(0, -1))
+        assert wide.withheld_final[-1] == 3 * 2**30
+
+    @pytest.mark.parametrize("bound", [2**31, 2**31 + 1, 2**32, 2**63 - 1])
+    @pytest.mark.parametrize("scenario", ["private_chain", "equivocation"])
+    def test_bounds_past_int32_compare_exactly_against_int32_state(
+        self, scenario, bound
+    ):
+        """A ``target_depth`` or ``give_up_deficit`` of 2^31 or more is out
+        of reach of int32 state, so the scan runs as with a bound the run
+        cannot reach: no release, or no abandon.  A bound wrapped to int32
+        would release or quit at once."""
+        engine, honest, adversary, third = self._scan_traces(scenario)
+        reference = engine.run_traces(honest, adversary, **third)
+        assert int(reference.releases.sum()) > 0
+        assert int(reference.abandons.sum()) > 0
+        base = engine.scenario
+        for field, unreachable in (("target_depth", 10**6), ("give_up_deficit", None)):
+            results = []
+            for value in (bound, unreachable):
+                workspace = Workspace()
+                results.append(
+                    ScenarioSimulation(
+                        self.SCAN_PARAMS,
+                        dataclasses.replace(base, **{field: value}),
+                        workspace=workspace,
+                    ).run_traces(honest, adversary, record_rounds=True, **third)
+                )
+                assert self._state_dtype(workspace) == np.int32
+            self._assert_same_results(*results)
 
 
 class TestStoppedTotals:

@@ -619,6 +619,127 @@ class TestValidationAndResults:
                 marks[label] = workspace.high_water_bytes
         assert marks["chunk_of_one"] == marks["chunk_of_16"] == marks["one_block_run"]
 
+    #: The ``stream_validation`` point: ν = 0.3, c = 1.1 × the neat bound.
+    NEAR_BOUND = parameters_from_c(c=1.1 * neat_bound(0.3), n=1_000, delta=4, nu=0.3)
+
+    @staticmethod
+    def _warm_peak(run):
+        """``run()``'s ``tracemalloc`` peak once warm, and its result, which
+        must be the cold run's."""
+        cold = run()
+        tracemalloc.start()
+        try:
+            warm = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert warm.payload() == cold.payload()
+        return peak
+
+    def test_a_delay_model_point_holds_one_block_of_delays(self):
+        """Each call's delays and result are dropped before the next block
+        draws, so a warm streamed batch point with a delay model peaks at
+        one seed block's int64 delays, not two.  4 blocks of 1,048 x 1,000."""
+        from repro.backend import Workspace
+
+        rounds = 1_000
+        block = seed_block_trials(rounds)
+        simulation = StreamingBatchSimulation(
+            self.NEAR_BOUND, seed=3, delay_model="uniform", workspace=Workspace()
+        )
+        peak = self._warm_peak(lambda: simulation.run(4 * block, rounds, depths=(2,)))
+        delays = block * rounds * np.dtype(np.int64).itemsize
+        assert delays <= peak < 1.5 * delays
+
+    def _eclipse_runs(self, monkeypatch, retouch):
+        """Streamed ``partition_attack`` payloads and workspaces at 1,300
+        rounds, inside the eclipse, 4 blocks of 3 trials in one chunk: each
+        block's delays ``retouch(delays, rng)`` as they are (``"view"``) and
+        made contiguous (``"copy"``)."""
+        from repro.backend import Workspace
+
+        rounds = 1_300
+        runs = {}
+        with _seed_block_cells(4096):
+            trials = 4 * seed_block_trials(rounds)
+            for path, layout in (("view", np.asarray), ("copy", np.ascontiguousarray)):
+                workspace = Workspace()
+                simulation = StreamingScenarioSimulation(
+                    self.NEAR_BOUND,
+                    "partition_attack",
+                    seed=6,
+                    workspace=workspace,
+                    chunk_cells=trials * rounds,
+                )
+                engine = simulation.engine
+
+                def draw(honest, rng, layout=layout, draw=engine._third_draw, **out):
+                    third = draw(honest, rng, **out)
+                    third["delays"] = layout(retouch(third["delays"], rng))
+                    return third
+
+                monkeypatch.setattr(engine, "_third_draw", draw)
+                runs[path] = (simulation.run(trials, rounds).payload(), workspace)
+        return (trials, rounds), runs
+
+    def test_broadcast_eclipse_delays_pass_a_chunk_as_one_row(self, monkeypatch):
+        """Eclipse delays without a topology are one broadcast row a block,
+        and a chunk of such blocks hands the scan a broadcast view of that
+        row instead of copying them into a chunk buffer.  The payload is the
+        copying path's, which holds the buffer in its workspace."""
+        shape, runs = self._eclipse_runs(monkeypatch, lambda delays, rng: delays)
+        (view, view_space), (copy, copy_space) = runs["view"], runs["copy"]
+        assert view == copy and view["releases_sum"] > 0
+        assert "stream.delays" not in view_space.tags
+        buffer = copy_space._buffers["stream.delays"]
+        assert buffer.shape == shape
+        saved = copy_space.high_water_bytes - view_space.high_water_bytes
+        assert saved >= buffer.nbytes
+
+    def test_blocks_with_other_broadcast_rows_are_copied(self, monkeypatch):
+        """Blocks whose broadcast rows differ (as a delay model whose row
+        depends on its draw would give) cannot share one view: the chunk
+        copies them, and the payload is the copying path's."""
+
+        def shifted(delays, rng):
+            row = np.maximum(delays[0] - rng.integers(0, 2), 0)
+            return np.broadcast_to(row, delays.shape)
+
+        _, runs = self._eclipse_runs(monkeypatch, shifted)
+        assert runs["view"][0] == runs["copy"][0]
+        assert "stream.delays" in runs["view"][1].tags
+
+    def test_a_partial_cut_draws_its_split_into_the_chunk_buffer(self):
+        """A partial cut's minority split is drawn in place into an int32
+        chunk buffer, as the mining counts are: a warm streamed equivocation
+        point allocates less than one block's split tensor.  4 blocks of
+        1,048 x 1,000 in one chunk, with the cut inside the run."""
+        from repro.backend import Workspace
+
+        scenario = PartitionScenario(
+            name="equivocation_stream",
+            kind="equivocation",
+            target_depth=6,
+            give_up_deficit=None,
+            partition_start=200,
+            partition_duration=300,
+            cut_fraction=0.5,
+        )
+        rounds = 1_000
+        block = seed_block_trials(rounds)
+        workspace = Workspace()
+        simulation = StreamingScenarioSimulation(
+            self.NEAR_BOUND,
+            scenario,
+            seed=3,
+            workspace=workspace,
+            chunk_cells=4 * block * rounds,
+        )
+        peak = self._warm_peak(lambda: simulation.run(4 * block, rounds))
+        assert peak < block * rounds * np.dtype(np.int32).itemsize
+        buffer = workspace._buffers["stream.split_counts"]
+        assert buffer.dtype == np.int32 and buffer.shape == (4 * block, rounds)
+
     @pytest.mark.parametrize("config", CONFIGS)
     def test_run_traces_calls_span_a_chunk_for_scenarios_a_block_for_batches(
         self, config
