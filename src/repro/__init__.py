@@ -48,7 +48,8 @@ one point-spec path.  Each ``run_*`` call describes its point (parameters,
 shape and any scenario, delay model, power profile, placement, rare-event
 or streaming spec); the point's version-free payload seeds its
 :class:`numpy.random.SeedSequence` and, with the package version, names
-one ``.npz`` cache entry (a damaged entry is recomputed and counted); and
+one checksummed ``.point`` cache entry (a damaged entry, or one holding
+another point, is recomputed and counted); and
 every grid, whatever its engine, can shard over a ``multiprocessing`` pool
 with results bit-identical to a serial run; see
 ``examples/batch_validation.py``.  The legacy single-trial simulator
@@ -285,7 +286,7 @@ pieces:
   ``REPRO_RUN_LOG=path`` appends one validated JSON line per ``run_*``
   call (schema ``repro.run_manifest``: params, seed, cache slot and
   hit/miss state, duration, backend, package version, result digest),
-  giving every cached ``.npz`` artefact a provenance trail;
+  giving every cached ``.point`` entry a provenance trail;
 * **perf trajectory** — the gated benchmarks append schema-versioned
   records (``repro.bench_trajectory``) to the committed
   ``BENCH_trajectory.json`` under ``REPRO_BENCH_RECORD=1``, and

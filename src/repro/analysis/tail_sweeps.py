@@ -36,8 +36,6 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence
 
-from scipy import optimize
-
 from ..core.bounds import neat_bound
 from ..core.kiffer import (
     corrected_convergence_rate,
@@ -103,7 +101,9 @@ def lundberg_exponent(
         high *= 2.0
         if high > 1e6:  # pragma: no cover - defensive
             raise AnalysisError("failed to bracket the Lundberg root")
-    return float(optimize.brentq(log_mgf, 1e-12, high, xtol=1e-14, rtol=1e-12))
+    from scipy.optimize import brentq  # here, so `import repro` skips SciPy
+
+    return float(brentq(log_mgf, 1e-12, high, xtol=1e-14, rtol=1e-12))
 
 
 def tail_depth_sweep(

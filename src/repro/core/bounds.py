@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy import optimize
-
 from ..errors import ParameterError
 from ..params import ProtocolParameters
 
@@ -101,7 +99,9 @@ def nu_max_neat_bound(c: float) -> float:
         return 0.0
     if gap(high) <= 0.0:  # pragma: no cover - cannot happen for finite c
         return 0.5
-    return float(optimize.brentq(gap, low, high, xtol=1e-14, rtol=1e-12))
+    from scipy.optimize import brentq  # here, so `import repro` skips SciPy
+
+    return float(brentq(gap, low, high, xtol=1e-14, rtol=1e-12))
 
 
 def c_threshold_neat(nu: float) -> float:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from ..errors import ParameterError
 from ..params import ProtocolParameters
@@ -69,12 +68,16 @@ def honest_block_distribution(params: ProtocolParameters):
     scalar probabilities on :class:`MiningProbabilities` keep the real-valued
     form used by the paper's closed-form expressions.
     """
-    return stats.binom(int(round(params.honest_count)), params.p)
+    from scipy.stats import binom  # here, so `import repro` skips SciPy
+
+    return binom(int(round(params.honest_count)), params.p)
 
 
 def adversary_block_distribution(params: ProtocolParameters):
     """The ``Binomial(nu n, p)`` distribution of adversarial blocks per round."""
-    return stats.binom(int(round(params.adversary_count)), params.p)
+    from scipy.stats import binom
+
+    return binom(int(round(params.adversary_count)), params.p)
 
 
 def round_state_probabilities(params: ProtocolParameters, max_blocks: int = 8) -> dict:

@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from scipy import optimize
-
 from ..errors import ParameterError
 from ..params import ProtocolParameters
 
@@ -161,7 +159,9 @@ def nu_max_pss_consistency_exact(
         return 0.0
     if margin(high) >= 0.0:
         return 0.5
-    return float(optimize.brentq(margin, low, high, xtol=1e-14, rtol=1e-12))
+    from scipy.optimize import brentq  # here, so `import repro` skips SciPy
+
+    return float(brentq(margin, low, high, xtol=1e-14, rtol=1e-12))
 
 
 __all__.append("nu_max_pss_consistency_exact")

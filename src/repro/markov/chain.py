@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from ..errors import MarkovChainError
 
@@ -106,6 +105,8 @@ class FiniteMarkovChain:
     # ------------------------------------------------------------------
     def is_irreducible(self) -> bool:
         """``True`` if every state is reachable from every other state."""
+        from scipy.sparse import csgraph  # here, so `import repro` skips SciPy
+
         adjacency = (self.transition_matrix > 0).astype(np.int8)
         n_components, _ = csgraph.connected_components(
             adjacency, directed=True, connection="strong"

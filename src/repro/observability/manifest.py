@@ -6,14 +6,14 @@ the parameter payload, shape, base seed, cache key and prefix, whether the
 call was a cache hit / miss / uncached, whether a warm entry was skipped
 because it was written by an older package version, the wall-clock
 duration, the backend and dtype policy, and a digest of the result arrays.
-Cached ``.npz`` artefacts thereby gain a provenance trail: given a cache
+Cached ``.point`` entries thereby gain a provenance trail: given a cache
 file name, the run log says which call produced it, when, how long it
 took, and what the bytes hashed to.
 
 Activation is by construction argument (``ExperimentRunner(run_log=...)``)
 or the ``REPRO_RUN_LOG`` environment variable naming the target path — the
-conventional location is ``<cache_dir>/run_log.jsonl`` next to the npz
-cache.  Records follow the versioned schema below and are validated on
+conventional location is ``<cache_dir>/run_log.jsonl`` next to the cache
+entries.  Records follow the versioned schema below and are validated on
 write and on read (:func:`validate_manifest_record`), so downstream tooling
 can rely on the fields without defensive parsing.
 """

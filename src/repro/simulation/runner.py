@@ -9,11 +9,13 @@ every spec takes the same path through :meth:`ExperimentRunner._cached_run`:
   *identity*, which with the base seed makes its
   :class:`numpy.random.SeedSequence`: a point's result is the same alone or
   in a grid, serial or sharded;
-* **caching** — one ``.npz`` per point, addressed by the identity plus the
-  package version, so sweeps pay only for new points and an upgrade never
-  reads older files.  One codec serves every result type (array fields as
-  arrays, the rest as JSON meta); an unreadable entry is logged, counted
-  ``corrupt`` and recomputed;
+* **caching** — one checksummed ``.point`` file per point, addressed by the
+  identity plus the package version, so sweeps pay only for new points and
+  an upgrade never reads older files.  One codec serves every result type
+  (array fields as raw aligned bytes, the rest as JSON meta); a hit is one
+  read, a CRC-32 check and one in-place view per array.  An unreadable
+  entry, or one that holds another point, is logged, counted ``corrupt``
+  and recomputed;
 * **sharding** — with ``processes > 1``, :meth:`ExperimentRunner._run_grid`
   ships each pickled spec as one pool task and merges the worker's result,
   spans, metrics and manifests back
@@ -27,9 +29,11 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
+import struct
 import time
-import zipfile
+import zlib
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Union
 
@@ -94,9 +98,21 @@ ENGINE_VERSION = 1
 #: Optional spec ingredients: objects with a ``payload()``, or flat dicts.
 _PARTS = ("scenario", "delay_model", "power", "placement", "rare_event", "streaming")
 
-#: What a damaged cache file raises: ``EOFError`` if empty, ``ValueError`` for
-#: garbage, ``BadZipFile`` if truncated, ``KeyError``/``TypeError`` for fields.
-_UNREADABLE = (OSError, EOFError, ValueError, KeyError, TypeError, zipfile.BadZipFile)
+#: What a damaged cache file raises: ``ValueError`` for a bad prefix, length,
+#: checksum, header, dtype or key, ``KeyError``/``TypeError`` for a header or
+#: fields of the wrong shape, ``OSError`` if it cannot be read at all.
+_UNREADABLE = (OSError, ValueError, KeyError, TypeError)
+
+#: A cache file's suffix.  Entries of an older layout (``.npz``) are never
+#: opened as one: such a point recomputes once, as a miss.
+_SUFFIX = ".point"
+#: A cache file's fixed prefix: magic, header bytes, body bytes, and the
+#: CRC-32 of header and body.
+_PREFIX = struct.Struct("<8sQQI")
+_MAGIC = b"REPROPT1"
+#: The body starts, and every array in it, at a multiple of this many bytes,
+#: so an array read in place is aligned for any dtype.
+_ALIGN = 64
 
 #: The cross-entropy pilot knobs of a tilted estimate, as the spec names them.
 _PILOT_KNOBS = ("pilot_trials", "elite_fraction", "max_iterations", "smoothing")
@@ -245,6 +261,64 @@ def _decode(spec: PointSpec, arrays: dict, meta: dict):
     return ScenarioResult(scenario=spec.scenario, **fields)
 
 
+def _write_entry(path: str, key: str, arrays: dict, meta: dict) -> None:
+    """Write one cache file: the prefix, a JSON header (``key``, ``meta`` and
+    each array's name, dtype, shape and body offset), then the arrays' raw
+    bytes, each at a 64-byte-aligned offset.  Object arrays are refused."""
+    table, chunks, size = [], [], 0
+    for name, array in arrays.items():
+        if array.dtype.hasobject:
+            raise SimulationError(f"cannot cache the object array {name!r}")
+        data = np.ascontiguousarray(array).reshape(-1).view(np.uint8)
+        padding = -size % _ALIGN
+        table.append([name, array.dtype.str, list(array.shape), size + padding])
+        chunks += [bytes(padding), data]
+        size += padding + data.nbytes
+    document = {"arrays": table, "key": key, "meta": meta}
+    header = json.dumps(document, sort_keys=True).encode("utf-8")
+    header += b" " * (-(_PREFIX.size + len(header)) % _ALIGN)
+    checksum = zlib.crc32(header)
+    for chunk in chunks:
+        checksum = zlib.crc32(chunk, checksum)
+    with open(path, "wb") as sink:
+        sink.write(_PREFIX.pack(_MAGIC, len(header), size, checksum))
+        sink.write(header)
+        for chunk in chunks:
+            sink.write(chunk)
+
+
+def _read_entry(path: str) -> tuple:
+    """``(key, arrays, meta)`` of one cache file written by :func:`_write_entry`.
+
+    One read into a ``bytearray``, one length check and one CRC-32 check;
+    each array is then an aligned, writeable view of that buffer, with no
+    copy.  A damaged file raises ``ValueError``, and so does a header naming
+    an object dtype, so nothing is ever unpickled.
+    """
+    with open(path, "rb", buffering=0) as source:
+        buffer = bytearray(os.fstat(source.fileno()).st_size)
+        size = source.readinto(buffer)
+    if size < _PREFIX.size:
+        raise ValueError(f"{size} bytes, shorter than the prefix")
+    magic, header_size, body_size, checksum = _PREFIX.unpack_from(buffer)
+    expected = _PREFIX.size + header_size + body_size
+    if magic != _MAGIC or size != len(buffer) or size != expected:
+        raise ValueError(f"not a cache entry, or {size} bytes long")
+    if zlib.crc32(memoryview(buffer)[_PREFIX.size :]) != checksum:
+        raise ValueError("CRC-32 mismatch")
+    body = _PREFIX.size + header_size
+    header = json.loads(buffer[_PREFIX.size : body])
+    arrays = {}
+    for name, descr, shape, offset in header["arrays"]:
+        dtype = np.dtype(descr)
+        misplaced = offset < 0 or offset % _ALIGN or min(shape, default=0) < 0
+        if dtype.hasobject or misplaced:
+            raise ValueError(f"array {name!r} is {descr!r} at offset {offset}")
+        count = math.prod(shape)
+        arrays[name] = np.frombuffer(buffer, dtype, count, body + offset).reshape(shape)
+    return header["key"], arrays, header["meta"]
+
+
 def _result_digest(result) -> str:
     """Manifest digest of exactly what the cache persists of ``result``."""
     arrays, meta = _encode(result)
@@ -310,7 +384,7 @@ class ExperimentRunner:
         call: a path, an open :class:`~repro.observability.RunLog`, or
         ``None`` to consult the ``REPRO_RUN_LOG`` environment variable
         (unset means no logging).  The conventional location is
-        ``<cache_dir>/run_log.jsonl`` next to the npz cache.
+        ``<cache_dir>/run_log.jsonl`` next to the cache entries.
     progress:
         Grid-progress configuration, resolved by
         :func:`~repro.observability.resolve_progress_sinks`: ``None``
@@ -359,7 +433,7 @@ class ExperimentRunner:
 
     def _point_identity_key(self, spec: PointSpec) -> tuple:
         """``(identity, key)``: the version-free digest that seeds the point and
-        names its sidecar, and the versioned one that addresses its npz."""
+        names its sidecar, and the versioned one that addresses its entry."""
         payload = spec.payload()
         identity = _digest(payload)
         payload["package_version"] = _version.__version__
@@ -440,7 +514,7 @@ class ExperimentRunner:
     def _cache_path(self, key: str, prefix: str = "batch") -> Optional[str]:
         if self.cache_dir is None:
             return None
-        return os.path.join(self.cache_dir, f"{prefix}_{key}.npz")
+        return os.path.join(self.cache_dir, f"{prefix}_{key}{_SUFFIX}")
 
     def _cache_index_path(self, prefix: str, identity: str) -> Optional[str]:
         """The sidecar naming the last key written for a (version-free) identity."""
@@ -480,32 +554,32 @@ class ExperimentRunner:
             json.dump(record, sink, sort_keys=True)
         os.replace(temporary, path)
 
-    def _load_cached(self, path: str, spec: PointSpec) -> tuple:
+    def _load_cached(self, path: str, key: str, spec: PointSpec) -> tuple:
         """``(cache state, result)``: ``"hit"``, ``"miss"`` or ``"corrupt"``.
 
-        A damaged entry is logged and counted, never raised, so it costs
-        one recomputation instead of the grid.
+        A damaged entry, or one written for another key (say, copied over
+        this point's path), is logged and counted, never raised or returned,
+        so it costs one recomputation instead of the grid.
         """
-        if not os.path.exists(path):
-            return "miss", None
         try:
-            with np.load(path, allow_pickle=False) as archive:
-                arrays = {name: archive[name] for name in archive.files}
-            meta = json.loads(str(arrays.pop("meta")))
+            stored_key, arrays, meta = _read_entry(path)
+            if stored_key != key:
+                raise ValueError(f"the entry holds point {str(stored_key)[:12]}")
             return "hit", _decode(spec, arrays, meta)
+        except FileNotFoundError:
+            return "miss", None
         except _UNREADABLE as error:
             _LOGGER.warning("unreadable cache entry %s (%r); recomputing", path, error)
             _METRICS.increment(f"runner.{spec.method}.cache_corrupt")
             return "corrupt", None
 
-    def _store_cached(self, path: str, result) -> None:
-        """Atomically write ``result``: array fields as arrays, the rest as meta."""
-        arrays, meta = _encode(result)
+    def _store_cached(self, path: str, key: str, result) -> None:
+        """Atomically write ``result`` under ``key``: array fields as raw
+        bytes, the rest as meta."""
         os.makedirs(os.path.dirname(path), exist_ok=True)
         temporary = f"{path}.tmp.{os.getpid()}"
-        meta = np.asarray(json.dumps(meta, sort_keys=True))
-        np.savez(temporary, meta=meta, **arrays)
-        os.replace(f"{temporary}.npz", path)
+        _write_entry(temporary, key, *_encode(result))
+        os.replace(temporary, path)
 
     # ------------------------------------------------------------------
     # The point and grid spine
@@ -526,7 +600,9 @@ class ExperimentRunner:
             f"runner.{method}", prefix=prefix, trials=spec.trials, rounds=spec.rounds
         ) as span:
             cache_state, result = (
-                ("disabled", None) if path is None else self._load_cached(path, spec)
+                ("disabled", None)
+                if path is None
+                else self._load_cached(path, key, spec)
             )
             if result is not None:
                 self.cache_hits += 1
@@ -549,7 +625,7 @@ class ExperimentRunner:
                         )
                 result = spec.compute(self._seed_from_identity(identity), self)
                 if path is not None:
-                    self._store_cached(path, result)
+                    self._store_cached(path, key, result)
                     self._write_cache_index(prefix, identity, key)
             span.set(cache=cache_state)
             # The manifest write happens inside the span so the span tree

@@ -2,15 +2,17 @@
 
 Each oracle computes what a kernel in ``src/`` computes, the plain way: the
 delay mask allocating every intermediate tensor, gossip distances and the
-peer-graph delay draw by Dijkstra floods in pure Python.  The tests and speedup benchmarks require the
-kernels to match them bit for bit.  Test modules import this module by
-name (``tests/`` is on the import path under pytest); a benchmark puts
-``tests/`` on ``sys.path`` first.
+peer-graph delay draw by Dijkstra floods in pure Python, and a cache entry
+stored and loaded through ``np.savez``/``np.load``.  The tests and speedup
+benchmarks require the kernels to match them bit for bit.  Test modules
+import this module by name (``tests/`` is on the import path under pytest);
+a benchmark puts ``tests/`` on ``sys.path`` first.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 from typing import List, Tuple
 
 import numpy as np
@@ -133,3 +135,17 @@ def reference_draw_delays(
                 )
             delays[trial, round_index] = min(radius, delta)
     return delays
+
+
+def reference_npz_store(path: str, arrays: dict, meta: dict) -> None:
+    """Store ``(arrays, meta)``, the runner's ``_encode`` output, as one
+    ``.npz``: every array a zip member, the meta a JSON string member, as
+    the runner's cache did before its point files."""
+    np.savez(path, meta=np.asarray(json.dumps(meta, sort_keys=True)), **arrays)
+
+
+def reference_npz_load(path: str) -> tuple:
+    """``(arrays, meta)`` of an entry :func:`reference_npz_store` wrote."""
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    return arrays, json.loads(str(arrays.pop("meta")))

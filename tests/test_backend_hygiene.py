@@ -23,17 +23,24 @@ The round scan's loops must not allocate: every NumPy call inside them
 passes ``out=`` (``np.copyto`` aside), whether it spells ``np.f``, a local
 alias of it or a ufunc method.
 
-A last guard pins the package's environment knobs: every ``REPRO_*`` name
+Another guard pins the package's environment knobs: every ``REPRO_*`` name
 in a string constant of ``src/repro`` (docstrings aside) must be on one
 list, so adding a knob is a visible test edit.
+
+The last keeps SciPy out of ``import repro``: the functions that call it
+import it where they call it, so a run that never calls them never pays
+SciPy's import time and memory.
 """
 
 from __future__ import annotations
 
 import ast
 import inspect
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -582,3 +589,25 @@ def test_environment_knobs_are_the_pinned_list():
     for path in sorted(package.rglob("*.py")):
         found |= _knob_names(ast.parse(path.read_text(encoding="utf-8")))
     assert found == ENVIRONMENT_KNOBS
+
+
+def test_importing_repro_and_building_a_runner_loads_no_scipy():
+    """In a fresh interpreter, ``import repro`` plus an ``ExperimentRunner``
+    leave no ``scipy`` module in ``sys.modules``."""
+    source = pathlib.Path(repro.backend.__file__).parent.parent.parent
+    path = os.pathsep.join(filter(None, [str(source), os.environ.get("PYTHONPATH")]))
+    program = (
+        "import sys, repro\n"
+        "from repro.simulation import ExperimentRunner\n"
+        "ExperimentRunner(cache_dir=None)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", program],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"

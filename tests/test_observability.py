@@ -402,8 +402,9 @@ class TestRunnerObservability:
             base_seed=11, cache_dir=str(tmp_path / "cache"), run_log=log_path
         )
         # 1.28M cells: the cold compute (~50 ms on a 2-vCPU Xeon) dwarfs a
-        # hit's small-npz read (~1 ms), so the duration ordering below holds
-        # on a loaded machine too.  A 6 x 300 point takes ~2 ms either way.
+        # hit's one-read point file (~0.1 ms), so the duration ordering below
+        # holds on a loaded machine too.  A 6 x 300 point takes ~2 ms either
+        # way.
         with use_metrics() as metrics:
             first = runner.run_point(PARAMS, 64, 20_000)
             second = runner.run_point(PARAMS, 64, 20_000)

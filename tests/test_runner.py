@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing.pool
 import os
+import pickle
+import shutil
+import zlib
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from repro.observability import read_run_log, use_metrics
 from repro.params import parameters_from_c
 from repro.simulation import (
     AdversaryPlacement,
+    BatchSimulation,
     DynamicsSchedule,
     ExperimentRunner,
     MiningPowerProfile,
@@ -22,10 +27,15 @@ from repro.simulation import (
     PartitionScenario,
     PeerGraphDelayModel,
     PeerGraphTopology,
+    RareEventSimulation,
+    ScenarioSimulation,
+    StreamingBatchSimulation,
+    StreamingScenarioSimulation,
     TimeVaryingDelayModel,
     get_scenario,
 )
 from repro.simulation.rare_events import ExponentialTilt
+from repro.simulation.runner import _MAGIC, _PREFIX, _encode, _result_digest
 
 PARAMS = parameters_from_c(c=4.0, n=1_000, delta=3, nu=0.2)
 OTHER = parameters_from_c(c=2.0, n=1_000, delta=3, nu=0.3)
@@ -71,7 +81,7 @@ class TestCache:
         runner = ExperimentRunner(base_seed=3, cache_dir=str(tmp_path))
         cold = runner.run_point(PARAMS, trials=5, rounds=500)
         assert runner.cache_misses == 1 and runner.cache_hits == 0
-        files = [name for name in os.listdir(tmp_path) if name.endswith(".npz")]
+        files = [name for name in os.listdir(tmp_path) if name.endswith(".point")]
         assert len(files) == 1
 
         warm = runner.run_point(PARAMS, trials=5, rounds=500)
@@ -467,20 +477,106 @@ class TestShapeValidation:
 
 
 def _damage(path, how):
+    """Damage a cache entry in place.  ``bitflip`` flips one bit of the
+    file's last byte: the last array's last byte, or the header's for an
+    entry with no arrays (a streamed payload)."""
+    with open(path, "rb") as source:
+        data = source.read()
     if how == "empty":
         data = b""
     elif how == "garbage":
-        data = b"this is not an npz archive\n" * 8
-    else:
-        with open(path, "rb") as source:
-            data = source.read()
+        data = b"this is not a cache entry\n" * 8
+    elif how == "truncated":
         data = data[: len(data) // 2]
+    elif how == "bitflip":
+        data = data[:-1] + bytes([data[-1] ^ 0x10])
+    else:
+        assert how == "trailing"
+        data += b"\0"
     with open(path, "wb") as sink:
         sink.write(data)
 
 
+#: Every result type the cache stores: kind -> (spec ingredients, result).
+CODEC_CASES = {
+    "batch": lambda: ({}, BatchSimulation(PARAMS, rng=5).run(6, 300)),
+    "scenario_records": lambda: (
+        {"scenario": CUT},
+        ScenarioSimulation(PARAMS, CUT, rng=5).run(6, 300, record_rounds=True),
+    ),
+    "rare_tilted": lambda: (
+        {"rare_event": _rare(6, "tilted", tilt=TILT)},
+        RareEventSimulation(PARAMS, 6, rng=5).run_tilted(64, 150, tilt=TILT),
+    ),
+    "rare_splitting": lambda: (
+        {"rare_event": _rare(4, "splitting")},
+        RareEventSimulation(PARAMS, 4, rng=5).run_splitting(64, 150),
+    ),
+    "stream_batch": lambda: (
+        {"streaming": {"depths": [2, 4]}},
+        StreamingBatchSimulation(PARAMS, seed=5).run(6, 300, depths=(2, 4)),
+    ),
+    "stream_scenario": lambda: (
+        {"scenario": get_scenario("selfish_mining"), "streaming": {"depths": []}},
+        StreamingScenarioSimulation(PARAMS, "selfish_mining", seed=5).run(6, 300),
+    ),
+}
+
+
+class TestPointCodec:
+    @pytest.mark.parametrize("kind", sorted(CODEC_CASES))
+    def test_round_trip_keeps_the_result_digest(self, kind, tmp_path):
+        """A stored result loads back with the same manifest digest, and
+        every array comes back as a writeable, aligned view."""
+        parts, result = CODEC_CASES[kind]()
+        runner = ExperimentRunner(base_seed=5, cache_dir=str(tmp_path))
+        spec = runner._spec("run_point", "codec", PARAMS, 6, 300, **parts)
+        path = str(tmp_path / "entry.point")
+        runner._store_cached(path, "key", result)
+        state, loaded = runner._load_cached(path, "key", spec)
+        assert state == "hit" and type(loaded) is type(result)
+        assert _result_digest(loaded) == _result_digest(result)
+        arrays, _ = _encode(loaded)
+        for name, array in arrays.items():
+            assert array.flags.writeable and array.flags.aligned, name
+            original = getattr(result, name)
+            assert array.dtype == original.dtype and array.shape == original.shape
+
+    def test_cases_cover_records_tilts_and_levels(self):
+        _, records = CODEC_CASES["scenario_records"]()
+        assert records.component_heights.ndim == 3
+        _, tilted = CODEC_CASES["rare_tilted"]()
+        assert tilted.tilt == TILT
+        _, split = CODEC_CASES["rare_splitting"]()
+        assert split.level_probabilities.size == 4
+
+    def test_store_refuses_object_arrays(self, tmp_path):
+        _, result = CODEC_CASES["batch"]()
+        deficits = np.array(list(result.worst_deficits), dtype=object)
+        result = dataclasses.replace(result, worst_deficits=deficits)
+        runner = ExperimentRunner(base_seed=5, cache_dir=str(tmp_path))
+        with pytest.raises(SimulationError, match="object array 'worst_deficits'"):
+            runner._store_cached(str(tmp_path / "entry.point"), "key", result)
+        assert os.listdir(tmp_path) == []
+
+
+#: Set if anything ever unpickles a cache entry's bytes.
+_TRIPPED = []
+
+
+def _trip():
+    _TRIPPED.append(True)
+
+
+class _Tripwire:
+    def __reduce__(self):
+        return (_trip, ())
+
+
 class TestCorruptCache:
-    @pytest.mark.parametrize("how", ["empty", "garbage", "truncated"])
+    @pytest.mark.parametrize(
+        "how", ["empty", "garbage", "truncated", "bitflip", "trailing"]
+    )
     @pytest.mark.parametrize("method", sorted(POINT_CALLS))
     def test_unreadable_entry_is_recomputed_and_counted(
         self, method, how, tmp_path, caplog
@@ -490,7 +586,7 @@ class TestCorruptCache:
         runner = ExperimentRunner(base_seed=3, cache_dir=str(cache), run_log=log)
         call = POINT_CALLS[method]
         call(runner, 5, 300)
-        (name,) = [name for name in os.listdir(cache) if name.endswith(".npz")]
+        (name,) = [name for name in os.listdir(cache) if name.endswith(".point")]
         _damage(cache / name, how)
 
         with use_metrics() as metrics, caplog.at_level(
@@ -509,6 +605,66 @@ class TestCorruptCache:
         assert read_run_log(log)[-1]["cache"] == "hit"
         assert (runner.cache_hits, runner.cache_misses) == (1, 2)
 
+    @pytest.mark.parametrize("method", sorted(POINT_CALLS))
+    def test_entry_of_another_point_is_corrupt(self, method, tmp_path, caplog):
+        """An entry copied over another point's path holds the wrong point:
+        it is logged, counted ``corrupt`` and recomputed, never returned."""
+        log = tmp_path / "log.jsonl"
+        cache = tmp_path / "cache"
+        runner = ExperimentRunner(base_seed=3, cache_dir=str(cache), run_log=log)
+        call = POINT_CALLS[method]
+        call(runner, 5, 300)
+        call(runner, 6, 300)
+        other, cold = read_run_log(log)
+        paths = [
+            cache / f"{record['cache_prefix']}_{record['cache_key']}.point"
+            for record in (other, cold)
+        ]
+        shutil.copyfile(*paths)
+
+        with use_metrics() as metrics, caplog.at_level(
+            "WARNING", logger="repro.simulation.runner"
+        ):
+            call(runner, 6, 300)
+        assert metrics.counter(f"runner.{method}.cache_corrupt") == 1
+        assert any(paths[1].name in message for message in caplog.messages)
+        recomputed = read_run_log(log)[-1]
+        assert recomputed["cache"] == "corrupt"
+        assert recomputed["result_digest"] == cold["result_digest"]
+        assert recomputed["result_digest"] != other["result_digest"]
+        call(runner, 6, 300)
+        assert read_run_log(log)[-1]["cache"] == "hit"
+
+    def test_object_dtype_in_the_header_is_corrupt_and_never_unpickled(
+        self, tmp_path
+    ):
+        """A checksummed entry whose header names an object dtype over a
+        pickle stream is refused before any byte is read as an array."""
+        log = tmp_path / "log.jsonl"
+        cache = tmp_path / "cache"
+        runner = ExperimentRunner(base_seed=3, cache_dir=str(cache), run_log=log)
+        runner.run_point(PARAMS, 5, 300)
+        (cold,) = read_run_log(log)
+        body = pickle.dumps(_Tripwire())
+        header = json.dumps(
+            {
+                "arrays": [["worst_deficits", "|O", [1], 0]],
+                "key": cold["cache_key"],
+                "meta": {},
+            }
+        ).encode()
+        header += b" " * (-(_PREFIX.size + len(header)) % 64)
+        checksum = zlib.crc32(header + body)
+        prefix = _PREFIX.pack(_MAGIC, len(header), len(body), checksum)
+        path = cache / f"batch_{cold['cache_key']}.point"
+        path.write_bytes(prefix + header + body)
+
+        runner.run_point(PARAMS, 5, 300)
+        recomputed = read_run_log(log)[-1]
+        assert recomputed["cache"] == "corrupt"
+        assert recomputed["result_digest"] == cold["result_digest"]
+        assert _TRIPPED == []
+
     @pytest.mark.parametrize(
         "sidecar", [b"garbage{", b"[]", b"null", b"3", b"\xff\xfe{"]
     )
@@ -521,7 +677,7 @@ class TestCorruptCache:
         runner = ExperimentRunner(base_seed=3, cache_dir=str(cache), run_log=log)
         call = POINT_CALLS[method]
         call(runner, 5, 300)
-        (entry,) = [name for name in os.listdir(cache) if name.endswith(".npz")]
+        (entry,) = [name for name in os.listdir(cache) if name.endswith(".point")]
         (index,) = [name for name in os.listdir(cache) if name.endswith(".json")]
         os.remove(cache / entry)
         (cache / index).write_bytes(sidecar)
@@ -538,16 +694,16 @@ class TestCorruptCache:
 
     @pytest.mark.parametrize("method", sorted(POINT_CALLS))
     def test_leftover_temporary_from_a_killed_writer(self, method, tmp_path):
-        """Half-written ``<npz>.tmp.<pid>.npz`` files neither shadow the entry
+        """Half-written ``<entry>.tmp.<pid>`` files neither shadow the entry
         nor stop the next store, whichever pid wrote them."""
         log = tmp_path / "log.jsonl"
         cache = tmp_path / "cache"
         runner = ExperimentRunner(base_seed=3, cache_dir=str(cache), run_log=log)
         call = POINT_CALLS[method]
         call(runner, 5, 300)
-        (entry,) = [name for name in os.listdir(cache) if name.endswith(".npz")]
+        (entry,) = [name for name in os.listdir(cache) if name.endswith(".point")]
         for pid in (os.getpid(), 999_999):
-            (cache / f"{entry}.tmp.{pid}.npz").write_bytes(b"PK\x03\x04 cut short")
+            (cache / f"{entry}.tmp.{pid}").write_bytes(b"REPROPT1 cut short")
 
         call(runner, 5, 300)
         os.remove(cache / entry)
@@ -559,7 +715,7 @@ class TestCorruptCache:
         assert len(digests) == 1
         # The store reused its own pid's name; the other writer's file stays.
         leftovers = [name for name in os.listdir(cache) if ".tmp." in name]
-        assert leftovers == [f"{entry}.tmp.999999.npz"]
+        assert leftovers == [f"{entry}.tmp.999999"]
 
     def test_raising_worker_fails_a_sharded_grid_cleanly(self, tmp_path):
         """A worker's error reaches the caller as itself, and no temporary
